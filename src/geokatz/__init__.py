@@ -8,7 +8,6 @@ seeded synthetic movement-network generator plus a batch CLI that runs
 the whole pipeline from one config file.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .config import ALL_MODELS, RunConfig, load_run_config, parse_run_config
 from .errors import (BetaDomainError, ConfigError, DataError,
                      DegenerateLabelsError, DegenerateScoreTableWarning,
@@ -23,8 +22,7 @@ from .graphs import (MovementRecord, NodeRegistry, PairUniverse, SplitSpec,
                      candidate_pairs, ingest_movements, temporal_split)
 from .katz import (KatzConfig, ScoreTable, SpectralRadius, combine,
                    edge_weighted_katz_scores, katz_scores, normalize,
-                   resolve_beta, spectral_radius, weighted_katz_scores,
-                   write_score_table)
+                   resolve_beta, spectral_radius, write_score_table)
 from .metrics import (ConfusionMatrix, Curve, EvaluationReport, aupr, auroc,
                       average_precision, confusion_at, evaluate, f1,
                       optimal_threshold, pr_curve, precision, recall,
@@ -47,10 +45,10 @@ __all__ = [
     "candidate_pairs", "combine", "confusion_at", "decay_weights",
     "distance_matrix", "edge_weighted_katz_scores", "evaluate", "f1",
     "generate", "haversine_km", "ingest_movements", "katz_scores",
-    "kernel_backend", "load_run_config", "normalize", "optimal_threshold",
+    "load_run_config", "normalize", "optimal_threshold",
     "pair_distances", "parse_run_config", "pr_curve", "precision", "recall",
     "resolve_beta", "roc_curve", "run", "run_scores_only", "spectral_radius",
     "temporal_split", "transform_weights", "weighted_adjacency",
-    "weighted_katz_scores", "write_curve", "write_movements", "write_report",
-    "write_score_table", "write_truth",
+    "write_curve", "write_movements", "write_report", "write_score_table",
+    "write_truth",
 ]

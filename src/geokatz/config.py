@@ -8,14 +8,15 @@ instead of silently running defaults.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import yaml
 
 from .errors import ConfigError
-from .graphs import SplitSpec
-from .katz import COMBINE_RULES, KatzConfig
+from .graphs import BAD_ROW_POLICIES, SplitSpec
+from .katz import COMBINE_INPUTS, COMBINE_RULES, KatzConfig
 from .synth import SynthConfig
 
 log = logging.getLogger(__name__)
@@ -23,7 +24,6 @@ log = logging.getLogger(__name__)
 ALL_MODELS = ("KI", "WKI", "EWKI", "KIWKI", "KIEWKI", "WKIEWKI")
 SCORE_BASES = ("train", "train+val")
 TUNE_SPLITS = ("val", "test")
-COMBINE_INPUTS = ("normalized", "raw")
 
 _TOP_KEYS = {"input", "synth", "schema", "ingest", "split", "katz",
              "models", "score_basis", "tune_on", "combine_rule",
@@ -61,6 +61,10 @@ class RunConfig:
         if (self.input is None) == (self.synth is None):
             raise ConfigError(
                 "exactly one of 'input' and 'synth' must be given")
+        if self.on_bad_rows not in BAD_ROW_POLICIES:
+            raise ConfigError(
+                f"ingest.on_bad_rows must be one of {BAD_ROW_POLICIES}, "
+                f"got {self.on_bad_rows!r}")
         if not self.models:
             raise ConfigError("model list must be non-empty")
         bad = [m for m in self.models if m not in ALL_MODELS]
@@ -102,16 +106,29 @@ def _reject_unknown(mapping, allowed, name):
 
 
 def _as_float(value, key):
-    """Coerce YAML scalars to float; plain-style '1e-10' parses as str."""
+    """Coerce YAML scalars to a finite float.
+
+    Plain-style '1e-10' parses as str and is accepted; NaN and infinity
+    are refused.
+    """
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"'{key}' must be finite, got {value!r}")
+    return number
 
 
 def _as_int(value, key):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _as_bool(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
     return value
 
 
@@ -233,7 +250,7 @@ def parse_run_config(text):
         tune_on=raw.get("tune_on", "val"),
         combine_rule=raw.get("combine_rule", "mean"),
         combine_on=raw.get("combine_on", "normalized"),
-        directed=bool(raw.get("directed", True)),
+        directed=_as_bool(raw.get("directed", True), "directed"),
         workers=_as_int(workers, "workers"),
         output_dir=raw.get("output_dir"),
         source_text=text)
@@ -260,8 +277,4 @@ def load_run_config(path, out_override=None, seed_override=None):
                         "and uses no randomness")
         else:
             cfg = replace(cfg, synth=replace(cfg.synth, seed=seed_override))
-    if cfg.on_bad_rows not in ("abort", "skip"):
-        raise ConfigError(
-            f"ingest.on_bad_rows must be 'abort' or 'skip', "
-            f"got {cfg.on_bad_rows!r}")
     return cfg

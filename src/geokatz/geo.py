@@ -8,14 +8,30 @@ degrees and converted once at the boundary.
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import EARTH_RADIUS_KM, haversine_pairs
 from .errors import DataError
+
+EARTH_RADIUS_KM = 6371.0
 
 WEIGHT_TRANSFORMS = ("raw", "inverse", "decay", "minmax")
 
 # Dense k*k distance matrices above this node count are refused rather
 # than silently allocating gigabytes.
 DEFAULT_DENSE_LIMIT = 5000
+
+
+def haversine_pairs(lat_rad, lon_rad, src, dst):
+    """Great-circle distances in km for index pairs (src[i], dst[i]).
+
+    ``lat_rad``/``lon_rad`` are per-node coordinates in radians.
+    """
+    lat1 = lat_rad[src]
+    lat2 = lat_rad[dst]
+    dlat = lat2 - lat1
+    dlon = lon_rad[dst] - lon_rad[src]
+    sin_dlat = np.sin(dlat * 0.5)
+    sin_dlon = np.sin(dlon * 0.5)
+    a = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * sin_dlon * sin_dlon
+    return EARTH_RADIUS_KM * (2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a)))
 
 
 def haversine_km(lat1, lon1, lat2, lon2):

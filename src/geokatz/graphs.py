@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 REQUIRED_COLUMNS = ("source_id", "dest_id", "year",
                     "source_lat", "source_lon", "dest_lat", "dest_lon")
 OPTIONAL_COLUMNS = ("species",)
+BAD_ROW_POLICIES = ("abort", "skip")
 
 DEFAULT_YEAR_RANGE = (1900, 2100)
 
@@ -262,13 +263,16 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     either abort ingestion (``on_bad_rows="abort"``) or are skipped and
     counted (``"skip"``), with row-numbered diagnostics in the report.
     """
-    if on_bad_rows not in ("abort", "skip"):
+    if on_bad_rows not in BAD_ROW_POLICIES:
         raise DataError(
-            f"on_bad_rows must be 'abort' or 'skip', got {on_bad_rows!r}")
+            f"on_bad_rows must be one of {BAD_ROW_POLICIES}, "
+            f"got {on_bad_rows!r}")
     if hasattr(source, "read"):
         return _ingest_stream(source, schema, on_bad_rows, delimiter,
                               year_range)
-    with open(source, "r", newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put
+    # before the header; files without one read as plain UTF-8.
+    with open(source, "r", newline="", encoding="utf-8-sig") as fh:
         return _ingest_stream(fh, schema, on_bad_rows, delimiter, year_range)
 
 

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import splu
 
-from . import _kernels
 from .errors import (BetaDomainError, ConfigError, DegenerateScoreTableWarning,
                      NumericError, UniverseMismatchError)
 from .geo import WEIGHT_TRANSFORMS
@@ -30,6 +29,7 @@ log = logging.getLogger(__name__)
 BETA_MODES = ("fraction-of-spectral-bound", "explicit")
 METHODS = ("closed-form-solve", "truncated-series")
 COMBINE_RULES = ("mean", "product", "max")
+COMBINE_INPUTS = ("normalized", "raw")
 
 _BETA_MODE_ALIASES = {"fraction": "fraction-of-spectral-bound"}
 _METHOD_ALIASES = {"solve": "closed-form-solve", "series": "truncated-series"}
@@ -224,13 +224,30 @@ def _solve_rows(adj, beta, sources):
 
 
 def _series_rows(adj, beta, sources, max_len, tol):
-    """Truncated-series scores via the active kernel backend."""
+    """Truncated series sum_{l=1..L} beta^l (A^l)[u, v] over the sources.
+
+    Each source u walks its own power sequence over the transposed
+    adjacency (rows of A^T are columns of A), starting from e_u. A
+    source stops once its current term's max-norm falls below ``tol``;
+    that final term is still included, and an exactly-zero term always
+    stops since no longer walk can exist. Only the entries at the
+    source nodes are accumulated, into the (k, k) block.
+    """
+    n = adj.shape[0]
     at = adj.T.tocsr()
     at.sort_indices()
-    rows = _kernels.katz_series_rows(at.indptr, at.indices, at.data,
-                                     adj.shape[0], sources, beta,
-                                     max_len, tol)
-    values = np.ascontiguousarray(rows[:, sources])
+    at_beta = sp.csr_matrix((at.data * beta, at.indices, at.indptr),
+                            shape=(n, n))
+    values = np.zeros((len(sources), len(sources)), dtype=np.float64)
+    for i, u in enumerate(sources):
+        term = np.zeros(n, dtype=np.float64)
+        term[u] = 1.0
+        acc = values[i]
+        for _ in range(max_len):
+            term = at_beta.dot(term)
+            acc += term[sources]
+            if np.max(np.abs(term), initial=0.0) < tol:
+                break
     np.fill_diagonal(values, 0.0)
     return values
 
@@ -262,15 +279,6 @@ def katz_scores(adj, cfg, universe, model="KI"):
             "spectral_converged": sr.converged, "method": method}
     return ScoreTable(model=model, universe=universe, values=values,
                       info=info)
-
-
-def weighted_katz_scores(adj_weighted, cfg, universe, model="WKI"):
-    """Walk-count scores over a distance-weighted adjacency.
-
-    Identical machinery to :func:`katz_scores`; the damping factor is
-    resolved against the weighted matrix's own spectral radius.
-    """
-    return katz_scores(adj_weighted, cfg, universe, model=model)
 
 
 def edge_weighted_katz_scores(adj, distances, cfg, universe, model="EWKI",
@@ -329,21 +337,12 @@ def normalize(table):
                       info=dict(table.info))
 
 
-def _combine_values(a_values, b_values, rule):
-    if rule == "mean":
-        return (a_values + b_values) / 2.0
-    if rule == "product":
-        return a_values * b_values
-    if rule == "max":
-        return np.maximum(a_values, b_values)
-    raise ConfigError(f"combine rule must be one of {COMBINE_RULES}, "
-                      f"got {rule!r}")
-
-
-def combine(a, b, rule="mean"):
+def combine(a, b, rule="mean", on="normalized"):
     """Fuse two normalized tables pairwise into a combined model.
 
-    The combination is applied to the normalized scores and the result
+    The rule is applied to the normalized scores (``on="normalized"``)
+    or to the inputs' pre-normalization ``raw_values`` (``on="raw"``,
+    recorded as ``combined_on`` in the output's info), and the result
     is re-normalized; the model name is the concatenation of the
     inputs' names. The pre-renormalization combination is kept as the
     output's ``raw_values``.
@@ -353,13 +352,27 @@ def combine(a, b, rule="mean"):
     if not a.universe.same_universe(b.universe):
         raise UniverseMismatchError(
             f"tables {a.model!r} and {b.model!r} cover different universes")
-    fused = _combine_values(a.values, b.values, rule)
+    info = {"rule": rule, "components": (a.model, b.model)}
+    if on == "normalized":
+        a_values, b_values = a.values, b.values
+    elif on == "raw":
+        a_values, b_values = a.raw_values, b.raw_values
+        info["combined_on"] = "raw"
+    else:
+        raise ConfigError(f"combine input must be one of {COMBINE_INPUTS}, "
+                          f"got {on!r}")
+    if rule == "mean":
+        fused = (a_values + b_values) / 2.0
+    elif rule == "product":
+        fused = a_values * b_values
+    elif rule == "max":
+        fused = np.maximum(a_values, b_values)
+    else:
+        raise ConfigError(f"combine rule must be one of {COMBINE_RULES}, "
+                          f"got {rule!r}")
     np.fill_diagonal(fused, 0.0)
-    raw_table = ScoreTable(model=a.model + b.model, universe=a.universe,
-                           values=fused,
-                           info={"rule": rule,
-                                 "components": (a.model, b.model)})
-    return normalize(raw_table)
+    return normalize(ScoreTable(model=a.model + b.model, universe=a.universe,
+                                values=fused, info=info))
 
 
 def write_score_table(table, registry, dest):

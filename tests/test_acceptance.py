@@ -183,7 +183,8 @@ def test_criterion_4_zero_gamma_decay_transform(reduction_setup):
                                       registry.lon_array(),
                                       transform="decay", gamma=0.0)
     plain = katz.katz_scores(adj, cfg, universe)
-    distance_weighted = katz.weighted_katz_scores(weighted, cfg, universe)
+    distance_weighted = katz.katz_scores(weighted, cfg, universe,
+                                          model="WKI")
     assert np.array_equal(distance_weighted.values, plain.values)
 
 

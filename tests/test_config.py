@@ -1,12 +1,16 @@
 """Unit tests for run-configuration parsing and CLI overrides."""
 
 import logging
+from pathlib import Path
 
 import pytest
 
 from geokatz.config import (ALL_MODELS, RunConfig, load_run_config,
                             parse_run_config)
 from geokatz.errors import ConfigError, DataError
+from geokatz.graphs import ingest_movements
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_SYNTH = """\
 synth:
@@ -131,6 +135,25 @@ class TestScalarCoercion:
         with pytest.raises(ConfigError, match="'workers' must be an integer"):
             parse_run_config(MINIMAL_SYNTH + "workers: true\n")
 
+    @pytest.mark.parametrize("value", ['"false"', "0", "yes please"])
+    def test_directed_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="'directed' must be true"):
+            parse_run_config(MINIMAL_SYNTH + f"directed: {value}\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", ".inf"), ("gamma", "-.inf"), ("gamma", ".nan"),
+        ("alpha", ".nan"), ("series_tolerance", "inf"),
+    ])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'katz.{key}' must be finite"):
+            parse_run_config(MINIMAL_SYNTH + f"katz:\n  {key}: {value}\n")
+
+    def test_non_finite_synth_float_rejected(self):
+        text = MINIMAL_SYNTH.replace("  seed: 1\n",
+                                     "  seed: 1\n  decay_rate: .nan\n")
+        with pytest.raises(ConfigError, match="'synth.decay_rate' must be"):
+            parse_run_config(text)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             parse_run_config(MINIMAL_SYNTH + "workers: 0\n")
@@ -187,6 +210,7 @@ class TestEnumFields:
         ("tune_on: train", "tune_on"),
         ("combine_rule: median", "combine_rule"),
         ("combine_on: scores", "combine_on"),
+        ("ingest: {on_bad_rows: bogus}", "on_bad_rows"),
     ])
     def test_bad_enum_value_rejected(self, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -276,6 +300,23 @@ class TestSchemaBlock:
         cfg = parse_run_config(MINIMAL_INPUT
                                + "schema:\n  src: source_id\n  yr: year\n")
         assert cfg.schema == {"src": "source_id", "yr": "year"}
+
+    def test_shipped_file_input_config_reads_its_documented_headers(
+            self, tmp_path):
+        # The schema maps canonical names to the file's headers.
+        cfg = load_run_config(CONFIGS / "file_input.yaml")
+        path = tmp_path / "movements.csv"
+        path.write_text(
+            "origin,destination,move_year,origin_lat,origin_lon,"
+            "destination_lat,destination_lon\n"
+            "a,b,2015,50.0,0.0,51.0,1.0\n"
+            "b,c,2016,51.0,1.0,52.0,0.5\n")
+        report = ingest_movements(path, schema=cfg.schema,
+                                  on_bad_rows=cfg.on_bad_rows,
+                                  delimiter=cfg.delimiter,
+                                  year_range=cfg.year_range)
+        assert report.accepted == 2
+        assert report.records[1].dest_id == "c"
 
     def test_schema_must_be_mapping(self):
         with pytest.raises(ConfigError, match="'schema' must be a mapping"):

@@ -23,6 +23,14 @@ def test_haversine_coincident_is_exactly_zero():
     assert geo.haversine_km(12.34, -56.78, 12.34, -56.78) == 0.0
 
 
+def test_haversine_pairs_zero_for_identical_indices():
+    lat = np.radians(np.array([51.5, -33.9]))
+    lon = np.radians(np.array([-0.1, 151.2]))
+    idx = np.array([0, 1], dtype=np.int64)
+    out = geo.haversine_pairs(lat, lon, idx, idx)
+    assert np.array_equal(out, np.zeros(2))
+
+
 def test_haversine_antipodes_half_circumference():
     expected = np.pi * geo.EARTH_RADIUS_KM
     assert geo.haversine_km(0.0, 0.0, 0.0, 180.0) == pytest.approx(

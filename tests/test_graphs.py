@@ -92,6 +92,16 @@ def test_ingest_from_path(tmp_path):
     assert report.accepted == 1
 
 
+def test_ingest_from_path_skips_byte_order_mark(tmp_path):
+    # Spreadsheet exports start the file with a UTF-8 byte-order mark.
+    path = tmp_path / "movements.csv"
+    path.write_bytes(b"\xef\xbb\xbf"
+                     + (CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0\n").encode())
+    report = ingest_movements(path)
+    assert report.accepted == 1
+    assert report.records[0].source_id == "a"
+
+
 def test_build_network_drops_self_loops_and_duplicates():
     records = [
         make_record("a", "b", 2015),

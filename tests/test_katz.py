@@ -14,8 +14,7 @@ from geokatz.errors import (BetaDomainError, ConfigError,
 from geokatz.graphs import NodeRegistry, PairUniverse
 from geokatz.katz import (KatzConfig, combine, edge_weighted_katz_scores,
                           katz_scores, normalize, resolve_beta,
-                          spectral_radius, weighted_katz_scores,
-                          write_score_table)
+                          spectral_radius, write_score_table)
 
 
 def _universe(n, nodes=None):
@@ -190,6 +189,46 @@ def test_series_matches_solve_on_random_graph():
     assert np.max(np.abs(solved.values - series.values)) < 1e-10
 
 
+def _random_series_case(seed, n=40, density=0.1):
+    rng = np.random.default_rng(seed)
+    adj = sp.random(n, n, density=density, random_state=rng,
+                    format="csr", dtype=np.float64)
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    sources = np.sort(rng.choice(n, size=n // 2, replace=False)
+                      ).astype(np.int64)
+    return adj, sources
+
+
+def test_series_rows_match_scipy_power_sum():
+    adj, sources = _random_series_case(seed=11)
+    beta = 0.05
+    got = katz._series_rows(adj, beta, sources, 8, 1e-300)
+    # Reference: accumulate beta^l * (A^l)[u, :] == ((beta*A)^T)^l e_u.
+    n = adj.shape[0]
+    scaled = (adj.T * beta).toarray()
+    expected = np.zeros((len(sources), n))
+    for i, u in enumerate(sources):
+        vec = np.zeros(n)
+        vec[u] = 1.0
+        for _ in range(8):
+            vec = scaled @ vec
+            expected[i] += vec
+    expected = expected[:, sources]
+    np.fill_diagonal(expected, 0.0)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_series_rows_early_stop_includes_final_term():
+    adj, sources = _random_series_case(seed=12)
+    # A tolerance above every term magnitude stops after the first
+    # multiplication, with that term already accumulated.
+    got = katz._series_rows(adj, 0.05, sources, 50, 1e9)
+    one_term = katz._series_rows(adj, 0.05, sources, 1, 1e-300)
+    assert np.array_equal(got, one_term)
+    assert np.count_nonzero(one_term) > 0
+
+
 def test_solve_matches_dense_inverse_oracle():
     rng = np.random.default_rng(23)
     dense = ((rng.random((12, 12)) < 0.3)
@@ -244,7 +283,7 @@ def test_weighted_scores_match_dense_oracle():
     lam = oracles.dense_spectral_radius(dense)
     beta = 0.5 / lam
     cfg = KatzConfig(beta_mode="explicit", beta=beta)
-    table = weighted_katz_scores(sp.csr_matrix(dense), cfg, _universe(n))
+    table = katz_scores(sp.csr_matrix(dense), cfg, _universe(n), model="WKI")
     reference = oracles.dense_katz_closed_form(dense, beta)
     np.fill_diagonal(reference, 0.0)
     assert np.max(np.abs(table.values - reference)) < 1e-10
@@ -350,6 +389,24 @@ def test_combine_rules():
     assert product.model == "KIWKI"
     biggest = combine(a, b, rule="max")
     assert np.all(biggest.raw_values >= a.values - 1e-15)
+
+
+def test_combine_on_raw_fuses_pre_normalization_scores():
+    a = normalize(_table([[0.0, 1.0, 2.0],
+                          [3.0, 0.0, 4.0],
+                          [5.0, 6.0, 0.0]], model="KI"))
+    b = normalize(_table([[0.0, 60.0, 50.0],
+                          [40.0, 0.0, 30.0],
+                          [10.0, 20.0, 0.0]], model="EWKI"))
+    combined = combine(a, b, rule="mean", on="raw")
+    assert combined.model == "KIEWKI"
+    assert np.array_equal(combined.raw_values,
+                          (a.raw_values + b.raw_values) / 2.0)
+    assert combined.info == {"rule": "mean", "components": ("KI", "EWKI"),
+                             "combined_on": "raw"}
+    assert "combined_on" not in combine(a, b).info
+    with pytest.raises(ConfigError):
+        combine(a, b, on="scores")
 
 
 def test_combine_requires_normalized_same_universe():

@@ -114,7 +114,7 @@ class TestFullRun:
         cfg, _, out = small_run
         summary = json.loads((out / "run_summary.json").read_text())
         assert "workers" not in summary
-        assert summary["kernel_backend"] in ("python", "cython")
+        assert summary["kernel_backend"] == "python"
         assert summary["models"] == list(cfg.models)
         assert summary["gamma"] == pytest.approx(0.01)
         assert summary["synth_seed"] == 314
