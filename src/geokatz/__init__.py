@@ -23,32 +23,28 @@ from .graphs import (MovementRecord, NodeRegistry, PairUniverse, SplitSpec,
 from .katz import (KatzConfig, ScoreTable, SpectralRadius, combine,
                    edge_weighted_katz_scores, katz_scores, normalize,
                    resolve_beta, spectral_radius, write_score_table)
-from .metrics import (ConfusionMatrix, Curve, EvaluationReport, aupr, auroc,
-                      average_precision, confusion_at, evaluate, f1,
-                      optimal_threshold, pr_curve, precision, recall,
-                      roc_curve, write_curve, write_report)
+from .metrics import (ConfusionMatrix, Curve, EvaluationReport, confusion_at,
+                      evaluate, f1, optimal_threshold, precision, recall,
+                      write_curve, write_report)
 from .pipeline import PipelineResult, run, run_scores_only
 from .synth import SynthConfig, generate, write_movements, write_truth
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_MODELS", "BetaDomainError", "ConfigError", "ConfusionMatrix",
-    "Curve", "DataError", "DegenerateLabelsError",
-    "DegenerateScoreTableWarning", "EARTH_RADIUS_KM", "EmptyNetworkError",
-    "EmptySplitError", "EvaluationReport", "GeokatzError", "KatzConfig",
-    "MovementRecord", "NodeRegistry", "NumericError", "PairUniverse",
-    "PipelineResult", "RowError", "RunConfig", "SchemaError", "ScoreTable",
-    "SpectralRadius", "SplitSpec", "SynthConfig", "TemporalNetwork",
-    "UniverseMismatchError", "WEIGHT_TRANSFORMS", "aupr", "auroc",
-    "average_precision", "build_adjacency", "build_network",
-    "candidate_pairs", "combine", "confusion_at", "decay_weights",
-    "distance_matrix", "edge_weighted_katz_scores", "evaluate", "f1",
-    "generate", "haversine_km", "ingest_movements", "katz_scores",
-    "load_run_config", "normalize", "optimal_threshold",
-    "pair_distances", "parse_run_config", "pr_curve", "precision", "recall",
-    "resolve_beta", "roc_curve", "run", "run_scores_only", "spectral_radius",
-    "temporal_split", "transform_weights", "weighted_adjacency",
-    "write_curve", "write_movements", "write_report", "write_score_table",
-    "write_truth",
+    "ALL_MODELS", "BetaDomainError", "ConfigError", "ConfusionMatrix", "Curve",
+    "DataError", "DegenerateLabelsError", "DegenerateScoreTableWarning",
+    "EARTH_RADIUS_KM", "EmptyNetworkError", "EmptySplitError",
+    "EvaluationReport", "GeokatzError", "KatzConfig", "MovementRecord",
+    "NodeRegistry", "NumericError", "PairUniverse", "PipelineResult",
+    "RowError", "RunConfig", "SchemaError", "ScoreTable", "SpectralRadius",
+    "SplitSpec", "SynthConfig", "TemporalNetwork", "UniverseMismatchError",
+    "WEIGHT_TRANSFORMS", "build_adjacency", "build_network", "candidate_pairs",
+    "combine", "confusion_at", "decay_weights", "distance_matrix",
+    "edge_weighted_katz_scores", "evaluate", "f1", "generate", "haversine_km",
+    "ingest_movements", "katz_scores", "load_run_config", "normalize",
+    "optimal_threshold", "pair_distances", "parse_run_config", "precision",
+    "recall", "resolve_beta", "run", "run_scores_only", "spectral_radius",
+    "temporal_split", "transform_weights", "weighted_adjacency", "write_curve",
+    "write_movements", "write_report", "write_score_table", "write_truth",
 ]

@@ -108,9 +108,11 @@ def _reject_unknown(mapping, allowed, name):
 def _as_float(value, key):
     """Coerce YAML scalars to a finite float.
 
-    Plain-style '1e-10' parses as str and is accepted; NaN and infinity
-    are refused.
+    Plain-style '1e-10' parses as str and is accepted; booleans, NaN
+    and infinity are refused.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):

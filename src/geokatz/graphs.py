@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -270,15 +271,17 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     if hasattr(source, "read"):
         return _ingest_stream(source, schema, on_bad_rows, delimiter,
                               year_range)
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put
-    # before the header; files without one read as plain UTF-8.
-    with open(source, "r", newline="", encoding="utf-8-sig") as fh:
+    with open(source, "r", newline="", encoding="utf-8") as fh:
         return _ingest_stream(fh, schema, on_bad_rows, delimiter, year_range)
 
 
 def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     schema = dict(schema or {})
-    reader = csv.reader(stream, delimiter=delimiter)
+    lines = iter(stream)
+    # Spreadsheet exports put a byte-order mark before the header; it
+    # goes before parsing so a quoted first cell still parses.
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
+    reader = csv.reader(chain(first, lines), delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:

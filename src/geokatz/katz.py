@@ -11,6 +11,7 @@ pair universe and can be fused pairwise into combined models.
 
 import csv
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,6 +73,11 @@ class KatzConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, "
                               f"got {self.method!r}")
+        for name in ("alpha", "beta", "series_tolerance", "gamma",
+                     "spectral_tol"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.beta_mode == "explicit":
             if self.beta is None or not self.beta > 0:
                 raise ConfigError(

@@ -3,7 +3,9 @@
 Scores become predictions via an inclusive threshold (predict positive
 iff score >= threshold). Threshold sweeps visit every distinct score
 once (ties form a single step), which makes the swept optimum exact
-rather than grid-approximate. Curves and their areas are trapezoidal.
+rather than grid-approximate. ``evaluate`` builds the ROC and PR
+curves, their trapezoidal areas and average precision from one sweep;
+``optimal_threshold`` is the only other sweep.
 """
 
 import json
@@ -169,75 +171,39 @@ def optimal_threshold(scores, labels=None):
     return float(thresholds[best]), float(f1s[best])
 
 
-def roc_curve(scores, labels=None):
-    """ROC points (FPR, TPR) at every distinct-score threshold.
-
-    Anchored at (0, 0) with an infinite threshold; the lowest threshold
-    predicts everything positive, so the curve ends at (1, 1).
-    """
-    s, y = _vectors(scores, labels)
-    thresholds, tp, fp, n_pos, n_neg = _sweep(s, y)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            "ROC needs at least one positive and one negative label")
-    thresholds = np.concatenate([[math.inf], thresholds])
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    return Curve(kind="roc", thresholds=thresholds, x=fpr, y=tpr)
-
-
-def auroc(curve):
-    """Trapezoidal area under a ROC curve."""
-    return float(trapezoid(curve.y, curve.x))
-
-
-def pr_curve(scores, labels=None):
-    """PR points (recall, precision) at every distinct-score threshold.
-
-    The curve starts at the lowest-recall point actually achieved (the
-    highest threshold); no synthetic recall-0 anchor is added.
-    """
-    s, y = _vectors(scores, labels)
-    thresholds, tp, fp, n_pos, _ = _sweep(s, y)
-    if n_pos == 0:
-        raise DegenerateLabelsError(
-            "a PR curve needs at least one positive label")
-    predicted = tp + fp
-    prec = tp / predicted
-    rec = tp / n_pos
-    return Curve(kind="pr", thresholds=thresholds, x=rec, y=prec)
-
-
-def aupr(curve):
-    """Trapezoidal area under a PR curve, integrated over recall."""
-    return float(trapezoid(curve.y, curve.x))
-
-
-def average_precision(scores, labels=None):
-    """Step-sum area: sum of precision * recall increments.
-
-    The standard alternative to trapezoidal AUPR; reported alongside
-    it because the two differ off tie plateaus.
-    """
-    s, y = _vectors(scores, labels)
-    _, tp, fp, n_pos, _ = _sweep(s, y)
-    if n_pos == 0:
-        raise DegenerateLabelsError(
-            "average precision needs at least one positive label")
-    prec = tp / (tp + fp)
-    rec = tp / n_pos
-    steps = np.diff(np.concatenate([[0.0], rec]))
-    return float(np.sum(prec * steps))
-
-
 def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
-    """Assemble the full evaluation report at a fixed threshold."""
+    """Assemble the full evaluation report at a fixed threshold.
+
+    One sweep over the distinct scores yields both curves and all three
+    areas:
+
+    - ``roc``: (FPR, TPR) points, anchored at (0, 0) with an infinite
+      threshold; the lowest threshold predicts everything positive, so
+      the curve ends at (1, 1). ``auroc`` is its trapezoidal area.
+    - ``pr``: (recall, precision) points, starting at the lowest-recall
+      point actually achieved (the highest threshold); no synthetic
+      recall-0 anchor is added. ``aupr`` is its trapezoidal area,
+      integrated over recall.
+    - ``average_precision``: the step sum of precision times recall
+      increments, the standard alternative to trapezoidal AUPR; the
+      two differ off tie plateaus.
+
+    Raises DegenerateLabelsError unless both classes are present.
+    """
     s, y = _vectors(scores, labels)
     if hasattr(scores, "model") and not model:
         model = scores.model
+    thresholds, tp, fp, n_pos, n_neg = _sweep(s, y)
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError(
+            "evaluation needs at least one positive and one negative label")
     cm = confusion_at(s, y, threshold)
-    roc = roc_curve(s, y)
-    pr = pr_curve(s, y)
+    roc = Curve(kind="roc",
+                thresholds=np.concatenate([[math.inf], thresholds]),
+                x=np.concatenate([[0.0], fp / n_neg]),
+                y=np.concatenate([[0.0], tp / n_pos]))
+    pr = Curve(kind="pr", thresholds=thresholds, x=tp / n_pos,
+               y=tp / (tp + fp))
     return EvaluationReport(
         model=model,
         threshold=float(threshold),
@@ -245,9 +211,9 @@ def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
         precision=precision(cm),
         recall=recall(cm),
         f1=f1(cm),
-        auroc=auroc(roc),
-        aupr=aupr(pr),
-        average_precision=average_precision(s, y),
+        auroc=float(trapezoid(roc.y, roc.x)),
+        aupr=float(trapezoid(pr.y, pr.x)),
+        average_precision=float(np.sum(pr.y * np.diff(pr.x, prepend=0.0))),
         roc=roc,
         pr=pr,
         info=dict(info or {}))

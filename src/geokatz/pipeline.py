@@ -14,6 +14,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,10 @@ MODEL_PARTS = {
     "WKIEWKI": ("WKI", "EWKI"),
 }
 
-SUMMARY_ROWS = ("Threshold", "Precision", "Recall", "F1-Score", "AUPR",
-                "AUCROC")
+# (row label, EvaluationReport attribute) for summary.csv, in row order.
+SUMMARY_ROWS = (("Threshold", "threshold"), ("Precision", "precision"),
+                ("Recall", "recall"), ("F1-Score", "f1"), ("AUPR", "aupr"),
+                ("AUCROC", "auroc"))
 
 INCOMPLETE_MARKER = "INCOMPLETE"
 
@@ -65,28 +68,25 @@ def _needed_bases(models):
     return bases
 
 
-def _universe_distances(universe, registry):
-    nodes = universe.node_indices
-    return geo.distance_matrix(registry.lat_array()[nodes],
-                               registry.lon_array()[nodes])
-
-
 class _UniverseScoring:
     """Score tables for one (universe, basis adjacency) combination."""
 
-    def __init__(self, universe, adj, registry, cfg, katz_cfg,
-                 ki_cache=None):
+    def __init__(self, universe, adj, registry, cfg, katz_cfg):
         self.universe = universe
         self.adj = adj
         self.registry = registry
         self.cfg = cfg
         self.katz_cfg = katz_cfg
         self.raw = {}
-        if ki_cache is not None:
-            self.raw["KI"] = ki_cache
         self.norm = {}
         self.tables = {}
-        self.distances = None
+
+    @cached_property
+    def distances(self):
+        """Great-circle (k, k) matrix of the universe, built on first use."""
+        nodes = self.universe.node_indices
+        return geo.distance_matrix(self.registry.lat_array()[nodes],
+                                   self.registry.lon_array()[nodes])
 
     def _score_base(self, base):
         if base == "KI":
@@ -110,9 +110,6 @@ class _UniverseScoring:
         is built after it. Results are keyed by name, so the artifact
         content is independent of completion order.
         """
-        if "EWKI" in bases or self.katz_cfg.wki_transform == "decay":
-            self.distances = _universe_distances(self.universe,
-                                                 self.registry)
         heavy = [b for b in ("KI", "WKI")
                  if (b in bases or (b == "KI" and "EWKI" in bases))
                  and b not in self.raw]
@@ -133,6 +130,30 @@ class _UniverseScoring:
         for b in bases:
             self.norm[b] = normalize(self.raw[b])
 
+    def tune_gamma(self):
+        """Pick gamma from a log grid by tuning-split F1 of the decay model.
+
+        Each candidate multiplies this universe's KI table by its decay
+        weights, normalizes, and sweeps the optimal F1; ties keep the
+        smaller gamma. The KI table and the distance matrix stay cached
+        for ``compute``. Stores the resolved KatzConfig and returns the
+        chosen value.
+        """
+        if "KI" not in self.raw:
+            self.raw["KI"] = self._score_base("KI")
+        best_gamma, best_f1 = None, -1.0
+        for gamma in GAMMA_GRID:
+            candidate = edge_weighted_katz_scores(
+                self.adj, self.distances,
+                replace(self.katz_cfg, gamma=float(gamma)),
+                self.universe, ki_table=self.raw["KI"])
+            _, f1 = metrics.optimal_threshold(normalize(candidate))
+            if f1 > best_f1:
+                best_gamma, best_f1 = float(gamma), f1
+        log.info("gamma tuned to %.6g (tuning F1 %.6g)", best_gamma, best_f1)
+        self.katz_cfg = replace(self.katz_cfg, gamma=best_gamma)
+        return best_gamma
+
     def table_for(self, model):
         """Normalized score table for a base or combined model."""
         table = self.tables.get(model)
@@ -147,34 +168,6 @@ class _UniverseScoring:
                             on=self.cfg.combine_on)
         self.tables[model] = table
         return table
-
-
-def _tune_gamma(katz_cfg, scoring):
-    """Pick gamma from a log grid by tuning-split F1 of the decay model.
-
-    Each candidate multiplies the cached base table by its decay
-    weights, normalizes, and sweeps the optimal F1; ties keep the
-    smaller gamma. Returns the resolved KatzConfig and the chosen value.
-    """
-    scoring.distances = _universe_distances(scoring.universe,
-                                            scoring.registry)
-    if "KI" not in scoring.raw:
-        scoring.raw["KI"] = katz_scores(scoring.adj, katz_cfg,
-                                        scoring.universe)
-    ki = scoring.raw["KI"]
-    labels = scoring.universe.label_vector
-    best_gamma, best_f1 = None, -1.0
-    for gamma in GAMMA_GRID:
-        candidate = edge_weighted_katz_scores(
-            scoring.adj, scoring.distances,
-            replace(katz_cfg, gamma=float(gamma)),
-            scoring.universe, ki_table=ki)
-        _, f1 = metrics.optimal_threshold(
-            normalize(candidate).score_vector, labels)
-        if f1 > best_f1:
-            best_gamma, best_f1 = float(gamma), f1
-    log.info("gamma tuned to %.6g (tuning F1 %.6g)", best_gamma, best_f1)
-    return replace(katz_cfg, gamma=best_gamma), best_gamma
 
 
 def _build_data(cfg, out_dir):
@@ -238,46 +231,32 @@ def run_scores_only(cfg):
 def _run_steps(cfg, out_dir, evaluate_models):
     net, train, val, test = _build_data(cfg, out_dir)
     registry = net.registry
-    final_universe = candidate_pairs(test)
-    tune_net = val if cfg.tune_on == "val" else test
-
-    adj_train = build_adjacency(
-        train, "binary-directed" if cfg.directed else "binary-undirected")
+    mode = "binary-directed" if cfg.directed else "binary-undirected"
+    adj_train = build_adjacency(train, mode)
     if cfg.score_basis == "train+val":
-        basis_net = train.merged_with(val)
-        adj_basis = build_adjacency(
-            basis_net,
-            "binary-directed" if cfg.directed else "binary-undirected")
+        adj_basis = build_adjacency(train.merged_with(val), mode)
     else:
         adj_basis = adj_train
 
     katz_cfg = cfg.katz
     bases = _needed_bases(cfg.models)
-
+    final_universe = candidate_pairs(test)
+    final_scoring = _UniverseScoring(final_universe, adj_basis, registry,
+                                     cfg, katz_cfg)
     if cfg.tune_on == "test":
-        tune_universe = final_universe
-        tune_adj = adj_basis
+        tune_scoring = final_scoring
     else:
-        tune_universe = candidate_pairs(tune_net)
-        tune_adj = adj_train
+        tune_scoring = _UniverseScoring(candidate_pairs(val), adj_train,
+                                        registry, cfg, katz_cfg)
+    tune_universe = tune_scoring.universe
 
-    tune_scoring = _UniverseScoring(tune_universe, tune_adj, registry,
-                                    cfg, katz_cfg)
     gamma_tuned = None
     if katz_cfg.gamma == "tune":
-        needs_gamma = ("EWKI" in bases
-                       or katz_cfg.wki_transform == "decay")
-        if needs_gamma:
-            katz_cfg, gamma_tuned = _tune_gamma(katz_cfg, tune_scoring)
+        if "EWKI" in bases or katz_cfg.wki_transform == "decay":
+            gamma_tuned = tune_scoring.tune_gamma()
         else:
-            katz_cfg = replace(katz_cfg, gamma=0.0)
-        tune_scoring.katz_cfg = katz_cfg
-
-    if cfg.tune_on == "test":
-        final_scoring = tune_scoring
-    else:
-        final_scoring = _UniverseScoring(final_universe, adj_basis,
-                                         registry, cfg, katz_cfg)
+            tune_scoring.katz_cfg = replace(katz_cfg, gamma=0.0)
+        katz_cfg = final_scoring.katz_cfg = tune_scoring.katz_cfg
 
     final_scoring.compute(bases)
     if tune_scoring is not final_scoring and evaluate_models:
@@ -377,28 +356,13 @@ def _write_artifacts(cfg, result, registry):
                                               encoding="utf-8")
 
 
-def _summary_cell(report, row):
-    if row == "Threshold":
-        return report.threshold
-    if row == "Precision":
-        return report.precision
-    if row == "Recall":
-        return report.recall
-    if row == "F1-Score":
-        return report.f1
-    if row == "AUPR":
-        return report.aupr
-    return report.auroc
-
-
 def _write_summary_table(models, reports, dest):
     """Summary CSV: one metric per row, one model per column."""
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("metric," + ",".join(models) + "\n")
-        for row in SUMMARY_ROWS:
-            cells = [f"{_summary_cell(reports[m], row):.6g}"
-                     for m in models]
-            fh.write(row + "," + ",".join(cells) + "\n")
+        for label, attr in SUMMARY_ROWS:
+            cells = [f"{getattr(reports[m], attr):.6g}" for m in models]
+            fh.write(label + "," + ",".join(cells) + "\n")
 
 
 def read_score_table(path, universe, registry):

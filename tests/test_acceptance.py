@@ -207,7 +207,7 @@ def _toy_universes(seed, count=100, max_pairs=200):
 
 def test_criterion_5_auroc_pair_statistic():
     for scores, labels in _toy_universes(seed=50501):
-        area = metrics.auroc(metrics.roc_curve(scores, labels))
+        area = metrics.evaluate(scores, labels).auroc
         reference = oracles.pair_count_auroc(scores, labels)
         assert abs(area - reference) <= 1e-9
 
@@ -228,20 +228,19 @@ def test_criterion_5_rank_invariance():
                   lambda v: np.arctan(v),
                   lambda v: v ** 3)
     for scores, labels in _toy_universes(seed=50503, count=20):
-        base_auroc = metrics.auroc(metrics.roc_curve(scores, labels))
-        base_aupr = metrics.aupr(metrics.pr_curve(scores, labels))
-        base_ap = metrics.average_precision(scores, labels)
+        base_auroc = metrics.evaluate(scores, labels).auroc
+        base_aupr = metrics.evaluate(scores, labels).aupr
+        base_ap = metrics.evaluate(scores, labels).average_precision
         _, base_f1 = metrics.optimal_threshold(scores, labels)
         for transform in transforms:
             mapped = transform(scores)
             # Transforms must not merge distinct scores, or the
             # comparison itself would be ill-posed.
             assert len(np.unique(mapped)) == len(np.unique(scores))
-            assert metrics.auroc(metrics.roc_curve(mapped,
-                                                   labels)) == base_auroc
-            assert metrics.aupr(metrics.pr_curve(mapped,
-                                                 labels)) == base_aupr
-            assert metrics.average_precision(mapped, labels) == base_ap
+            assert metrics.evaluate(mapped, labels).auroc == base_auroc
+            assert metrics.evaluate(mapped, labels).aupr == base_aupr
+            assert (metrics.evaluate(mapped, labels).average_precision
+                    == base_ap)
             _, mapped_f1 = metrics.optimal_threshold(mapped, labels)
             assert mapped_f1 == base_f1
 

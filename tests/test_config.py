@@ -131,6 +131,11 @@ class TestScalarCoercion:
         with pytest.raises(ConfigError, match="katz.alpha.*number"):
             parse_run_config(MINIMAL_SYNTH + "katz:\n  alpha: fast\n")
 
+    @pytest.mark.parametrize("key", ["gamma", "alpha", "series_tolerance"])
+    def test_bool_is_not_a_float(self, key):
+        with pytest.raises(ConfigError, match=f"'katz.{key}' must be a num"):
+            parse_run_config(MINIMAL_SYNTH + f"katz:\n  {key}: true\n")
+
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="'workers' must be an integer"):
             parse_run_config(MINIMAL_SYNTH + "workers: true\n")

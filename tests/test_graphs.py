@@ -102,6 +102,16 @@ def test_ingest_from_path_skips_byte_order_mark(tmp_path):
     assert report.records[0].source_id == "a"
 
 
+@pytest.mark.parametrize("header", [CSV_HEADER,
+                                    '"source_id"' + CSV_HEADER[9:]])
+def test_ingest_from_stream_skips_byte_order_mark(header):
+    # A caller-opened stream keeps the mark as the header's first char.
+    report = ingest_movements(io.StringIO(
+        "\ufeff" + header + "a,b,2015,50.0,0.0,51.0,1.0\n"))
+    assert report.accepted == 1
+    assert report.records[0].source_id == "a"
+
+
 def test_build_network_drops_self_loops_and_duplicates():
     records = [
         make_record("a", "b", 2015),

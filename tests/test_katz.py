@@ -1,6 +1,7 @@
 """Damping resolution, walk-count scoring, normalization, combination."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_config_gamma_validation():
     with pytest.raises(ConfigError):
         KatzConfig(gamma="tune").resolved_gamma()
     assert KatzConfig(gamma=0.02).resolved_gamma() == 0.02
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("gamma", {"gamma": math.inf}), ("gamma", {"gamma": math.nan}),
+    ("series_tolerance", {"series_tolerance": math.inf}),
+    ("spectral_tol", {"spectral_tol": math.inf}),
+    ("beta", {"beta_mode": "explicit", "beta": math.inf}),
+    ("alpha", {"beta_mode": "explicit", "beta": 0.1, "alpha": math.nan}),
+])
+def test_config_rejects_non_finite_values(name, kwargs):
+    # exp(-inf * 0) is NaN, so an infinite gamma would poison the decay
+    # scores of coincident sites.
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        KatzConfig(**kwargs)
 
 
 # --- spectral radius ----------------------------------------------------------

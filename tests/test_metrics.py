@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 import oracles
 from geokatz import metrics
@@ -78,7 +79,7 @@ def test_optimal_threshold_needs_a_positive():
 def test_roc_curve_anchors_and_ends():
     scores = np.array([0.9, 0.7, 0.4, 0.2])
     labels = np.array([1, 0, 1, 0])
-    curve = metrics.roc_curve(scores, labels)
+    curve = metrics.evaluate(scores, labels).roc
     assert curve.kind == "roc"
     assert curve.thresholds[0] == math.inf
     assert (curve.x[0], curve.y[0]) == (0.0, 0.0)
@@ -89,29 +90,29 @@ def test_roc_curve_anchors_and_ends():
 
 def test_roc_requires_both_classes():
     with pytest.raises(DegenerateLabelsError):
-        metrics.roc_curve(np.array([0.5, 0.2]), np.array([1, 1]))
+        metrics.evaluate(np.array([0.5, 0.2]), np.array([1, 1])).roc
     with pytest.raises(DegenerateLabelsError):
-        metrics.roc_curve(np.array([0.5, 0.2]), np.array([0, 0]))
+        metrics.evaluate(np.array([0.5, 0.2]), np.array([0, 0])).roc
 
 
 def test_auroc_perfect_and_inverted():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     perfect = np.array([1, 1, 0, 0])
     inverted = np.array([0, 0, 1, 1])
-    assert metrics.auroc(metrics.roc_curve(scores, perfect)) == 1.0
-    assert metrics.auroc(metrics.roc_curve(scores, inverted)) == 0.0
+    assert metrics.evaluate(scores, perfect).auroc == 1.0
+    assert metrics.evaluate(scores, inverted).auroc == 0.0
 
 
 def test_auroc_all_tied_is_half():
     scores = np.array([0.5, 0.5, 0.5, 0.5])
     labels = np.array([1, 0, 1, 0])
-    assert metrics.auroc(metrics.roc_curve(scores, labels)) == 0.5
+    assert metrics.evaluate(scores, labels).auroc == 0.5
 
 
 def test_pr_curve_has_no_synthetic_anchor():
     scores = np.array([0.9, 0.7, 0.4])
     labels = np.array([1, 0, 1])
-    curve = metrics.pr_curve(scores, labels)
+    curve = metrics.evaluate(scores, labels).pr
     assert curve.kind == "pr"
     # First point is the highest threshold actually swept, recall 1/2.
     assert curve.x[0] == 0.5
@@ -124,8 +125,8 @@ def test_average_precision_hand_example():
     scores = np.array([0.9, 0.7, 0.4])
     labels = np.array([1, 0, 1])
     expected = 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
-    assert metrics.average_precision(scores, labels) == pytest.approx(
-        expected, abs=1e-12)
+    assert metrics.evaluate(scores, labels).average_precision == (
+        pytest.approx(expected, abs=1e-12))
 
 
 def test_evaluate_assembles_consistent_report():
@@ -137,10 +138,24 @@ def test_evaluate_assembles_consistent_report():
     assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 0, 2)
     assert report.precision == metrics.precision(cm)
     assert report.f1 == metrics.f1(cm)
-    assert report.auroc == metrics.auroc(report.roc)
-    assert report.aupr == metrics.aupr(report.pr)
+    assert report.auroc == trapezoid(report.roc.y, report.roc.x)
+    assert report.aupr == trapezoid(report.pr.y, report.pr.x)
     assert report.info["beta"] == 0.25
     assert report.model == "KI"
+
+
+def test_evaluate_sweeps_once(monkeypatch):
+    calls = []
+    sweep = metrics._sweep
+
+    def counting_sweep(s, y):
+        calls.append(len(s))
+        return sweep(s, y)
+
+    monkeypatch.setattr(metrics, "_sweep", counting_sweep)
+    metrics.evaluate(np.array([0.9, 0.8, 0.6, 0.4, 0.2]),
+                     np.array([1, 0, 1, 0, 0]), threshold=0.5)
+    assert calls == [5]
 
 
 def test_report_dict_rounds_to_six_significant_digits():
@@ -175,7 +190,7 @@ def test_write_report_deterministic_json():
 def test_write_curve_format():
     scores = np.array([0.9, 0.4, 0.2])
     labels = np.array([1, 1, 0])
-    curve = metrics.roc_curve(scores, labels)
+    curve = metrics.evaluate(scores, labels).roc
     buf = io.StringIO()
     metrics.write_curve(curve, buf)
     lines = buf.getvalue().splitlines()
@@ -209,8 +224,8 @@ def test_evaluate_accepts_score_table():
 def test_auroc_complement_under_label_flip(rows):
     scores = np.array([s for s, _ in rows], dtype=np.float64)
     labels = np.array([int(y) for _, y in rows])
-    area = metrics.auroc(metrics.roc_curve(scores, labels))
-    flipped = metrics.auroc(metrics.roc_curve(scores, 1 - labels))
+    area = metrics.evaluate(scores, labels).auroc
+    flipped = metrics.evaluate(scores, 1 - labels).auroc
     assert area + flipped == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= area <= 1.0
 

@@ -128,8 +128,9 @@ class TestFullRun:
         cfg, result, out = small_run
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[0] == "metric," + ",".join(cfg.models)
-        assert [line.split(",")[0] for line in lines[1:]] == list(SUMMARY_ROWS)
-        f1_row = lines[1 + SUMMARY_ROWS.index("F1-Score")].split(",")
+        labels = [label for label, _ in SUMMARY_ROWS]
+        assert [line.split(",")[0] for line in lines[1:]] == labels
+        f1_row = lines[1 + labels.index("F1-Score")].split(",")
         for model, cell in zip(cfg.models, f1_row[1:]):
             assert float(cell) == pytest.approx(
                 result.reports[model].f1, abs=1e-4)
@@ -231,6 +232,33 @@ class TestTuning:
         assert summary["gamma"] == 0.0
         assert "gamma_tuned" not in summary
         assert "gamma_tuned" not in result.reports["KI"].info
+
+    @pytest.mark.parametrize("edits,builds", [
+        # EWKI on the tuning and the final universe: one matrix each.
+        ((("  gamma: 0.01", "  gamma: tune"),), 2),
+        # One universe serves both tuning and evaluation.
+        ((("  gamma: 0.01", "  gamma: tune"),
+          ("split:", "tune_on: test\nsplit:")), 1),
+        # Edge-weight decay computes its own edge distances.
+        ((("katz:\n", "katz:\n  wki_transform: decay\n"),
+          ("[EWKI]", "[KI, WKI]")), 0),
+    ])
+    def test_distance_matrix_built_once_per_ewki_universe(
+            self, monkeypatch, edits, builds):
+        calls = []
+        distance_matrix = pipeline.geo.distance_matrix
+
+        def counting(lat, lon):
+            calls.append(len(lat))
+            return distance_matrix(lat, lon)
+
+        monkeypatch.setattr(pipeline.geo, "distance_matrix", counting)
+        text = SMALL_SYNTH.replace("models: [KI, WKI, EWKI, KIEWKI]",
+                                   "models: [EWKI]")
+        for old, new in edits:
+            text = text.replace(old, new)
+        run(_cfg(text))
+        assert len(calls) == builds
 
     def test_tune_on_test_reuses_final_universe(self, tmp_path):
         text = SMALL_SYNTH.replace("split:", "tune_on: test\nsplit:")
