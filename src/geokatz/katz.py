@@ -10,10 +10,12 @@ pair universe and can be fused pairwise into combined models.
 """
 
 import csv
+import io
 import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -24,6 +26,7 @@ from scipy.sparse.linalg import splu
 from .errors import (BetaDomainError, ConfigError, DegenerateScoreTableWarning,
                      NumericError, UniverseMismatchError)
 from .geo import WEIGHT_TRANSFORMS
+from .metrics import _format6
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +79,20 @@ class KatzConfig:
         for name in ("alpha", "beta", "series_tolerance", "gamma",
                      "spectral_tol"):
             value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if (name == "beta" and value is None
+                    or name == "gamma" and value == "tune"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(
+                    f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name in ("max_walk_length", "spectral_max_iter",
+                     "solve_max_nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(
+                    f"{name} must be an integer, got {value!r}")
         if self.beta_mode == "explicit":
             if self.beta is None or not self.beta > 0:
                 raise ConfigError(
@@ -90,10 +105,9 @@ class KatzConfig:
             raise ConfigError("max_walk_length must be >= 1")
         if not self.series_tolerance > 0:
             raise ConfigError("series_tolerance must be > 0")
-        if self.gamma != "tune":
-            if not isinstance(self.gamma, (int, float)) or self.gamma < 0:
-                raise ConfigError(
-                    f"gamma must be >= 0 or 'tune', got {self.gamma!r}")
+        if self.gamma != "tune" and self.gamma < 0:
+            raise ConfigError(
+                f"gamma must be >= 0 or 'tune', got {self.gamma!r}")
         if self.wki_transform not in WEIGHT_TRANSFORMS:
             raise ConfigError(
                 f"wki_transform must be one of {WEIGHT_TRANSFORMS}, "
@@ -381,6 +395,15 @@ def combine(a, b, rule="mean", on="normalized"):
                                 values=fused, info=info))
 
 
+def _csv_field(value):
+    """``value`` as csv.writer writes it inside a row: minimal quoting."""
+    buf = io.StringIO()
+    # A row of one empty field is written as "", so a second (empty)
+    # field keeps the in-row quoting of every value.
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_score_table(table, registry, dest):
     """Export a normalized table as delimited text.
 
@@ -391,22 +414,22 @@ def write_score_table(table, registry, dest):
     """
     if not table.normalized or table.raw_values is None:
         raise ValueError("score export requires a normalized table")
-    nodes = table.universe.node_indices
-    ids = [registry.ids[i] for i in nodes]
+    ids = [registry.ids[i] for i in table.universe.node_indices]
     order = sorted(range(len(ids)), key=ids.__getitem__)
+    cells = np.ix_(order, order)
+    raw = _format6(table.raw_values[cells])
+    norm = _format6(table.values[cells])
+    quoted = [_csv_field(ids[i]) for i in order]
+    model = _csv_field(table.model)
+    middle = [f",{dest_id},{model}," for dest_id in quoted]
 
     def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source_id", "dest_id", "model", "score",
-                         "score_norm"])
-        raw = table.raw_values
-        norm = table.values
-        for i in order:
-            for j in order:
-                if i == j:
-                    continue
-                writer.writerow([ids[i], ids[j], table.model,
-                                 f"{raw[i, j]:.6g}", f"{norm[i, j]:.6g}"])
+        fh.write("source_id,dest_id,model,score,score_norm\n")
+        for a, source in enumerate(quoted):
+            rows = [f"{source}{m}{r},{n}\n" for m, r, n
+                    in zip(middle, raw[a].tolist(), norm[a].tolist())]
+            del rows[a]
+            fh.write("".join(rows))
 
     if hasattr(dest, "write"):
         _write(dest)

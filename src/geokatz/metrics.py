@@ -219,6 +219,22 @@ def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
         info=dict(info or {}))
 
 
+def _format6(values):
+    """The ``f"{v:.6g}"`` text of every entry of a float array.
+
+    Each distinct value is formatted once, by one %-format call that
+    gives the same text as the f-string. Values are told apart by bit
+    pattern, so -0.0 keeps its own text ("-0"). Returns an object array
+    of str with the input's shape.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.int64),
+                              return_inverse=True)
+    text = ("%.6g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
+    distinct = np.array(text.split("\n")[:-1], dtype=object)
+    return distinct[inverse].reshape(values.shape)
+
+
 def _round6(value):
     """Round floats to 6 significant digits for stable artifacts."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -247,28 +263,26 @@ def report_dict(report):
     }
 
 
+def _write_text(text, dest):
+    """Write ``text`` to an open stream, or to a path as UTF-8 with
+    ``\\n`` line ends; returns ``dest``."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return dest
+
+
 def write_report(report, dest):
     """Write one model's evaluation report as deterministic JSON."""
     payload = json.dumps(report_dict(report), indent=2, sort_keys=True)
-    if hasattr(dest, "write"):
-        dest.write(payload + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    return dest
+    return _write_text(payload + "\n", dest)
 
 
 def write_curve(curve, dest):
     """Write curve points as CSV with columns threshold, x, y."""
-
-    def _write(fh):
-        fh.write("threshold,x,y\n")
-        for t, x, y in zip(curve.thresholds, curve.x, curve.y):
-            fh.write(f"{t:.6g},{x:.6g},{y:.6g}\n")
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh)
-    return dest
+    rows = zip(*(_format6(column).tolist()
+                 for column in (curve.thresholds, curve.x, curve.y)))
+    text = "threshold,x,y\n" + "".join([f"{t},{x},{y}\n" for t, x, y in rows])
+    return _write_text(text, dest)

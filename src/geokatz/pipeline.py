@@ -410,6 +410,8 @@ def read_score_table(path, universe, registry):
                 norm[i, j] = float(row["score_norm"])
             except ValueError:
                 raise DataError(f"line {line_no}: non-numeric score")
+            if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
+                raise DataError(f"line {line_no}: non-finite score")
     expected = k * (k - 1)
     got = int(seen.sum())
     if got != expected:

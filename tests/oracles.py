@@ -5,8 +5,12 @@ O(P*N) pair counting, exhaustive threshold scans, dense linear algebra.
 None of it shares code with the package under test, so agreement is
 meaningful. The haversine table was computed offline with mpmath at 50
 significant digits via the spherical law of cosines, a formula distinct
-from the haversine implementation it checks.
+from the haversine implementation it checks. The artifact writers are
+the row-at-a-time loops that the package's chunked writers must match
+byte for byte.
 """
+
+import csv
 
 import numpy as np
 
@@ -103,6 +107,31 @@ def exhaustive_f1_scan(scores, labels):
         elif f == best:
             achievers.append(t)
     return best, achievers
+
+
+def loop_write_score_table(table, registry, fh):
+    """Score-table export with one csv.writer row and two f-strings
+    per ordered pair, sources and destinations in sorted-id order."""
+    ids = [registry.ids[i] for i in table.universe.node_indices]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["source_id", "dest_id", "model", "score",
+                     "score_norm"])
+    raw = table.raw_values
+    norm = table.values
+    for i in order:
+        for j in order:
+            if i == j:
+                continue
+            writer.writerow([ids[i], ids[j], table.model,
+                             f"{raw[i, j]:.6g}", f"{norm[i, j]:.6g}"])
+
+
+def loop_write_curve(curve, fh):
+    """Curve export with one f-string line per point."""
+    fh.write("threshold,x,y\n")
+    for t, x, y in zip(curve.thresholds, curve.x, curve.y):
+        fh.write(f"{t:.6g},{x:.6g},{y:.6g}\n")
 
 
 # (label, lat1, lon1, lat2, lon2, km) with km from a 50-digit mpmath

@@ -85,6 +85,29 @@ def test_config_rejects_non_finite_values(name, kwargs):
         KatzConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name,kwargs,kind", [
+    ("alpha", {"alpha": "0.5"}, "a real number"),
+    ("alpha", {"alpha": True}, "a real number"),
+    ("beta", {"beta_mode": "explicit", "beta": "0.1"}, "a real number"),
+    ("series_tolerance", {"series_tolerance": "1e-9"}, "a real number"),
+    ("spectral_tol", {"spectral_tol": "1e-8"}, "a real number"),
+    ("gamma", {"gamma": True}, "a real number"),
+    ("max_walk_length", {"max_walk_length": 2.5}, "an integer"),
+    ("max_walk_length", {"max_walk_length": True}, "an integer"),
+    ("spectral_max_iter", {"spectral_max_iter": 2.5}, "an integer"),
+    ("solve_max_nodes", {"solve_max_nodes": "10"}, "an integer"),
+])
+def test_config_rejects_wrong_types(name, kwargs, kind):
+    with pytest.raises(ConfigError, match=f"{name} must be {kind}"):
+        KatzConfig(**kwargs)
+
+
+def test_config_accepts_numpy_and_int_numbers():
+    cfg = KatzConfig(alpha=np.float64(0.25), gamma=0,
+                     max_walk_length=np.int64(3))
+    assert cfg.alpha == 0.25 and cfg.max_walk_length == 3
+
+
 # --- spectral radius ----------------------------------------------------------
 
 def test_spectral_radius_complete_digraph():

@@ -436,3 +436,17 @@ class TestScoreTableRoundTrip:
         self._mutate(path, corrupt)
         with pytest.raises(DataError, match="non-numeric score"):
             read_score_table(path, universe, registry)
+
+    @pytest.mark.parametrize("column,value", [
+        (4, "nan"), (3, "inf"), (4, "-inf")])
+    def test_non_finite_score_detected(self, exported, column, value):
+        path, _, universe, registry = exported
+
+        def corrupt(lines):
+            fields = lines[1].split(",")
+            fields[column] = value
+            return lines[:1] + [",".join(fields)] + lines[2:]
+
+        self._mutate(path, corrupt)
+        with pytest.raises(DataError, match="line 2: non-finite score"):
+            read_score_table(path, universe, registry)
