@@ -38,6 +38,9 @@ COMBINE_INPUTS = ("normalized", "raw")
 _BETA_MODE_ALIASES = {"fraction": "fraction-of-spectral-bound"}
 _METHOD_ALIASES = {"solve": "closed-form-solve", "series": "truncated-series"}
 
+# Sources whose truncated series advance together in one sparse product.
+_SERIES_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class KatzConfig:
@@ -123,10 +126,15 @@ class KatzConfig:
 
 @dataclass(frozen=True)
 class SpectralRadius:
-    """Power-iteration estimate of a matrix's spectral radius."""
+    """Power-iteration estimate of a matrix's spectral radius.
+
+    ``bound`` is set when the estimate did not converge: an upper bound
+    on the radius that holds regardless (see :func:`_radius_bound`).
+    """
     value: float
     converged: bool
     iterations: int
+    bound: Optional[float] = None
 
 
 def _structurally_acyclic(adj):
@@ -166,28 +174,55 @@ def spectral_radius(adj, tol=1e-8, max_iter=1000):
         if abs(estimate - prev) <= tol * max(estimate, 1.0):
             return SpectralRadius(estimate, True, iteration)
         prev = estimate
-    return SpectralRadius(estimate, False, max_iter)
+    return SpectralRadius(estimate, False, max_iter, _radius_bound(adj, x))
+
+
+def _radius_bound(adj, x):
+    """Upper bound on the spectral radius that needs no convergence.
+
+    The smaller of the max absolute row sum and the max absolute column
+    sum bounds the radius of every matrix. For a non-negative matrix
+    and a positive vector x, A x <= c x entrywise gives radius <= c
+    (Collatz-Wielandt), so the last power iterate tightens the bound
+    to max_i (A x)_i / x_i.
+    """
+    magnitudes = abs(adj)
+    bound = min(magnitudes.sum(axis=1).max(), magnitudes.sum(axis=0).max())
+    if adj.data.min() >= 0.0 and np.all(x > 0.0):
+        bound = min(bound, np.max(adj.dot(x) / x))
+    return float(bound)
 
 
 def resolve_beta(cfg, adj):
     """Effective damping factor for a matrix, with its spectral estimate.
 
-    Explicit beta is validated against the estimated bound 1/radius;
-    violation is a hard error because the walk series diverges there.
+    Explicit beta is validated against the bound 1/radius; violation is
+    a hard error because the walk series diverges there. When the
+    estimate did not converge, beta is validated against the certified
+    bound on the radius instead.
     """
     sr = spectral_radius(adj, cfg.spectral_tol, cfg.spectral_max_iter)
+    if cfg.beta_mode == "explicit":
+        beta = float(cfg.beta)
+        if sr.converged:
+            if sr.value > 0.0 and beta * sr.value >= 1.0:
+                raise BetaDomainError(
+                    f"beta {beta:.6g} is not below 1/spectral_radius "
+                    f"({1.0 / sr.value:.6g}); the walk series diverges")
+        elif beta * sr.bound >= 1.0:
+            raise BetaDomainError(
+                f"spectral radius estimate {sr.value:.6g} did not converge "
+                f"in {sr.iterations} iterations, and beta {beta:.6g} is "
+                f"not below 1/{sr.bound:.6g}, where {sr.bound:.6g} is a "
+                "certified bound on the radius; raise spectral_max_iter "
+                "to check beta against a converged estimate")
+        return beta, sr
     if not sr.converged:
         log.warning(
             "spectral radius estimate %.6g did not converge in %d "
             "iterations; damping factor uses the last estimate",
             sr.value, sr.iterations)
-    if cfg.beta_mode == "explicit":
-        beta = float(cfg.beta)
-        if sr.value > 0.0 and beta * sr.value >= 1.0:
-            raise BetaDomainError(
-                f"beta {beta:.6g} is not below 1/spectral_radius "
-                f"({1.0 / sr.value:.6g}); the walk series diverges")
-    elif sr.value == 0.0:
+    if sr.value == 0.0:
         # Nilpotent adjacency: the series is a finite sum for every
         # beta, so the fraction collapses to alpha itself.
         beta = float(cfg.alpha)
@@ -246,12 +281,19 @@ def _solve_rows(adj, beta, sources):
 def _series_rows(adj, beta, sources, max_len, tol):
     """Truncated series sum_{l=1..L} beta^l (A^l)[u, v] over the sources.
 
-    Each source u walks its own power sequence over the transposed
-    adjacency (rows of A^T are columns of A), starting from e_u. A
-    source stops once its current term's max-norm falls below ``tol``;
-    that final term is still included, and an exactly-zero term always
-    stops since no longer walk can exist. Only the entries at the
-    source nodes are accumulated, into the (k, k) block.
+    Sources advance in blocks of ``_SERIES_BLOCK``. A block's frontier
+    is a sparse (n, b) matrix whose column c holds source c's current
+    term ((beta*A)^T)^l e_u, starting one-hot; each step is one sparse
+    product with the scaled transposed adjacency (rows of A^T are
+    columns of A), and only the entries at the source nodes are
+    accumulated, into the (k, k) block. After that accumulation a
+    column whose max-norm fell below ``tol`` is dropped, so each
+    source's final term is still included, and an exactly-zero term
+    always stops since no longer walk can exist. The frontier never
+    stores more than n * ``_SERIES_BLOCK`` entries. Each entry of a
+    product is summed in the row order of the scaled adjacency from 0,
+    as a dense matrix-vector product sums it, so the result equals the
+    per-source dense walk bit for bit.
     """
     n = adj.shape[0]
     at = adj.T.tocsr()
@@ -259,15 +301,24 @@ def _series_rows(adj, beta, sources, max_len, tol):
     at_beta = sp.csr_matrix((at.data * beta, at.indices, at.indptr),
                             shape=(n, n))
     values = np.zeros((len(sources), len(sources)), dtype=np.float64)
-    for i, u in enumerate(sources):
-        term = np.zeros(n, dtype=np.float64)
-        term[u] = 1.0
-        acc = values[i]
+    for start in range(0, len(sources), _SERIES_BLOCK):
+        rows = np.arange(start, min(start + _SERIES_BLOCK, len(sources)))
+        b = len(rows)
+        term = sp.csr_matrix((np.ones(b), (sources[rows], np.arange(b))),
+                             shape=(n, b))
         for _ in range(max_len):
-            term = at_beta.dot(term)
-            acc += term[sources]
-            if np.max(np.abs(term), initial=0.0) < tol:
-                break
+            term = at_beta @ term
+            values[rows] += term[sources].toarray().T
+            peak = np.zeros(len(rows))
+            np.maximum.at(peak, term.indices[:term.nnz],
+                          np.abs(term.data[:term.nnz]))
+            # Written as a negated < so that a NaN peak keeps walking.
+            keep = ~(peak < tol)
+            if not keep.all():
+                rows = rows[keep]
+                if not rows.size:
+                    break
+                term = term[:, keep]
     np.fill_diagonal(values, 0.0)
     return values
 

@@ -7,12 +7,14 @@ meaningful. The haversine table was computed offline with mpmath at 50
 significant digits via the spherical law of cosines, a formula distinct
 from the haversine implementation it checks. The artifact writers are
 the row-at-a-time loops that the package's chunked writers must match
-byte for byte.
+byte for byte, and the truncated series is the per-source dense walk
+that the package's blocked sparse frontier must match bit for bit.
 """
 
 import csv
 
 import numpy as np
+import scipy.sparse as sp
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -132,6 +134,29 @@ def loop_write_curve(curve, fh):
     fh.write("threshold,x,y\n")
     for t, x, y in zip(curve.thresholds, curve.x, curve.y):
         fh.write(f"{t:.6g},{x:.6g},{y:.6g}\n")
+
+
+def loop_series_rows(adj, beta, sources, max_len, tol):
+    """Truncated Katz series with one dense power walk per source: the
+    current term is accumulated at the sources, then the walk stops
+    once its max-norm is below ``tol``."""
+    n = adj.shape[0]
+    at = adj.T.tocsr()
+    at.sort_indices()
+    at_beta = sp.csr_matrix((at.data * beta, at.indices, at.indptr),
+                            shape=(n, n))
+    values = np.zeros((len(sources), len(sources)), dtype=np.float64)
+    for i, u in enumerate(sources):
+        term = np.zeros(n, dtype=np.float64)
+        term[u] = 1.0
+        acc = values[i]
+        for _ in range(max_len):
+            term = at_beta.dot(term)
+            acc += term[sources]
+            if np.max(np.abs(term), initial=0.0) < tol:
+                break
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 # (label, lat1, lon1, lat2, lon2, km) with km from a 50-digit mpmath

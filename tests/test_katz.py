@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from geokatz import katz
@@ -198,6 +200,43 @@ def test_resolve_beta_explicit_domain_check():
     assert beta == 0.3
 
 
+def _triangle_among_isolated_nodes():
+    # Complete digraph on nodes 0-2 (spectral radius 2, every row and
+    # column sum 2) among 97 isolated nodes: one power iteration from
+    # the all-ones direction estimates the radius at about 0.11.
+    adj = np.zeros((100, 100))
+    adj[:3, :3] = 1.0 - np.eye(3)
+    return sp.csr_matrix(adj)
+
+
+def test_resolve_beta_explicit_unconverged_checks_certified_bound():
+    adj = _triangle_among_isolated_nodes()
+    cfg = KatzConfig(beta_mode="explicit", beta=1.0, spectral_max_iter=1)
+    assert not spectral_radius(adj, max_iter=1).converged
+    assert spectral_radius(adj, max_iter=1).value * cfg.beta < 1.0
+    # beta = 1 diverges on this graph (radius 2) although it passes the
+    # unconverged estimate; min(max row sum, max column sum) = 2 says so.
+    with pytest.raises(BetaDomainError, match="spectral_max_iter"):
+        resolve_beta(cfg, adj)
+    beta, sr = resolve_beta(
+        KatzConfig(beta_mode="explicit", beta=0.4, spectral_max_iter=1), adj)
+    assert beta == 0.4
+    assert sr.bound == pytest.approx(2.0)
+
+
+def test_resolve_beta_explicit_unconverged_bound_uses_last_iterate():
+    # Two self-loops joined by one edge: radius 1 with a defective
+    # eigenvalue, so the estimate approaches 1 only like 1/iterations.
+    # The row and column sums bound the radius by 2; the last iterate
+    # bounds it just above 1, so beta = 0.6 is accepted.
+    adj = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    beta, sr = resolve_beta(KatzConfig(beta_mode="explicit", beta=0.6),
+                            adj)
+    assert not sr.converged
+    assert beta == 0.6
+    assert 1.0 <= sr.bound < 1.01
+
+
 # --- scoring ------------------------------------------------------------------
 
 def test_two_cycle_closed_form_analytic():
@@ -265,6 +304,68 @@ def test_series_rows_early_stop_includes_final_term():
     one_term = katz._series_rows(adj, 0.05, sources, 1, 1e-300)
     assert np.array_equal(got, one_term)
     assert np.count_nonzero(one_term) > 0
+
+
+def _mixed_stop_case():
+    # Node 0 -> 1 is a DAG whose second term is exactly zero, node 2 has
+    # no out-edges, 3 <-> 4 is a cycle of weight 1 (terms 0.5^l fall
+    # below the tolerance at l = 10) and 5 <-> 6 one of weight 0.1
+    # (0.05^l, at l = 3), with a stored zero weight 6 -> 2 beside it.
+    rows = [0, 3, 4, 5, 6, 6]
+    cols = [1, 4, 3, 6, 5, 2]
+    weights = [1.0, 1.0, 1.0, 0.1, 0.1, 0.0]
+    adj = sp.csr_matrix((weights, (rows, cols)), shape=(7, 7))
+    return adj, np.array([6, 0, 3, 2, 5, 4, 1]), 0.5, 20, 1e-3
+
+
+def _two_block_case():
+    # k = 300 sources run as two blocks; the weights spread the term
+    # magnitudes so that sources stop at different lengths.
+    rng = np.random.default_rng(3)
+    n = 300
+    ring = np.arange(n)
+    rows = np.concatenate([ring, rng.integers(0, n, 200)])
+    cols = np.concatenate([(ring + 1) % n, rng.integers(0, n, 200)])
+    weights = rng.uniform(0.0, 2.0, len(rows))
+    weights[::7] = 0.0
+    adj = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    return adj, rng.permutation(n), 0.4, 8, 1e-2
+
+
+@st.composite
+def _series_cases(draw):
+    """Random graphs with stored zero weights, sinks, DAGs, and sources
+    in random order, sometimes more of them than one block holds."""
+    n = draw(st.one_of(st.integers(1, 30),
+                       st.integers(katz._SERIES_BLOCK + 1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.floats(0.0, min(0.4, 4.0 / n)))
+    if draw(st.booleans()):
+        mask = np.triu(mask, 1)
+    mask[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = False
+    weights = rng.uniform(0.0, 3.0, (n, n))
+    weights[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    rows, cols = np.nonzero(mask)
+    adj = sp.csr_matrix((weights[rows, cols], (rows, cols)), shape=(n, n))
+    k = draw(st.integers(1, n))
+    sources = rng.permutation(n)[:k]
+    beta = draw(st.floats(0.01, 1.0))
+    max_len = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([1e-300, 1e-6, 1e-3, 0.05, 0.5, 1e9]))
+    return adj, sources, beta, max_len, tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_series_cases())
+@example(case=_mixed_stop_case())
+@example(case=_two_block_case())
+@example(case=_two_block_case()[:3] + (1, 1e-300))
+def test_series_rows_bitwise_equal_to_per_source_loop(case):
+    adj, sources, beta, max_len, tol = case
+    expected = oracles.loop_series_rows(adj, beta, sources, max_len, tol)
+    got = katz._series_rows(adj, beta, sources, max_len, tol)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_solve_matches_dense_inverse_oracle():
