@@ -11,8 +11,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, islice
+from functools import cached_property, partial
+from itertools import chain, compress, islice, zip_longest
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,17 @@ DEFAULT_YEAR_RANGE = (1900, 2100)
 # same node count as a conflict; the first-seen coordinate wins.
 COORD_CONFLICT_TOL = 1e-9
 
+_COORD_COLUMNS = ("source_lat", "source_lon", "dest_lat", "dest_lon")
+_COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
+
+# CSV records ingested together: enough to amortize the per-column
+# NumPy calls, few enough that a block's rows stay in cache and a small
+# share of the run's memory (the whole file as rows costs more than the
+# parsed columns do). On the 80k-row benchmark register, blocks of
+# 256-512 ingest fastest and 4096 about a fifth slower.
+_INGEST_BLOCK = 512
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class MovementRecord:
@@ -48,6 +60,21 @@ class MovementRecord:
     species: Optional[str] = None
 
 
+def _coordinate_error(node_id, lat, lon):
+    """The DataError for a node first seen at (lat, lon), or None."""
+    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+        return DataError(f"node {node_id!r}: latitude {lat} out of range")
+    if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
+        return DataError(f"node {node_id!r}: longitude {lon} out of range")
+    return None
+
+
+def _read_only(values):
+    values = np.asarray(values, dtype=np.float64)
+    values.flags.writeable = False
+    return values
+
+
 class NodeRegistry:
     """Bijective mapping between opaque node ids and dense indices.
 
@@ -59,8 +86,23 @@ class NodeRegistry:
     def __init__(self):
         self._index = {}
         self.ids = []
-        self._lat = []
-        self._lon = []
+        self._lat = _read_only(())
+        self._lon = _read_only(())
+
+    @classmethod
+    def _from_columns(cls, ids, lat, lon):
+        """Registry of distinct ``ids`` in index order, each at its
+        (lat, lon); the first node out of range raises its DataError."""
+        bad = ~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _coordinate_error(ids[i], float(lat[i]), float(lon[i]))
+        registry = cls()
+        registry.ids = ids
+        registry._index = dict(zip(ids, range(len(ids))))
+        registry._lat = _read_only(lat)
+        registry._lon = _read_only(lon)
+        return registry
 
     def __len__(self):
         return len(self.ids)
@@ -73,28 +115,29 @@ class NodeRegistry:
         idx = self._index.get(node_id)
         if idx is not None:
             return idx
-        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-            raise DataError(f"node {node_id!r}: latitude {lat} out of range")
-        if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-            raise DataError(f"node {node_id!r}: longitude {lon} out of range")
+        error = _coordinate_error(node_id, lat, lon)
+        if error is not None:
+            raise error
         idx = len(self.ids)
         self._index[node_id] = idx
         self.ids.append(node_id)
-        self._lat.append(lat)
-        self._lon.append(lon)
+        self._lat = _read_only(np.append(self._lat, lat))
+        self._lon = _read_only(np.append(self._lon, lon))
         return idx
 
     def index(self, node_id):
         return self._index[node_id]
 
     def coord(self, idx):
-        return self._lat[idx], self._lon[idx]
+        return float(self._lat[idx]), float(self._lon[idx])
 
     def lat_array(self):
-        return np.asarray(self._lat, dtype=np.float64)
+        """Latitudes in index order (read-only; not a copy)."""
+        return self._lat
 
     def lon_array(self):
-        return np.asarray(self._lon, dtype=np.float64)
+        """Longitudes in index order (read-only; not a copy)."""
+        return self._lon
 
 
 @dataclass(frozen=True)
@@ -133,8 +176,12 @@ class TemporalNetwork:
         """
         if self.n_edges == 0:
             return np.empty((0, 2), dtype=np.int64)
-        return np.unique(np.stack([self.edge_src, self.edge_dst], axis=1),
-                         axis=0)
+        src = np.asarray(self.edge_src, dtype=np.int64)
+        dst = np.asarray(self.edge_dst, dtype=np.int64)
+        # src * n + dst orders pairs as (src, dst) does.
+        n = int(max(src.max(), dst.max())) + 1
+        key = np.unique(src * n + dst)
+        return np.stack([key // n, key % n], axis=1)
 
     @property
     def n_links(self):
@@ -166,18 +213,32 @@ class TemporalNetwork:
 
 
 def _from_edge_arrays(registry, src, dst, year):
-    """Build a network from raw parallel arrays: dedup and sort edges."""
+    """Build a network from raw parallel arrays: dedup and sort edges.
+
+    Each (year, source, dest) triple is packed into one int64,
+    ``((year - y0) * n + src) * n + dst``, whose order is the triples'
+    lexicographic order; only years too far apart for that to fit are
+    deduplicated as rows instead.
+    """
     if len(src) == 0:
         return TemporalNetwork(registry,
                                np.empty(0, dtype=np.int64),
                                np.empty(0, dtype=np.int64),
                                np.empty(0, dtype=np.int64))
-    triples = np.stack([np.asarray(year, dtype=np.int64),
-                        np.asarray(src, dtype=np.int64),
-                        np.asarray(dst, dtype=np.int64)], axis=1)
-    triples = np.unique(triples, axis=0)
-    return TemporalNetwork(registry, triples[:, 1].copy(),
-                           triples[:, 2].copy(), triples[:, 0].copy())
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    year = np.asarray(year, dtype=np.int64)
+    n = int(max(src.max(), dst.max())) + 1
+    y0 = int(year.min())
+    if (int(year.max()) - y0 + 1) * n * n > _INT64.max:
+        triples = np.unique(np.stack([year, src, dst], axis=1), axis=0)
+        return TemporalNetwork(registry, triples[:, 1].copy(),
+                               triples[:, 2].copy(), triples[:, 0].copy())
+    key = np.unique(((year - y0) * n + src) * n + dst)
+    edge_dst = key % n
+    key //= n
+    edge_src = key % n
+    return TemporalNetwork(registry, edge_src, edge_dst, key // n + y0)
 
 
 @dataclass(frozen=True)
@@ -209,13 +270,46 @@ class SplitSpec:
                 tuple(self.test_years))
 
 
-@dataclass
+@dataclass(eq=False)
 class IngestReport:
-    """Outcome of one ingestion pass."""
-    records: list
+    """Outcome of one ingestion pass: the accepted rows as columns.
+
+    Accepted row i is ``source_ids[i]``, ``dest_ids[i]``, ``year[i]``,
+    the four coordinate arrays at i and ``species[i]`` (None when the
+    column is absent or the cell blank), in file order.
+    """
+    source_ids: list = field(default_factory=list)
+    dest_ids: list = field(default_factory=list)
+    year: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
+    source_lat: np.ndarray = field(default_factory=partial(np.empty, 0))
+    source_lon: np.ndarray = field(default_factory=partial(np.empty, 0))
+    dest_lat: np.ndarray = field(default_factory=partial(np.empty, 0))
+    dest_lon: np.ndarray = field(default_factory=partial(np.empty, 0))
+    species: list = field(default_factory=list)
     accepted: int = 0
     rejected: int = 0
     diagnostics: list = field(default_factory=list)
+
+    @cached_property
+    def records(self):
+        """The accepted rows as ``MovementRecord``s, built on first use."""
+        return list(map(MovementRecord, self.source_ids, self.dest_ids,
+                        self.year.tolist(), self.source_lat.tolist(),
+                        self.source_lon.tolist(), self.dest_lat.tolist(),
+                        self.dest_lon.tolist(), self.species))
+
+
+def _columns_of(records):
+    """An IngestReport whose columns hold ``records``."""
+    def column(name):
+        return list(map(attrgetter(name), records))
+
+    return IngestReport(
+        column("source_id"), column("dest_id"),
+        np.array(column("year"), dtype=np.int64),
+        *(np.array(column(name), dtype=np.float64)
+          for name in _COORD_COLUMNS),
+        column("species"), accepted=len(records))
 
 
 def _parse_row(fields, line_no, year_range):
@@ -300,27 +394,23 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
         raise SchemaError(
             f"input is missing required column(s): {', '.join(missing)}")
 
-    report = IngestReport(records=[])
+    report = IngestReport()
     width = max(column_pos.values()) + 1
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) < width:
-                raise RowError(
-                    f"row {line_no}: expected at least {width} fields, "
-                    f"got {len(row)}")
-            fields = {name: row[pos] for name, pos in column_pos.items()}
-            record = _parse_row(fields, line_no, year_range)
-        except RowError as exc:
-            if on_bad_rows == "abort":
-                raise
-            report.rejected += 1
-            if len(report.diagnostics) < 50:
-                report.diagnostics.append(str(exc))
-            continue
-        report.records.append(record)
-        report.accepted += 1
+    blocks = []
+    first_line = 2
+    for rows in _record_blocks(reader):
+        blocks.append(_ingest_block(rows, first_line, column_pos, width,
+                                    year_range, on_bad_rows, report))
+        first_line += len(rows)
+    if blocks:
+        sid, did, species, year, coords = zip(*blocks)
+        report.source_ids = list(chain.from_iterable(sid))
+        report.dest_ids = list(chain.from_iterable(did))
+        report.species = list(chain.from_iterable(species))
+        report.year = np.concatenate(year)
+        (report.source_lat, report.source_lon, report.dest_lat,
+         report.dest_lon) = np.concatenate(coords, axis=1)
+    report.accepted = len(report.source_ids)
     log.info("ingested %d records (%d rejected)",
              report.accepted, report.rejected)
     if report.rejected and report.diagnostics:
@@ -328,53 +418,169 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     return report
 
 
-def build_network(records):
-    """Assemble a temporal network from movement records.
+def _record_blocks(reader):
+    """The reader's records in lists of up to ``_INGEST_BLOCK``.
+
+    A reader error ends the last list, which is handed out before the
+    error is raised: the rows read before it are judged first, so an
+    ``abort`` on one of them wins as it would reading row by row.
+    """
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == _INGEST_BLOCK:
+                yield rows
+                rows = []
+    except (csv.Error, UnicodeDecodeError):
+        if rows:
+            yield rows
+        raise
+    if rows:
+        yield rows
+
+
+def _convert(texts, kind, dtype):
+    """``texts`` converted by ``kind`` into a ``dtype`` array, and a
+    mask of the texts that did not convert (False when all did)."""
+    try:
+        return np.fromiter(map(kind, texts), dtype, len(texts)), False
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), dtype=dtype)
+    failed = np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = kind(text)
+        except (ValueError, OverflowError):
+            failed[i] = True
+    return values, failed
+
+
+def _ingest_block(rows, first_line, column_pos, width, year_range,
+                  on_bad_rows, report):
+    """Accepted columns of one block of CSV records, in row order.
+
+    Each column is converted and range-checked at once. Only the rows
+    the checks flag go through ``_parse_row``, one at a time, so that a
+    rejected row gets its row-numbered diagnostic (or aborts) exactly
+    as it would alone; blank records are skipped but keep their number.
+    Returns (source ids, dest ids, species, years, (4, k) coordinates).
+    """
+    n = len(rows)
+    columns = list(zip_longest(*rows, fillvalue=""))
+    columns += [("",) * n] * (width - len(columns))
+    sid = list(map(str.strip, columns[column_pos["source_id"]]))
+    did = list(map(str.strip, columns[column_pos["dest_id"]]))
+    bad = np.fromiter(map(len, rows), np.intp, n) < width
+    bad |= ~np.fromiter(map(bool, sid), bool, n)
+    bad |= ~np.fromiter(map(bool, did), bool, n)
+    year, failed = _convert(columns[column_pos["year"]], int, np.int64)
+    bad |= failed | (year < year_range[0]) | (year > year_range[1])
+    coords = np.empty((len(_COORD_COLUMNS), n), dtype=np.float64)
+    for i, key in enumerate(_COORD_COLUMNS):
+        coords[i], failed = _convert(columns[column_pos[key]], float,
+                                     np.float64)
+        bad |= failed
+    bad |= ~np.all(np.abs(coords) <= _COORD_BOUNDS, axis=0)
+    if "species" in column_pos:
+        species = [s.strip() or None for s in columns[column_pos["species"]]]
+    else:
+        species = [None] * n
+
+    for i in np.flatnonzero(bad).tolist():
+        row = rows[i]
+        if not row:
+            continue
+        line_no = first_line + i
+        try:
+            if len(row) < width:
+                raise RowError(
+                    f"row {line_no}: expected at least {width} fields, "
+                    f"got {len(row)}")
+            record = _parse_row(
+                {name: row[pos] for name, pos in column_pos.items()},
+                line_no, year_range)
+        except RowError as exc:
+            if on_bad_rows == "abort":
+                raise
+            report.rejected += 1
+            if len(report.diagnostics) < 50:
+                report.diagnostics.append(str(exc))
+            continue
+        # The column conversions leave the stripping to int() and
+        # float(), which refuse the separators U+001C-U+001F that
+        # str.strip removes; such a row is kept as _parse_row reads it.
+        if not _INT64.min <= record.year <= _INT64.max:
+            raise DataError(f"row {line_no}: year {record.year} does not "
+                            "fit in a 64-bit integer")
+        year[i] = record.year
+        coords[:, i] = (record.source_lat, record.source_lon,
+                        record.dest_lat, record.dest_lon)
+        bad[i] = False
+    if bad.any():
+        keep = ~bad
+        mask = keep.tolist()
+        sid = list(compress(sid, mask))
+        did = list(compress(did, mask))
+        species = list(compress(species, mask))
+        year = year[keep]
+        coords = coords[:, keep]
+    return sid, did, species, year, coords
+
+
+def build_network(movements):
+    """Assemble a temporal network from an IngestReport or records.
 
     Registers every id with its first-seen coordinates (conflicting
     re-registrations are counted and reported in one warning), drops
     self-loops, and collapses duplicate (source, dest, year) triples.
+    A sequence of ``MovementRecord``s is first turned into columns.
     """
-    if not records:
+    if not isinstance(movements, IngestReport):
+        movements = _columns_of(movements)
+    m = len(movements.source_ids)
+    if m == 0:
         raise EmptyNetworkError("no movement records to build a network from")
-    registry = NodeRegistry()
-    src = np.empty(len(records), dtype=np.int64)
-    dst = np.empty(len(records), dtype=np.int64)
-    year = np.empty(len(records), dtype=np.int64)
-    conflicts = 0
-    self_loops = 0
-    n = 0
-    for rec in records:
-        u = registry.add(rec.source_id, rec.source_lat, rec.source_lon)
-        conflicts += _coord_conflict(registry, u, rec.source_lat,
-                                     rec.source_lon)
-        v = registry.add(rec.dest_id, rec.dest_lat, rec.dest_lon)
-        conflicts += _coord_conflict(registry, v, rec.dest_lat, rec.dest_lon)
-        if u == v:
-            self_loops += 1
-            continue
-        src[n] = u
-        dst[n] = v
-        year[n] = rec.year
-        n += 1
+    # Endpoints in the order a record-at-a-time build meets them:
+    # source then dest, record after record.
+    ends = [None] * (2 * m)
+    ends[0::2] = movements.source_ids
+    ends[1::2] = movements.dest_ids
+    ids = list(dict.fromkeys(ends))
+    index = dict(zip(ids, range(len(ids))))
+    codes = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
+    lat = np.empty(2 * m, dtype=np.float64)
+    lat[0::2] = movements.source_lat
+    lat[1::2] = movements.dest_lat
+    lon = np.empty(2 * m, dtype=np.float64)
+    lon[0::2] = movements.source_lon
+    lon[1::2] = movements.dest_lon
+    # Indices are handed out in first-seen order, so an endpoint is a
+    # node's first sighting exactly where the running maximum rises.
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+    registry = NodeRegistry._from_columns(ids, lat[first], lon[first])
+    conflicts = int(np.count_nonzero(
+        (np.abs(registry.lat_array()[codes] - lat) > COORD_CONFLICT_TOL)
+        | (np.abs(registry.lon_array()[codes] - lon) > COORD_CONFLICT_TOL)))
+    src = codes[0::2]
+    dst = codes[1::2]
+    edge = src != dst
+    self_loops = m - int(np.count_nonzero(edge))
     if conflicts:
         log.warning(
             "%d record(s) carried coordinates conflicting with a node's "
             "first-seen position; first-seen coordinates kept", conflicts)
     if self_loops:
         log.info("dropped %d self-loop movement(s)", self_loops)
-    if n == 0:
+    if self_loops == m:
         raise EmptyNetworkError("all movements were self-loops")
-    net = _from_edge_arrays(registry, src[:n], dst[:n], year[:n])
+    net = _from_edge_arrays(registry, src[edge], dst[edge],
+                            movements.year[edge])
     log.info("network: %d nodes, %d edges (%d duplicate movement(s) "
-             "collapsed)", net.n_nodes, net.n_edges, n - net.n_edges)
+             "collapsed)", net.n_nodes, net.n_edges,
+             m - self_loops - net.n_edges)
     return net
-
-
-def _coord_conflict(registry, idx, lat, lon):
-    known_lat, known_lon = registry.coord(idx)
-    return int(abs(known_lat - lat) > COORD_CONFLICT_TOL
-               or abs(known_lon - lon) > COORD_CONFLICT_TOL)
 
 
 def temporal_split(net, spec):

@@ -198,8 +198,9 @@ def resolve_beta(cfg, adj):
 
     Explicit beta is validated against the bound 1/radius; violation is
     a hard error because the walk series diverges there. When the
-    estimate did not converge, beta is validated against the certified
-    bound on the radius instead.
+    estimate did not converge, the certified bound on the radius stands
+    in for it: explicit beta is validated against it, and the fraction
+    mode takes beta = alpha / bound.
     """
     sr = spectral_radius(adj, cfg.spectral_tol, cfg.spectral_max_iter)
     if cfg.beta_mode == "explicit":
@@ -218,11 +219,15 @@ def resolve_beta(cfg, adj):
                 "to check beta against a converged estimate")
         return beta, sr
     if not sr.converged:
+        # An unconverged estimate may lie far below the radius, and a
+        # fraction of its inverse outside the convergence region; a
+        # fraction of the certified bound's inverse cannot.
         log.warning(
             "spectral radius estimate %.6g did not converge in %d "
-            "iterations; damping factor uses the last estimate",
-            sr.value, sr.iterations)
-    if sr.value == 0.0:
+            "iterations; damping factor uses the certified bound %.6g",
+            sr.value, sr.iterations, sr.bound)
+        beta = float(cfg.alpha) / sr.bound
+    elif sr.value == 0.0:
         # Nilpotent adjacency: the series is a finite sum for every
         # beta, so the fraction collapses to alpha itself.
         beta = float(cfg.alpha)
@@ -348,6 +353,8 @@ def katz_scores(adj, cfg, universe, model="KI"):
                               cfg.series_tolerance)
     info = {"beta": beta, "spectral_radius": sr.value,
             "spectral_converged": sr.converged, "method": method}
+    if sr.bound is not None:
+        info["spectral_bound"] = sr.bound
     return ScoreTable(model=model, universe=universe, values=values,
                       info=info)
 

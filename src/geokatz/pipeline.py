@@ -173,21 +173,19 @@ class _UniverseScoring:
 def _build_data(cfg, out_dir):
     """Records to networks: synth-or-ingest, build, split."""
     if cfg.synth is not None:
-        records, truth = synth.generate(cfg.synth)
+        movements, truth = synth.generate(cfg.synth)
         if out_dir is not None:
             movements_path = out_dir / "movements.csv"
-            synth.write_movements(records, movements_path)
+            synth.write_movements(movements, movements_path)
             synth.write_truth(truth, out_dir / "truth.json")
-            report = ingest_movements(
+            movements = ingest_movements(
                 movements_path, schema=None, on_bad_rows="abort",
                 year_range=cfg.year_range)
-            records = report.records
     else:
-        report = ingest_movements(
+        movements = ingest_movements(
             cfg.input, schema=cfg.schema, on_bad_rows=cfg.on_bad_rows,
             delimiter=cfg.delimiter, year_range=cfg.year_range)
-        records = report.records
-    net = build_network(records)
+    net = build_network(movements)
     train, val, test = temporal_split(net, cfg.split)
     return net, train, val, test
 

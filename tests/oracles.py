@@ -7,14 +7,22 @@ meaningful. The haversine table was computed offline with mpmath at 50
 significant digits via the spherical law of cosines, a formula distinct
 from the haversine implementation it checks. The artifact writers are
 the row-at-a-time loops that the package's chunked writers must match
-byte for byte, and the truncated series is the per-source dense walk
-that the package's blocked sparse frontier must match bit for bit.
+byte for byte, the truncated series is the per-source dense walk
+that the package's blocked sparse frontier must match bit for bit, and
+movement ingestion and network assembly are the record-at-a-time loops
+that the package's columnar versions must match exactly.
 """
 
 import csv
+import math
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
+
+from geokatz.errors import (DataError, EmptyNetworkError, RowError,
+                            SchemaError)
+from geokatz.graphs import MovementRecord
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -157,6 +165,154 @@ def loop_series_rows(adj, beta, sources, max_len, tol):
                 break
     np.fill_diagonal(values, 0.0)
     return values
+
+
+LOOP_REQUIRED_COLUMNS = ("source_id", "dest_id", "year",
+                         "source_lat", "source_lon", "dest_lat", "dest_lon")
+LOOP_OPTIONAL_COLUMNS = ("species",)
+LOOP_COORD_CONFLICT_TOL = 1e-9
+
+
+def _loop_parse_row(fields, line_no, year_range):
+    sid = fields["source_id"].strip()
+    did = fields["dest_id"].strip()
+    if not sid or not did:
+        raise RowError(f"row {line_no}: empty source or destination id")
+    try:
+        year = int(fields["year"].strip())
+    except ValueError:
+        raise RowError(
+            f"row {line_no}: year {fields['year']!r} is not an integer")
+    if not (year_range[0] <= year <= year_range[1]):
+        raise RowError(
+            f"row {line_no}: year {year} outside valid range {year_range}")
+    coords = {}
+    for key in ("source_lat", "source_lon", "dest_lat", "dest_lon"):
+        try:
+            value = float(fields[key].strip())
+        except ValueError:
+            raise RowError(
+                f"row {line_no}: {key} {fields[key]!r} is not numeric")
+        if not math.isfinite(value):
+            raise RowError(f"row {line_no}: {key} {value} is not finite")
+        bound = 90.0 if key.endswith("lat") else 180.0
+        if not -bound <= value <= bound:
+            raise RowError(
+                f"row {line_no}: {key} {value} outside [-{bound}, {bound}]")
+        coords[key] = value
+    species = fields.get("species")
+    if species is not None:
+        species = species.strip() or None
+    return MovementRecord(sid, did, year, coords["source_lat"],
+                          coords["source_lon"], coords["dest_lat"],
+                          coords["dest_lon"], species)
+
+
+def loop_ingest_stream(stream, schema=None, on_bad_rows="abort",
+                       delimiter=",", year_range=(1900, 2100)):
+    """Movement ingestion one CSV record at a time: a field dict and a
+    ``MovementRecord`` per row. Returns (records, accepted, rejected,
+    diagnostics); raises the first bad row's RowError under "abort"."""
+    schema = dict(schema or {})
+    lines = iter(stream)
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
+    reader = csv.reader(chain(first, lines), delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("input has no header row")
+    positions = {name.strip(): i for i, name in enumerate(header)}
+
+    column_pos = {}
+    missing = []
+    for canonical in LOOP_REQUIRED_COLUMNS + LOOP_OPTIONAL_COLUMNS:
+        actual = schema.get(canonical, canonical)
+        if actual in positions:
+            column_pos[canonical] = positions[actual]
+        elif canonical in LOOP_REQUIRED_COLUMNS:
+            missing.append(actual)
+    if missing:
+        raise SchemaError(
+            f"input is missing required column(s): {', '.join(missing)}")
+
+    records, accepted, rejected, diagnostics = [], 0, 0, []
+    width = max(column_pos.values()) + 1
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) < width:
+                raise RowError(
+                    f"row {line_no}: expected at least {width} fields, "
+                    f"got {len(row)}")
+            fields = {name: row[pos] for name, pos in column_pos.items()}
+            record = _loop_parse_row(fields, line_no, year_range)
+        except RowError as exc:
+            if on_bad_rows == "abort":
+                raise
+            rejected += 1
+            if len(diagnostics) < 50:
+                diagnostics.append(str(exc))
+            continue
+        records.append(record)
+        accepted += 1
+    return records, accepted, rejected, diagnostics
+
+
+def loop_build_network(records):
+    """Network assembly one record at a time: each endpoint registered
+    with its first-seen coordinates (checked on first sight), conflicts
+    and self-loops counted per record, edges deduplicated with
+    ``np.unique(axis=0)``. Returns a dict of the registry's ids, lat and
+    lon, the (year, source, dest)-sorted edge arrays and the counts."""
+    if not records:
+        raise EmptyNetworkError("no movement records to build a network from")
+    index, ids, lats, lons = {}, [], [], []
+
+    def add(node_id, lat, lon):
+        idx = index.get(node_id)
+        if idx is not None:
+            return idx
+        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+            raise DataError(f"node {node_id!r}: latitude {lat} out of range")
+        if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
+            raise DataError(f"node {node_id!r}: longitude {lon} out of range")
+        index[node_id] = len(ids)
+        ids.append(node_id)
+        lats.append(lat)
+        lons.append(lon)
+        return index[node_id]
+
+    def conflict(idx, lat, lon):
+        return int(abs(lats[idx] - lat) > LOOP_COORD_CONFLICT_TOL
+                   or abs(lons[idx] - lon) > LOOP_COORD_CONFLICT_TOL)
+
+    src = np.empty(len(records), dtype=np.int64)
+    dst = np.empty(len(records), dtype=np.int64)
+    year = np.empty(len(records), dtype=np.int64)
+    conflicts = 0
+    self_loops = 0
+    n = 0
+    for rec in records:
+        u = add(rec.source_id, rec.source_lat, rec.source_lon)
+        conflicts += conflict(u, rec.source_lat, rec.source_lon)
+        v = add(rec.dest_id, rec.dest_lat, rec.dest_lon)
+        conflicts += conflict(v, rec.dest_lat, rec.dest_lon)
+        if u == v:
+            self_loops += 1
+            continue
+        src[n] = u
+        dst[n] = v
+        year[n] = rec.year
+        n += 1
+    if n == 0:
+        raise EmptyNetworkError("all movements were self-loops")
+    triples = np.unique(np.stack([year[:n], src[:n], dst[:n]], axis=1),
+                        axis=0)
+    return {"ids": ids, "lat": lats, "lon": lons,
+            "edge_year": triples[:, 0], "edge_src": triples[:, 1],
+            "edge_dst": triples[:, 2], "conflicts": conflicts,
+            "self_loops": self_loops, "duplicates": n - len(triples)}
 
 
 # (label, lat1, lon1, lat2, lon2, km) with km from a 50-digit mpmath

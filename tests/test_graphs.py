@@ -1,18 +1,23 @@
 """Ingestion, network assembly, temporal splits and pair universes."""
 
+import csv
 import io
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_record, simple_network
+from geokatz import graphs
 from geokatz.errors import (DataError, EmptyNetworkError, EmptySplitError,
-                            RowError, SchemaError)
-from geokatz.graphs import (SplitSpec, build_adjacency, build_network,
-                            candidate_pairs, ingest_movements,
-                            temporal_split)
+                            GeokatzError, RowError, SchemaError)
+from geokatz.graphs import (REQUIRED_COLUMNS, NodeRegistry, SplitSpec,
+                            build_adjacency, build_network, candidate_pairs,
+                            ingest_movements, temporal_split)
 
 CSV_HEADER = ("source_id,dest_id,year,source_lat,source_lon,"
               "dest_lat,dest_lon\n")
@@ -282,3 +287,257 @@ def test_candidate_pairs_size_property(pairs):
     universe = candidate_pairs(net)
     assert universe.n_pairs == universe.k * (universe.k - 1)
     assert universe.n_positives == net.n_links == len(edges)
+
+
+# --- columnar ingest and build against the record-at-a-time loops ----------
+
+_IDS = ("a", "b", "c", " a ", "b ", "a,b", "x\ny", '"q"', "", "  ")
+_YEARS = ("2015", " 2016 ", "+2017", "2_018", "\u0662\u0660\u0661\u0669",
+          "1850", "2200", "2000", "2020", "nan", "", "20.5", "x",
+          "99999999999999999999", "-5")
+_LATS = ("50.0", " 50.5 ", "1_0", "nan", "inf", "-inf", "", "abc", "90",
+         "-90", "90.0000001", "1e1", "-0.0", "51.0\x1c", " 52.0")
+_LONS = ("0.0", " -1.5 ", "1_0", "NaN", "Infinity", "", "?", "180", "-180",
+         "180.5", "-0", "1.0000000001", "2e2")
+
+
+def _field(pool, numbers):
+    return st.one_of(st.sampled_from(pool), numbers.map(repr))
+
+
+_ROW_FIELDS = {
+    "source_id": st.sampled_from(_IDS),
+    "dest_id": st.sampled_from(_IDS),
+    "year": _field(_YEARS, st.integers(1890, 2110)),
+    "source_lat": _field(_LATS, st.floats(-95, 95)),
+    "source_lon": _field(_LONS, st.floats(-185, 185)),
+    "dest_lat": _field(_LATS, st.floats(-95, 95)),
+    "dest_lon": _field(_LONS, st.floats(-185, 185)),
+    "species": st.sampled_from(("", " trout ", "salmon")),
+    "note": st.sampled_from(("", "x;y", "long\nnote")),
+}
+
+
+@st.composite
+def _movement_files(draw):
+    """CSV text with awkward rows, and the keyword arguments to read it."""
+    columns = list(REQUIRED_COLUMNS)
+    if draw(st.booleans()):
+        columns.append("species")
+    if draw(st.booleans()):
+        columns.append("note")
+    columns = draw(st.permutations(columns))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    text = io.StringIO()
+    writer = csv.writer(text, delimiter=delimiter,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([f" {c} " if draw(st.booleans()) else c
+                     for c in columns])
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short",
+                                                   "long"]))
+        if kind == "blank":
+            text.write("\n")
+            continue
+        row = [draw(_ROW_FIELDS[c]) for c in columns]
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row.append("extra")
+        writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + text.getvalue(), {
+        "delimiter": delimiter,
+        "on_bad_rows": draw(st.sampled_from(["skip", "abort"])),
+        "year_range": draw(st.sampled_from([(1900, 2100), (2000, 2020)])),
+    }
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args, **kwargs), None
+    except GeokatzError as exc:
+        return None, (type(exc), str(exc))
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _build_logged(movements):
+    """build_network's outcome and the lines it logged."""
+    handler = _Messages()
+    logger = logging.getLogger("geokatz.graphs")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _outcome(build_network, movements), handler.lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _expected_build_lines(ref):
+    lines = []
+    if ref["conflicts"]:
+        lines.append(f"{ref['conflicts']} record(s) carried coordinates "
+                     "conflicting with a node's first-seen position; "
+                     "first-seen coordinates kept")
+    if ref["self_loops"]:
+        lines.append(f"dropped {ref['self_loops']} self-loop movement(s)")
+    nodes = len(np.union1d(ref["edge_src"], ref["edge_dst"]))
+    lines.append(f"network: {nodes} nodes, {len(ref['edge_src'])} edges "
+                 f"({ref['duplicates']} duplicate movement(s) collapsed)")
+    return lines
+
+
+def _assert_build_matches_loop(records, movements):
+    ref, ref_error = _outcome(oracles.loop_build_network, records)
+    (net, error), lines = _build_logged(movements)
+    assert error == ref_error
+    if ref_error is not None:
+        return
+    assert net.registry.ids == ref["ids"]
+    assert (net.registry.lat_array().tobytes()
+            == np.array(ref["lat"], dtype=np.float64).tobytes())
+    assert (net.registry.lon_array().tobytes()
+            == np.array(ref["lon"], dtype=np.float64).tobytes())
+    for name in ("edge_src", "edge_dst", "edge_year"):
+        got = getattr(net, name)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref[name]), name
+    assert lines == _expected_build_lines(ref)
+
+
+def _assert_ingest_matches_loop(text, kwargs):
+    ref, ref_error = _outcome(oracles.loop_ingest_stream,
+                              io.StringIO(text, newline=""), **kwargs)
+    report, error = _outcome(ingest_movements,
+                             io.StringIO(text, newline=""), **kwargs)
+    assert error == ref_error
+    if ref_error is not None:
+        return
+    records, accepted, rejected, diagnostics = ref
+    assert (report.accepted, report.rejected) == (accepted, rejected)
+    assert report.diagnostics == diagnostics
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(report.records) == repr(records)
+    _assert_build_matches_loop(records, report)
+    _assert_build_matches_loop(records, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_movement_files(), st.sampled_from([1, 2, 3, 5, 64]))
+def test_columnar_ingest_and_build_match_row_loop(movement_file, block):
+    text, kwargs = movement_file
+    with mock.patch.object(graphs, "_INGEST_BLOCK", block):
+        _assert_ingest_matches_loop(text, kwargs)
+
+
+def _boundary_file(bad_rows, n_rows):
+    lines = [CSV_HEADER]
+    for i in range(n_rows):
+        year = "n/a" if i in bad_rows else str(2000 + i % 20)
+        lines.append(f"s{i % 97},d{i % 89},{year},50.0,{i % 7}.0,"
+                     f"51.0,{i % 5}.5\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("on_bad_rows", ["skip", "abort"])
+def test_columnar_ingest_matches_row_loop_across_block_boundary(on_bad_rows):
+    edge = graphs._INGEST_BLOCK
+    # Bad rows just before and just after each block boundary, and a
+    # multi-line quoted field in the first block.
+    bad = {edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge}
+    text = _boundary_file(bad, 2 * edge + 50)
+    text = text.replace("s3,", '"s3\nsite",', 1)
+    kwargs = {"on_bad_rows": on_bad_rows}
+    _assert_ingest_matches_loop(text, kwargs)
+    if on_bad_rows == "skip":
+        report = ingest_movements(io.StringIO(text, newline=""), **kwargs)
+        assert report.rejected == len(bad)
+
+
+def test_reader_error_after_a_bad_row_still_aborts_on_that_row():
+    # The csv module refuses a field over its size limit; the bad row
+    # before it in the same block is reported first, as row by row.
+    huge = "x" * (csv.field_size_limit() + 1)
+    text = (CSV_HEADER + "a,b,bad,50.0,0.0,51.0,1.0\n"
+            + f"{huge},b,2015,50.0,0.0,51.0,1.0\n")
+    with pytest.raises(RowError, match="row 2: year 'bad'"):
+        ingest_movements(io.StringIO(text))
+    with pytest.raises(csv.Error):
+        ingest_movements(io.StringIO(text), on_bad_rows="skip")
+
+
+def test_year_past_64_bits_inside_year_range_is_data_error():
+    text = CSV_HEADER + "a,b,10000000000000000000,50.0,0.0,51.0,1.0\n"
+    with pytest.raises(DataError, match="row 2: year 10000000000000000000"):
+        ingest_movements(io.StringIO(text), year_range=(0, 10**20))
+    report = ingest_movements(io.StringIO(text), on_bad_rows="skip")
+    assert report.rejected == 1
+
+
+_COORDS = st.one_of(st.floats(-200, 200), st.sampled_from(
+    [float("nan"), float("inf"), -0.0, 90.0, 180.0, 90.0 + 1e-10]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef"),
+                          st.integers(2010, 2014), _COORDS, _COORDS,
+                          _COORDS, _COORDS), max_size=25))
+def test_build_network_from_records_matches_record_loop(rows):
+    # Records from library callers are not range-checked on the way in:
+    # the first node out of range raises the same DataError.
+    records = [make_record(*row) for row in rows]
+    _assert_build_matches_loop(records, records)
+
+
+def test_ingest_report_records_are_built_on_first_access():
+    report = ingest_movements(_csv(["a,b,2015,50.0,0.0,51.0,1.0\n"]))
+    assert "records" not in vars(report)
+    first = report.records
+    assert first is report.records
+    assert first == [make_record("a", "b", 2015, 50.0, 0.0, 51.0, 1.0)]
+
+
+# --- packed-key deduplication keeps np.unique's order ------------------------
+
+@st.composite
+def _edge_sets(draw):
+    n = draw(st.sampled_from([2, 7, 1000, 2**20 - 3, 2**20]))
+    years = draw(st.sampled_from([(2015, 2015), (1900, 2100),
+                                  (-10**15, 10**15)]))
+    m = draw(st.integers(1, 60))
+    index = st.integers(0, n - 1)
+    # Few distinct values per column, so duplicates are common.
+    src = draw(st.lists(st.sampled_from(draw(st.lists(index, min_size=1,
+                                                       max_size=5))),
+                        min_size=m, max_size=m))
+    dst = draw(st.lists(index, min_size=m, max_size=m))
+    year = draw(st.lists(st.sampled_from(
+        [years[0], years[1], (years[0] + years[1]) // 2]), min_size=m,
+        max_size=m))
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(year, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_sets())
+def test_edge_dedup_keeps_np_unique_order(edges):
+    src, dst, year = edges
+    net = graphs._from_edge_arrays(NodeRegistry(), src, dst, year)
+    triples = np.unique(np.stack([year, src, dst], axis=1), axis=0)
+    assert np.array_equal(net.edge_year, triples[:, 0])
+    assert np.array_equal(net.edge_src, triples[:, 1])
+    assert np.array_equal(net.edge_dst, triples[:, 2])
+    links = np.unique(np.stack([src, dst], axis=1), axis=0)
+    assert net.links.dtype == np.int64
+    assert np.array_equal(net.links, links)

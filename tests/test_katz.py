@@ -224,6 +224,33 @@ def test_resolve_beta_explicit_unconverged_checks_certified_bound():
     assert sr.bound == pytest.approx(2.0)
 
 
+def test_fraction_beta_unconverged_uses_certified_bound():
+    # One iteration estimates the triangle's radius 2 at about 0.11, so
+    # alpha / estimate is about 4.4, far outside the convergence region;
+    # alpha / bound (bound 2) is 0.25, inside it.
+    adj = _triangle_among_isolated_nodes()
+    universe = _universe(100)
+    expected = oracles.dense_katz_closed_form(adj.toarray(), 0.25)
+    np.fill_diagonal(expected, 0.0)
+    for method in ("closed-form-solve", "truncated-series"):
+        cfg = KatzConfig(alpha=0.5, spectral_max_iter=1, method=method,
+                         max_walk_length=200, series_tolerance=1e-15)
+        beta, sr = resolve_beta(cfg, adj)
+        assert not sr.converged
+        assert beta == pytest.approx(0.25)
+        table = katz_scores(adj, cfg, universe)
+        assert table.info["spectral_bound"] == pytest.approx(2.0)
+        np.testing.assert_allclose(table.values, expected, rtol=1e-9,
+                                   atol=1e-12)
+
+
+def test_converged_table_info_has_no_spectral_bound():
+    cfg = KatzConfig(alpha=0.5)
+    table = katz_scores(_two_cycle(), cfg, _universe(2))
+    assert table.info["spectral_converged"]
+    assert "spectral_bound" not in table.info
+
+
 def test_resolve_beta_explicit_unconverged_bound_uses_last_iterate():
     # Two self-loops joined by one edge: radius 1 with a defective
     # eigenvalue, so the estimate approaches 1 only like 1/iterations.
