@@ -91,6 +91,11 @@ class RunConfig:
                 f"got {self.combine_on!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        first, last = self.year_range
+        if first > last:
+            raise ConfigError(
+                f"ingest.year_range [{first}, {last}] is reversed: "
+                "the first year must not be after the last")
 
 
 def _require_mapping(value, name):

@@ -7,6 +7,7 @@ network and everything derived from it (splits, adjacency matrices,
 candidate-pair universes), so indices stay comparable across splits.
 """
 
+import codecs
 import csv
 import logging
 import math
@@ -366,7 +367,32 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         return _ingest_stream(source, schema, on_bad_rows, delimiter,
                               year_range)
     with open(source, "r", newline="", encoding="utf-8") as fh:
-        return _ingest_stream(fh, schema, on_bad_rows, delimiter, year_range)
+        try:
+            return _ingest_stream(fh, schema, on_bad_rows, delimiter,
+                                  year_range)
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{source}: byte {_utf8_error_offset(source)} "
+                f"(0x{exc.object[exc.start]:02x}) is not valid UTF-8; "
+                "movement files must be encoded as UTF-8") from exc
+
+
+def _utf8_error_offset(path):
+    """Offset of the first byte of the file at ``path`` that does not
+    decode as UTF-8, or None."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 20)
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                return offset - pending + exc.start
+            if not chunk:
+                return None
+            offset += len(chunk)
 
 
 def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):

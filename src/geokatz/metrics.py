@@ -4,8 +4,9 @@ Scores become predictions via an inclusive threshold (predict positive
 iff score >= threshold). Threshold sweeps visit every distinct score
 once (ties form a single step), which makes the swept optimum exact
 rather than grid-approximate. ``evaluate`` builds the ROC and PR
-curves, their trapezoidal areas and average precision from one sweep;
-``optimal_threshold`` is the only other sweep.
+curves, their trapezoidal areas, average precision and the confusion at
+its threshold from one sweep; ``optimal_threshold`` is the only other
+sweep, and tuning on the evaluated table itself shares it.
 """
 
 import json
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import DegenerateLabelsError
 
@@ -126,17 +126,42 @@ def _sweep(s, y):
     Returns (thresholds, tp, fp, n_pos, n_neg) with thresholds strictly
     descending; entry i counts predictions at threshold thresholds[i]
     (everything scoring >= it is positive). Tied scores collapse into
-    one step.
+    one step, so the order inside a tie cannot change any entry.
+
+    Only the scores above the minimum are sorted: most candidate pairs
+    have no training walk and share the table's floor, whose group is
+    always the last step (everything positive). A group of zeros is
+    reported as +0.0 whatever mix of signed zeros it holds.
     """
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order].astype(np.int64)
-    tp_cum = np.cumsum(y_sorted)
-    fp_cum = np.cumsum(1 - y_sorted)
-    ends = np.nonzero(np.diff(s_sorted) != 0.0)[0]
-    ends = np.append(ends, len(s_sorted) - 1)
-    return (s_sorted[ends], tp_cum[ends], fp_cum[ends],
-            int(tp_cum[-1]), int(fp_cum[-1]))
+    floor = s.min()
+    above = np.flatnonzero(s > floor)
+    order = above[np.argsort(-s[above])]
+    ranked = s[order]
+    tp = np.cumsum(y[order], dtype=np.int64)
+    ends = np.flatnonzero(ranked[1:] != ranked[:-1])
+    if ranked.size:
+        ends = np.append(ends, ranked.size - 1)
+    n_pos = int(np.count_nonzero(y))
+    n_neg = len(y) - n_pos
+    thresholds = np.append(ranked[ends], floor) + 0.0
+    return (thresholds, np.append(tp[ends], n_pos),
+            np.append(ends + 1 - tp[ends], n_neg), n_pos, n_neg)
+
+
+def _confusion_from_sweep(thresholds, tp, fp, n_pos, n_neg, threshold):
+    """``confusion_at`` read off a sweep: the groups scoring at least
+    ``threshold`` are a prefix of the descending thresholds. A NaN
+    threshold sorts above every score, so nothing is predicted."""
+    k = len(thresholds) - int(np.searchsorted(thresholds[::-1], threshold))
+    hit_tp = int(tp[k - 1]) if k else 0
+    hit_fp = int(fp[k - 1]) if k else 0
+    return ConfusionMatrix(tp=hit_tp, fp=hit_fp, fn=n_pos - hit_tp,
+                           tn=n_neg - hit_fp)
+
+
+def _trapezoid(y, x):
+    """Trapezoidal area under y(x), in SciPy's order of operations."""
+    return np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0)
 
 
 def _f1_vector(tp, fp, n_pos):
@@ -150,15 +175,8 @@ def _f1_vector(tp, fp, n_pos):
                      where=denom > 0)
 
 
-def optimal_threshold(scores, labels=None):
-    """Threshold maximizing F1, swept over every distinct score.
-
-    Candidates are all distinct score values plus one value above the
-    maximum (predict nothing); ties go to the larger threshold, i.e.
-    the more conservative decision rule. Returns (threshold, f1).
-    """
-    s, y = _vectors(scores, labels)
-    thresholds, tp, fp, n_pos, _ = _sweep(s, y)
+def _best_cut(thresholds, tp, fp, n_pos, n_neg):
+    """(threshold, F1) of ``optimal_threshold`` from a sweep."""
     if n_pos == 0:
         raise DegenerateLabelsError(
             "threshold tuning needs at least one positive label")
@@ -171,11 +189,49 @@ def optimal_threshold(scores, labels=None):
     return float(thresholds[best]), float(f1s[best])
 
 
+def optimal_threshold(scores, labels=None):
+    """Threshold maximizing F1, swept over every distinct score.
+
+    Candidates are all distinct score values plus one value above the
+    maximum (predict nothing); ties go to the larger threshold, i.e.
+    the more conservative decision rule. Returns (threshold, f1).
+    """
+    return _best_cut(*_sweep(*_vectors(scores, labels)))
+
+
+def _report(sweep, threshold, model, info):
+    """The ``evaluate`` report of one sweep at ``threshold``."""
+    thresholds, tp, fp, n_pos, n_neg = sweep
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError(
+            "evaluation needs at least one positive and one negative label")
+    cm = _confusion_from_sweep(*sweep, threshold)
+    roc = Curve(kind="roc",
+                thresholds=np.concatenate([[math.inf], thresholds]),
+                x=np.concatenate([[0.0], fp / n_neg]),
+                y=np.concatenate([[0.0], tp / n_pos]))
+    pr = Curve(kind="pr", thresholds=thresholds, x=tp / n_pos,
+               y=tp / (tp + fp))
+    return EvaluationReport(
+        model=model,
+        threshold=float(threshold),
+        confusion=cm,
+        precision=precision(cm),
+        recall=recall(cm),
+        f1=f1(cm),
+        auroc=float(_trapezoid(roc.y, roc.x)),
+        aupr=float(_trapezoid(pr.y, pr.x)),
+        average_precision=float(np.sum(pr.y * np.diff(pr.x, prepend=0.0))),
+        roc=roc,
+        pr=pr,
+        info=dict(info or {}))
+
+
 def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
     """Assemble the full evaluation report at a fixed threshold.
 
-    One sweep over the distinct scores yields both curves and all three
-    areas:
+    One sweep over the distinct scores yields the confusion at
+    ``threshold``, both curves and all three areas:
 
     - ``roc``: (FPR, TPR) points, anchored at (0, 0) with an infinite
       threshold; the lowest threshold predicts everything positive, so
@@ -190,33 +246,19 @@ def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
 
     Raises DegenerateLabelsError unless both classes are present.
     """
-    s, y = _vectors(scores, labels)
     if hasattr(scores, "model") and not model:
         model = scores.model
-    thresholds, tp, fp, n_pos, n_neg = _sweep(s, y)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            "evaluation needs at least one positive and one negative label")
-    cm = confusion_at(s, y, threshold)
-    roc = Curve(kind="roc",
-                thresholds=np.concatenate([[math.inf], thresholds]),
-                x=np.concatenate([[0.0], fp / n_neg]),
-                y=np.concatenate([[0.0], tp / n_pos]))
-    pr = Curve(kind="pr", thresholds=thresholds, x=tp / n_pos,
-               y=tp / (tp + fp))
-    return EvaluationReport(
-        model=model,
-        threshold=float(threshold),
-        confusion=cm,
-        precision=precision(cm),
-        recall=recall(cm),
-        f1=f1(cm),
-        auroc=float(trapezoid(roc.y, roc.x)),
-        aupr=float(trapezoid(pr.y, pr.x)),
-        average_precision=float(np.sum(pr.y * np.diff(pr.x, prepend=0.0))),
-        roc=roc,
-        pr=pr,
-        info=dict(info or {}))
+    return _report(_sweep(*_vectors(scores, labels)), threshold, model,
+                   info)
+
+
+def _tune_and_evaluate(table, model, info):
+    """``optimal_threshold(table)``, then ``evaluate`` of the same table
+    at that threshold, from one sweep. Returns (threshold, f1, report).
+    """
+    sweep = _sweep(*_vectors(table, None))
+    threshold, best = _best_cut(*sweep)
+    return threshold, best, _report(sweep, threshold, model, info)
 
 
 def _format6(values):

@@ -270,16 +270,22 @@ def _run_steps(cfg, out_dir, evaluate_models):
         if not evaluate_models:
             continue
         tune_table = tune_scoring.table_for(model)
-        thr, tuned_f1 = metrics.optimal_threshold(tune_table)
-        thresholds[model] = thr
-        tuning_f1[model] = tuned_f1
         info = dict(final_table.info)
-        info.update({"tuned_on": cfg.tune_on, "tuning_f1": tuned_f1,
+        info.update({"tuned_on": cfg.tune_on,
                      "score_basis": cfg.score_basis})
         if gamma_tuned is not None:
             info["gamma_tuned"] = gamma_tuned
-        reports[model] = metrics.evaluate(final_table, threshold=thr,
-                                          model=model, info=info)
+        if tune_table is final_table:
+            thr, tuned_f1, report = metrics._tune_and_evaluate(
+                final_table, model, info)
+        else:
+            thr, tuned_f1 = metrics.optimal_threshold(tune_table)
+            report = metrics.evaluate(final_table, threshold=thr,
+                                      model=model, info=info)
+        report.info["tuning_f1"] = tuned_f1
+        thresholds[model] = thr
+        tuning_f1[model] = tuned_f1
+        reports[model] = report
 
     summary = _run_summary(cfg, net, train, val, test, tune_universe,
                            final_universe, thresholds, tuning_f1,

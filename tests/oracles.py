@@ -10,7 +10,9 @@ the row-at-a-time loops that the package's chunked writers must match
 byte for byte, the truncated series is the per-source dense walk
 that the package's blocked sparse frontier must match bit for bit, and
 movement ingestion and network assembly are the record-at-a-time loops
-that the package's columnar versions must match exactly.
+that the package's columnar versions must match exactly, and the
+threshold sweep is the stable sort of every score, with the confusion
+counted by masks, that the package's floor-split sweep must match.
 """
 
 import csv
@@ -117,6 +119,30 @@ def exhaustive_f1_scan(scores, labels):
         elif f == best:
             achievers.append(t)
     return best, achievers
+
+
+def stable_sweep(s, y):
+    """Cumulative counts at every distinct-score threshold, from a
+    stable sort of all scores: (thresholds, tp, fp, n_pos, n_neg)."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order].astype(np.int64)
+    tp_cum = np.cumsum(y_sorted)
+    fp_cum = np.cumsum(1 - y_sorted)
+    ends = np.nonzero(np.diff(s_sorted) != 0.0)[0]
+    ends = np.append(ends, len(s_sorted) - 1)
+    return (s_sorted[ends], tp_cum[ends], fp_cum[ends],
+            int(tp_cum[-1]), int(fp_cum[-1]))
+
+
+def mask_confusion(s, y, threshold):
+    """(tp, fp, fn, tn) of the rule score >= threshold, by masks."""
+    pred = s >= threshold
+    tp = int(np.count_nonzero(pred & y))
+    fp = int(np.count_nonzero(pred & ~y))
+    fn = int(np.count_nonzero(~pred & y))
+    tn = int(np.count_nonzero(~pred & ~y))
+    return tp, fp, fn, tn
 
 
 def loop_write_score_table(table, registry, fh):

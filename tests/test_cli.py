@@ -114,6 +114,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_latin1_input_is_data_error(self, tmp_path, caplog):
+        data = tmp_path / "m.csv"
+        data.write_bytes(
+            ("source_id,dest_id,year,source_lat,source_lon,dest_lat,"
+             "dest_lon\n"
+             "a,Fl\u00e5m,2010,51.0,-1.0,61.0,7.1\n").encode("latin-1"))
+        path = tmp_path / "run.yaml"
+        path.write_text(f"input: {data}\nsplit:\n  train: 2010\n"
+                        "  val: 2011\n  test: 2012\nmodels: KI\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "is not valid UTF-8" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
     def test_divergent_beta_is_numeric_error(self, tmp_path):
         data = tmp_path / "m.csv"
         data.write_text(

@@ -180,6 +180,12 @@ class TestScalarCoercion:
                                + "ingest:\n  year_range: [1990, 2030]\n")
         assert cfg.year_range == (1990, 2030)
 
+    def test_year_range_reversed_rejected(self):
+        reversed_range = r"ingest\.year_range \[2030, 1990\] is reversed"
+        with pytest.raises(ConfigError, match=reversed_range):
+            parse_run_config(MINIMAL_SYNTH
+                             + "ingest:\n  year_range: [2030, 1990]\n")
+
     def test_year_range_bad_form_rejected(self):
         with pytest.raises(ConfigError, match="year_range"):
             parse_run_config(MINIMAL_SYNTH + "ingest:\n  year_range: 1990\n")

@@ -3,6 +3,7 @@
 import csv
 import io
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -475,6 +476,34 @@ def test_reader_error_after_a_bad_row_still_aborts_on_that_row():
         ingest_movements(io.StringIO(text))
     with pytest.raises(csv.Error):
         ingest_movements(io.StringIO(text), on_bad_rows="skip")
+
+
+def test_latin1_file_is_data_error_naming_file_offset_and_encoding(
+        tmp_path):
+    path = tmp_path / "latin1.csv"
+    raw = (CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0\n"
+           + "Fl\u00e5m,b,2016,61.0,7.1,51.0,1.0\n").encode("latin-1")
+    path.write_bytes(raw)
+    offset = raw.index(b"\xe5")
+    message = f"{path}: byte {offset} (0xe5) is not valid UTF-8"
+    with pytest.raises(DataError, match=re.escape(message)) as caught:
+        ingest_movements(path)
+    assert "encoded as UTF-8" in str(caught.value)
+
+
+def test_rows_before_an_undecodable_byte_are_judged_first(tmp_path):
+    # The bad byte sits well past the first decoded chunk, so the rows
+    # before it are read; an abort on one of them wins.
+    path = tmp_path / "late_latin1.csv"
+    good = "a,b,2015,50.0,0.0,51.0,1.0\n" * 2000
+    raw = (CSV_HEADER + "a,b,bad,50.0,0.0,51.0,1.0\n" + good
+           + "Fl\u00e5m,b,2016,61.0,7.1,51.0,1.0\n").encode("latin-1")
+    path.write_bytes(raw)
+    with pytest.raises(RowError, match="row 2: year 'bad'"):
+        ingest_movements(path)
+    offset = raw.index(b"\xe5")
+    with pytest.raises(DataError, match=f"byte {offset} "):
+        ingest_movements(path, on_bad_rows="skip")
 
 
 def test_year_past_64_bits_inside_year_range_is_data_error():

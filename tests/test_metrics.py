@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -244,3 +247,74 @@ def test_optimal_threshold_never_beaten_by_any_cut(rows):
     for cut in probe_points:
         cm = metrics.confusion_at(scores, labels, float(cut))
         assert metrics.f1(cm) <= best + 1e-12
+
+
+_TIE_VALUES = (-2.5, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.5, 1.0)
+_SCORES = st.one_of(st.sampled_from(_TIE_VALUES),
+                    st.floats(-5, 5, allow_nan=False, width=32))
+
+
+@st.composite
+def _swept_cases(draw):
+    """Scores with heavy ties, signed zeros and negative values, over a
+    floor group from a single minimum to the whole vector, and labels."""
+    rest = draw(st.lists(_SCORES, max_size=40))
+    floor = min([draw(_SCORES)] + rest)
+    n_floor = draw(st.integers(0 if rest else 1, 40))
+    signs = draw(st.lists(st.booleans(), min_size=n_floor,
+                          max_size=n_floor))
+    floors = [math.copysign(floor, 1.0 if keep else -1.0) if floor == 0.0
+              else floor for keep in signs]
+    scores = draw(st.permutations(rest + floors))
+    labels = draw(st.lists(st.booleans(), min_size=len(scores),
+                           max_size=len(scores)))
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swept_cases())
+def test_sweep_matches_stable_sort_oracle(case):
+    s, y = case
+    got = metrics._sweep(s, y)
+    want = oracles.stable_sweep(s, y)
+    for g, w in zip(got[1:3], want[1:3]):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    assert got[3:] == want[3:]
+    assert all(type(n) is int for n in got[3:])
+    thresholds, expected = got[0], want[0]
+    if np.signbit(s[s == 0.0]).any():
+        np.testing.assert_array_equal(thresholds, expected)
+    else:
+        assert thresholds.tobytes() == expected.tobytes()
+    # A zero group is reported as +0.0 whichever zeros it holds.
+    assert not np.signbit(thresholds[thresholds == 0.0]).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swept_cases())
+def test_confusion_read_off_the_sweep_matches_masks(case):
+    s, y = case
+    distinct = np.unique(s)
+    cuts = np.concatenate([distinct, (distinct[1:] + distinct[:-1]) / 2.0,
+                           [s.min() - 1.0, s.max() + 1.0, -0.0, 0.0,
+                            -math.inf, math.inf, math.nan]])
+    sweep = metrics._sweep(s, y)
+    both_classes = y.any() and not y.all()
+    for cut in cuts.tolist():
+        want = metrics.confusion_at(s, y, cut)
+        assert (want.tp, want.fp, want.fn, want.tn) == \
+            oracles.mask_confusion(s, y, cut)
+        assert metrics._confusion_from_sweep(*sweep, cut) == want
+        if both_classes:
+            assert metrics.evaluate(s, y, threshold=cut).confusion == want
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, geokatz, geokatz.cli, geokatz.pipeline; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)})
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end pipeline and artifact round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from geokatz.errors import (BetaDomainError, DataError,
                             UniverseMismatchError)
 from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, SUMMARY_ROWS,
                               read_score_table, run, run_scores_only)
+
+QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
 
 SMALL_SYNTH = """\
 synth:
@@ -270,6 +273,33 @@ class TestTuning:
             # the evaluation universe itself.
             assert report.f1 == pytest.approx(report.info["tuning_f1"],
                                               abs=1e-12)
+
+    @pytest.mark.parametrize("tune_on,sweeps,public_calls", [
+        ("test", 6, 0),
+        ("val", 12, 6),
+    ])
+    def test_sweeps_per_final_table(self, monkeypatch, tune_on, sweeps,
+                                    public_calls):
+        # Tuning on the evaluated table reads threshold and report off
+        # one sweep; tuning on val still goes through both public names.
+        calls = {"_sweep": 0, "optimal_threshold": 0, "evaluate": 0}
+
+        def counting(name):
+            wrapped = getattr(pipeline.metrics, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(pipeline.metrics, name, call)
+
+        for name in calls:
+            counting(name)
+        text = QUICKSTART.read_text().replace(
+            "\nsplit:", f"\ntune_on: {tune_on}\nsplit:")
+        result = run(_cfg(text))
+        assert len(result.reports) == 6
+        assert calls == {"_sweep": sweeps, "optimal_threshold": public_calls,
+                         "evaluate": public_calls}
 
     def test_val_tuning_uses_distinct_universe(self, small_run):
         _, result, _ = small_run
