@@ -17,7 +17,7 @@ import yaml
 
 from . import metrics, pipeline, synth
 from .config import _parse_synth, load_run_config
-from .errors import ConfigError, GeokatzError
+from .errors import ConfigError, DataError, GeokatzError
 from .graphs import candidate_pairs
 
 log = logging.getLogger(__name__)
@@ -136,12 +136,16 @@ def _cmd_eval(args):
         info = {}
     report = metrics.evaluate(table, threshold=threshold, info=info)
     if cfg.output_dir:
+        name = report.model or "table"
+        if Path(name).name != name or name in (".", "..") or "\0" in name:
+            raise DataError(
+                f"score table model {name!r} cannot name a file: its "
+                "report and curves would be written outside --out")
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        name = report.model or "table"
         metrics.write_report(report, out_dir / f"report_{name}.json")
-        metrics.write_curve(report.roc, out_dir / f"curve_roc_{name}.csv")
-        metrics.write_curve(report.pr, out_dir / f"curve_pr_{name}.csv")
+        metrics._write_curves(report, out_dir / f"curve_roc_{name}.csv",
+                              out_dir / f"curve_pr_{name}.csv")
         log.info("evaluation written to %s", out_dir)
     else:
         metrics.write_report(report, sys.stdout)

@@ -205,7 +205,14 @@ def _parse_synth(block):
         if key in kwargs:
             kwargs[key] = _as_float(kwargs[key], f"synth.{key}")
     if "species" in kwargs:
-        kwargs["species"] = tuple(str(s) for s in kwargs["species"])
+        species = kwargs["species"]
+        if isinstance(species, str):
+            species = [species]
+        if not (isinstance(species, list)
+                and all(isinstance(s, str) for s in species)):
+            raise ConfigError(
+                f"synth.species must be a list of names, got {species!r}")
+        kwargs["species"] = tuple(species)
     return SynthConfig(**kwargs)
 
 
@@ -230,6 +237,16 @@ def parse_run_config(text):
             _as_int(year_range[0], "year_range"),
             _as_int(year_range[1], "year_range"))
 
+    delimiter = ingest.get("delimiter", ",")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1
+            and delimiter not in '"\r\n'):
+        raise ConfigError(
+            "ingest.delimiter must be one character other than a quote or "
+            f"a line break, got {delimiter!r}")
+    for key in ("input", "output_dir"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"'{key}' must be a path, got {raw[key]!r}")
+
     schema = raw.get("schema")
     if schema is not None:
         schema = {str(k): str(v)
@@ -250,7 +267,7 @@ def parse_run_config(text):
         synth=_parse_synth(raw["synth"]) if "synth" in raw else None,
         schema=schema,
         on_bad_rows=ingest.get("on_bad_rows", "abort"),
-        delimiter=ingest.get("delimiter", ","),
+        delimiter=delimiter,
         year_range=year_range,
         models=tuple(str(m) for m in models),
         score_basis=raw.get("score_basis", "train"),

@@ -363,18 +363,30 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         raise DataError(
             f"on_bad_rows must be one of {BAD_ROW_POLICIES}, "
             f"got {on_bad_rows!r}")
-    if hasattr(source, "read"):
-        return _ingest_stream(source, schema, on_bad_rows, delimiter,
-                              year_range)
-    with open(source, "r", newline="", encoding="utf-8") as fh:
-        try:
+    try:
+        if hasattr(source, "read"):
+            return _ingest_stream(source, schema, on_bad_rows, delimiter,
+                                  year_range)
+        with open(source, "r", newline="", encoding="utf-8") as fh:
             return _ingest_stream(fh, schema, on_bad_rows, delimiter,
                                   year_range)
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{source}: byte {_utf8_error_offset(source)} "
-                f"(0x{exc.object[exc.start]:02x}) is not valid UTF-8; "
-                "movement files must be encoded as UTF-8") from exc
+    except UnicodeDecodeError as exc:
+        raise _decode_error(source, exc) from exc
+
+
+def _decode_error(source, exc):
+    """The DataError for the byte of ``source`` that ``exc`` could not
+    decode: a path names the file and the byte's offset, a stream its
+    ``name`` if it has one."""
+    byte = f"0x{exc.object[exc.start]:02x}"
+    if hasattr(source, "read"):
+        name = getattr(source, "name", None)
+        where = name if isinstance(name, str) else "input stream"
+        return DataError(f"{where}: byte {byte} is not valid {exc.encoding}; "
+                         "movement files must be encoded as UTF-8")
+    return DataError(f"{source}: byte {_utf8_error_offset(source)} ({byte}) "
+                     "is not valid UTF-8; movement files must be encoded "
+                     "as UTF-8")
 
 
 def _utf8_error_offset(path):

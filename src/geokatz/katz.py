@@ -68,11 +68,11 @@ class KatzConfig:
     solve_max_nodes: int = 20000
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_mode",
-                           _BETA_MODE_ALIASES.get(self.beta_mode,
-                                                  self.beta_mode))
-        object.__setattr__(self, "method",
-                           _METHOD_ALIASES.get(self.method, self.method))
+        for name, aliases in (("beta_mode", _BETA_MODE_ALIASES),
+                              ("method", _METHOD_ALIASES)):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                object.__setattr__(self, name, aliases.get(value, value))
         if self.beta_mode not in BETA_MODES:
             raise ConfigError(f"beta_mode must be one of {BETA_MODES}, "
                               f"got {self.beta_mode!r}")
@@ -470,13 +470,19 @@ def write_score_table(table, registry, dest):
     then dest id, and floats use 6 significant digits, so identical
     tables export byte-identically.
     """
+    return _write_scores(table, registry, dest)
+
+
+def _write_scores(table, registry, dest, known=None):
+    """``write_score_table``, with ``known`` text for the score_norm
+    column passed to ``_format6`` (see ``metrics._write_curves``)."""
     if not table.normalized or table.raw_values is None:
         raise ValueError("score export requires a normalized table")
     ids = [registry.ids[i] for i in table.universe.node_indices]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     cells = np.ix_(order, order)
     raw = _format6(table.raw_values[cells])
-    norm = _format6(table.values[cells])
+    norm = _format6(table.values[cells], known)
     quoted = [_csv_field(ids[i]) for i in order]
     model = _csv_field(table.model)
     middle = [f",{dest_id},{model}," for dest_id in quoted]

@@ -261,20 +261,50 @@ def _tune_and_evaluate(table, model, info):
     return threshold, best, _report(sweep, threshold, model, info)
 
 
-def _format6(values):
+def _format6(values, known=None):
     """The ``f"{v:.6g}"`` text of every entry of a float array.
 
     Each distinct value is formatted once, by one %-format call that
     gives the same text as the f-string. Values are told apart by bit
-    pattern, so -0.0 keeps its own text ("-0"). Returns an object array
-    of str with the input's shape.
+    pattern, so -0.0 keeps its own text ("-0"). The entries holding the
+    bit pattern of the first minimum (the floor that most pairs of a
+    score table share) get one text and stay out of the distinct-value
+    sort; a NaN minimum or a zero of either sign is a floor like any
+    other, and the values off it are still told apart by bits.
+
+    ``known`` is a (floats, their text) pair with the floats ascending:
+    when every entry is bitwise one of them, its text is taken from
+    there and nothing is formatted. Returns an object array of str with
+    the input's shape.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.ravel().view(np.int64),
-                              return_inverse=True)
-    text = ("%.6g\n" * len(bits)) % tuple(bits.view(np.float64).tolist())
-    distinct = np.array(text.split("\n")[:-1], dtype=object)
-    return distinct[inverse].reshape(values.shape)
+    flat = values.ravel()
+    if not flat.size:
+        return np.empty(values.shape, dtype=object)
+    bits = flat.view(np.int64)
+    if known is not None and len(known[0]):
+        keys, text = known
+        at = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
+        if np.array_equal(keys[at].view(np.int64), bits):
+            return text[at].reshape(values.shape)
+    low = flat.argmin()
+    off = np.flatnonzero(bits != bits[low])
+    # np.unique stays on 1-D input: the shape of its inverse for other
+    # input changed in NumPy 2.0.
+    distinct, inverse = np.unique(bits[off], return_inverse=True)
+    lines = (("%.6g\n" * (len(distinct) + 1)) % (
+        float(flat[low]), *distinct.view(np.float64).tolist())).split("\n")
+    lines.pop()
+    lines = np.array(lines, dtype=object)
+    out = np.full(flat.size, lines[0], dtype=object)
+    out[off] = lines[1:][inverse]
+    return out.reshape(values.shape)
+
+
+def _format6_columns(*columns):
+    """``_format6`` of each 1-D column, from one call over all of them."""
+    ends = np.cumsum([len(column) for column in columns])
+    return np.split(_format6(np.concatenate(columns)), ends[:-1])
 
 
 def _round6(value):
@@ -322,9 +352,54 @@ def write_report(report, dest):
     return _write_text(payload + "\n", dest)
 
 
+def _curve_text(thresholds, x, y):
+    """Curve CSV text from the text of its three columns."""
+    return "threshold,x,y\n" + "".join(
+        [f"{t},{x},{y}\n" for t, x, y in zip(thresholds, x, y)])
+
+
 def write_curve(curve, dest):
     """Write curve points as CSV with columns threshold, x, y."""
-    rows = zip(*(_format6(column).tolist()
-                 for column in (curve.thresholds, curve.x, curve.y)))
-    text = "threshold,x,y\n" + "".join([f"{t},{x},{y}\n" for t, x, y in rows])
-    return _write_text(text, dest)
+    columns = _format6_columns(curve.thresholds, curve.x, curve.y)
+    return _write_text(_curve_text(*(c.tolist() for c in columns)), dest)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _roc_extends_pr(roc, pr):
+    """True when ``roc`` is ``pr``'s thresholds and recall behind the
+    (inf, 0, 0) anchor, bit for bit, as ``evaluate`` builds them."""
+    n = len(pr.thresholds)
+    return (len(roc.x) == n + 1 and len(pr.y) == n
+            and np.array_equal(_bits(roc.thresholds),
+                               _bits(np.append(math.inf, pr.thresholds)))
+            and np.array_equal(_bits(roc.y), _bits(np.append(0.0, pr.x)))
+            and _bits(roc.x[:1])[0] == 0)
+
+
+def _write_curves(report, roc_dest, pr_dest):
+    """Write both curves of an ``evaluate`` report, as ``write_curve``
+    writes each, formatting the distinct floats of the two once.
+
+    The ROC thresholds past the anchor are the PR thresholds and its
+    TPR is the PR recall. Returns (the thresholds ascending, their
+    text), the ``known`` text of the evaluated table's normalized
+    scores (see ``_format6``), or None when the curves are not laid out
+    that way and were written apart.
+    """
+    roc, pr = report.roc, report.pr
+    if not _roc_extends_pr(roc, pr):
+        write_curve(roc, roc_dest)
+        write_curve(pr, pr_dest)
+        return None
+    thresholds, fpr, tpr, prec = _format6_columns(
+        pr.thresholds, roc.x[1:], pr.x, pr.y)
+    t, f, r, p = (c.tolist() for c in (thresholds, fpr, tpr, prec))
+    _write_text(_curve_text(["inf", *t], ["0", *f], ["0", *r]), roc_dest)
+    _write_text(_curve_text(t, r, p), pr_dest)
+    # A copy, not a view: a view would keep all four columns' text alive
+    # while the score table is written.
+    return (np.ascontiguousarray(pr.thresholds[::-1], dtype=np.float64),
+            thresholds[::-1].copy())

@@ -23,8 +23,8 @@ from . import geo, metrics, synth
 from .errors import ConfigError, DataError, UniverseMismatchError
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
-from .katz import ScoreTable, combine, edge_weighted_katz_scores, \
-    katz_scores, normalize, write_score_table
+from .katz import ScoreTable, _write_scores, combine, \
+    edge_weighted_katz_scores, katz_scores, normalize
 
 log = logging.getLogger(__name__)
 
@@ -343,15 +343,15 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
 def _write_artifacts(cfg, result, registry):
     out_dir = result.out_dir
     for model in cfg.models:
-        write_score_table(result.tables[model], registry,
-                          out_dir / f"scores_{model}.csv")
-    for model in cfg.models:
         report = result.reports.get(model)
-        if report is None:
-            continue
-        metrics.write_report(report, out_dir / f"report_{model}.json")
-        metrics.write_curve(report.roc, out_dir / f"curve_roc_{model}.csv")
-        metrics.write_curve(report.pr, out_dir / f"curve_pr_{model}.csv")
+        known = None
+        if report is not None:
+            metrics.write_report(report, out_dir / f"report_{model}.json")
+            known = metrics._write_curves(
+                report, out_dir / f"curve_roc_{model}.csv",
+                out_dir / f"curve_pr_{model}.csv")
+        _write_scores(result.tables[model], registry,
+                      out_dir / f"scores_{model}.csv", known)
     if result.reports:
         _write_summary_table(cfg.models, result.reports,
                              out_dir / "summary.csv")

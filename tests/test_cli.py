@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface (in-process)."""
 
+import csv
 import json
 import logging
 
@@ -240,6 +241,22 @@ class TestEvalCommand:
         scored.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["eval", "--config", str(run_config),
                      "--scores", str(scored), "--tune"]) == 2
+
+    @pytest.mark.parametrize("model", ["sub/KI", "../KI", ".."])
+    def test_model_that_is_not_a_file_name_is_data_error(
+            self, run_config, scored, tmp_path, caplog, model):
+        with open(scored, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[2] = model
+        with open(scored, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "nest" / "eval_out"
+        assert main(["eval", "--config", str(run_config),
+                     "--scores", str(scored), "--out", str(out),
+                     "--tune"]) == 2
+        assert f"model {model!r} cannot name a file" in caplog.text
+        assert not (tmp_path / "nest").exists()
 
     def test_missing_scores_file_is_unexpected_failure(self, run_config,
                                                        tmp_path):

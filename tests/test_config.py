@@ -1,11 +1,16 @@
 """Unit tests for run-configuration parsing and CLI overrides."""
 
+import copy
 import logging
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geokatz.config import (ALL_MODELS, RunConfig, load_run_config,
+from geokatz.config import (_INGEST_KEYS, _KATZ_KEYS, _SYNTH_KEYS, _TOP_KEYS,
+                            ALL_MODELS, RunConfig, load_run_config,
                             parse_run_config)
 from geokatz.errors import ConfigError, DataError
 from geokatz.graphs import ingest_movements
@@ -340,3 +345,70 @@ class TestDirectConstruction:
         base = parse_run_config(MINIMAL_SYNTH)
         with pytest.raises(ConfigError, match="exactly one"):
             RunConfig(split=base.split, katz=base.katz)
+
+
+class TestWrongTypes:
+
+    @pytest.mark.parametrize("block, key", [
+        ("katz:\n  method: [1]\n", "method"),
+        ("katz:\n  beta_mode: {a: 1}\n", "beta_mode"),
+        ("ingest:\n  delimiter: 55\n", "ingest.delimiter"),
+        ("ingest:\n  delimiter: ab\n", "ingest.delimiter"),
+        ("ingest:\n  delimiter: '\"'\n", "ingest.delimiter"),
+        ("output_dir: [1]\n", "output_dir"),
+    ])
+    def test_wrong_type_is_config_error_naming_the_key(self, block, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(MINIMAL_SYNTH + block)
+
+    def test_input_that_is_not_a_path_is_config_error(self):
+        with pytest.raises(ConfigError, match="'input' must be a path"):
+            parse_run_config(MINIMAL_INPUT.replace("movements.csv", "5"))
+
+    def test_species_must_be_a_list_of_names(self):
+        with pytest.raises(ConfigError, match="synth.species"):
+            parse_run_config(MINIMAL_SYNTH.replace(
+                "  seed: 1\n", "  seed: 1\n  species: 5\n"))
+        cfg = parse_run_config(MINIMAL_SYNTH.replace(
+            "  seed: 1\n", "  seed: 1\n  species: carp\n"))
+        assert cfg.synth.species == ("carp",)
+
+
+# Every key the parser knows, by the block it sits in (None: top level).
+_PLACES = ([(None, key) for key in sorted(_TOP_KEYS)]
+           + [("ingest", key) for key in sorted(_INGEST_KEYS)]
+           + [("katz", key) for key in sorted(_KATZ_KEYS)]
+           + [("synth", key) for key in sorted(_SYNTH_KEYS)]
+           + [("split", key) for key in ("train", "val", "test")])
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                     st.floats(), st.text(max_size=5))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4),
+                    st.dictionaries(st.text(max_size=3), _SCALARS,
+                                    max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([MINIMAL_SYNTH, MINIMAL_INPUT]),
+       edits=st.lists(st.tuples(st.sampled_from(_PLACES), _VALUES),
+                      min_size=1, max_size=4))
+def test_fuzzed_config_parses_or_is_config_error(base, edits):
+    doc = copy.deepcopy(yaml.safe_load(base))
+    for (block, key), value in edits:
+        if block is None:
+            doc[key] = value
+        else:
+            if not isinstance(doc.get(block), dict):
+                doc[block] = {}
+            doc[block][key] = value
+    try:
+        cfg = parse_run_config(yaml.safe_dump(doc))
+    except ConfigError:
+        return
+    except DataError as exc:
+        # SplitSpec refuses reversed or overlapping years as a DataError
+        # (TestSplitSemantics).
+        assert "year interval" in str(exc) or "split intervals" in str(exc)
+        return
+    assert isinstance(cfg.delimiter, str) and len(cfg.delimiter) == 1
+    assert cfg.input is None or isinstance(cfg.input, str)
+    assert cfg.output_dir is None or isinstance(cfg.output_dir, str)

@@ -1,6 +1,7 @@
 """Chunked artifact writers against the row-at-a-time reference loops."""
 
 import io
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from geokatz import metrics
 from geokatz.graphs import NodeRegistry, PairUniverse
-from geokatz.katz import ScoreTable, write_score_table
+from geokatz.katz import ScoreTable, _write_scores, normalize, \
+    write_score_table
 
 # Ids with a comma, a double quote, a newline, a carriage return,
 # padding spaces or non-ASCII letters, plus one id that is a prefix of
@@ -82,3 +84,113 @@ def test_write_curve_matches_point_loop(scores, labels, points):
         got = io.StringIO()
         metrics.write_curve(curve, got)
         assert got.getvalue() == expected.getvalue()
+
+
+def _fstrings(values):
+    return np.array([f"{v:.6g}" for v in np.ravel(values)],
+                    dtype=object).reshape(np.shape(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=st.lists(FLOATS, min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), max_size=60),
+       shape=st.sampled_from([(-1,), (-1, 1), (1, -1)]))
+@example(pool=[0.0], picks=[], shape=(-1,))
+@example(pool=[0.25], picks=[0, 0, 0], shape=(-1,))
+@example(pool=[float("nan"), 0.5, -1.0], picks=[0, 1, 2, 1, 0], shape=(-1,))
+@example(pool=[-0.0, 0.0], picks=[0, 1, 1, 0], shape=(-1,))
+@example(pool=[0.0, -0.0], picks=[1, 0, 0, 1], shape=(-1,))
+@example(pool=[-5.0, 2.0], picks=[0, 1, 1, 1, 1], shape=(-1,))
+def test_format6_matches_fstrings(pool, picks, shape):
+    # Draws from a small pool make ties; the floor is often not the
+    # most common value, and may be NaN or a signed zero.
+    values = np.array([pool[i % len(pool)] for i in picks],
+                      dtype=np.float64).reshape(shape)
+    got = metrics._format6(values)
+    assert got.shape == values.shape
+    assert got.tolist() == _fstrings(values).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from(AWKWARD_FLOATS), max_size=30),
+       keys=st.lists(st.sampled_from(AWKWARD_FLOATS), min_size=1,
+                     max_size=10))
+@example(values=[0.0, 0.5, 0.5], keys=[0.5, -0.0])
+def test_format6_with_known_text_matches_fstrings(values, keys):
+    # The known text is used only where every value is bitwise a key;
+    # any other table is formatted as without it.
+    keys = np.unique(np.array(keys))
+    values = np.array(values, dtype=np.float64)
+    got = metrics._format6(values, (keys, _fstrings(keys)))
+    assert got.tolist() == _fstrings(values).tolist()
+
+
+RAW = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 7.25, 1e-12]),
+                st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(2, 6), pool=st.lists(RAW, min_size=1, max_size=6),
+       cells=st.lists(st.integers(0, 5), min_size=36, max_size=36),
+       flags=st.lists(st.booleans(), min_size=30, max_size=30),
+       threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+@example(k=2, pool=[1.5], cells=[0] * 36, flags=[True] * 30, threshold=0.0)
+@example(k=3, pool=[0.0, -0.0, 2.0], cells=list(range(6)) * 6,
+         flags=[False] * 30, threshold=0.5)
+@example(k=4, pool=[-2.0, 3.0, 3.0, 7.25], cells=[1, 2, 3] * 12,
+         flags=[True, False] * 15, threshold=1.0)
+def test_model_files_match_row_loops(k, pool, cells, flags, threshold):
+    # A model's score table and curves, written as the pipeline writes
+    # them (curves first, their threshold text reused for score_norm),
+    # against the row-at-a-time loops. Small pools give constant
+    # tables, heavy ties, negative raw values, a raw floor other than 0
+    # and -0.0 in the raw scores.
+    raw = np.array([pool[c % len(pool)] for c in cells[:k * k]]).reshape(k, k)
+    np.fill_diagonal(raw, 0.0)
+    labels = np.zeros((k, k), dtype=np.uint8)
+    labels[~np.eye(k, dtype=bool)] = [True, False] + flags[:k * k - k - 2]
+    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
+                            labels=labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = normalize(ScoreTable(model="KI", universe=universe,
+                                     values=raw))
+    report = metrics.evaluate(table, threshold=threshold)
+    registry = _registry(AWKWARD_IDS[:k])
+
+    roc, pr, scores = io.StringIO(), io.StringIO(), io.StringIO()
+    known = metrics._write_curves(report, roc, pr)
+    assert known is not None
+    _write_scores(table, registry, scores, known)
+
+    expected = [io.StringIO() for _ in range(3)]
+    oracles.loop_write_curve(report.roc, expected[0])
+    oracles.loop_write_curve(report.pr, expected[1])
+    oracles.loop_write_score_table(table, registry, expected[2])
+    assert [roc.getvalue(), pr.getvalue(), scores.getvalue()] == \
+        [e.getvalue() for e in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=12),
+       shift=st.integers(0, 2))
+def test_curves_not_laid_out_by_evaluate_are_written_apart(points, shift):
+    # A report whose ROC curve is not the PR curve behind the anchor
+    # (here built by hand) still gets both curves as write_curve writes
+    # them.
+    columns = np.array(points, dtype=np.float64).reshape(-1, 3).T
+    report = metrics.evaluate(np.array([0.1, 0.2, 0.2, 0.9]),
+                              np.array([0, 1, 0, 1]))
+    drawn = metrics.Curve("roc", *columns)
+    cases = [(drawn, report.pr), (report.roc, drawn),
+             (metrics.Curve("roc", report.roc.thresholds,
+                            np.roll(report.roc.x, shift), report.roc.y),
+              report.pr)]
+    for roc_curve, pr_curve in cases:
+        report.roc, report.pr = roc_curve, pr_curve
+        roc, pr = io.StringIO(), io.StringIO()
+        metrics._write_curves(report, roc, pr)
+        for curve, got in ((roc_curve, roc), (pr_curve, pr)):
+            expected = io.StringIO()
+            oracles.loop_write_curve(curve, expected)
+            assert got.getvalue() == expected.getvalue()

@@ -506,6 +506,24 @@ def test_rows_before_an_undecodable_byte_are_judged_first(tmp_path):
         ingest_movements(path, on_bad_rows="skip")
 
 
+def test_undecodable_byte_in_a_stream_is_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    good = "a,b,2015,50.0,0.0,51.0,1.0\n" * 2000
+    raw = (CSV_HEADER + "a,b,bad,50.0,0.0,51.0,1.0\n" + good
+           + "Fl\u00e5m,b,2016,61.0,7.1,51.0,1.0\n").encode("latin-1")
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(RowError, match="row 2: year 'bad'"):
+            ingest_movements(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: byte 0xe5 is not valid utf-8")):
+            ingest_movements(fh, on_bad_rows="skip")
+    unnamed = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    with pytest.raises(DataError, match="input stream: byte 0xe5 "):
+        ingest_movements(unnamed, on_bad_rows="skip")
+
+
 def test_year_past_64_bits_inside_year_range_is_data_error():
     text = CSV_HEADER + "a,b,10000000000000000000,50.0,0.0,51.0,1.0\n"
     with pytest.raises(DataError, match="row 2: year 10000000000000000000"):
