@@ -115,11 +115,11 @@ def _cmd_synth(args):
                           "output_dir or pass --out")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, truth = synth.generate(scfg)
-    synth.write_movements(records, out_dir / "movements.csv")
+    report, truth = synth.generate(scfg)
+    synth.write_movements(report, out_dir / "movements.csv")
     synth.write_truth(truth, out_dir / "truth.json")
     log.info("wrote %d movements and ground truth to %s",
-             len(records), out_dir)
+             report.accepted, out_dir)
     return 0
 
 

@@ -26,11 +26,27 @@ def haversine_pairs(lat_rad, lon_rad, src, dst):
     """
     lat1 = lat_rad[src]
     lat2 = lat_rad[dst]
-    dlat = lat2 - lat1
-    dlon = lon_rad[dst] - lon_rad[src]
+    return _haversine(lat2 - lat1, lon_rad[dst] - lon_rad[src],
+                      np.cos(lat1) * np.cos(lat2))
+
+
+def haversine_from(lat_rad, lon_rad, cos_lat, u):
+    """Great-circle distances in km from node ``u`` to every node.
+
+    ``cos_lat`` is ``np.cos(lat_rad)``, computed once by the caller; the
+    result is bitwise ``haversine_pairs`` over the pairs (u, v), v in
+    index order.
+    """
+    return _haversine(lat_rad - lat_rad[u], lon_rad - lon_rad[u],
+                      cos_lat[u] * cos_lat)
+
+
+def _haversine(dlat, dlon, cos_cos):
+    """Haversine km from latitude and longitude differences (radians)
+    and the product of the endpoints' latitude cosines."""
     sin_dlat = np.sin(dlat * 0.5)
     sin_dlon = np.sin(dlon * 0.5)
-    a = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * sin_dlon * sin_dlon
+    a = sin_dlat * sin_dlat + cos_cos * sin_dlon * sin_dlon
     return EARTH_RADIUS_KM * (2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a)))
 
 

@@ -367,11 +367,22 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         if hasattr(source, "read"):
             return _ingest_stream(source, schema, on_bad_rows, delimiter,
                                   year_range)
-        with open(source, "r", newline="", encoding="utf-8") as fh:
+        with _open_input(source, "movement file") as fh:
             return _ingest_stream(fh, schema, on_bad_rows, delimiter,
                                   year_range)
     except UnicodeDecodeError as exc:
         raise _decode_error(source, exc) from exc
+
+
+def _open_input(path, what):
+    """``path`` opened as UTF-8 text for reading; a path that cannot be
+    opened (missing, a directory, no permission) is a DataError naming
+    it as ``what``."""
+    try:
+        return open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: "
+                        f"{exc.strerror or exc}") from exc
 
 
 def _decode_error(source, exc):

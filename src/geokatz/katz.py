@@ -409,7 +409,9 @@ def normalize(table):
             "everywhere); normalizing to all zeros",
             DegenerateScoreTableWarning, stacklevel=2)
     else:
-        out[mask] = (pair_scores - lo) / span
+        # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
+        # +0.0 and leaves every other value as it is.
+        out[mask] = (pair_scores - lo) / span + 0.0
     return ScoreTable(model=table.model, universe=table.universe,
                       values=out, normalized=True, raw_values=table.values,
                       info=dict(table.info))
@@ -453,13 +455,22 @@ def combine(a, b, rule="mean", on="normalized"):
                                 values=fused, info=info))
 
 
-def _csv_field(value):
-    """``value`` as csv.writer writes it inside a row: minimal quoting."""
+def _csv_fields(values):
+    """Each of ``values`` as csv.writer writes it inside a row: minimal
+    quoting."""
     buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     # A row of one empty field is written as "", so a second (empty)
-    # field keeps the in-row quoting of every value.
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[:-2]
+    # field keeps the in-row quoting of every value; writerow returns
+    # the length written, which ends in ",\n".
+    lengths = [writer.writerow([value, ""]) for value in values]
+    text = buf.getvalue()
+    fields = []
+    start = 0
+    for length in lengths:
+        fields.append(text[start:start + length - 2])
+        start += length
+    return fields
 
 
 def write_score_table(table, registry, dest):
@@ -483,8 +494,8 @@ def _write_scores(table, registry, dest, known=None):
     cells = np.ix_(order, order)
     raw = _format6(table.raw_values[cells])
     norm = _format6(table.values[cells], known)
-    quoted = [_csv_field(ids[i]) for i in order]
-    model = _csv_field(table.model)
+    quoted = _csv_fields([ids[i] for i in order] + [table.model])
+    model = quoted.pop()
     middle = [f",{dest_id},{model}," for dest_id in quoted]
 
     def _write(fh):

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import geo, metrics, synth
 from .errors import ConfigError, DataError, UniverseMismatchError
-from .graphs import build_adjacency, build_network, candidate_pairs, \
-    ingest_movements, temporal_split
+from .graphs import _open_input, build_adjacency, build_network, \
+    candidate_pairs, ingest_movements, temporal_split
 from .katz import ScoreTable, _write_scores, combine, \
     edge_weighted_katz_scores, katz_scores, normalize
 
@@ -171,21 +171,22 @@ class _UniverseScoring:
 
 
 def _build_data(cfg, out_dir):
-    """Records to networks: synth-or-ingest, build, split."""
+    """Movements to networks: synth-or-ingest (either gives an
+    IngestReport), build, split."""
     if cfg.synth is not None:
-        movements, truth = synth.generate(cfg.synth)
+        report, truth = synth.generate(cfg.synth)
         if out_dir is not None:
             movements_path = out_dir / "movements.csv"
-            synth.write_movements(movements, movements_path)
+            synth.write_movements(report, movements_path)
             synth.write_truth(truth, out_dir / "truth.json")
-            movements = ingest_movements(
+            report = ingest_movements(
                 movements_path, schema=None, on_bad_rows="abort",
                 year_range=cfg.year_range)
     else:
-        movements = ingest_movements(
+        report = ingest_movements(
             cfg.input, schema=cfg.schema, on_bad_rows=cfg.on_bad_rows,
             delimiter=cfg.delimiter, year_range=cfg.year_range)
-    net = build_network(movements)
+    net = build_network(report)
     train, val, test = temporal_split(net, cfg.split)
     return net, train, val, test
 
@@ -382,7 +383,7 @@ def read_score_table(path, universe, registry):
     raw = np.zeros((k, k), dtype=np.float64)
     seen = np.zeros((k, k), dtype=bool)
     model = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_input(path, "score table") as fh:
         reader = csv.DictReader(fh)
         required = {"source_id", "dest_id", "model", "score", "score_norm"}
         if reader.fieldnames is None or not required.issubset(

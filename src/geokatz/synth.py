@@ -9,7 +9,6 @@ with the generating parameters and exact count structure, so pipeline
 tests can check ingestion and splitting against known numbers.
 """
 
-import csv
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -17,8 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geo import pair_distances
-from .graphs import MovementRecord
+from .geo import haversine_from
+from .graphs import IngestReport, _columns_of
+from .katz import _csv_fields
 
 log = logging.getLogger(__name__)
 
@@ -95,37 +95,38 @@ class _DestinationSampler:
     """
 
     def __init__(self, lat, lon, decay_rate):
-        self._lat = lat
-        self._lon = lon
+        self._lat = np.radians(lat)
+        self._lon = np.radians(lon)
+        self._cos_lat = np.cos(self._lat)
         self._decay = decay_rate
-        self._n = len(lat)
         self._cum = {}
 
-    def _cumulative(self, u):
+    def draw(self, u, random):
         cum = self._cum.get(u)
         if cum is None:
-            dst = np.arange(self._n, dtype=np.int64)
-            src = np.full(self._n, u, dtype=np.int64)
-            dist = pair_distances(self._lat, self._lon, src, dst)
+            dist = haversine_from(self._lat, self._lon, self._cos_lat, u)
             weights = np.exp(-self._decay * dist)
             weights[u] = 0.0
-            cum = np.cumsum(weights)
-            self._cum[u] = cum
-        return cum
-
-    def draw(self, u, rng):
-        cum = self._cumulative(u)
-        pick = rng.random() * cum[-1]
-        return int(np.searchsorted(cum, pick, side="right"))
+            cum = self._cum[u] = weights.cumsum()
+        return int(cum.searchsorted(random() * cum[-1], "right"))
 
 
 def generate(cfg):
-    """Generate movement records and their ground-truth summary.
+    """Generate synthetic movements and their ground-truth summary.
 
-    Returns (records, truth) where truth is a JSON-ready dictionary
-    holding the config, totals, per-year counts, and (when the year
-    span allows) the canonical chronological split: last year = test,
-    second-to-last = val, everything earlier = train.
+    Returns (report, truth): ``report`` is the columnar
+    :class:`~geokatz.graphs.IngestReport` that ``ingest_movements``
+    returns, one accepted row per movement in generation order, and
+    truth is a JSON-ready dictionary holding the config, totals,
+    per-year counts, and (when the year span allows) the canonical
+    chronological split: last year = test, second-to-last = val,
+    everything earlier = train.
+
+    Draw order (fixtures stay byte-stable only while it holds): node
+    latitudes, then longitudes, then one species per node; then per
+    movement, when a link exists, the repeat draw, followed by either
+    the index of the reused link or a source and a destination draw.
+    Source weights change only when a fresh draw makes a new link.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_nodes
@@ -134,96 +135,144 @@ def generate(cfg):
     lon = rng.uniform(lon_min, lon_max, n)
     width = max(4, len(str(n - 1)))
     ids = [f"farm-{i:0{width}d}" for i in range(n)]
-    species = [cfg.species[int(rng.integers(len(cfg.species)))]
-               for _ in range(n)]
-
-    sampler = _DestinationSampler(lat, lon, cfg.decay_rate)
-    out_degree = np.zeros(n, dtype=np.float64)
-    links = []
-    link_set = set()
-    records = []
-    year_counts = {}
+    # One bounded draw per node, as n scalar rng.integers calls make.
+    species = [cfg.species[i]
+               for i in rng.integers(len(cfg.species), size=n).tolist()]
+    counts = cfg.yearly_counts()
+    src, dst, n_links = _draw_links(cfg, rng, lat, lon, sum(counts))
     years = range(cfg.years[0], cfg.years[1] + 1)
-    for year, count in zip(years, cfg.yearly_counts()):
-        for _ in range(count):
-            if links and rng.random() < cfg.repeat_edge_prob:
-                u, v = links[int(rng.integers(len(links)))]
-            else:
-                source_w = 1.0 + cfg.hub_bias * out_degree
-                cum = np.cumsum(source_w)
-                u = int(np.searchsorted(cum, rng.random() * cum[-1],
-                                        side="right"))
-                v = sampler.draw(u, rng)
-                if (u, v) not in link_set:
-                    link_set.add((u, v))
-                    links.append((u, v))
-                    out_degree[u] += 1.0
-            records.append(MovementRecord(
-                source_id=ids[u], dest_id=ids[v], year=year,
-                source_lat=float(lat[u]), source_lon=float(lon[u]),
-                dest_lat=float(lat[v]), dest_lon=float(lon[v]),
-                species=species[u]))
-        year_counts[year] = count
-    truth = _truth_summary(cfg, records, year_counts)
+    year = np.repeat(np.array(years, dtype=np.int64), counts)
+    src_at = np.array(src, dtype=np.int64)
+    dst_at = np.array(dst, dtype=np.int64)
+    report = IngestReport(
+        list(map(ids.__getitem__, src)), list(map(ids.__getitem__, dst)),
+        year, lat[src_at], lon[src_at], lat[dst_at], lon[dst_at],
+        list(map(species.__getitem__, src)), accepted=len(src))
+    truth = _truth_summary(cfg, src_at, dst_at, year,
+                           dict(zip(years, counts)))
     log.info("generated %d movements over %d nodes (%d distinct links)",
-             len(records), n, len(link_set))
-    return records, truth
+             len(src), n, n_links)
+    return report, truth
 
 
-def _edge_stats(records):
-    """Distinct-edge and incident-node counts for a record subset."""
-    triples = {(r.source_id, r.dest_id, r.year) for r in records}
-    nodes = {r.source_id for r in records} | {r.dest_id for r in records}
-    links = {(r.source_id, r.dest_id) for r in records}
-    return {"movements": len(records), "edges": len(triples),
-            "links": len(links), "nodes": len(nodes)}
+def _draw_links(cfg, rng, lat, lon, total):
+    """Source and destination node lists of ``total`` movements, and
+    the number of distinct links among them.
+
+    A movement reuses a uniformly drawn earlier link with probability
+    ``repeat_edge_prob``; otherwise its source is drawn with weight
+    1 + hub_bias * (links out of it so far) and its destination from
+    ``_DestinationSampler``. The weights' cumulative sum is rebuilt
+    only when a new link changes them; ``cumsum`` adds in sequence, so
+    it is bitwise the sum a rebuild on every draw would give.
+    """
+    n = cfg.n_nodes
+    random = rng.random
+    integers = rng.integers
+    repeat_prob = cfg.repeat_edge_prob
+    hub_bias = cfg.hub_bias
+    destinations = _DestinationSampler(lat, lon, cfg.decay_rate)
+    out_degree = [0.0] * n
+    source_w = 1.0 + hub_bias * np.zeros(n)
+    cum = source_w.cumsum()
+    links = []
+    seen = set()
+    src = []
+    dst = []
+    for _ in range(total):
+        if links and random() < repeat_prob:
+            u, v = links[integers(len(links))]
+        else:
+            u = int(cum.searchsorted(random() * cum[-1], "right"))
+            v = destinations.draw(u, random)
+            if u * n + v not in seen:
+                seen.add(u * n + v)
+                links.append((u, v))
+                out_degree[u] += 1.0
+                source_w[u] = 1.0 + hub_bias * out_degree[u]
+                cum = source_w.cumsum()
+        src.append(u)
+        dst.append(v)
+    return src, dst, len(links)
 
 
-def _truth_summary(cfg, records, year_counts):
+def _edge_stats(n, first_year, src, dst, year):
+    """Movement, distinct-edge, link and incident-node counts of the
+    movements (src[i], dst[i], year[i]) over ``n`` nodes, each edge and
+    link counted by its packed int64 key."""
+    link = src * n + dst
+    edge = (year - first_year) * (n * n) + link
+    return {"movements": len(src), "edges": _distinct(edge),
+            "links": _distinct(link),
+            "nodes": _distinct(np.concatenate([src, dst]))}
+
+
+def _distinct(keys):
+    """Number of distinct values in ``keys``."""
+    keys = np.sort(keys)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + min(len(keys), 1)
+
+
+def _truth_summary(cfg, src, dst, year, year_counts):
+    n = cfg.n_nodes
+    first, last = cfg.years
     truth = {
         "config": asdict(cfg),
-        "totals": _edge_stats(records),
+        "totals": _edge_stats(n, first, src, dst, year),
         "per_year_movements": {str(y): c for y, c in year_counts.items()},
     }
-    first, last = cfg.years
     if last - first >= 2:
         splits = {
             "train": (first, last - 2),
             "val": (last - 1, last - 1),
             "test": (last, last),
         }
-        truth["canonical_split"] = {
-            name: dict(_edge_stats([r for r in records
-                                    if lo <= r.year <= hi]),
-                       years=[lo, hi])
-            for name, (lo, hi) in splits.items()
-        }
+        truth["canonical_split"] = {}
+        for name, (lo, hi) in splits.items():
+            keep = (year >= lo) & (year <= hi)
+            truth["canonical_split"][name] = dict(
+                _edge_stats(n, first, src[keep], dst[keep], year[keep]),
+                years=[lo, hi])
     return truth
 
 
-def write_movements(records, dest):
-    """Write records in the delimited format the ingestion layer reads.
+def write_movements(movements, dest):
+    """Write movements in the delimited format the ingestion layer reads.
 
+    ``movements`` is an :class:`~geokatz.graphs.IngestReport` (what
+    :func:`generate` returns) or a sequence of ``MovementRecord``s.
     Coordinates carry 6 decimal places (about 0.1 m), so output is
-    byte-stable across reruns of the same config.
+    byte-stable across reruns of the same config. Fields are quoted as
+    ``csv.writer`` quotes them; each distinct id, species and
+    coordinate is quoted or formatted once.
     """
-
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source_id", "dest_id", "year", "source_lat",
-                         "source_lon", "dest_lat", "dest_lon", "species"])
-        for r in records:
-            writer.writerow([
-                r.source_id, r.dest_id, r.year,
-                f"{r.source_lat:.6f}", f"{r.source_lon:.6f}",
-                f"{r.dest_lat:.6f}", f"{r.dest_lon:.6f}",
-                r.species or ""])
-
+    if not isinstance(movements, IngestReport):
+        movements = _columns_of(movements)
+    m = len(movements.source_ids)
+    # csv.writer writes a missing species (None) as an empty field.
+    names = list(set(movements.source_ids).union(movements.dest_ids,
+                                                 movements.species))
+    quoted = dict(zip(names, _csv_fields(names)))
+    # Equal bit patterns format alike; -0.0 and 0.0 do not.
+    coords = np.concatenate([movements.source_lat, movements.source_lon,
+                             movements.dest_lat, movements.dest_lon])
+    bits, where = np.unique(coords.view(np.int64), return_inverse=True)
+    text = [f"{x:.6f}" for x in bits.view(np.float64).tolist()]
+    cells = list(map(text.__getitem__, where.tolist()))
+    columns = zip(map(quoted.__getitem__, movements.source_ids),
+                  map(quoted.__getitem__, movements.dest_ids),
+                  movements.year.tolist(), cells[:m], cells[m:2 * m],
+                  cells[2 * m:3 * m], cells[3 * m:],
+                  map(quoted.__getitem__, movements.species))
+    lines = [f"{a},{b},{y},{c},{d},{e},{f},{s}\n"
+             for a, b, y, c, d, e, f, s in columns]
+    payload = ("source_id,dest_id,year,source_lat,source_lon,dest_lat,"
+               "dest_lon,species\n" + "".join(lines))
     if hasattr(dest, "write"):
-        _write(dest)
+        dest.write(payload)
     else:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh)
+            fh.write(payload)
     return dest
 
 

@@ -12,10 +12,13 @@ that the package's blocked sparse frontier must match bit for bit, and
 movement ingestion and network assembly are the record-at-a-time loops
 that the package's columnar versions must match exactly, and the
 threshold sweep is the stable sort of every score, with the confusion
-counted by masks, that the package's floor-split sweep must match.
+counted by masks, that the package's floor-split sweep must match. The
+synthetic generator is the record-at-a-time loop whose PRNG draws,
+records, ground truth and CSV bytes the columnar generator must match.
 """
 
 import csv
+import dataclasses
 import math
 from itertools import chain, islice
 
@@ -360,3 +363,114 @@ HAVERSINE_TABLE = (
     ("weymouth_poole", 50.6105, -2.4593, 50.7150, -1.9872, 35.2462135216),
     ("dateline_crossing", 10.0, 179.5, 10.0, -179.5, 109.505583944),
 )
+
+
+def _loop_pair_distances(lat_deg, lon_deg, src, dst):
+    """Haversine km for index pairs, converting degrees on every call."""
+    lat_rad = np.radians(np.asarray(lat_deg, dtype=np.float64))
+    lon_rad = np.radians(np.asarray(lon_deg, dtype=np.float64))
+    lat1 = lat_rad[src]
+    lat2 = lat_rad[dst]
+    sin_dlat = np.sin((lat2 - lat1) * 0.5)
+    sin_dlon = np.sin((lon_rad[dst] - lon_rad[src]) * 0.5)
+    a = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * sin_dlon * sin_dlon
+    return EARTH_RADIUS_KM * (2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a)))
+
+
+def loop_generate(cfg):
+    """Synthetic movements one ``MovementRecord`` at a time: the source
+    weights and their cumulative sum rebuilt for every fresh draw, one
+    destination row per new source, links in a set of tuples. Returns
+    (records, truth) with truth from ``loop_truth_summary``."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_nodes
+    lat_min, lat_max, lon_min, lon_max = cfg.bbox
+    lat = rng.uniform(lat_min, lat_max, n)
+    lon = rng.uniform(lon_min, lon_max, n)
+    width = max(4, len(str(n - 1)))
+    ids = [f"farm-{i:0{width}d}" for i in range(n)]
+    species = [cfg.species[int(rng.integers(len(cfg.species)))]
+               for _ in range(n)]
+
+    dest_cum = {}
+
+    def draw_dest(u):
+        cum = dest_cum.get(u)
+        if cum is None:
+            dist = _loop_pair_distances(lat, lon,
+                                        np.full(n, u, dtype=np.int64),
+                                        np.arange(n, dtype=np.int64))
+            weights = np.exp(-cfg.decay_rate * dist)
+            weights[u] = 0.0
+            cum = dest_cum[u] = np.cumsum(weights)
+        return int(np.searchsorted(cum, rng.random() * cum[-1],
+                                   side="right"))
+
+    out_degree = np.zeros(n, dtype=np.float64)
+    links = []
+    link_set = set()
+    records = []
+    year_counts = {}
+    years = range(cfg.years[0], cfg.years[1] + 1)
+    for year, count in zip(years, cfg.yearly_counts()):
+        for _ in range(count):
+            if links and rng.random() < cfg.repeat_edge_prob:
+                u, v = links[int(rng.integers(len(links)))]
+            else:
+                source_w = 1.0 + cfg.hub_bias * out_degree
+                cum = np.cumsum(source_w)
+                u = int(np.searchsorted(cum, rng.random() * cum[-1],
+                                        side="right"))
+                v = draw_dest(u)
+                if (u, v) not in link_set:
+                    link_set.add((u, v))
+                    links.append((u, v))
+                    out_degree[u] += 1.0
+            records.append(MovementRecord(
+                source_id=ids[u], dest_id=ids[v], year=year,
+                source_lat=float(lat[u]), source_lon=float(lon[u]),
+                dest_lat=float(lat[v]), dest_lon=float(lon[v]),
+                species=species[u]))
+        year_counts[year] = count
+    return records, loop_truth_summary(cfg, records, year_counts)
+
+
+def _loop_edge_stats(records):
+    triples = {(r.source_id, r.dest_id, r.year) for r in records}
+    nodes = {r.source_id for r in records} | {r.dest_id for r in records}
+    links = {(r.source_id, r.dest_id) for r in records}
+    return {"movements": len(records), "edges": len(triples),
+            "links": len(links), "nodes": len(nodes)}
+
+
+def loop_truth_summary(cfg, records, year_counts):
+    """Ground-truth sidecar counted over sets of record fields."""
+    truth = {
+        "config": dataclasses.asdict(cfg),
+        "totals": _loop_edge_stats(records),
+        "per_year_movements": {str(y): c for y, c in year_counts.items()},
+    }
+    first, last = cfg.years
+    if last - first >= 2:
+        splits = {"train": (first, last - 2), "val": (last - 1, last - 1),
+                  "test": (last, last)}
+        truth["canonical_split"] = {
+            name: dict(_loop_edge_stats([r for r in records
+                                         if lo <= r.year <= hi]),
+                       years=[lo, hi])
+            for name, (lo, hi) in splits.items()
+        }
+    return truth
+
+
+def loop_write_movements(records, fh):
+    """Movement export with one csv.writer row per record."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["source_id", "dest_id", "year", "source_lat",
+                     "source_lon", "dest_lat", "dest_lon", "species"])
+    for r in records:
+        writer.writerow([
+            r.source_id, r.dest_id, r.year,
+            f"{r.source_lat:.6f}", f"{r.source_lon:.6f}",
+            f"{r.dest_lat:.6f}", f"{r.dest_lon:.6f}",
+            r.species or ""])

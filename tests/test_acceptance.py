@@ -63,7 +63,7 @@ def test_criterion_2_candidate_pairs_size(seed):
                             years=(2000, 2002), bbox=(50.0, 54.0, -4.0, 1.0),
                             movements_per_year=90, decay_rate=0.01,
                             hub_bias=2.0, repeat_edge_prob=0.3)
-    records, _ = synth.generate(cfg)
+    records = synth.generate(cfg)[0].records
     from geokatz.graphs import build_network
     net = build_network(records)
     universe = candidate_pairs(net)
@@ -154,7 +154,7 @@ def reduction_setup():
                             bbox=(50.0, 54.0, -4.0, 1.0),
                             movements_per_year=150, decay_rate=0.02,
                             hub_bias=3.0, repeat_edge_prob=0.4)
-    records, _ = synth.generate(cfg)
+    records = synth.generate(cfg)[0].records
     from geokatz.graphs import build_network
     net = build_network(records)
     universe = candidate_pairs(net)

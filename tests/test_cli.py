@@ -94,6 +94,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_missing_input_file_is_data_error(self, tmp_path, caplog):
+        missing = tmp_path / "nope.csv"
+        path = tmp_path / "run.yaml"
+        path.write_text(f"input: {missing}\nsplit:\n  train: 2010\n"
+                        "  val: 2011\n  test: 2012\nmodels: KI\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"cannot open movement file {missing}" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
     def test_unknown_model_is_config_error(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(RUN_YAML.replace("models: [KI, EWKI]",
@@ -258,11 +268,13 @@ class TestEvalCommand:
         assert f"model {model!r} cannot name a file" in caplog.text
         assert not (tmp_path / "nest").exists()
 
-    def test_missing_scores_file_is_unexpected_failure(self, run_config,
-                                                       tmp_path):
+    def test_missing_scores_file_is_data_error(self, run_config, tmp_path,
+                                               caplog):
+        missing = tmp_path / "nope.csv"
         assert main(["eval", "--config", str(run_config),
-                     "--scores", str(tmp_path / "nope.csv"),
-                     "--tune"]) == 1
+                     "--scores", str(missing), "--tune"]) == 2
+        assert f"cannot open score table {missing}" in caplog.text
+        assert "unexpected failure" not in caplog.text
 
 
 class TestOverridesAndLogging:

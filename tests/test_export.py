@@ -194,3 +194,21 @@ def test_curves_not_laid_out_by_evaluate_are_written_apart(points, shift):
             expected = io.StringIO()
             oracles.loop_write_curve(curve, expected)
             assert got.getvalue() == expected.getvalue()
+
+
+def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused():
+    # -0.0 over a +0.0 minimum would normalize to -0.0, which the sweep
+    # reports as a +0.0 threshold: the score table could then not take
+    # its score_norm text from the curves.
+    raw = np.array([[0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    labels = np.zeros((3, 3), dtype=np.uint8)
+    labels[1, 0] = 1
+    universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
+                            labels=labels)
+    table = normalize(ScoreTable(model="KI", universe=universe, values=raw))
+    assert not np.signbit(table.values).any()
+    report = metrics.evaluate(table, threshold=0.5)
+    keys, _ = metrics._write_curves(report, io.StringIO(), io.StringIO())
+    marked = np.array([f"key {i}" for i in range(len(keys))], dtype=object)
+    got = metrics._format6(table.values, (keys, marked))
+    assert all(text.startswith("key ") for text in got.ravel())

@@ -151,3 +151,15 @@ def test_weighted_adjacency_decay_values():
     d = geo.haversine_km(lat[0], lon[0], lat[1], lon[1])
     assert weighted[0, 1] == pytest.approx(np.exp(-0.004 * d), rel=1e-12)
     assert weighted[1, 0] == weighted[0, 1]
+
+
+def test_haversine_from_is_bitwise_haversine_pairs():
+    rng = np.random.default_rng(4)
+    lat = np.radians(rng.uniform(-89.0, 89.0, 300))
+    lon = np.radians(rng.uniform(-180.0, 180.0, 300))
+    cos_lat = np.cos(lat)
+    nodes = np.arange(300, dtype=np.int64)
+    for u in (0, 17, 299):
+        want = geo.haversine_pairs(lat, lon, np.full(300, u), nodes)
+        got = geo.haversine_from(lat, lon, cos_lat, u)
+        assert got.tobytes() == want.tobytes()

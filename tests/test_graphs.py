@@ -58,6 +58,14 @@ def test_ingest_missing_column_raises_schema_error():
         ingest_movements(stream)
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
+def test_ingest_unopenable_path_is_data_error_naming_it(tmp_path, name):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(DataError, match=re.escape(f"movement file {path}")):
+        ingest_movements(path)
+
+
 def test_ingest_abort_on_bad_row():
     with pytest.raises(RowError):
         ingest_movements(_csv(["a,b,not-a-year,50.0,0.0,51.0,1.0\n"]))

@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end pipeline and artifact round trips."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,14 @@ class TestScoreTableRoundTrip:
                                    rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(loaded.raw_values, table.raw_values,
                                    rtol=1e-5, atol=1e-7)
+
+    def test_unopenable_file_is_data_error_naming_it(self, exported,
+                                                     tmp_path):
+        _, _, universe, registry = exported
+        for path in (tmp_path / "nope.csv", tmp_path):
+            with pytest.raises(DataError,
+                               match=re.escape(f"score table {path}")):
+                read_score_table(path, universe, registry)
 
     def _mutate(self, path, mutate):
         lines = path.read_text().splitlines()

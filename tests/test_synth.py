@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from geokatz.errors import ConfigError
 from geokatz.geo import haversine_km
-from geokatz.graphs import build_network, ingest_movements
+from geokatz.graphs import MovementRecord, build_network, ingest_movements
 from geokatz.synth import SynthConfig, generate, write_movements, write_truth
 
 
@@ -53,8 +54,8 @@ class TestConfigValidation:
 
     def test_single_idle_node_allowed(self):
         cfg = _cfg(n_nodes=1, movements_per_year=0)
-        records, truth = generate(cfg)
-        assert records == []
+        report, truth = generate(cfg)
+        assert report.records == []
         assert truth["totals"]["movements"] == 0
 
     def test_repeat_prob_bounds(self):
@@ -107,15 +108,15 @@ class TestDeterminism:
 @pytest.fixture(scope="module")
 def shape_run():
     cfg = _cfg()
-    records, truth = generate(cfg)
-    return cfg, records, truth
+    report, truth = generate(cfg)
+    return cfg, report.records, truth
 
 
 @pytest.fixture(scope="module")
 def truth_run():
     cfg = _cfg(movements_per_year=[30, 31, 32, 33])
-    records, truth = generate(cfg)
-    return cfg, records, truth
+    report, truth = generate(cfg)
+    return cfg, report.records, truth
 
 
 class TestRecordShape:
@@ -134,8 +135,8 @@ class TestRecordShape:
                    for i in ids)
 
     def test_id_width_grows_with_node_count(self):
-        records, _ = generate(_cfg(n_nodes=12000, movements_per_year=3,
-                                   years=(2020, 2020)))
+        records = generate(_cfg(n_nodes=12000, movements_per_year=3,
+                                years=(2020, 2020)))[0].records
         ids = {r.source_id for r in records}
         assert all(len(i) == len("farm-00000") for i in ids)
 
@@ -212,7 +213,7 @@ class TestGenerationDynamics:
         cfg = _cfg(seed=5, n_nodes=30, years=(2000, 2002),
                    movements_per_year=2000, decay_rate=0.0,
                    hub_bias=0.0, repeat_edge_prob=0.0)
-        records, _ = generate(cfg)
+        records = generate(cfg)[0].records
         counts = np.zeros(cfg.n_nodes)
         for r in records:
             counts[int(r.dest_id.split("-")[1])] += 1
@@ -224,8 +225,8 @@ class TestGenerationDynamics:
                       movements_per_year=1500, hub_bias=0.0,
                       repeat_edge_prob=0.0,
                       bbox=(45.0, 55.0, -10.0, 5.0))
-        flat, _ = generate(_cfg(decay_rate=0.0, **common))
-        decayed, _ = generate(_cfg(decay_rate=0.05, **common))
+        flat = generate(_cfg(decay_rate=0.0, **common))[0].records
+        decayed = generate(_cfg(decay_rate=0.05, **common))[0].records
 
         def mean_km(records):
             return np.mean([haversine_km(r.source_lat, r.source_lon,
@@ -238,8 +239,8 @@ class TestGenerationDynamics:
         common = dict(seed=13, n_nodes=80, years=(2000, 2001),
                       movements_per_year=1500, decay_rate=0.0,
                       repeat_edge_prob=0.0)
-        flat, _ = generate(_cfg(hub_bias=0.0, **common))
-        hubby, _ = generate(_cfg(hub_bias=25.0, **common))
+        flat = generate(_cfg(hub_bias=0.0, **common))[0].records
+        hubby = generate(_cfg(hub_bias=25.0, **common))[0].records
 
         def top_source_share(records):
             counts = {}
@@ -255,6 +256,7 @@ class TestGenerationDynamics:
                       movements_per_year=800)
         fresh, t_fresh = generate(_cfg(repeat_edge_prob=0.0, **common))
         sticky, t_sticky = generate(_cfg(repeat_edge_prob=0.9, **common))
+        fresh, sticky = fresh.records, sticky.records
         assert t_sticky["totals"]["links"] < t_fresh["totals"]["links"]
         assert len(sticky) == len(fresh)
 
@@ -263,7 +265,8 @@ class TestRoundTrip:
 
     def test_written_records_reingest_identically(self, tmp_path):
         cfg = _cfg(seed=21, movements_per_year=[25, 25, 25, 25])
-        records, truth = generate(cfg)
+        report, truth = generate(cfg)
+        records = report.records
         path = tmp_path / "movements.csv"
         write_movements(records, path)
 
@@ -290,3 +293,64 @@ class TestRoundTrip:
         write_truth(truth, path)
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(truth, sort_keys=True))
+
+
+class TestMatchesRecordLoop:
+    """The columnar generator against the record-at-a-time loop it
+    replaced (``oracles.loop_generate``): the same PRNG draws give the
+    same records, the same ground truth and the same CSV bytes."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(hub_bias=0.0),
+        dict(hub_bias=1.3),
+        dict(hub_bias=25.0),
+        dict(decay_rate=0.0),
+        dict(repeat_edge_prob=0.0),
+        dict(repeat_edge_prob=1.0),
+        dict(movements_per_year=[30, 0, 25, 40]),
+        dict(n_nodes=2, movements_per_year=12),
+        dict(n_nodes=1, movements_per_year=0),
+        dict(species=("koi, ornamental", 'the "blue" trout', "carp")),
+    ], ids=["hub0", "hub1.3", "hub25", "decay0", "repeat0", "repeat1",
+            "idle_year", "two_nodes", "idle_node", "quoted_species"])
+    def test_same_records_truth_and_bytes(self, overrides):
+        cfg = _cfg(**{"hub_bias": 1.3, **overrides})
+        report, truth = generate(cfg)
+        records, want_truth = oracles.loop_generate(cfg)
+        assert _first_difference(map(repr, report.records),
+                                 map(repr, records)) is None
+        assert report.accepted == len(records)
+        assert report.rejected == 0
+        assert truth == want_truth
+        expected = _loop_csv_lines(records)
+        assert _first_difference(_csv_lines(report), expected) is None
+        assert _first_difference(_csv_lines(records), expected) is None
+
+    def test_records_needing_quotes_write_as_csv_writer_does(self):
+        records = [MovementRecord("a,1", 'b"2', 2020, -0.0, 0.0,
+                                  1.0000005, -179.9999995, None),
+                   MovementRecord("c\n3", "d", 2021, 0.0, -0.0, 90.0,
+                                  180.0, "")]
+        assert _csv_lines(records) == _loop_csv_lines(records)
+
+
+def _csv_lines(movements):
+    return _csv_bytes(movements).decode().splitlines(keepends=True)
+
+
+def _loop_csv_lines(records):
+    buf = io.StringIO()
+    oracles.loop_write_movements(records, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _first_difference(got, want):
+    """None when the sequences are equal, else the first position and
+    the two items there (a short failure message for long outputs)."""
+    got, want = list(got), list(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            return i, a, b
+    if len(got) != len(want):
+        return min(len(got), len(want)), len(got), len(want)
+    return None
