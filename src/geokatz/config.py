@@ -15,7 +15,7 @@ from typing import Optional
 import yaml
 
 from .errors import ConfigError
-from .graphs import BAD_ROW_POLICIES, SplitSpec
+from .graphs import BAD_ROW_POLICIES, SplitSpec, delimiter_problem
 from .katz import COMBINE_INPUTS, COMBINE_RULES, KatzConfig
 from .synth import SynthConfig
 
@@ -238,11 +238,9 @@ def parse_run_config(text):
             _as_int(year_range[1], "year_range"))
 
     delimiter = ingest.get("delimiter", ",")
-    if not (isinstance(delimiter, str) and len(delimiter) == 1
-            and delimiter not in '"\r\n'):
-        raise ConfigError(
-            "ingest.delimiter must be one character other than a quote or "
-            f"a line break, got {delimiter!r}")
+    problem = delimiter_problem(delimiter, "ingest.delimiter")
+    if problem is not None:
+        raise ConfigError(problem)
     for key in ("input", "output_dir"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ConfigError(f"'{key}' must be a path, got {raw[key]!r}")

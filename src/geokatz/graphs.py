@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, islice, zip_longest
+from itertools import chain, compress, islice, repeat, zip_longest
 from operator import attrgetter
 from typing import Optional
 
@@ -39,13 +39,15 @@ COORD_CONFLICT_TOL = 1e-9
 _COORD_COLUMNS = ("source_lat", "source_lon", "dest_lat", "dest_lon")
 _COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
 
-# CSV records ingested together: enough to amortize the per-column
-# NumPy calls, few enough that a block's rows stay in cache and a small
-# share of the run's memory (the whole file as rows costs more than the
-# parsed columns do). On the 80k-row benchmark register, blocks of
-# 256-512 ingest fastest and 4096 about a fifth slower.
+# Records ingested together: enough to amortize the per-column NumPy
+# calls, few enough that a block's fields stay a small share of the
+# run's memory (the whole file as fields costs more than the parsed
+# columns do). On the 80k-row benchmark register, blocks of 256 to 4096
+# lines ingest within 6% of each other, and 4096 holds 5 MB more.
 _INGEST_BLOCK = 512
 _INT64 = np.iinfo(np.int64)
+# Maps a blank species cell to None, any other to itself (``get(s, s)``).
+_NO_SPECIES = {"": None}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,17 @@ def _coordinate_error(node_id, lat, lon):
     if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
         return DataError(f"node {node_id!r}: longitude {lon} out of range")
     return None
+
+
+def _distinct(values):
+    """The sorted distinct values of a 1-d array, as ``np.unique`` gives
+    them. NumPy 2 finds distinct integers with a hash table, which is
+    many times slower than this sort for many distinct keys."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _read_only(values):
@@ -163,7 +176,7 @@ class TemporalNetwork:
     @cached_property
     def node_indices(self):
         """Sorted global indices of nodes incident to at least one edge."""
-        return np.unique(np.concatenate([self.edge_src, self.edge_dst]))
+        return _distinct(np.concatenate([self.edge_src, self.edge_dst]))
 
     @property
     def n_nodes(self):
@@ -181,7 +194,7 @@ class TemporalNetwork:
         dst = np.asarray(self.edge_dst, dtype=np.int64)
         # src * n + dst orders pairs as (src, dst) does.
         n = int(max(src.max(), dst.max())) + 1
-        key = np.unique(src * n + dst)
+        key = _distinct(src * n + dst)
         return np.stack([key // n, key % n], axis=1)
 
     @property
@@ -194,7 +207,7 @@ class TemporalNetwork:
 
     def years(self):
         """Sorted distinct calendar years present."""
-        return np.unique(self.edge_year)
+        return _distinct(self.edge_year)
 
     def restrict(self, first_year, last_year):
         """Sub-network of edges with year in [first_year, last_year]."""
@@ -235,7 +248,7 @@ def _from_edge_arrays(registry, src, dst, year):
         triples = np.unique(np.stack([year, src, dst], axis=1), axis=0)
         return TemporalNetwork(registry, triples[:, 1].copy(),
                                triples[:, 2].copy(), triples[:, 0].copy())
-    key = np.unique(((year - y0) * n + src) * n + dst)
+    key = _distinct(((year - y0) * n + src) * n + dst)
     edge_dst = key % n
     key //= n
     edge_src = key % n
@@ -348,6 +361,17 @@ def _parse_row(fields, line_no, year_range):
                           coords["dest_lon"], species)
 
 
+def delimiter_problem(delimiter, name):
+    """Why ``delimiter`` cannot separate the fields of a movement file,
+    as a message naming it ``name``, or None when it can: it must be
+    one character other than a quote or a line break."""
+    if (isinstance(delimiter, str) and len(delimiter) == 1
+            and delimiter not in '"\r\n'):
+        return None
+    return (f"{name} must be one character other than a quote or a line "
+            f"break, got {delimiter!r}")
+
+
 def ingest_movements(source, schema=None, on_bad_rows="abort",
                      delimiter=",", year_range=DEFAULT_YEAR_RANGE):
     """Parse delimited movement records from a path or text stream.
@@ -358,11 +382,15 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     unmapped canonical names are looked up verbatim. Malformed rows
     either abort ingestion (``on_bad_rows="abort"``) or are skipped and
     counted (``"skip"``), with row-numbered diagnostics in the report.
+    ``delimiter`` is one character other than a quote or a line break.
     """
     if on_bad_rows not in BAD_ROW_POLICIES:
         raise DataError(
             f"on_bad_rows must be one of {BAD_ROW_POLICIES}, "
             f"got {on_bad_rows!r}")
+    problem = delimiter_problem(delimiter, "delimiter")
+    if problem is not None:
+        raise DataError(problem)
     try:
         if hasattr(source, "read"):
             return _ingest_stream(source, schema, on_bad_rows, delimiter,
@@ -424,9 +452,9 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     # Spreadsheet exports put a byte-order mark before the header; it
     # goes before parsing so a quoted first cell still parses.
     first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
-    reader = csv.reader(chain(first, lines), delimiter=delimiter)
+    # The reader takes just the header record's lines from ``lines``.
     try:
-        header = next(reader)
+        header = next(csv.reader(chain(first, lines), delimiter=delimiter))
     except StopIteration:
         raise SchemaError("input has no header row")
     positions = {name.strip(): i for i, name in enumerate(header)}
@@ -445,12 +473,15 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
 
     report = IngestReport()
     width = max(column_pos.values()) + 1
+    # One string object per distinct id or species: the report holds
+    # fewer objects, and their hashes are cached for build_network.
+    seen = {}
     blocks = []
     first_line = 2
-    for rows in _record_blocks(reader):
-        blocks.append(_ingest_block(rows, first_line, column_pos, width,
-                                    year_range, on_bad_rows, report))
-        first_line += len(rows)
+    for block in _blocks(lines, delimiter, width):
+        blocks.append(_ingest_block(block, first_line, column_pos, width,
+                                    year_range, on_bad_rows, report, seen))
+        first_line += len(block[0])
     if blocks:
         sid, did, species, year, coords = zip(*blocks)
         report.source_ids = list(chain.from_iterable(sid))
@@ -467,26 +498,119 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     return report
 
 
-def _record_blocks(reader):
-    """The reader's records in lists of up to ``_INGEST_BLOCK``.
+def _blocks(lines, delimiter, width):
+    """The records after the header, in blocks of up to ``_INGEST_BLOCK``.
 
-    A reader error ends the last list, which is handed out before the
-    error is raised: the rows read before it are judged first, so an
-    ``abort`` on one of them wins as it would reading row by row.
+    Each block is (odd, columns, row): ``columns[j]`` holds field j of
+    every row (j < ``width``) except the rows ``odd`` flags, and
+    ``row(i)`` is row i's list of fields, empty for a blank record.
+    Blocks are split directly while ``_split_block`` can show that the
+    csv module reads them alike; from the first block it cannot, the
+    csv module reads the rest of the stream, as a quoted field may run
+    past a block's end. An undecodable byte ends the last block, which
+    is handed out before the error is raised: the rows read before it
+    are judged first, so an ``abort`` on one of them wins as it would
+    reading row by row.
     """
+    while True:
+        block, error = [], None
+        try:
+            # extend keeps the lines read before a decoding error.
+            block.extend(islice(lines, _INGEST_BLOCK))
+        except UnicodeDecodeError as exc:
+            error = exc
+        if block:
+            split = _split_block(block, delimiter, width)
+            if split is None:
+                rest = lines if error is None else _raising(error)
+                yield from _csv_blocks(
+                    csv.reader(chain(block, rest), delimiter=delimiter),
+                    width)
+                return
+            yield split
+        if error is not None:
+            raise error
+        if len(block) < _INGEST_BLOCK:
+            return
+
+
+def _raising(error):
+    """An iterator that raises ``error`` when asked for its first item."""
+    raise error
+    yield
+
+
+def _split_block(lines, delimiter, width):
+    """``lines`` as a block of records split on ``delimiter``, or None
+    when the csv module might read them differently.
+
+    Lines from a text stream with no quote, CR or NUL, none longer than
+    the csv module's field size limit, are one record each, whose fields
+    are the line split on the delimiter. The columns take the rows with
+    the block's most common field count (at least ``width``), not the
+    header's, so rows that all end in an extra delimiter stay in them;
+    every other row, blank ones included, is odd and holds a placeholder
+    that converts cleanly in every column.
+    """
+    text = "".join(lines)
+    n = len(lines)
+    # Each line of a text stream ends in its only LF; the last may lack it.
+    if ('"' in text or "\r" in text or "\0" in text
+            or text.count("\n") != n - (not text.endswith("\n"))):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    counts = np.fromiter(map(str.count, lines, repeat(delimiter)),
+                         np.intp, n)
+    k = max(int(np.bincount(counts).argmax()) + 1, width)
+    odd = counts != k - 1
+    if text.startswith("\n") or "\n\n" in text:
+        odd |= np.fromiter(map("\n".__eq__, lines), bool, n)
+    if odd.any():
+        patched = lines.copy()
+        placeholder = delimiter.join("0" * k) + "\n"
+        for i in np.flatnonzero(odd).tolist():
+            patched[i] = placeholder
+        text = "".join(patched)
+    fields = text.replace("\n", delimiter).split(delimiter)
+
+    def row(i):
+        line = lines[i]
+        if line == "\n":
+            return []
+        return line.removesuffix("\n").split(delimiter)
+
+    return odd, [fields[j:n * k:k] for j in range(width)], row
+
+
+def _csv_blocks(reader, width):
+    """The reader's records in blocks of up to ``_INGEST_BLOCK``, each as
+    ``_blocks`` hands them out; rows shorter than ``width`` are odd.
+
+    A reader error ends the last block, which is handed out before the
+    error is raised.
+    """
+    def block(rows):
+        n = len(rows)
+        columns = list(zip_longest(*rows, fillvalue=""))
+        columns += [("",) * n] * (width - len(columns))
+        odd = np.fromiter(map(len, rows), np.intp, n) < width
+        return odd, columns, rows.__getitem__
+
     rows = []
     try:
         for row in reader:
             rows.append(row)
             if len(rows) == _INGEST_BLOCK:
-                yield rows
+                yield block(rows)
                 rows = []
     except (csv.Error, UnicodeDecodeError):
         if rows:
-            yield rows
+            yield block(rows)
         raise
     if rows:
-        yield rows
+        yield block(rows)
 
 
 def _convert(texts, kind, dtype):
@@ -506,23 +630,30 @@ def _convert(texts, kind, dtype):
     return values, failed
 
 
-def _ingest_block(rows, first_line, column_pos, width, year_range,
-                  on_bad_rows, report):
-    """Accepted columns of one block of CSV records, in row order.
+def _stripped(texts, seen):
+    """``texts`` stripped, each as the first equal string ``seen``
+    holds (and added to it when new)."""
+    texts = list(map(str.strip, texts))
+    return list(map(seen.setdefault, texts, texts))
 
-    Each column is converted and range-checked at once. Only the rows
-    the checks flag go through ``_parse_row``, one at a time, so that a
-    rejected row gets its row-numbered diagnostic (or aborts) exactly
-    as it would alone; blank records are skipped but keep their number.
-    Returns (source ids, dest ids, species, years, (4, k) coordinates).
+
+def _ingest_block(block, first_line, column_pos, width, year_range,
+                  on_bad_rows, report, seen):
+    """Accepted columns of one block of records (see ``_blocks``), in
+    row order.
+
+    Each column is converted and range-checked at once. Only the odd
+    rows and the rows the checks flag go through ``_parse_row``, one at
+    a time, so that a rejected row gets its row-numbered diagnostic (or
+    aborts) exactly as it would alone; blank records are skipped but
+    keep their number. Returns (source ids, dest ids, species, years,
+    (4, k) coordinates).
     """
-    n = len(rows)
-    columns = list(zip_longest(*rows, fillvalue=""))
-    columns += [("",) * n] * (width - len(columns))
-    sid = list(map(str.strip, columns[column_pos["source_id"]]))
-    did = list(map(str.strip, columns[column_pos["dest_id"]]))
-    bad = np.fromiter(map(len, rows), np.intp, n) < width
-    bad |= ~np.fromiter(map(bool, sid), bool, n)
+    odd, columns, row = block
+    n = len(odd)
+    sid = _stripped(columns[column_pos["source_id"]], seen)
+    did = _stripped(columns[column_pos["dest_id"]], seen)
+    bad = odd | ~np.fromiter(map(bool, sid), bool, n)
     bad |= ~np.fromiter(map(bool, did), bool, n)
     year, failed = _convert(columns[column_pos["year"]], int, np.int64)
     bad |= failed | (year < year_range[0]) | (year > year_range[1])
@@ -533,22 +664,23 @@ def _ingest_block(rows, first_line, column_pos, width, year_range,
         bad |= failed
     bad |= ~np.all(np.abs(coords) <= _COORD_BOUNDS, axis=0)
     if "species" in column_pos:
-        species = [s.strip() or None for s in columns[column_pos["species"]]]
+        species = _stripped(columns[column_pos["species"]], seen)
+        species = list(map(_NO_SPECIES.get, species, species))
     else:
         species = [None] * n
 
     for i in np.flatnonzero(bad).tolist():
-        row = rows[i]
-        if not row:
+        fields = row(i)
+        if not fields:
             continue
         line_no = first_line + i
         try:
-            if len(row) < width:
+            if len(fields) < width:
                 raise RowError(
                     f"row {line_no}: expected at least {width} fields, "
-                    f"got {len(row)}")
+                    f"got {len(fields)}")
             record = _parse_row(
-                {name: row[pos] for name, pos in column_pos.items()},
+                {name: fields[pos] for name, pos in column_pos.items()},
                 line_no, year_range)
         except RowError as exc:
             if on_bad_rows == "abort":
@@ -563,6 +695,9 @@ def _ingest_block(rows, first_line, column_pos, width, year_range,
         if not _INT64.min <= record.year <= _INT64.max:
             raise DataError(f"row {line_no}: year {record.year} does not "
                             "fit in a 64-bit integer")
+        sid[i] = record.source_id
+        did[i] = record.dest_id
+        species[i] = record.species
         year[i] = record.year
         coords[:, i] = (record.source_lat, record.source_lon,
                         record.dest_lat, record.dest_lon)

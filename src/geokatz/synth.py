@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geo import haversine_from
-from .graphs import IngestReport, _columns_of
+from .graphs import IngestReport, _columns_of, _distinct
 from .katz import _csv_fields
 
 log = logging.getLogger(__name__)
@@ -202,15 +202,9 @@ def _edge_stats(n, first_year, src, dst, year):
     link counted by its packed int64 key."""
     link = src * n + dst
     edge = (year - first_year) * (n * n) + link
-    return {"movements": len(src), "edges": _distinct(edge),
-            "links": _distinct(link),
-            "nodes": _distinct(np.concatenate([src, dst]))}
-
-
-def _distinct(keys):
-    """Number of distinct values in ``keys``."""
-    keys = np.sort(keys)
-    return int(np.count_nonzero(keys[1:] != keys[:-1])) + min(len(keys), 1)
+    return {"movements": len(src), "edges": len(_distinct(edge)),
+            "links": len(_distinct(link)),
+            "nodes": len(_distinct(np.concatenate([src, dst])))}
 
 
 def _truth_summary(cfg, src, dst, year, year_counts):

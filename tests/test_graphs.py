@@ -52,6 +52,31 @@ def test_ingest_remaps_schema():
     assert report.records[0].dest_id == "b"
 
 
+@pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", 44, None])
+def test_ingest_rejects_a_delimiter_that_is_not_one_plain_character(
+        delimiter):
+    with pytest.raises(DataError, match="delimiter must be one character"):
+        ingest_movements(_csv(["a,b,2015,50.0,0.0,51.0,1.0\n"]),
+                         delimiter=delimiter)
+
+
+def test_quote_free_file_reads_only_its_header_through_csv():
+    records = []
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        for record in reader(*args, **kwargs):
+            records.append(record)
+            yield record
+
+    rows = ["a,b,2015,50.0,0.0,51.0,1.0\n", "\n", "a,b,2015\n",
+            "b,c,2016,51.0,1.0,52.0,0.5,extra\n"] * 300
+    with mock.patch.object(graphs.csv, "reader", counting_reader):
+        report = ingest_movements(_csv(rows), on_bad_rows="skip")
+    assert records == [CSV_HEADER.rstrip("\n").split(",")]
+    assert (report.accepted, report.rejected) == (600, 300)
+
+
 def test_ingest_missing_column_raises_schema_error():
     stream = io.StringIO("source_id,dest_id,year\na,b,2015\n")
     with pytest.raises(SchemaError):
@@ -300,7 +325,7 @@ def test_candidate_pairs_size_property(pairs):
 
 # --- columnar ingest and build against the record-at-a-time loops ----------
 
-_IDS = ("a", "b", "c", " a ", "b ", "a,b", "x\ny", '"q"', "", "  ")
+_IDS = ("a", "b", "c", " a ", "b ", "a,b", "x\ny", '"q"', "", "  ", "\x1cb")
 _YEARS = ("2015", " 2016 ", "+2017", "2_018", "\u0662\u0660\u0661\u0669",
           "1850", "2200", "2000", "2020", "nan", "", "20.5", "x",
           "99999999999999999999", "-5")
@@ -327,9 +352,22 @@ _ROW_FIELDS = {
 }
 
 
+def _plain(field, delimiter):
+    """``field`` without the characters that would make csv quote it."""
+    for c in (delimiter, '"', "\r", "\n"):
+        field = field.replace(c, "")
+    return field
+
+
 @st.composite
 def _movement_files(draw):
-    """CSV text with awkward rows, and the keyword arguments to read it."""
+    """CSV text with awkward rows, and the keyword arguments to read it.
+
+    About half the files are quote-free with LF line ends, read by
+    splitting lines; a NUL, a line over the csv field size limit, or a
+    quoted field (which may span lines) in a later row sends the rest of
+    such a file through the csv module.
+    """
     columns = list(REQUIRED_COLUMNS)
     if draw(st.booleans()):
         columns.append("species")
@@ -337,14 +375,18 @@ def _movement_files(draw):
         columns.append("note")
     columns = draw(st.permutations(columns))
     delimiter = draw(st.sampled_from([",", ";"]))
+    plain = draw(st.booleans())
     text = io.StringIO()
     writer = csv.writer(text, delimiter=delimiter,
-                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+                        lineterminator="\n" if plain else draw(
+                            st.sampled_from(["\n", "\r\n"])))
     writer.writerow([f" {c} " if draw(st.booleans()) else c
                      for c in columns])
-    for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short",
-                                                   "long"]))
+    kinds = ["row"] * 6 + ["blank", "short", "long"]
+    if plain:
+        kinds += ["nul", "wide", "quoted"]
+    for i in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             text.write("\n")
             continue
@@ -353,12 +395,28 @@ def _movement_files(draw):
             row = row[:draw(st.integers(1, len(row) - 1))]
         elif kind == "long":
             row.append("extra")
-        writer.writerow(row)
+        elif kind == "nul":
+            row.append("\0")
+        elif kind == "wide":
+            # Each field under the limit, the line over it.
+            row += ["w" * (csv.field_size_limit() // 2)] * 2
+        quoted = kind == "quoted" and i >= 5
+        if quoted:
+            row.append("quoted\nnote")
+        if plain and not quoted:
+            text.write(delimiter.join(_plain(f, delimiter) for f in row)
+                       + "\n")
+        else:
+            writer.writerow(row)
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return bom + text.getvalue(), {
+    text = text.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return bom + text, {
         "delimiter": delimiter,
         "on_bad_rows": draw(st.sampled_from(["skip", "abort"])),
-        "year_range": draw(st.sampled_from([(1900, 2100), (2000, 2020)])),
+        "year_range": draw(st.sampled_from([(1900, 2100), (2000, 2020),
+                                            (0, 2100)])),
     }
 
 
@@ -366,7 +424,7 @@ def _outcome(fn, *args, **kwargs):
     """(result, None) or (None, (exception type, message))."""
     try:
         return fn(*args, **kwargs), None
-    except GeokatzError as exc:
+    except (GeokatzError, csv.Error) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -501,14 +559,17 @@ def test_latin1_file_is_data_error_naming_file_offset_and_encoding(
 
 def test_rows_before_an_undecodable_byte_are_judged_first(tmp_path):
     # The bad byte sits well past the first decoded chunk, so the rows
-    # before it are read; an abort on one of them wins.
+    # before it are read; an abort on one of them wins, also when they
+    # and the bad byte fall in one block.
     path = tmp_path / "late_latin1.csv"
     good = "a,b,2015,50.0,0.0,51.0,1.0\n" * 2000
     raw = (CSV_HEADER + "a,b,bad,50.0,0.0,51.0,1.0\n" + good
            + "Fl\u00e5m,b,2016,61.0,7.1,51.0,1.0\n").encode("latin-1")
     path.write_bytes(raw)
-    with pytest.raises(RowError, match="row 2: year 'bad'"):
-        ingest_movements(path)
+    for block in (graphs._INGEST_BLOCK, 4096):
+        with mock.patch.object(graphs, "_INGEST_BLOCK", block), \
+                pytest.raises(RowError, match="row 2: year 'bad'"):
+            ingest_movements(path)
     offset = raw.index(b"\xe5")
     with pytest.raises(DataError, match=f"byte {offset} "):
         ingest_movements(path, on_bad_rows="skip")
@@ -596,3 +657,15 @@ def test_edge_dedup_keeps_np_unique_order(edges):
     links = np.unique(np.stack([src, dst], axis=1), axis=0)
     assert net.links.dtype == np.int64
     assert np.array_equal(net.links, links)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(st.integers(int(graphs._INT64.min),
+                                      int(graphs._INT64.max)), max_size=40),
+                 st.lists(st.integers(-3, 3), max_size=40)))
+def test_sorted_distinct_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    got = graphs._distinct(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
