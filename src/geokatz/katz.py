@@ -41,6 +41,11 @@ _METHOD_ALIASES = {"solve": "closed-form-solve", "series": "truncated-series"}
 # Sources whose truncated series advance together in one sparse product.
 _SERIES_BLOCK = 256
 
+# Largest accepted residual of a closed-form solve, relative to
+# ||I - beta*A^T||_inf * ||x||_inf + 1. A backward-stable LU solve
+# leaves about n * 1e-16; a result this far off is not a Katz score.
+_SOLVE_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KatzConfig:
@@ -257,33 +262,62 @@ class ScoreTable:
         return self.universe.flatten(self.values)
 
 
-def _solve_rows(adj, beta, sources):
-    """Rows of (I - beta*A)^{-1} - I for the given source nodes.
+def _solve_rows(adj, beta, source_sets):
+    """Rows of (I - beta*A)^{-1} - I for each set of source nodes.
 
-    Solves (I - beta*A^T) x = e_u per source through one sparse LU
-    factorization; x is then row u of the inverse.
+    One sparse LU factorization of (I - beta*A^T) serves every set; each
+    set is then one solve of (I - beta*A^T) x = e_u per source u, and x
+    is row u of the inverse. A set whose summed residual exceeds
+    ``_SOLVE_RESIDUAL_TOL`` (relative to the system and solution scale)
+    is a NumericError rather than a silently wrong table.
     """
     n = adj.shape[0]
     system = (sp.identity(n, format="csc", dtype=np.float64)
-              - beta * adj.T.tocsc())
+              - beta * adj.T.tocsc()).tocsc()
     try:
-        lu = splu(system.tocsc())
+        lu = splu(system)
     except RuntimeError as exc:
         raise NumericError(
             f"closed-form factorization failed ({exc}); this indicates "
             "a damping factor at or beyond the spectral bound") from exc
-    rhs = np.zeros((n, len(sources)), dtype=np.float64)
-    rhs[sources, np.arange(len(sources))] = 1.0
-    solved = lu.solve(rhs)
-    values = solved[sources, :].T.copy()
-    np.fill_diagonal(values, 0.0)
-    # The exact inverse is entrywise non-negative below the spectral
-    # bound; round-off may leave tiny negatives on zero entries.
-    np.maximum(values, 0.0, out=values)
-    return values
+    system_norm = abs(system).sum(axis=1).max()
+    tables = []
+    for sources in source_sets:
+        rhs = np.zeros((n, len(sources)), dtype=np.float64)
+        rhs[sources, np.arange(len(sources))] = 1.0
+        solved = lu.solve(rhs)
+        # The residual of the solves summed over the sources: one
+        # matrix-vector product instead of one per source, and a NaN or
+        # an error in any one column still shows in it.
+        total = solved.sum(axis=1)
+        residual = system @ total
+        residual[sources] -= 1.0
+        ratio = np.abs(residual).max(initial=0.0) / (
+            system_norm * np.abs(total).max(initial=0.0) + 1.0)
+        # Written as a negated <= so that a NaN ratio fails too.
+        if not ratio <= _SOLVE_RESIDUAL_TOL:
+            raise NumericError(
+                f"closed-form solve residual {ratio:.3g} exceeds "
+                f"{_SOLVE_RESIDUAL_TOL:g} of the system scale; the "
+                "factorization of I - beta*A^T is unreliable")
+        values = solved[sources, :].T.copy()
+        np.fill_diagonal(values, 0.0)
+        # The exact inverse is entrywise non-negative below the spectral
+        # bound; round-off may leave tiny negatives on zero entries.
+        np.maximum(values, 0.0, out=values)
+        tables.append(values)
+    return tables
 
 
-def _series_rows(adj, beta, sources, max_len, tol):
+def _scaled_transpose(adj, beta):
+    """beta * A^T as CSR with sorted indices: the step of the series."""
+    at = adj.T.tocsr()
+    at.sort_indices()
+    return sp.csr_matrix((at.data * beta, at.indices, at.indptr),
+                         shape=adj.shape)
+
+
+def _series_rows(at_beta, sources, max_len, tol):
     """Truncated series sum_{l=1..L} beta^l (A^l)[u, v] over the sources.
 
     Sources advance in blocks of ``_SERIES_BLOCK``. A block's frontier
@@ -299,12 +333,11 @@ def _series_rows(adj, beta, sources, max_len, tol):
     product is summed in the row order of the scaled adjacency from 0,
     as a dense matrix-vector product sums it, so the result equals the
     per-source dense walk bit for bit.
+
+    ``at_beta`` is the scaled transposed adjacency beta * A^T from
+    :func:`_scaled_transpose`.
     """
-    n = adj.shape[0]
-    at = adj.T.tocsr()
-    at.sort_indices()
-    at_beta = sp.csr_matrix((at.data * beta, at.indices, at.indptr),
-                            shape=(n, n))
+    n = at_beta.shape[0]
     values = np.zeros((len(sources), len(sources)), dtype=np.float64)
     for start in range(0, len(sources), _SERIES_BLOCK):
         rows = np.arange(start, min(start + _SERIES_BLOCK, len(sources)))
@@ -334,29 +367,39 @@ def katz_scores(adj, cfg, universe, model="KI"):
     ``adj`` is indexed by the universe's global node indices (absent
     nodes have zero rows/columns and score 0 everywhere). The method is
     the closed form by default, falling back to the truncated series
-    above ``cfg.solve_max_nodes``.
+    above ``cfg.solve_max_nodes``. ``universe`` may also be a list of
+    universes: all of them are then scored from one spectral estimate
+    and one factorization (or one scaled adjacency), and the result is
+    the list of their tables, each equal bit for bit to the table of
+    that universe scored alone.
     """
+    single = not isinstance(universe, list)
+    universes = [universe] if single else universe
     adj = sp.csr_matrix(adj)
     if adj.dtype != np.float64:
         adj = adj.astype(np.float64)
     beta, sr = resolve_beta(cfg, adj)
-    sources = np.ascontiguousarray(universe.node_indices, dtype=np.int64)
+    source_sets = [np.ascontiguousarray(u.node_indices, dtype=np.int64)
+                   for u in universes]
     method = cfg.method
     if method == "closed-form-solve" and adj.shape[0] > cfg.solve_max_nodes:
         log.info("%d nodes exceed solve_max_nodes=%d; using the "
                  "truncated series", adj.shape[0], cfg.solve_max_nodes)
         method = "truncated-series"
     if method == "closed-form-solve":
-        values = _solve_rows(adj, beta, sources)
+        values = _solve_rows(adj, beta, source_sets)
     else:
-        values = _series_rows(adj, beta, sources, cfg.max_walk_length,
-                              cfg.series_tolerance)
+        at_beta = _scaled_transpose(adj, beta)
+        values = [_series_rows(at_beta, sources, cfg.max_walk_length,
+                               cfg.series_tolerance)
+                  for sources in source_sets]
     info = {"beta": beta, "spectral_radius": sr.value,
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    return ScoreTable(model=model, universe=universe, values=values,
-                      info=info)
+    tables = [ScoreTable(model=model, universe=u, values=v, info=dict(info))
+              for u, v in zip(universes, values)]
+    return tables[0] if single else tables
 
 
 def edge_weighted_katz_scores(adj, distances, cfg, universe, model="EWKI",

@@ -5,14 +5,12 @@ computed from the training window (optionally train+val for the final
 scores), decision thresholds are tuned by F1 on the tuning split, and
 everything is evaluated on the candidate-pair universe of the test
 split. All artifacts are written with fixed orderings and 6-significant
--digit floats so identical configs reproduce byte-identical outputs
-regardless of worker count.
+-digit floats so identical configs reproduce byte-identical outputs.
 """
 
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -69,14 +67,22 @@ def _needed_bases(models):
 
 
 class _UniverseScoring:
-    """Score tables for one (universe, basis adjacency) combination."""
+    """Score tables for one (universe, basis adjacency) combination.
 
-    def __init__(self, universe, adj, registry, cfg, katz_cfg):
+    ``bases`` are the base models this universe will be asked for.
+    Scorings listed in each other's ``peers`` share one adjacency: a
+    base model is scored for all of them that need it from one Katz
+    operator (see ``katz_scores`` over a list of universes).
+    """
+
+    def __init__(self, universe, adj, registry, cfg, katz_cfg, bases):
         self.universe = universe
         self.adj = adj
         self.registry = registry
         self.cfg = cfg
         self.katz_cfg = katz_cfg
+        self.bases = bases
+        self.peers = [self]
         self.raw = {}
         self.norm = {}
         self.tables = {}
@@ -88,46 +94,41 @@ class _UniverseScoring:
         return geo.distance_matrix(self.registry.lat_array()[nodes],
                                    self.registry.lon_array()[nodes])
 
+    def _needs(self, base):
+        return base in self.bases or (base == "KI" and "EWKI" in self.bases)
+
     def _score_base(self, base):
-        if base == "KI":
-            return katz_scores(self.adj, self.katz_cfg, self.universe)
+        """Raw ``base`` tables for this universe and every peer that
+        needs one and lacks it, from one operator on the adjacency."""
+        group = [s for s in self.peers if base not in s.raw
+                 and (s is self or s._needs(base))]
+        adj = self.adj
         if base == "WKI":
-            weighted = geo.weighted_adjacency(
+            adj = geo.weighted_adjacency(
                 self.adj, self.registry.lat_array(),
                 self.registry.lon_array(),
                 transform=self.katz_cfg.wki_transform,
                 gamma=self.katz_cfg.resolved_gamma()
                 if self.katz_cfg.wki_transform == "decay" else 0.0)
-            return katz_scores(weighted, self.katz_cfg, self.universe,
-                               model="WKI")
-        raise ValueError(base)
+        tables = katz_scores(adj, self.katz_cfg,
+                             [s.universe for s in group], model=base)
+        for scoring, table in zip(group, tables):
+            scoring.raw[base] = table
 
-    def compute(self, bases):
-        """Score the requested base models, then assemble combinations.
+    def compute(self):
+        """Score the base models, then assemble combinations.
 
-        KI and WKI run as independent tasks on the worker pool; the
-        pairwise-decay table is an elementwise product on top of KI and
-        is built after it. Results are keyed by name, so the artifact
-        content is independent of completion order.
+        The pairwise-decay table is an elementwise product on top of KI
+        and is built after it.
         """
-        heavy = [b for b in ("KI", "WKI")
-                 if (b in bases or (b == "KI" and "EWKI" in bases))
-                 and b not in self.raw]
-        if len(heavy) > 1 and self.cfg.workers > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(self.cfg.workers, len(heavy))) as pool:
-                futures = {b: pool.submit(self._score_base, b)
-                           for b in heavy}
-                for b in heavy:
-                    self.raw[b] = futures[b].result()
-        else:
-            for b in heavy:
-                self.raw[b] = self._score_base(b)
-        if "EWKI" in bases:
+        for b in ("KI", "WKI"):
+            if self._needs(b) and b not in self.raw:
+                self._score_base(b)
+        if "EWKI" in self.bases:
             self.raw["EWKI"] = edge_weighted_katz_scores(
                 self.adj, self.distances, self.katz_cfg, self.universe,
                 ki_table=self.raw["KI"])
-        for b in bases:
+        for b in self.bases:
             self.norm[b] = normalize(self.raw[b])
 
     def tune_gamma(self):
@@ -140,7 +141,7 @@ class _UniverseScoring:
         chosen value.
         """
         if "KI" not in self.raw:
-            self.raw["KI"] = self._score_base("KI")
+            self._score_base("KI")
         best_gamma, best_f1 = None, -1.0
         for gamma in GAMMA_GRID:
             candidate = edge_weighted_katz_scores(
@@ -241,12 +242,17 @@ def _run_steps(cfg, out_dir, evaluate_models):
     bases = _needed_bases(cfg.models)
     final_universe = candidate_pairs(test)
     final_scoring = _UniverseScoring(final_universe, adj_basis, registry,
-                                     cfg, katz_cfg)
+                                     cfg, katz_cfg, bases)
     if cfg.tune_on == "test":
         tune_scoring = final_scoring
     else:
+        # Without evaluation the tuning universe serves gamma tuning only.
         tune_scoring = _UniverseScoring(candidate_pairs(val), adj_train,
-                                        registry, cfg, katz_cfg)
+                                        registry, cfg, katz_cfg,
+                                        bases if evaluate_models else ())
+        if adj_basis is adj_train:
+            final_scoring.peers.append(tune_scoring)
+            tune_scoring.peers = final_scoring.peers
     tune_universe = tune_scoring.universe
 
     gamma_tuned = None
@@ -257,9 +263,9 @@ def _run_steps(cfg, out_dir, evaluate_models):
             tune_scoring.katz_cfg = replace(katz_cfg, gamma=0.0)
         katz_cfg = final_scoring.katz_cfg = tune_scoring.katz_cfg
 
-    final_scoring.compute(bases)
-    if tune_scoring is not final_scoring and evaluate_models:
-        tune_scoring.compute(bases)
+    final_scoring.compute()
+    if tune_scoring is not final_scoring:
+        tune_scoring.compute()
 
     thresholds = {}
     tuning_f1 = {}
@@ -385,6 +391,10 @@ def read_score_table(path, universe, registry):
     model = None
     with _open_input(path, "score table") as fh:
         reader = csv.DictReader(fh)
+        names = reader.fieldnames
+        if names:
+            # A spreadsheet may save the file with a byte order mark.
+            reader.fieldnames = [names[0].removeprefix("\ufeff"), *names[1:]]
         required = {"source_id", "dest_id", "model", "score", "score_norm"}
         if reader.fieldnames is None or not required.issubset(
                 reader.fieldnames):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from geokatz import katz
 from geokatz.errors import (BetaDomainError, ConfigError,
-                            DegenerateScoreTableWarning,
+                            DegenerateScoreTableWarning, NumericError,
                             UniverseMismatchError)
 from geokatz.graphs import NodeRegistry, PairUniverse
 from geokatz.katz import (KatzConfig, combine, edge_weighted_katz_scores,
@@ -307,7 +307,8 @@ def _random_series_case(seed, n=40, density=0.1):
 def test_series_rows_match_scipy_power_sum():
     adj, sources = _random_series_case(seed=11)
     beta = 0.05
-    got = katz._series_rows(adj, beta, sources, 8, 1e-300)
+    got = katz._series_rows(katz._scaled_transpose(adj, beta), sources, 8,
+                            1e-300)
     # Reference: accumulate beta^l * (A^l)[u, :] == ((beta*A)^T)^l e_u.
     n = adj.shape[0]
     scaled = (adj.T * beta).toarray()
@@ -327,8 +328,9 @@ def test_series_rows_early_stop_includes_final_term():
     adj, sources = _random_series_case(seed=12)
     # A tolerance above every term magnitude stops after the first
     # multiplication, with that term already accumulated.
-    got = katz._series_rows(adj, 0.05, sources, 50, 1e9)
-    one_term = katz._series_rows(adj, 0.05, sources, 1, 1e-300)
+    at_beta = katz._scaled_transpose(adj, 0.05)
+    got = katz._series_rows(at_beta, sources, 50, 1e9)
+    one_term = katz._series_rows(at_beta, sources, 1, 1e-300)
     assert np.array_equal(got, one_term)
     assert np.count_nonzero(one_term) > 0
 
@@ -390,7 +392,8 @@ def _series_cases(draw):
 def test_series_rows_bitwise_equal_to_per_source_loop(case):
     adj, sources, beta, max_len, tol = case
     expected = oracles.loop_series_rows(adj, beta, sources, max_len, tol)
-    got = katz._series_rows(adj, beta, sources, max_len, tol)
+    got = katz._series_rows(katz._scaled_transpose(adj, beta), sources,
+                            max_len, tol)
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()
 
@@ -429,6 +432,89 @@ def test_solve_falls_back_to_series_above_node_limit():
     table = katz_scores(adj, cfg, _universe(2))
     assert table.info["method"] == "truncated-series"
     assert table.values[0, 1] == pytest.approx(0.5 / (1 - 0.25), rel=1e-8)
+
+
+@st.composite
+def _shared_scoring_cases(draw):
+    """An adjacency (sometimes empty or nilpotent) and two universes on
+    its nodes that may overlap, be disjoint or be empty."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "nilpotent", "empty"]))
+    mask = rng.random((n, n)) < draw(st.floats(0.05, 0.5))
+    np.fill_diagonal(mask, False)
+    if shape == "nilpotent":
+        mask = np.triu(mask, 1)
+    elif shape == "empty":
+        mask[:] = False
+    weights = rng.uniform(0.1, 3.0, (n, n))
+    if draw(st.booleans()):
+        weights[:] = 1.0
+    rows, cols = np.nonzero(mask)
+    adj = sp.csr_matrix((weights[rows, cols], (rows, cols)), shape=(n, n))
+    order = rng.permutation(n)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, n))
+        first, second = order[:cut], order[cut:]
+    else:
+        first = order[:draw(st.integers(1, n))]
+        second = rng.permutation(n)[:draw(st.integers(1, n))]
+    return (adj, _universe(n, np.sort(first)), _universe(n, np.sort(second)),
+            draw(st.sampled_from(katz.METHODS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_shared_scoring_cases())
+def test_shared_scoring_bitwise_equal_to_separate(case):
+    adj, first, second, method = case
+    cfg = KatzConfig(method=method)
+    together = katz_scores(adj, cfg, [first, second], model="WKI")
+    assert len(together) == 2
+    for table, universe in zip(together, (first, second)):
+        alone = katz_scores(adj, cfg, universe, model="WKI")
+        assert table.universe is universe
+        assert table.model == "WKI"
+        assert table.info == alone.info
+        assert table.values.tobytes() == alone.values.tobytes()
+
+
+class _PerturbedSolve:
+    """A factorization whose solves come back slightly wrong."""
+
+    def __init__(self, lu, perturb):
+        self.lu = lu
+        self.perturb = perturb
+
+    def solve(self, rhs):
+        return self.perturb(self.lu.solve(rhs))
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda x: x * (1.0 + 1e-4),
+    lambda x: x + 1e-5,
+    lambda x: x + 1e-4 * (np.arange(x.shape[1]) == 3),
+    lambda x: np.where(x == x.max(), np.nan, x),
+])
+def test_solve_residual_check_rejects_a_wrong_solve(monkeypatch, perturb):
+    rng = np.random.default_rng(29)
+    dense = ((rng.random((15, 15)) < 0.3)
+             & ~np.eye(15, dtype=bool)).astype(np.float64)
+    adj = sp.csr_matrix(dense)
+    splu = katz.splu
+    monkeypatch.setattr(katz, "splu",
+                        lambda m: _PerturbedSolve(splu(m), perturb))
+    with pytest.raises(NumericError, match="residual"):
+        katz_scores(adj, KatzConfig(), _universe(15))
+
+
+def test_solve_residual_check_passes_near_the_spectral_bound():
+    rng = np.random.default_rng(31)
+    dense = ((rng.random((30, 30)) < 0.2)
+             & ~np.eye(30, dtype=bool)).astype(np.float64)
+    lam = oracles.dense_spectral_radius(dense)
+    cfg = KatzConfig(beta_mode="explicit", beta=0.999 / lam)
+    table = katz_scores(sp.csr_matrix(dense), cfg, _universe(30))
+    assert np.all(np.isfinite(table.values))
 
 
 def test_scores_are_non_negative_with_zero_diagonal():

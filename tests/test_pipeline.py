@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geokatz import pipeline
+from geokatz import katz, pipeline
 from geokatz.config import parse_run_config
 from geokatz.errors import (BetaDomainError, DataError,
                             UniverseMismatchError)
@@ -264,6 +264,39 @@ class TestTuning:
         run(_cfg(text))
         assert len(calls) == builds
 
+    @pytest.mark.parametrize("edit,spectral,factorizations,weighted", [
+        # The tuning and the final universe share adj_train: KI and WKI
+        # are each one operator.
+        ((), 2, 2, 1),
+        (("split:", "tune_on: test\nsplit:"), 2, 2, 1),
+        # Train+val scores the final universe from its own adjacency.
+        (("split:", "score_basis: train+val\nsplit:"), 4, 4, 2),
+        # The truncated series needs one spectral estimate per adjacency.
+        (("katz:\n", "katz:\n  solve_max_nodes: 10\n"), 2, 0, 1),
+    ])
+    def test_operator_built_once_per_adjacency(
+            self, monkeypatch, edit, spectral, factorizations, weighted):
+        calls = {"spectral_radius": 0, "splu": 0, "weighted_adjacency": 0}
+
+        def counting(module, name):
+            wrapped = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        counting(katz, "spectral_radius")
+        counting(katz, "splu")
+        counting(pipeline.geo, "weighted_adjacency")
+        text = SMALL_SYNTH.replace(*edit) if edit else SMALL_SYNTH
+        result = run(_cfg(text))
+        assert result.reports
+        assert calls == {"spectral_radius": spectral,
+                         "splu": factorizations,
+                         "weighted_adjacency": weighted}
+
     def test_tune_on_test_reuses_final_universe(self, tmp_path):
         text = SMALL_SYNTH.replace("split:", "tune_on: test\nsplit:")
         result = run(_cfg(text, out=tmp_path))
@@ -392,6 +425,16 @@ class TestScoreTableRoundTrip:
                                    rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(loaded.raw_values, table.raw_values,
                                    rtol=1e-5, atol=1e-7)
+
+    def test_byte_order_mark_is_stripped(self, exported):
+        # A spreadsheet saving the table as UTF-8 prefixes U+FEFF.
+        path, _, universe, registry = exported
+        plain = read_score_table(path, universe, registry)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = read_score_table(path, universe, registry)
+        assert loaded.model == plain.model
+        assert loaded.values.tobytes() == plain.values.tobytes()
+        assert loaded.raw_values.tobytes() == plain.raw_values.tobytes()
 
     def test_unopenable_file_is_data_error_naming_it(self, exported,
                                                      tmp_path):
