@@ -10,14 +10,11 @@ success, 1 configuration error, 2 data error, 3 numeric error.
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from . import metrics, pipeline, synth
-from .config import _parse_synth, load_run_config
-from .errors import ConfigError, DataError, GeokatzError
+from .config import load_run_config, load_synth_config
+from .errors import ConfigError, DataError, GeokatzError, as_real
 from .graphs import candidate_pairs
 
 log = logging.getLogger(__name__)
@@ -59,24 +56,25 @@ def build_parser():
                     help="path to an exported score table CSV")
     group = ev.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", type=float, default=None,
-                       help="decision threshold on normalized scores")
+                       help="decision threshold on normalized scores "
+                            "(finite)")
     group.add_argument("--tune", action="store_true",
                        help="sweep the optimal F1 threshold on the "
                             "evaluation universe itself")
     return parser
 
 
-def _require_out(cfg):
-    if not cfg.output_dir:
+def _require_out(out_dir):
+    if not out_dir:
         raise ConfigError(
             "an output directory is required: set output_dir in the "
             "config or pass --out")
-    return cfg
+    return out_dir
 
 
 def _cmd_run(args):
-    cfg = _require_out(load_run_config(args.config, args.out,
-                                       args.seed_override))
+    cfg = load_run_config(args.config, args.out, args.seed_override)
+    _require_out(cfg.output_dir)
     result = pipeline.run(cfg)
     log.info("run complete: %d model(s) evaluated, artifacts in %s",
              len(result.reports), result.out_dir)
@@ -84,8 +82,8 @@ def _cmd_run(args):
 
 
 def _cmd_score(args):
-    cfg = _require_out(load_run_config(args.config, args.out,
-                                       args.seed_override))
+    cfg = load_run_config(args.config, args.out, args.seed_override)
+    _require_out(cfg.output_dir)
     result = pipeline.run_scores_only(cfg)
     log.info("scoring complete: %d table(s) written to %s",
              len(result.tables), result.out_dir)
@@ -93,27 +91,9 @@ def _cmd_score(args):
 
 
 def _cmd_synth(args):
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("synth config must be a YAML mapping")
-    block = raw.get("synth", raw)
-    if not isinstance(block, dict):
-        raise ConfigError("'synth' must be a mapping")
-    block = {k: v for k, v in block.items() if k != "output_dir"}
-    scfg = _parse_synth(block)
-    if args.seed_override is not None:
-        scfg = replace(scfg, seed=args.seed_override)
-    out_dir = args.out or raw.get("output_dir")
-    if not out_dir:
-        raise ConfigError("an output directory is required: set "
-                          "output_dir or pass --out")
-    out_dir = Path(out_dir)
+    scfg, out_dir = load_synth_config(args.config, args.out,
+                                      args.seed_override)
+    out_dir = Path(_require_out(out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     report, truth = synth.generate(scfg)
     synth.write_movements(report, out_dir / "movements.csv")
@@ -124,17 +104,19 @@ def _cmd_synth(args):
 
 
 def _cmd_eval(args):
+    # A non-finite threshold would reach the report as a bare NaN or
+    # Infinity token, which is not JSON.
+    threshold = None if args.tune else as_real(args.threshold, "--threshold")
     cfg = load_run_config(args.config, args.out, args.seed_override)
     net, _, _, test = pipeline._build_data(cfg, None)
     universe = candidate_pairs(test)
     table = pipeline.read_score_table(args.scores, universe, net.registry)
     if args.tune:
-        threshold, tuned_f1 = metrics.optimal_threshold(table)
-        info = {"tuned_on": "eval-universe", "tuning_f1": tuned_f1}
+        _, tuned_f1, report = metrics._tune_and_evaluate(
+            table, table.model, {"tuned_on": "eval-universe"})
+        report.info["tuning_f1"] = tuned_f1
     else:
-        threshold = args.threshold
-        info = {}
-    report = metrics.evaluate(table, threshold=threshold, info=info)
+        report = metrics.evaluate(table, threshold=threshold)
     if cfg.output_dir:
         name = report.model or "table"
         if Path(name).name != name or name in (".", "..") or "\0" in name:

@@ -5,16 +5,20 @@ The file either points at a movement file (``input``) or embeds a
 split years, scoring parameters, model list, tuning split, combination
 rule and output location. Unknown keys are rejected so typos fail fast
 instead of silently running defaults.
+
+Each value is checked by the dataclass it lands in (``RunConfig``,
+``SplitSpec``, ``KatzConfig``, ``SynthConfig``), so a config built in
+code is checked by the same code as one read from YAML. This module
+only maps the YAML blocks onto those dataclasses.
 """
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, as_bool, as_int, as_interval, one_of
 from .graphs import BAD_ROW_POLICIES, SplitSpec, delimiter_problem
 from .katz import COMBINE_INPUTS, COMBINE_RULES, KatzConfig
 from .synth import SynthConfig
@@ -25,20 +29,14 @@ ALL_MODELS = ("KI", "WKI", "EWKI", "KIWKI", "KIEWKI", "WKIEWKI")
 SCORE_BASES = ("train", "train+val")
 TUNE_SPLITS = ("val", "test")
 
-_TOP_KEYS = {"input", "synth", "schema", "ingest", "split", "katz",
-             "models", "score_basis", "tune_on", "combine_rule",
-             "combine_on", "directed", "workers", "output_dir"}
-_INGEST_KEYS = {"on_bad_rows", "delimiter", "year_range"}
-_KATZ_KEYS = {"beta_mode", "alpha", "beta", "method", "max_walk_length",
-              "series_tolerance", "gamma", "wki_transform", "spectral_tol",
-              "spectral_max_iter", "solve_max_nodes"}
-_SYNTH_KEYS = {"seed", "n_nodes", "years", "bbox", "movements_per_year",
-               "decay_rate", "hub_bias", "repeat_edge_prob", "species"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated pipeline configuration plus the verbatim source text."""
+    """Validated pipeline configuration plus the verbatim source text.
+
+    ``models`` may be given as one model name; ``year_range`` is a
+    [first, last] pair of years.
+    """
     split: SplitSpec
     katz: KatzConfig
     input: Optional[str] = None
@@ -58,224 +56,146 @@ class RunConfig:
     source_text: str = field(default="", repr=False)
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name, kind in (("split", SplitSpec), ("katz", KatzConfig),
+                           ("synth", SynthConfig)):
+            value = getattr(self, name)
+            if not (isinstance(value, kind)
+                    or name == "synth" and value is None):
+                raise ConfigError(
+                    f"'{name}' must be a {kind.__name__}, got {value!r}")
+        for name in ("input", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"'{name}' must be a path, got {value!r}")
         if (self.input is None) == (self.synth is None):
             raise ConfigError(
                 "exactly one of 'input' and 'synth' must be given")
-        if self.on_bad_rows not in BAD_ROW_POLICIES:
-            raise ConfigError(
-                f"ingest.on_bad_rows must be one of {BAD_ROW_POLICIES}, "
-                f"got {self.on_bad_rows!r}")
-        if not self.models:
-            raise ConfigError("model list must be non-empty")
-        bad = [m for m in self.models if m not in ALL_MODELS]
-        if bad:
-            raise ConfigError(
-                f"unknown model(s) {bad}; valid models: {list(ALL_MODELS)}")
-        if len(set(self.models)) != len(self.models):
-            raise ConfigError("model list contains duplicates")
-        if self.score_basis not in SCORE_BASES:
-            raise ConfigError(
-                f"score_basis must be one of {SCORE_BASES}, "
-                f"got {self.score_basis!r}")
-        if self.tune_on not in TUNE_SPLITS:
-            raise ConfigError(
-                f"tune_on must be one of {TUNE_SPLITS}, "
-                f"got {self.tune_on!r}")
-        if self.combine_rule not in COMBINE_RULES:
-            raise ConfigError(
-                f"combine_rule must be one of {COMBINE_RULES}, "
-                f"got {self.combine_rule!r}")
-        if self.combine_on not in COMBINE_INPUTS:
-            raise ConfigError(
-                f"combine_on must be one of {COMBINE_INPUTS}, "
-                f"got {self.combine_on!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        first, last = self.year_range
+        if self.schema is not None:
+            if not isinstance(self.schema, dict):
+                raise ConfigError(
+                    f"'schema' must be a mapping, got {self.schema!r}")
+            put("schema", {str(k): str(v) for k, v in self.schema.items()})
+        one_of(self.on_bad_rows, BAD_ROW_POLICIES, "ingest.on_bad_rows")
+        problem = delimiter_problem(self.delimiter, "ingest.delimiter")
+        if problem is not None:
+            raise ConfigError(problem)
+        first, last = as_interval(self.year_range, "ingest.year_range",
+                                  single=False)
         if first > last:
             raise ConfigError(
                 f"ingest.year_range [{first}, {last}] is reversed: "
                 "the first year must not be after the last")
+        put("year_range", (first, last))
+
+        models = ((self.models,) if isinstance(self.models, str)
+                  else self.models)
+        if not isinstance(models, (list, tuple)):
+            raise ConfigError(f"'models' must be a list, got {models!r}")
+        if not models:
+            raise ConfigError("model list must be non-empty")
+        bad = [m for m in models if m not in ALL_MODELS]
+        if bad:
+            raise ConfigError(
+                f"unknown model(s) {bad}; valid models: {list(ALL_MODELS)}")
+        if len(set(models)) != len(models):
+            raise ConfigError("model list contains duplicates")
+        put("models", tuple(models))
+
+        one_of(self.score_basis, SCORE_BASES, "score_basis")
+        one_of(self.tune_on, TUNE_SPLITS, "tune_on")
+        one_of(self.combine_rule, COMBINE_RULES, "combine_rule")
+        one_of(self.combine_on, COMBINE_INPUTS, "combine_on")
+        as_bool(self.directed, "directed")
+        put("workers", as_int(self.workers, "workers"))
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if not isinstance(self.source_text, str):
+            raise ConfigError(
+                f"'source_text' must be text, got {self.source_text!r}")
 
 
-def _require_mapping(value, name):
+def _names(cls):
+    return {f.name for f in fields(cls)}
+
+
+_INGEST_KEYS = {"on_bad_rows", "delimiter", "year_range"}
+_TOP_KEYS = _names(RunConfig) - _INGEST_KEYS - {"source_text"} | {"ingest"}
+_SPLIT_KEYS = ("train", "val", "test")
+_KATZ_KEYS = _names(KatzConfig)
+_SYNTH_KEYS = _names(SynthConfig)
+_SYNTH_REQUIRED = [f.name for f in fields(SynthConfig)
+                   if f.default is MISSING and f.default_factory is MISSING]
+
+# YAML 1.1 reads a plain 1e-10 (no dot) as text, as it reads a quoted
+# number; these keys, and each synth.bbox entry, take such text as the
+# float it spells.
+_REAL_KEYS = {"alpha", "beta", "series_tolerance", "spectral_tol", "gamma",
+              "decay_rate", "hub_bias", "repeat_edge_prob"}
+
+
+def _real_text(value):
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _block(value, name, keys, required=()):
+    """``value`` as block ``name``: a mapping of only ``keys`` that has
+    every key in ``required``, with number text read under _REAL_KEYS."""
     if not isinstance(value, dict):
         raise ConfigError(f"'{name}' must be a mapping, got {value!r}")
-    return value
-
-
-def _reject_unknown(mapping, allowed, name):
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(map(str, set(value) - set(keys)))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{name}': {', '.join(unknown)}")
-
-
-def _as_float(value, key):
-    """Coerce YAML scalars to a finite float.
-
-    Plain-style '1e-10' parses as str and is accepted; booleans, NaN
-    and infinity are refused.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"'{key}' must be finite, got {value!r}")
-    return number
-
-
-def _as_int(value, key):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, key):
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _as_interval(value, key):
-    """A year interval: [lo, hi] or a single year."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return (value, value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in value)):
-        return (value[0], value[1])
-    raise ConfigError(
-        f"'{key}' must be a year or a [first, last] pair, got {value!r}")
-
-
-def _parse_split(block):
-    block = _require_mapping(block, "split")
-    _reject_unknown(block, {"train", "val", "test"}, "split")
-    missing = [k for k in ("train", "val", "test") if k not in block]
+    missing = [key for key in required if key not in value]
     if missing:
-        raise ConfigError(f"split block is missing: {', '.join(missing)}")
-    return SplitSpec(train_years=_as_interval(block["train"], "split.train"),
-                     val_years=_as_interval(block["val"], "split.val"),
-                     test_years=_as_interval(block["test"], "split.test"))
+        raise ConfigError(f"{name} block is missing: {', '.join(missing)}")
+    return {key: _real_text(v) if key in _REAL_KEYS else v
+            for key, v in value.items()}
 
 
-def _parse_katz(block):
-    block = _require_mapping(block, "katz") if block else {}
-    _reject_unknown(block, _KATZ_KEYS, "katz")
-    kwargs = dict(block)
-    for key in ("alpha", "beta", "series_tolerance", "spectral_tol"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = _as_float(kwargs[key], f"katz.{key}")
-    for key in ("max_walk_length", "spectral_max_iter", "solve_max_nodes"):
-        if key in kwargs:
-            kwargs[key] = _as_int(kwargs[key], f"katz.{key}")
-    if "gamma" in kwargs and kwargs["gamma"] != "tune":
-        kwargs["gamma"] = _as_float(kwargs["gamma"], "katz.gamma")
-    return KatzConfig(**kwargs)
+def _synth_config(value):
+    block = _block(value, "synth", _SYNTH_KEYS, _SYNTH_REQUIRED)
+    if isinstance(block["bbox"], list):
+        block["bbox"] = [_real_text(v) for v in block["bbox"]]
+    return SynthConfig(**block)
 
 
-def _parse_synth(block):
-    block = _require_mapping(block, "synth")
-    _reject_unknown(block, _SYNTH_KEYS, "synth")
-    kwargs = dict(block)
-    for key in ("seed", "n_nodes"):
-        if key not in kwargs:
-            raise ConfigError(f"synth block requires '{key}'")
-        kwargs[key] = _as_int(kwargs[key], f"synth.{key}")
-    if "years" not in kwargs or "bbox" not in kwargs:
-        raise ConfigError("synth block requires 'years' and 'bbox'")
-    kwargs["years"] = _as_interval(kwargs["years"], "synth.years")
-    bbox = kwargs["bbox"]
-    if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
-        raise ConfigError(
-            "synth.bbox must be [lat_min, lat_max, lon_min, lon_max]")
-    kwargs["bbox"] = tuple(_as_float(v, "synth.bbox") for v in bbox)
-    if "movements_per_year" not in kwargs:
-        raise ConfigError("synth block requires 'movements_per_year'")
-    mpy = kwargs["movements_per_year"]
-    if isinstance(mpy, list):
-        kwargs["movements_per_year"] = [_as_int(v, "movements_per_year")
-                                        for v in mpy]
-    else:
-        kwargs["movements_per_year"] = _as_int(mpy, "movements_per_year")
-    for key in ("decay_rate", "hub_bias", "repeat_edge_prob"):
-        if key in kwargs:
-            kwargs[key] = _as_float(kwargs[key], f"synth.{key}")
-    if "species" in kwargs:
-        species = kwargs["species"]
-        if isinstance(species, str):
-            species = [species]
-        if not (isinstance(species, list)
-                and all(isinstance(s, str) for s in species)):
-            raise ConfigError(
-                f"synth.species must be a list of names, got {species!r}")
-        kwargs["species"] = tuple(species)
-    return SynthConfig(**kwargs)
-
-
-def parse_run_config(text):
-    """Parse and validate run-config YAML text into a RunConfig."""
+def _load_yaml(text):
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}")
-    raw = _require_mapping(raw if raw is not None else {}, "config")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    return {} if raw is None else raw
+
+
+def _read(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+
+
+def parse_run_config(text):
+    """Parse and validate run-config YAML text into a RunConfig."""
+    raw = _block(_load_yaml(text), "config", _TOP_KEYS)
     if "split" not in raw:
         raise ConfigError("config requires a 'split' block")
-
-    ingest = _require_mapping(raw.get("ingest") or {}, "ingest")
-    _reject_unknown(ingest, _INGEST_KEYS, "ingest")
-    year_range = ingest.get("year_range", (1900, 2100))
-    if not isinstance(year_range, tuple):
-        if not (isinstance(year_range, list) and len(year_range) == 2):
-            raise ConfigError("ingest.year_range must be [first, last]")
-        year_range = (
-            _as_int(year_range[0], "year_range"),
-            _as_int(year_range[1], "year_range"))
-
-    delimiter = ingest.get("delimiter", ",")
-    problem = delimiter_problem(delimiter, "ingest.delimiter")
-    if problem is not None:
-        raise ConfigError(problem)
-    for key in ("input", "output_dir"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
-            raise ConfigError(f"'{key}' must be a path, got {raw[key]!r}")
-
-    schema = raw.get("schema")
-    if schema is not None:
-        schema = {str(k): str(v)
-                  for k, v in _require_mapping(schema, "schema").items()}
-
-    models = raw.get("models", list(ALL_MODELS))
-    if isinstance(models, str):
-        models = [models]
-    if not isinstance(models, list):
-        raise ConfigError(f"'models' must be a list, got {models!r}")
-
-    workers = raw.get("workers", 1)
-
+    split = _block(raw.pop("split"), "split", _SPLIT_KEYS, _SPLIT_KEYS)
+    katz = _block(raw.pop("katz", None) or {}, "katz", _KATZ_KEYS)
+    ingest = _block(raw.pop("ingest", None) or {}, "ingest", _INGEST_KEYS)
+    if "synth" in raw:
+        raw["synth"] = _synth_config(raw["synth"])
     return RunConfig(
-        split=_parse_split(raw["split"]),
-        katz=_parse_katz(raw.get("katz")),
-        input=raw.get("input"),
-        synth=_parse_synth(raw["synth"]) if "synth" in raw else None,
-        schema=schema,
-        on_bad_rows=ingest.get("on_bad_rows", "abort"),
-        delimiter=delimiter,
-        year_range=year_range,
-        models=tuple(str(m) for m in models),
-        score_basis=raw.get("score_basis", "train"),
-        tune_on=raw.get("tune_on", "val"),
-        combine_rule=raw.get("combine_rule", "mean"),
-        combine_on=raw.get("combine_on", "normalized"),
-        directed=_as_bool(raw.get("directed", True), "directed"),
-        workers=_as_int(workers, "workers"),
-        output_dir=raw.get("output_dir"),
-        source_text=text)
+        split=SplitSpec(**{f"{key}_years": v for key, v in split.items()}),
+        katz=KatzConfig(**katz), source_text=text, **ingest, **raw)
 
 
 def load_run_config(path, out_override=None, seed_override=None):
@@ -285,12 +205,7 @@ def load_run_config(path, out_override=None, seed_override=None):
     replaces the synth seed (and is ignored, with a warning, for
     file-input runs, which involve no randomness).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    cfg = parse_run_config(text)
+    cfg = parse_run_config(_read(path))
     if out_override is not None:
         cfg = replace(cfg, output_dir=str(out_override))
     if seed_override is not None:
@@ -300,3 +215,25 @@ def load_run_config(path, out_override=None, seed_override=None):
         else:
             cfg = replace(cfg, synth=replace(cfg.synth, seed=seed_override))
     return cfg
+
+
+def load_synth_config(path, out_override=None, seed_override=None):
+    """Load the ``synth`` block of a config file, or the whole file when
+    it is a bare synth mapping, applying CLI overrides.
+
+    Keys outside the synth block are ignored, except ``output_dir``.
+    Returns (SynthConfig, output directory or None).
+    """
+    raw = _load_yaml(_read(path))
+    block = raw.get("synth", raw) if isinstance(raw, dict) else raw
+    if isinstance(block, dict):
+        block = {k: v for k, v in block.items() if k != "output_dir"}
+    cfg = _synth_config(block)
+    if seed_override is not None:
+        cfg = replace(cfg, seed=seed_override)
+    if out_override is not None:
+        return cfg, str(out_override)
+    out_dir = raw.get("output_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"'output_dir' must be a path, got {out_dir!r}")
+    return cfg, out_dir

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (DataError, EmptyNetworkError, EmptySplitError, RowError,
-                     SchemaError)
+                     SchemaError, as_interval)
 
 log = logging.getLogger(__name__)
 
@@ -259,18 +259,22 @@ def _from_edge_arrays(registry, src, dst, year):
 class SplitSpec:
     """Inclusive year intervals for train/validation/test.
 
-    Intervals must be internally ordered, chronological and disjoint:
-    train before validation before test.
+    Each interval is a [first, last] pair or a single year. Intervals
+    must be internally ordered, chronological and disjoint: train before
+    validation before test.
     """
     train_years: tuple
     val_years: tuple
     test_years: tuple
 
     def __post_init__(self):
-        for name, (lo, hi) in zip(("train", "val", "test"), self.intervals):
+        for name in ("train", "val", "test"):
+            lo, hi = as_interval(getattr(self, f"{name}_years"),
+                                 f"split.{name}")
             if lo > hi:
                 raise DataError(
                     f"{name} year interval [{lo}, {hi}] is reversed")
+            object.__setattr__(self, f"{name}_years", (lo, hi))
         if not (self.train_years[1] < self.val_years[0]
                 and self.val_years[1] < self.test_years[0]):
             raise DataError(
@@ -280,8 +284,7 @@ class SplitSpec:
 
     @property
     def intervals(self):
-        return (tuple(self.train_years), tuple(self.val_years),
-                tuple(self.test_years))
+        return (self.train_years, self.val_years, self.test_years)
 
 
 @dataclass(eq=False)

@@ -12,10 +12,8 @@ pair universe and can be fused pairwise into combined models.
 import csv
 import io
 import logging
-import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -24,7 +22,8 @@ import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import splu
 
 from .errors import (BetaDomainError, ConfigError, DegenerateScoreTableWarning,
-                     NumericError, UniverseMismatchError)
+                     NumericError, UniverseMismatchError, as_int, as_real,
+                     one_of)
 from .geo import WEIGHT_TRANSFORMS
 from .metrics import _format6
 
@@ -73,34 +72,26 @@ class KatzConfig:
     solve_max_nodes: int = 20000
 
     def __post_init__(self):
-        for name, aliases in (("beta_mode", _BETA_MODE_ALIASES),
-                              ("method", _METHOD_ALIASES)):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name, aliases, choices in (
+                ("beta_mode", _BETA_MODE_ALIASES, BETA_MODES),
+                ("method", _METHOD_ALIASES, METHODS)):
             value = getattr(self, name)
             if isinstance(value, str):
-                object.__setattr__(self, name, aliases.get(value, value))
-        if self.beta_mode not in BETA_MODES:
-            raise ConfigError(f"beta_mode must be one of {BETA_MODES}, "
-                              f"got {self.beta_mode!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, "
-                              f"got {self.method!r}")
-        for name in ("alpha", "beta", "series_tolerance", "gamma",
-                     "spectral_tol"):
-            value = getattr(self, name)
-            if (name == "beta" and value is None
-                    or name == "gamma" and value == "tune"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ConfigError(
-                    f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+                value = aliases.get(value, value)
+            put(name, one_of(value, choices, f"katz.{name}"))
+        for name in ("alpha", "series_tolerance", "spectral_tol"):
+            put(name, as_real(getattr(self, name), f"katz.{name}"))
+        if self.beta is not None:
+            put("beta", as_real(self.beta, "katz.beta"))
+        if self.gamma != "tune":
+            put("gamma", as_real(self.gamma, "katz.gamma"))
         for name in ("max_walk_length", "spectral_max_iter",
                      "solve_max_nodes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(
-                    f"{name} must be an integer, got {value!r}")
+            put(name, as_int(getattr(self, name), f"katz.{name}"))
+        one_of(self.wki_transform, WEIGHT_TRANSFORMS, "katz.wki_transform")
         if self.beta_mode == "explicit":
             if self.beta is None or not self.beta > 0:
                 raise ConfigError(
@@ -116,17 +107,13 @@ class KatzConfig:
         if self.gamma != "tune" and self.gamma < 0:
             raise ConfigError(
                 f"gamma must be >= 0 or 'tune', got {self.gamma!r}")
-        if self.wki_transform not in WEIGHT_TRANSFORMS:
-            raise ConfigError(
-                f"wki_transform must be one of {WEIGHT_TRANSFORMS}, "
-                f"got {self.wki_transform!r}")
         if not self.spectral_tol > 0 or self.spectral_max_iter < 1:
             raise ConfigError("invalid spectral iteration parameters")
 
     def resolved_gamma(self):
         if self.gamma == "tune":
             raise ConfigError("gamma is 'tune' but was never resolved")
-        return float(self.gamma)
+        return self.gamma
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geo, metrics, synth
-from .errors import ConfigError, DataError, UniverseMismatchError
+from .errors import DataError, UniverseMismatchError
 from .graphs import _open_input, build_adjacency, build_network, \
     candidate_pairs, ingest_movements, temporal_split
 from .katz import ScoreTable, _write_scores, combine, \
@@ -401,7 +401,12 @@ def read_score_table(path, universe, registry):
             raise DataError(
                 f"score table {path} lacks required columns "
                 f"{sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # DictReader skips blank lines, so count physical lines.
+            line_no = reader.line_num
+            if None in row.values():
+                raise DataError(
+                    f"line {line_no}: fewer fields than the header")
             if model is None:
                 model = row["model"]
             elif row["model"] != model:

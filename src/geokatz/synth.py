@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int, as_interval, as_real
 from .geo import haversine_from
 from .graphs import IngestReport, _columns_of, _distinct
 from .katz import _csv_fields
@@ -31,12 +31,12 @@ class SynthConfig:
     """Shape parameters for one synthetic network.
 
     ``movements_per_year`` is either one integer applied to every year
-    or a per-year sequence. ``decay_rate`` (per km) controls how
-    strongly destination choice prefers nearby nodes (0 = distance
-    independent); ``hub_bias`` controls how strongly source choice
-    prefers nodes that already have outgoing links; and
-    ``repeat_edge_prob`` is the chance a movement reuses an existing
-    link instead of drawing a fresh one.
+    or a per-year sequence (kept as a tuple); a ``species`` string is
+    one name. ``decay_rate`` (per km) controls how strongly destination
+    choice prefers nearby nodes (0 = distance independent); ``hub_bias``
+    controls how strongly source choice prefers nodes that already have
+    outgoing links; and ``repeat_edge_prob`` is the chance a movement
+    reuses an existing link instead of drawing a fresh one.
     """
     seed: int
     n_nodes: int
@@ -49,21 +49,48 @@ class SynthConfig:
     species: tuple = DEFAULT_SPECIES
 
     def __post_init__(self):
-        lo, hi = self.years
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("seed", as_int(self.seed, "synth.seed"))
+        put("n_nodes", as_int(self.n_nodes, "synth.n_nodes"))
+        lo, hi = as_interval(self.years, "synth.years")
         if lo > hi:
             raise ConfigError(f"year interval [{lo}, {hi}] is reversed")
+        put("years", (lo, hi))
+        if not (isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4):
+            raise ConfigError(
+                "synth.bbox must be [lat_min, lat_max, lon_min, lon_max]")
+        put("bbox", tuple(as_real(v, "synth.bbox") for v in self.bbox))
         lat_min, lat_max, lon_min, lon_max = self.bbox
         if not (-90.0 <= lat_min < lat_max <= 90.0
                 and -180.0 <= lon_min < lon_max <= 180.0):
             raise ConfigError(f"bounding box {self.bbox} is degenerate or "
                               "out of range")
-        counts = self.yearly_counts()
+        mpy = self.movements_per_year
+        listed = isinstance(mpy, (list, tuple))
+        counts = tuple(as_int(c, "synth.movements_per_year")
+                       for c in (mpy if listed else (mpy,)))
+        put("movements_per_year", counts if listed else counts[0])
+        if listed and len(counts) != hi - lo + 1:
+            raise ConfigError(
+                f"movements_per_year lists {len(counts)} years, the "
+                f"interval {self.years} spans {hi - lo + 1}")
         if any(c < 0 for c in counts):
             raise ConfigError("movements_per_year must be non-negative")
-        if sum(counts) > 0 and self.n_nodes < 2:
+        if any(counts) and self.n_nodes < 2:
             raise ConfigError(
                 "generating movements requires at least 2 nodes "
                 f"(got {self.n_nodes})")
+        for name in ("decay_rate", "hub_bias", "repeat_edge_prob"):
+            put(name, as_real(getattr(self, name), f"synth.{name}"))
+        species = ((self.species,) if isinstance(self.species, str)
+                   else self.species)
+        if not (isinstance(species, (list, tuple))
+                and all(isinstance(s, str) for s in species)):
+            raise ConfigError(
+                f"synth.species must be a list of names, got {species!r}")
+        put("species", tuple(species))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if not 0.0 <= self.repeat_edge_prob <= 1.0:
@@ -75,15 +102,10 @@ class SynthConfig:
 
     def yearly_counts(self):
         """Movement count per year, expanded to one entry per year."""
-        n_years = self.years[1] - self.years[0] + 1
         if isinstance(self.movements_per_year, int):
-            return [self.movements_per_year] * n_years
-        counts = [int(c) for c in self.movements_per_year]
-        if len(counts) != n_years:
-            raise ConfigError(
-                f"movements_per_year lists {len(counts)} years, the "
-                f"interval {self.years} spans {n_years}")
-        return counts
+            return [self.movements_per_year] * (self.years[1]
+                                                - self.years[0] + 1)
+        return list(self.movements_per_year)
 
 
 class _DestinationSampler:

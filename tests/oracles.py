@@ -15,6 +15,11 @@ threshold sweep is the stable sort of every score, with the confusion
 counted by masks, that the package's floor-split sweep must match. The
 synthetic generator is the record-at-a-time loop whose PRNG draws,
 records, ground truth and CSV bytes the columnar generator must match.
+Run-config parsing is the parser that checked each YAML value by its
+key; the config dataclasses now check their own fields, and the YAML
+mapping in ``geokatz.config`` must accept, refuse and build the same
+configs. Both end in the same dataclasses, so the two parsers are
+compared on their YAML handling.
 """
 
 import csv
@@ -24,10 +29,14 @@ from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
+import yaml
 
-from geokatz.errors import (DataError, EmptyNetworkError, RowError,
-                            SchemaError)
-from geokatz.graphs import MovementRecord
+from geokatz.config import ALL_MODELS, RunConfig
+from geokatz.errors import (ConfigError, DataError, EmptyNetworkError,
+                            RowError, SchemaError)
+from geokatz.graphs import MovementRecord, SplitSpec, delimiter_problem
+from geokatz.katz import KatzConfig
+from geokatz.synth import SynthConfig
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -474,3 +483,191 @@ def loop_write_movements(records, fh):
             f"{r.source_lat:.6f}", f"{r.source_lon:.6f}",
             f"{r.dest_lat:.6f}", f"{r.dest_lon:.6f}",
             r.species or ""])
+
+
+# Run-config parsing that checks each YAML value by its key before
+# building the config dataclasses, which then check the values again.
+_KEYED_TOP_KEYS = {"input", "synth", "schema", "ingest", "split", "katz",
+                   "models", "score_basis", "tune_on", "combine_rule",
+                   "combine_on", "directed", "workers", "output_dir"}
+_KEYED_INGEST_KEYS = {"on_bad_rows", "delimiter", "year_range"}
+_KEYED_KATZ_KEYS = {"beta_mode", "alpha", "beta", "method",
+                    "max_walk_length", "series_tolerance", "gamma",
+                    "wki_transform", "spectral_tol", "spectral_max_iter",
+                    "solve_max_nodes"}
+_KEYED_SYNTH_KEYS = {"seed", "n_nodes", "years", "bbox",
+                     "movements_per_year", "decay_rate", "hub_bias",
+                     "repeat_edge_prob", "species"}
+
+
+def _keyed_mapping(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be a mapping, got {value!r}")
+    return value
+
+
+def _keyed_reject_unknown(mapping, allowed, name):
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in '{name}': {', '.join(unknown)}")
+
+
+def _keyed_float(value, key):
+    if isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"'{key}' must be finite, got {value!r}")
+    return number
+
+
+def _keyed_int(value, key):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _keyed_bool(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _keyed_interval(value, key):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (value, value)
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in value)):
+        return (value[0], value[1])
+    raise ConfigError(
+        f"'{key}' must be a year or a [first, last] pair, got {value!r}")
+
+
+def _keyed_split(block):
+    block = _keyed_mapping(block, "split")
+    _keyed_reject_unknown(block, {"train", "val", "test"}, "split")
+    missing = [k for k in ("train", "val", "test") if k not in block]
+    if missing:
+        raise ConfigError(f"split block is missing: {', '.join(missing)}")
+    return SplitSpec(
+        train_years=_keyed_interval(block["train"], "split.train"),
+        val_years=_keyed_interval(block["val"], "split.val"),
+        test_years=_keyed_interval(block["test"], "split.test"))
+
+
+def _keyed_katz(block):
+    block = _keyed_mapping(block, "katz") if block else {}
+    _keyed_reject_unknown(block, _KEYED_KATZ_KEYS, "katz")
+    kwargs = dict(block)
+    for key in ("alpha", "beta", "series_tolerance", "spectral_tol"):
+        if kwargs.get(key) is not None:
+            kwargs[key] = _keyed_float(kwargs[key], f"katz.{key}")
+    for key in ("max_walk_length", "spectral_max_iter", "solve_max_nodes"):
+        if key in kwargs:
+            kwargs[key] = _keyed_int(kwargs[key], f"katz.{key}")
+    if "gamma" in kwargs and kwargs["gamma"] != "tune":
+        kwargs["gamma"] = _keyed_float(kwargs["gamma"], "katz.gamma")
+    return KatzConfig(**kwargs)
+
+
+def _keyed_synth(block):
+    block = _keyed_mapping(block, "synth")
+    _keyed_reject_unknown(block, _KEYED_SYNTH_KEYS, "synth")
+    kwargs = dict(block)
+    for key in ("seed", "n_nodes"):
+        if key not in kwargs:
+            raise ConfigError(f"synth block requires '{key}'")
+        kwargs[key] = _keyed_int(kwargs[key], f"synth.{key}")
+    if "years" not in kwargs or "bbox" not in kwargs:
+        raise ConfigError("synth block requires 'years' and 'bbox'")
+    kwargs["years"] = _keyed_interval(kwargs["years"], "synth.years")
+    bbox = kwargs["bbox"]
+    if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
+        raise ConfigError(
+            "synth.bbox must be [lat_min, lat_max, lon_min, lon_max]")
+    kwargs["bbox"] = tuple(_keyed_float(v, "synth.bbox") for v in bbox)
+    if "movements_per_year" not in kwargs:
+        raise ConfigError("synth block requires 'movements_per_year'")
+    mpy = kwargs["movements_per_year"]
+    if isinstance(mpy, list):
+        kwargs["movements_per_year"] = [_keyed_int(v, "movements_per_year")
+                                        for v in mpy]
+    else:
+        kwargs["movements_per_year"] = _keyed_int(mpy, "movements_per_year")
+    for key in ("decay_rate", "hub_bias", "repeat_edge_prob"):
+        if key in kwargs:
+            kwargs[key] = _keyed_float(kwargs[key], f"synth.{key}")
+    if "species" in kwargs:
+        species = kwargs["species"]
+        if isinstance(species, str):
+            species = [species]
+        if not (isinstance(species, list)
+                and all(isinstance(s, str) for s in species)):
+            raise ConfigError(
+                f"synth.species must be a list of names, got {species!r}")
+        kwargs["species"] = tuple(species)
+    return SynthConfig(**kwargs)
+
+
+def keyed_parse_run_config(text):
+    """Run-config YAML text to a RunConfig, each value checked by key."""
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid YAML: {exc}")
+    raw = _keyed_mapping(raw if raw is not None else {}, "config")
+    _keyed_reject_unknown(raw, _KEYED_TOP_KEYS, "config")
+    if "split" not in raw:
+        raise ConfigError("config requires a 'split' block")
+
+    ingest = _keyed_mapping(raw.get("ingest") or {}, "ingest")
+    _keyed_reject_unknown(ingest, _KEYED_INGEST_KEYS, "ingest")
+    year_range = ingest.get("year_range", (1900, 2100))
+    if not isinstance(year_range, tuple):
+        if not (isinstance(year_range, list) and len(year_range) == 2):
+            raise ConfigError("ingest.year_range must be [first, last]")
+        year_range = (
+            _keyed_int(year_range[0], "year_range"),
+            _keyed_int(year_range[1], "year_range"))
+
+    delimiter = ingest.get("delimiter", ",")
+    problem = delimiter_problem(delimiter, "ingest.delimiter")
+    if problem is not None:
+        raise ConfigError(problem)
+    for key in ("input", "output_dir"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"'{key}' must be a path, got {raw[key]!r}")
+
+    schema = raw.get("schema")
+    if schema is not None:
+        schema = {str(k): str(v)
+                  for k, v in _keyed_mapping(schema, "schema").items()}
+
+    models = raw.get("models", list(ALL_MODELS))
+    if isinstance(models, str):
+        models = [models]
+    if not isinstance(models, list):
+        raise ConfigError(f"'models' must be a list, got {models!r}")
+
+    return RunConfig(
+        split=_keyed_split(raw["split"]),
+        katz=_keyed_katz(raw.get("katz")),
+        input=raw.get("input"),
+        synth=_keyed_synth(raw["synth"]) if "synth" in raw else None,
+        schema=schema,
+        on_bad_rows=ingest.get("on_bad_rows", "abort"),
+        delimiter=delimiter,
+        year_range=year_range,
+        models=tuple(str(m) for m in models),
+        score_basis=raw.get("score_basis", "train"),
+        tune_on=raw.get("tune_on", "val"),
+        combine_rule=raw.get("combine_rule", "mean"),
+        combine_on=raw.get("combine_on", "normalized"),
+        directed=_keyed_bool(raw.get("directed", True), "directed"),
+        workers=_keyed_int(raw.get("workers", 1), "workers"),
+        output_dir=raw.get("output_dir"),
+        source_text=text)

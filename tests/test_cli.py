@@ -6,7 +6,10 @@ import logging
 
 import pytest
 
+from geokatz import metrics, pipeline
 from geokatz.cli import build_parser, main
+from geokatz.config import load_run_config
+from geokatz.graphs import candidate_pairs
 
 RUN_YAML = """\
 synth:
@@ -251,6 +254,38 @@ class TestEvalCommand:
         scored.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["eval", "--config", str(run_config),
                      "--scores", str(scored), "--tune"]) == 2
+
+    def test_truncated_row_is_data_error(self, run_config, scored, caplog):
+        lines = scored.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:3])
+        scored.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--config", str(run_config),
+                     "--scores", str(scored), "--tune"]) == 2
+        assert f"line {len(lines)}: fewer fields" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_is_config_error(
+            self, run_config, scored, caplog, capsys, value):
+        assert main(["eval", "--config", str(run_config),
+                     "--scores", str(scored), "--threshold", value]) == 1
+        assert "'--threshold' must be finite" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_tune_report_matches_tuning_then_evaluating(
+            self, run_config, scored, capsys):
+        assert main(["eval", "--config", str(run_config),
+                     "--scores", str(scored), "--tune"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        cfg = load_run_config(run_config)
+        net, _, _, test = pipeline._build_data(cfg, None)
+        table = pipeline.read_score_table(scored, candidate_pairs(test),
+                                          net.registry)
+        threshold, tuned_f1 = metrics.optimal_threshold(table)
+        report = metrics.evaluate(
+            table, threshold=threshold,
+            info={"tuned_on": "eval-universe", "tuning_f1": tuned_f1})
+        assert got == json.loads(json.dumps(metrics.report_dict(report)))
 
     @pytest.mark.parametrize("model", ["sub/KI", "../KI", ".."])
     def test_model_that_is_not_a_file_name_is_data_error(

@@ -2,18 +2,25 @@
 
 import copy
 import logging
+import math
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geokatz.config import (_INGEST_KEYS, _KATZ_KEYS, _SYNTH_KEYS, _TOP_KEYS,
                             ALL_MODELS, RunConfig, load_run_config,
                             parse_run_config)
 from geokatz.errors import ConfigError, DataError
-from geokatz.graphs import ingest_movements
+from geokatz.geo import WEIGHT_TRANSFORMS
+from geokatz.graphs import SplitSpec, ingest_movements
+from geokatz.katz import BETA_MODES, METHODS, KatzConfig
+from geokatz.synth import SynthConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,7 +145,8 @@ class TestScalarCoercion:
 
     @pytest.mark.parametrize("key", ["gamma", "alpha", "series_tolerance"])
     def test_bool_is_not_a_float(self, key):
-        with pytest.raises(ConfigError, match=f"'katz.{key}' must be a num"):
+        with pytest.raises(ConfigError,
+                           match=f"'katz.{key}' must be a real num"):
             parse_run_config(MINIMAL_SYNTH + f"katz:\n  {key}: true\n")
 
     def test_bool_is_not_an_integer(self):
@@ -273,6 +281,12 @@ class TestLoadOverrides:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_run_config(tmp_path / "absent.yaml")
+
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(MINIMAL_SYNTH.encode() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_run_config(path)
 
     def test_no_overrides_round_trips(self, synth_path):
         cfg = load_run_config(synth_path)
@@ -412,3 +426,250 @@ def test_fuzzed_config_parses_or_is_config_error(base, edits):
     assert isinstance(cfg.delimiter, str) and len(cfg.delimiter) == 1
     assert cfg.input is None or isinstance(cfg.input, str)
     assert cfg.output_dir is None or isinstance(cfg.output_dir, str)
+
+
+def _edited(base, edits):
+    doc = copy.deepcopy(yaml.safe_load(base))
+    for (block, key), value in edits:
+        if block is None:
+            doc[key] = value
+        else:
+            if not isinstance(doc.get(block), dict):
+                doc[block] = {}
+            doc[block][key] = value
+    return yaml.safe_dump(doc)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ConfigError, DataError):
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([MINIMAL_SYNTH, MINIMAL_INPUT]),
+       edits=st.lists(st.tuples(st.sampled_from(_PLACES), _VALUES),
+                      min_size=1, max_size=4))
+def test_fuzzed_config_parses_like_the_keyed_parser(base, edits):
+    text = _edited(base, edits)
+    assert (_outcome(parse_run_config, text)
+            == _outcome(oracles.keyed_parse_run_config, text))
+
+
+# (block, key, quoted text, the float it must parse to or None when an
+# integer key refuses text). bbox entries are placed by index.
+_QUOTED = ([("katz", key, "0.25", 0.25)
+            for key in ("alpha", "beta", "gamma")]
+           + [("katz", key, "1e-9", 1e-9)
+              for key in ("series_tolerance", "spectral_tol")]
+           + [("katz", key, "5", None)
+              for key in ("max_walk_length", "spectral_max_iter",
+                          "solve_max_nodes")]
+           + [("synth", key, "0.25", 0.25)
+              for key in ("decay_rate", "hub_bias", "repeat_edge_prob")]
+           + [("synth", key, "20", None)
+              for key in ("seed", "n_nodes", "movements_per_year")]
+           + [("synth", ("bbox", i), text, value) for i, text, value in (
+               (0, "50.5", 50.5), (1, "51", 51.0), (2, "-1.0e0", -1.0),
+               (3, "0", 0.0))]
+           + [("synth", "years", "2019", None), (None, "workers", "2", None),
+              ("split", "test", "2021", None),
+              ("ingest", "year_range", ["1990", 2030], None)])
+
+
+@pytest.mark.parametrize("block,key,text,value", _QUOTED)
+def test_quoted_number_parses_like_the_keyed_parser(block, key, text, value):
+    name, index = key if isinstance(key, tuple) else (key, None)
+    doc = yaml.safe_load(MINIMAL_SYNTH)
+    place = doc if block is None else doc.setdefault(block, {})
+    if index is None:
+        place[name] = text
+    else:
+        place[name][index] = text
+    source = yaml.safe_dump(doc)
+    got = _outcome(parse_run_config, source)
+    assert got == _outcome(oracles.keyed_parse_run_config, source)
+    if value is None:
+        assert got == "refused"
+    else:
+        parsed = getattr(getattr(got, block), name)
+        assert (parsed if index is None else parsed[index]) == value
+
+
+# Field values for direct construction: values of the kinds the
+# fields take, with the edge cases of each, and values of other kinds.
+_SPLIT = SplitSpec(train_years=(2019, 2019), val_years=(2020, 2020),
+                   test_years=(2021, 2021))
+_SYNTH = SynthConfig(seed=1, n_nodes=10, years=(2019, 2021),
+                     bbox=(50.0, 51.0, -1.0, 0.0), movements_per_year=20)
+_YEARS = st.one_of(st.integers(2000, 2030),
+                   st.tuples(st.integers(2000, 2030),
+                             st.integers(2000, 2030)))
+_FIELD_VALUES = st.one_of(
+    _VALUES, _YEARS, st.floats(-2, 2), st.floats(),
+    st.tuples(_SCALARS, _SCALARS),
+    st.tuples(st.integers(1990, 2030), st.floats(1990, 2030)),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.lists(st.floats(-200, 200), min_size=4, max_size=4),
+    st.sampled_from(BETA_MODES + METHODS + WEIGHT_TRANSFORMS + ALL_MODELS
+                    + ("tune", "fraction", "series", "skip", ";", "carp",
+                       "train+val", "test", "max", "raw")),
+    st.lists(st.sampled_from(ALL_MODELS), max_size=3),
+    st.just(_SPLIT), st.just(KatzConfig()), st.just(_SYNTH))
+
+
+_UNIT = st.one_of(st.floats(0.01, 0.99), st.floats(0.01, 0.99).map(np.float64))
+_COUNT = st.one_of(st.integers(1, 9), st.integers(1, 9).map(np.int64))
+# Values each field takes, in every accepted form.
+_TAKES = {
+    "beta_mode": st.sampled_from(BETA_MODES + ("fraction",)),
+    "method": st.sampled_from(METHODS + ("series", "solve")),
+    "alpha": _UNIT, "beta": st.one_of(st.none(), _UNIT),
+    "series_tolerance": _UNIT, "spectral_tol": _UNIT,
+    "gamma": st.one_of(st.just("tune"), _UNIT, st.integers(0, 2)),
+    "max_walk_length": _COUNT, "spectral_max_iter": _COUNT,
+    "solve_max_nodes": _COUNT,
+    "wki_transform": st.sampled_from(WEIGHT_TRANSFORMS),
+    "seed": _COUNT, "n_nodes": _COUNT, "years": _YEARS,
+    "bbox": st.tuples(st.integers(40, 49), st.floats(50, 60),
+                      st.floats(-10, -1), _UNIT),
+    "movements_per_year": st.one_of(st.integers(0, 9),
+                                    st.lists(st.integers(0, 9))),
+    "decay_rate": _UNIT, "hub_bias": _UNIT, "repeat_edge_prob": _UNIT,
+    "species": st.one_of(st.text(max_size=4),
+                         st.lists(st.text(max_size=4), min_size=1)),
+    "split": st.just(_SPLIT), "katz": st.just(KatzConfig()),
+    "synth": st.one_of(st.none(), st.just(_SYNTH)),
+    "input": st.one_of(st.none(), st.just("m.csv")),
+    "schema": st.one_of(st.none(), st.dictionaries(_SCALARS, _SCALARS)),
+    "on_bad_rows": st.sampled_from(("abort", "skip")),
+    "delimiter": st.sampled_from(",;\t|"),
+    "year_range": _YEARS.filter(lambda v: isinstance(v, tuple)),
+    "models": st.one_of(st.sampled_from(ALL_MODELS),
+                        st.lists(st.sampled_from(ALL_MODELS), max_size=3)),
+    "score_basis": st.sampled_from(("train", "train+val")),
+    "tune_on": st.sampled_from(("val", "test")),
+    "combine_rule": st.sampled_from(("mean", "product", "max")),
+    "combine_on": st.sampled_from(("normalized", "raw")),
+    "directed": st.booleans(), "workers": _COUNT,
+    "output_dir": st.one_of(st.none(), st.just("out")),
+    "source_text": st.text(max_size=5),
+}
+
+
+def _edits(cls):
+    """1-3 fields of ``cls``, each set to a value of a kind it takes
+    or to any other value."""
+    names = sorted(f.name for f in fields(cls))
+    edit = st.sampled_from(names).flatmap(lambda name: st.tuples(
+        st.just(name), st.one_of(_TAKES[name], _FIELD_VALUES)))
+    return st.lists(edit, min_size=1, max_size=3).map(dict)
+
+
+def _is_real(value):
+    return type(value) is float and math.isfinite(value)
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_edits(KatzConfig))
+def test_katz_config_builds_well_typed_or_is_refused(edits):
+    try:
+        cfg = KatzConfig(**edits)
+    except ConfigError:
+        return
+    assert cfg.beta_mode in BETA_MODES and cfg.method in METHODS
+    assert cfg.wki_transform in WEIGHT_TRANSFORMS
+    assert all(map(_is_real, (cfg.alpha, cfg.series_tolerance,
+                              cfg.spectral_tol)))
+    assert cfg.beta is None or _is_real(cfg.beta)
+    assert cfg.gamma == "tune" or _is_real(cfg.gamma) and cfg.gamma >= 0
+    assert all(map(_is_int, (cfg.max_walk_length, cfg.spectral_max_iter,
+                             cfg.solve_max_nodes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_edits(SynthConfig))
+def test_synth_config_builds_well_typed_or_is_refused(edits):
+    try:
+        cfg = replace(_SYNTH, **edits)
+    except ConfigError:
+        return
+    assert _is_int(cfg.seed) and _is_int(cfg.n_nodes) and cfg.n_nodes >= 1
+    assert type(cfg.years) is tuple and all(map(_is_int, cfg.years))
+    assert cfg.years[0] <= cfg.years[1]
+    assert type(cfg.bbox) is tuple and all(map(_is_real, cfg.bbox))
+    # yearly_counts() is not called: the years may span 10**20.
+    counts = cfg.movements_per_year
+    if type(counts) is tuple:
+        assert len(counts) == cfg.years[1] - cfg.years[0] + 1
+    else:
+        counts = (counts,)
+    assert all(_is_int(c) and c >= 0 for c in counts)
+    assert all(map(_is_real, (cfg.decay_rate, cfg.hub_bias,
+                              cfg.repeat_edge_prob)))
+    assert type(cfg.species) is tuple and cfg.species
+    assert all(type(name) is str for name in cfg.species)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_edits(RunConfig))
+def test_run_config_builds_well_typed_or_is_refused(edits):
+    try:
+        cfg = RunConfig(**{"split": _SPLIT, "katz": KatzConfig(),
+                           "synth": _SYNTH, **edits})
+    except (ConfigError, DataError):
+        return
+    assert isinstance(cfg.split, SplitSpec)
+    assert isinstance(cfg.katz, KatzConfig)
+    assert (cfg.input is None) != (cfg.synth is None)
+    assert cfg.synth is None or isinstance(cfg.synth, SynthConfig)
+    assert cfg.schema is None or all(
+        type(k) is str and type(v) is str for k, v in cfg.schema.items())
+    assert type(cfg.year_range) is tuple
+    assert all(map(_is_int, cfg.year_range))
+    assert cfg.year_range[0] <= cfg.year_range[1]
+    assert type(cfg.models) is tuple and cfg.models
+    assert set(cfg.models) <= set(ALL_MODELS)
+    assert type(cfg.directed) is bool
+    assert _is_int(cfg.workers) and cfg.workers >= 1
+    for path in (cfg.input, cfg.output_dir):
+        assert path is None or type(path) is str
+    assert type(cfg.source_text) is str
+
+
+class TestDirectConstructionChecks:
+    """Values a library caller could pass that YAML parsing never
+    produced: each was accepted before the dataclasses checked their
+    own fields."""
+
+    def test_species_string_is_one_name(self):
+        assert replace(_SYNTH, species="carp").species == ("carp",)
+
+    def test_bool_movement_count_refused(self):
+        with pytest.raises(ConfigError, match="synth.movements_per_year"):
+            replace(_SYNTH, movements_per_year=True)
+
+    @pytest.mark.parametrize("key", ["hub_bias", "decay_rate"])
+    def test_nan_synth_rate_refused(self, key):
+        with pytest.raises(ConfigError, match=f"'synth.{key}' must be fin"):
+            replace(_SYNTH, **{key: math.nan})
+
+    def test_text_directed_refused(self):
+        cfg = parse_run_config(MINIMAL_SYNTH)
+        with pytest.raises(ConfigError, match="'directed' must be true"):
+            replace(cfg, directed="no")
+
+    def test_fractional_workers_refused(self):
+        cfg = parse_run_config(MINIMAL_SYNTH)
+        with pytest.raises(ConfigError, match="'workers' must be an integ"):
+            replace(cfg, workers=2.5)
+
+    def test_fractional_year_range_refused(self):
+        cfg = parse_run_config(MINIMAL_SYNTH)
+        with pytest.raises(ConfigError, match="ingest.year_range"):
+            replace(cfg, year_range=(1990.5, 2030))

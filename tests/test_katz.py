@@ -83,7 +83,7 @@ def test_config_gamma_validation():
 def test_config_rejects_non_finite_values(name, kwargs):
     # exp(-inf * 0) is NaN, so an infinite gamma would poison the decay
     # scores of coincident sites.
-    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+    with pytest.raises(ConfigError, match=f"katz.{name}' must be finite"):
         KatzConfig(**kwargs)
 
 
@@ -100,7 +100,7 @@ def test_config_rejects_non_finite_values(name, kwargs):
     ("solve_max_nodes", {"solve_max_nodes": "10"}, "an integer"),
 ])
 def test_config_rejects_wrong_types(name, kwargs, kind):
-    with pytest.raises(ConfigError, match=f"{name} must be {kind}"):
+    with pytest.raises(ConfigError, match=f"katz.{name}' must be {kind}"):
         KatzConfig(**kwargs)
 
 

@@ -507,6 +507,27 @@ class TestScoreTableRoundTrip:
         with pytest.raises(DataError, match="required columns"):
             read_score_table(path, universe, registry)
 
+    def test_short_row_is_data_error_naming_its_line(self, exported):
+        path, _, universe, registry = exported
+        self._mutate(path, lambda lines: lines[:-1] + [
+            ",".join(lines[-1].split(",")[:3])])
+        last = len(path.read_text().splitlines())
+        with pytest.raises(DataError, match=f"line {last}: fewer fields"):
+            read_score_table(path, universe, registry)
+
+    def test_line_numbers_count_blank_lines(self, exported):
+        path, _, universe, registry = exported
+
+        def corrupt(lines):
+            fields = lines[4].split(",")
+            fields[3] = "high"
+            return (lines[:2] + [""] + lines[2:4] + [",".join(fields)]
+                    + lines[5:])
+
+        self._mutate(path, corrupt)
+        with pytest.raises(DataError, match="line 6: non-numeric score"):
+            read_score_table(path, universe, registry)
+
     def test_non_numeric_score_detected(self, exported):
         path, _, universe, registry = exported
 
