@@ -503,20 +503,16 @@ def _csv_fields(values):
     return fields
 
 
-def write_score_table(table, registry, dest):
+def write_score_table(table, registry, dest, known=None):
     """Export a normalized table as delimited text.
 
     Columns are source_id, dest_id, model, score (pre-normalization)
     and score_norm; rows are ordered lexicographically by source id
     then dest id, and floats use 6 significant digits, so identical
-    tables export byte-identically.
+    tables export byte-identically. ``known`` is text for the
+    score_norm column, passed on to ``_format6`` (see
+    ``metrics._write_curves``).
     """
-    return _write_scores(table, registry, dest)
-
-
-def _write_scores(table, registry, dest, known=None):
-    """``write_score_table``, with ``known`` text for the score_norm
-    column passed to ``_format6`` (see ``metrics._write_curves``)."""
     if not table.normalized or table.raw_values is None:
         raise ValueError("score export requires a normalized table")
     ids = [registry.ids[i] for i in table.universe.node_indices]

@@ -21,8 +21,8 @@ from . import geo, metrics, synth
 from .errors import DataError, UniverseMismatchError
 from .graphs import _open_input, build_adjacency, build_network, \
     candidate_pairs, ingest_movements, temporal_split
-from .katz import ScoreTable, _write_scores, combine, \
-    edge_weighted_katz_scores, katz_scores, normalize
+from .katz import ScoreTable, combine, edge_weighted_katz_scores, \
+    katz_scores, normalize, write_score_table
 
 log = logging.getLogger(__name__)
 
@@ -49,12 +49,16 @@ INCOMPLETE_MARKER = "INCOMPLETE"
 class PipelineResult:
     """Everything a run produced, keyed by model name."""
     reports: dict
-    thresholds: dict
     tables: dict
     universe: object
     tune_universe: object
     summary: dict = field(default_factory=dict)
     out_dir: object = None
+
+    @property
+    def thresholds(self):
+        """Each evaluated model's tuned decision threshold."""
+        return {m: r.threshold for m, r in self.reports.items()}
 
 
 def _needed_bases(models):
@@ -66,26 +70,18 @@ def _needed_bases(models):
     return bases
 
 
-class _UniverseScoring:
-    """Score tables for one (universe, basis adjacency) combination.
+@dataclass(eq=False)
+class _Scoring:
+    """One universe scored from one adjacency.
 
-    ``bases`` are the base models this universe will be asked for.
-    Scorings listed in each other's ``peers`` share one adjacency: a
-    base model is scored for all of them that need it from one Katz
-    operator (see ``katz_scores`` over a list of universes).
+    ``bases`` are the base models whose tables the run wants for the
+    universe; ``raw`` holds the unnormalized tables scored so far.
     """
-
-    def __init__(self, universe, adj, registry, cfg, katz_cfg, bases):
-        self.universe = universe
-        self.adj = adj
-        self.registry = registry
-        self.cfg = cfg
-        self.katz_cfg = katz_cfg
-        self.bases = bases
-        self.peers = [self]
-        self.raw = {}
-        self.norm = {}
-        self.tables = {}
+    universe: object
+    adj: object
+    registry: object
+    bases: tuple
+    raw: dict = field(default_factory=dict)
 
     @cached_property
     def distances(self):
@@ -94,81 +90,68 @@ class _UniverseScoring:
         return geo.distance_matrix(self.registry.lat_array()[nodes],
                                    self.registry.lon_array()[nodes])
 
-    def _needs(self, base):
-        return base in self.bases or (base == "KI" and "EWKI" in self.bases)
 
-    def _score_base(self, base):
-        """Raw ``base`` tables for this universe and every peer that
-        needs one and lacks it, from one operator on the adjacency."""
-        group = [s for s in self.peers if base not in s.raw
-                 and (s is self or s._needs(base))]
-        adj = self.adj
+def _score_base(base, scorings, katz_cfg):
+    """Raw ``base`` (KI or WKI) tables for each scoring that lacks one.
+
+    Scorings on the same adjacency object are scored together, from one
+    Katz operator (see ``katz_scores`` over a list of universes).
+    """
+    groups = {}
+    for scoring in scorings:
+        if base not in scoring.raw:
+            groups.setdefault(id(scoring.adj), []).append(scoring)
+    for group in groups.values():
+        adj = group[0].adj
         if base == "WKI":
+            registry = group[0].registry
             adj = geo.weighted_adjacency(
-                self.adj, self.registry.lat_array(),
-                self.registry.lon_array(),
-                transform=self.katz_cfg.wki_transform,
-                gamma=self.katz_cfg.resolved_gamma()
-                if self.katz_cfg.wki_transform == "decay" else 0.0)
-        tables = katz_scores(adj, self.katz_cfg,
-                             [s.universe for s in group], model=base)
+                adj, registry.lat_array(), registry.lon_array(),
+                transform=katz_cfg.wki_transform,
+                gamma=katz_cfg.resolved_gamma()
+                if katz_cfg.wki_transform == "decay" else 0.0)
+        tables = katz_scores(adj, katz_cfg, [s.universe for s in group],
+                             model=base)
         for scoring, table in zip(group, tables):
             scoring.raw[base] = table
 
-    def compute(self):
-        """Score the base models, then assemble combinations.
 
-        The pairwise-decay table is an elementwise product on top of KI
-        and is built after it.
-        """
-        for b in ("KI", "WKI"):
-            if self._needs(b) and b not in self.raw:
-                self._score_base(b)
-        if "EWKI" in self.bases:
-            self.raw["EWKI"] = edge_weighted_katz_scores(
-                self.adj, self.distances, self.katz_cfg, self.universe,
-                ki_table=self.raw["KI"])
-        for b in self.bases:
-            self.norm[b] = normalize(self.raw[b])
+def _tune_gamma(scoring, katz_cfg):
+    """Pick gamma from a log grid by tuning-split F1 of the decay model.
 
-    def tune_gamma(self):
-        """Pick gamma from a log grid by tuning-split F1 of the decay model.
+    Each candidate multiplies the scoring's KI table by its decay
+    weights, normalizes, and sweeps the optimal F1; ties keep the
+    smaller gamma. Returns the chosen value.
+    """
+    best_gamma, best_f1 = None, -1.0
+    for gamma in GAMMA_GRID:
+        candidate = edge_weighted_katz_scores(
+            scoring.adj, scoring.distances,
+            replace(katz_cfg, gamma=float(gamma)), scoring.universe,
+            ki_table=scoring.raw["KI"])
+        _, f1 = metrics.optimal_threshold(normalize(candidate))
+        if f1 > best_f1:
+            best_gamma, best_f1 = float(gamma), f1
+    log.info("gamma tuned to %.6g (tuning F1 %.6g)", best_gamma, best_f1)
+    return best_gamma
 
-        Each candidate multiplies this universe's KI table by its decay
-        weights, normalizes, and sweeps the optimal F1; ties keep the
-        smaller gamma. The KI table and the distance matrix stay cached
-        for ``compute``. Stores the resolved KatzConfig and returns the
-        chosen value.
-        """
-        if "KI" not in self.raw:
-            self._score_base("KI")
-        best_gamma, best_f1 = None, -1.0
-        for gamma in GAMMA_GRID:
-            candidate = edge_weighted_katz_scores(
-                self.adj, self.distances,
-                replace(self.katz_cfg, gamma=float(gamma)),
-                self.universe, ki_table=self.raw["KI"])
-            _, f1 = metrics.optimal_threshold(normalize(candidate))
-            if f1 > best_f1:
-                best_gamma, best_f1 = float(gamma), f1
-        log.info("gamma tuned to %.6g (tuning F1 %.6g)", best_gamma, best_f1)
-        self.katz_cfg = replace(self.katz_cfg, gamma=best_gamma)
-        return best_gamma
 
-    def table_for(self, model):
-        """Normalized score table for a base or combined model."""
-        table = self.tables.get(model)
-        if table is not None:
-            return table
+def _model_tables(scoring, katz_cfg, cfg):
+    """Normalized table of each of ``cfg.models`` on the scoring's
+    universe: EWKI decays the KI table, each base is normalized and the
+    combined models fuse two of them."""
+    if "EWKI" in scoring.bases:
+        scoring.raw["EWKI"] = edge_weighted_katz_scores(
+            scoring.adj, scoring.distances, katz_cfg, scoring.universe,
+            ki_table=scoring.raw["KI"])
+    norm = {base: normalize(scoring.raw[base]) for base in scoring.bases}
+    tables = {}
+    for model in cfg.models:
         parts = MODEL_PARTS[model]
-        if len(parts) == 1:
-            table = self.norm[model]
-        else:
-            table = combine(self.norm[parts[0]], self.norm[parts[1]],
-                            rule=self.cfg.combine_rule,
-                            on=self.cfg.combine_on)
-        self.tables[model] = table
-        return table
+        tables[model] = norm[model] if len(parts) == 1 else combine(
+            norm[parts[0]], norm[parts[1]], rule=cfg.combine_rule,
+            on=cfg.combine_on)
+    return tables
 
 
 def _build_data(cfg, out_dir):
@@ -240,66 +223,53 @@ def _run_steps(cfg, out_dir, evaluate_models):
 
     katz_cfg = cfg.katz
     bases = _needed_bases(cfg.models)
-    final_universe = candidate_pairs(test)
-    final_scoring = _UniverseScoring(final_universe, adj_basis, registry,
-                                     cfg, katz_cfg, bases)
+    final = _Scoring(candidate_pairs(test), adj_basis, registry, bases)
     if cfg.tune_on == "test":
-        tune_scoring = final_scoring
+        tune = final
+        scorings = [final]
     else:
         # Without evaluation the tuning universe serves gamma tuning only.
-        tune_scoring = _UniverseScoring(candidate_pairs(val), adj_train,
-                                        registry, cfg, katz_cfg,
-                                        bases if evaluate_models else ())
-        if adj_basis is adj_train:
-            final_scoring.peers.append(tune_scoring)
-            tune_scoring.peers = final_scoring.peers
-    tune_universe = tune_scoring.universe
+        tune = _Scoring(candidate_pairs(val), adj_train, registry,
+                        bases if evaluate_models else ())
+        scorings = [final, tune]
+    tuning = katz_cfg.gamma == "tune" and (
+        "EWKI" in bases or katz_cfg.wki_transform == "decay")
 
-    gamma_tuned = None
+    # KI, then gamma (which decays the tuning universe's KI table), then
+    # WKI (whose decay transform may need gamma), then the model tables.
+    _score_base("KI", [s for s in scorings if (tuning and s is tune)
+                       or "KI" in s.bases or "EWKI" in s.bases], katz_cfg)
+    gamma_tuned = _tune_gamma(tune, katz_cfg) if tuning else None
     if katz_cfg.gamma == "tune":
-        if "EWKI" in bases or katz_cfg.wki_transform == "decay":
-            gamma_tuned = tune_scoring.tune_gamma()
-        else:
-            tune_scoring.katz_cfg = replace(katz_cfg, gamma=0.0)
-        katz_cfg = final_scoring.katz_cfg = tune_scoring.katz_cfg
+        katz_cfg = replace(katz_cfg, gamma=0.0 if gamma_tuned is None
+                           else gamma_tuned)
+    _score_base("WKI", [s for s in scorings if "WKI" in s.bases], katz_cfg)
+    tables = _model_tables(final, katz_cfg, cfg)
 
-    final_scoring.compute()
-    if tune_scoring is not final_scoring:
-        tune_scoring.compute()
-
-    thresholds = {}
-    tuning_f1 = {}
     reports = {}
-    tables = {}
-    for model in cfg.models:
-        final_table = final_scoring.table_for(model)
-        tables[model] = final_table
-        if not evaluate_models:
-            continue
-        tune_table = tune_scoring.table_for(model)
-        info = dict(final_table.info)
-        info.update({"tuned_on": cfg.tune_on,
-                     "score_basis": cfg.score_basis})
-        if gamma_tuned is not None:
-            info["gamma_tuned"] = gamma_tuned
-        if tune_table is final_table:
-            thr, tuned_f1, report = metrics._tune_and_evaluate(
-                final_table, model, info)
-        else:
-            thr, tuned_f1 = metrics.optimal_threshold(tune_table)
-            report = metrics.evaluate(final_table, threshold=thr,
-                                      model=model, info=info)
-        report.info["tuning_f1"] = tuned_f1
-        thresholds[model] = thr
-        tuning_f1[model] = tuned_f1
-        reports[model] = report
+    if evaluate_models:
+        tune_tables = (None if tune is final
+                       else _model_tables(tune, katz_cfg, cfg))
+        for model, final_table in tables.items():
+            info = dict(final_table.info, tuned_on=cfg.tune_on,
+                        score_basis=cfg.score_basis)
+            if gamma_tuned is not None:
+                info["gamma_tuned"] = gamma_tuned
+            if tune_tables is None:
+                _, tuned_f1, report = metrics._tune_and_evaluate(
+                    final_table, model, info)
+            else:
+                thr, tuned_f1 = metrics.optimal_threshold(tune_tables[model])
+                report = metrics.evaluate(final_table, threshold=thr,
+                                          model=model, info=info)
+            report.info["tuning_f1"] = tuned_f1
+            reports[model] = report
 
-    summary = _run_summary(cfg, net, train, val, test, tune_universe,
-                           final_universe, thresholds, tuning_f1,
-                           katz_cfg, gamma_tuned)
-    result = PipelineResult(reports=reports, thresholds=thresholds,
-                            tables=tables, universe=final_universe,
-                            tune_universe=tune_universe, summary=summary,
+    summary = _run_summary(cfg, net, train, val, test, tune.universe,
+                           final.universe, reports, katz_cfg, gamma_tuned)
+    result = PipelineResult(reports=reports, tables=tables,
+                            universe=final.universe,
+                            tune_universe=tune.universe, summary=summary,
                             out_dir=out_dir)
     if out_dir is not None:
         _write_artifacts(cfg, result, registry)
@@ -317,7 +287,7 @@ def _universe_stats(universe):
 
 
 def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
-                 thresholds, tuning_f1, katz_cfg, gamma_tuned):
+                 reports, katz_cfg, gamma_tuned):
     summary = {
         "models": list(cfg.models),
         "score_basis": cfg.score_basis,
@@ -333,17 +303,17 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
                    "test": _split_stats(test)},
         "universes": {"tuning": _universe_stats(tune_universe),
                       "final": _universe_stats(final_universe)},
-        "gamma": (katz_cfg.gamma if katz_cfg.gamma != "tune" else None),
+        "gamma": katz_cfg.gamma,
     }
     if gamma_tuned is not None:
         summary["gamma_tuned"] = gamma_tuned
     if cfg.synth is not None:
         summary["synth_seed"] = cfg.synth.seed
-    if thresholds:
-        summary["thresholds"] = {m: metrics._round6(t)
-                                 for m, t in thresholds.items()}
-        summary["tuning_f1"] = {m: metrics._round6(v)
-                                for m, v in tuning_f1.items()}
+    if reports:
+        summary["thresholds"] = {m: metrics._round6(r.threshold)
+                                 for m, r in reports.items()}
+        summary["tuning_f1"] = {m: metrics._round6(r.info["tuning_f1"])
+                                for m, r in reports.items()}
     return summary
 
 
@@ -357,23 +327,22 @@ def _write_artifacts(cfg, result, registry):
             known = metrics._write_curves(
                 report, out_dir / f"curve_roc_{model}.csv",
                 out_dir / f"curve_pr_{model}.csv")
-        _write_scores(result.tables[model], registry,
-                      out_dir / f"scores_{model}.csv", known)
+        write_score_table(result.tables[model], registry,
+                          out_dir / f"scores_{model}.csv", known)
     if result.reports:
         _write_summary_table(cfg.models, result.reports,
                              out_dir / "summary.csv")
     payload = json.dumps(result.summary, indent=2, sort_keys=True)
-    (out_dir / "run_summary.json").write_text(payload + "\n",
-                                              encoding="utf-8")
+    metrics._write_text(payload + "\n", out_dir / "run_summary.json")
 
 
 def _write_summary_table(models, reports, dest):
     """Summary CSV: one metric per row, one model per column."""
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric," + ",".join(models) + "\n")
-        for label, attr in SUMMARY_ROWS:
-            cells = [f"{getattr(reports[m], attr):.6g}" for m in models]
-            fh.write(label + "," + ",".join(cells) + "\n")
+    lines = ["metric," + ",".join(models) + "\n"]
+    for label, attr in SUMMARY_ROWS:
+        cells = [f"{getattr(reports[m], attr):.6g}" for m in models]
+        lines.append(label + "," + ",".join(cells) + "\n")
+    metrics._write_text("".join(lines), dest)
 
 
 def read_score_table(path, universe, registry):

@@ -11,6 +11,8 @@ tests can check ingestion and splitting against known numbers.
 
 import json
 import logging
+import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .errors import ConfigError, as_int, as_interval, as_real
 from .geo import haversine_from
 from .graphs import IngestReport, _columns_of, _distinct
 from .katz import _csv_fields
+from .metrics import _write_text
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +117,9 @@ class _DestinationSampler:
     For source u the (unnormalized) choice weight of node v != u is
     exp(-decay_rate * d(u, v)). Cumulative-sum rows are built on first
     use per source; the node set is immutable so they never go stale.
+    A row whose total is not a normal positive float is a ConfigError:
+    its weights underflowed, and a scaled draw could land past the
+    last node.
     """
 
     def __init__(self, lat, lon, decay_rate):
@@ -130,6 +136,10 @@ class _DestinationSampler:
             weights = np.exp(-self._decay * dist)
             weights[u] = 0.0
             cum = self._cum[u] = weights.cumsum()
+            if not cum[-1] >= sys.float_info.min:
+                raise ConfigError(
+                    f"'synth.decay_rate' {self._decay!r} is too large: "
+                    f"every destination weight of node {u} underflows")
         return int(cum.searchsorted(random() * cum[-1], "right"))
 
 
@@ -186,7 +196,8 @@ def _draw_links(cfg, rng, lat, lon, total):
     1 + hub_bias * (links out of it so far) and its destination from
     ``_DestinationSampler``. The weights' cumulative sum is rebuilt
     only when a new link changes them; ``cumsum`` adds in sequence, so
-    it is bitwise the sum a rebuild on every draw would give.
+    it is bitwise the sum a rebuild on every draw would give. A sum
+    that overflows is a ConfigError naming ``hub_bias``.
     """
     n = cfg.n_nodes
     random = rng.random
@@ -213,6 +224,10 @@ def _draw_links(cfg, rng, lat, lon, total):
                 out_degree[u] += 1.0
                 source_w[u] = 1.0 + hub_bias * out_degree[u]
                 cum = source_w.cumsum()
+                if not math.isfinite(cum[-1]):
+                    raise ConfigError(
+                        f"'synth.hub_bias' {hub_bias!r} is too large: the "
+                        "source weights overflow")
         src.append(u)
         dst.append(v)
     return src, dst, len(links)
@@ -282,22 +297,11 @@ def write_movements(movements, dest):
                   map(quoted.__getitem__, movements.species))
     lines = [f"{a},{b},{y},{c},{d},{e},{f},{s}\n"
              for a, b, y, c, d, e, f, s in columns]
-    payload = ("source_id,dest_id,year,source_lat,source_lon,dest_lat,"
-               "dest_lon,species\n" + "".join(lines))
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    return dest
+    return _write_text("source_id,dest_id,year,source_lat,source_lon,"
+                       "dest_lat,dest_lon,species\n" + "".join(lines), dest)
 
 
 def write_truth(truth, dest):
     """Write the ground-truth sidecar as deterministic JSON."""
-    payload = json.dumps(truth, indent=2, sort_keys=True)
-    if hasattr(dest, "write"):
-        dest.write(payload + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    return dest
+    return _write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n",
+                       dest)

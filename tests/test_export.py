@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from geokatz import metrics
 from geokatz.graphs import NodeRegistry, PairUniverse
-from geokatz.katz import ScoreTable, _write_scores, normalize, \
-    write_score_table
+from geokatz.katz import ScoreTable, normalize, write_score_table
 
 # Ids with a comma, a double quote, a newline, a carriage return,
 # padding spaces or non-ASCII letters, plus one id that is a prefix of
@@ -161,7 +160,7 @@ def test_model_files_match_row_loops(k, pool, cells, flags, threshold):
     roc, pr, scores = io.StringIO(), io.StringIO(), io.StringIO()
     known = metrics._write_curves(report, roc, pr)
     assert known is not None
-    _write_scores(table, registry, scores, known)
+    write_score_table(table, registry, scores, known)
 
     expected = [io.StringIO() for _ in range(3)]
     oracles.loop_write_curve(report.roc, expected[0])

@@ -11,8 +11,9 @@ from geokatz import katz, pipeline
 from geokatz.config import parse_run_config
 from geokatz.errors import (BetaDomainError, DataError,
                             UniverseMismatchError)
-from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, SUMMARY_ROWS,
-                              read_score_table, run, run_scores_only)
+from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, MODEL_PARTS,
+                              SUMMARY_ROWS, read_score_table, run,
+                              run_scores_only)
 
 QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
 
@@ -173,6 +174,26 @@ class TestScoresOnly:
         names = {p.name for p in tmp_path.iterdir()}
         assert "scores_KIWKI.csv" in names
         assert "scores_KI.csv" not in names
+
+    @pytest.mark.parametrize("gamma", ["0.01", "tune"])
+    @pytest.mark.parametrize("tune_on", ["val", "test"])
+    @pytest.mark.parametrize("basis", ["train", "train+val"])
+    def test_scores_only_tables_match_full_run(self, gamma, tune_on, basis):
+        # Without evaluation the tuning universe serves gamma tuning
+        # only; the final tables must not depend on that.
+        text = SMALL_SYNTH.replace(
+            "models: [KI, WKI, EWKI, KIEWKI]", f"models: {list(MODEL_PARTS)}"
+        ).replace("  gamma: 0.01", f"  gamma: {gamma}").replace(
+            "split:", f"tune_on: {tune_on}\nscore_basis: {basis}\nsplit:")
+        cfg = _cfg(text)
+        full, scores_only = run(cfg), run_scores_only(cfg)
+        assert list(scores_only.tables) == list(MODEL_PARTS)
+        for model, table in full.tables.items():
+            other = scores_only.tables[model]
+            for name in ("values", "raw_values"):
+                a, b = getattr(table, name), getattr(other, name)
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (model, name)
 
 
 class TestScoreBasis:

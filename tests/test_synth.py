@@ -67,6 +67,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=">= 0"):
             _cfg(**{field: -0.1})
 
+    @pytest.mark.parametrize("field,value", [("decay_rate", 1e4),
+                                             ("hub_bias", 1e308)])
+    def test_extreme_finite_rates_are_config_errors(self, field, value):
+        # Every destination weight underflows to 0, or the source
+        # weights' sum overflows; a draw would then index one past the
+        # last node.
+        cfg = _cfg(n_nodes=10, **{field: value})
+        with pytest.raises(ConfigError, match=f"'synth.{field}'"):
+            generate(cfg)
+
     def test_empty_species_rejected(self):
         with pytest.raises(ConfigError, match="species"):
             _cfg(species=())
