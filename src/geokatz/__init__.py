@@ -17,7 +17,7 @@ from .errors import (BetaDomainError, ConfigError, DataError,
 from .geo import (EARTH_RADIUS_KM, WEIGHT_TRANSFORMS, decay_weights,
                   distance_matrix, haversine_km, pair_distances,
                   transform_weights, weighted_adjacency)
-from .graphs import (MovementRecord, NodeRegistry, PairUniverse, SplitSpec,
+from .graphs import (IngestReport, NodeRegistry, PairUniverse, SplitSpec,
                      TemporalNetwork, build_adjacency, build_network,
                      candidate_pairs, ingest_movements, temporal_split)
 from .katz import (KatzConfig, ScoreTable, SpectralRadius, combine,
@@ -35,7 +35,7 @@ __all__ = [
     "ALL_MODELS", "BetaDomainError", "ConfigError", "ConfusionMatrix", "Curve",
     "DataError", "DegenerateLabelsError", "DegenerateScoreTableWarning",
     "EARTH_RADIUS_KM", "EmptyNetworkError", "EmptySplitError",
-    "EvaluationReport", "GeokatzError", "KatzConfig", "MovementRecord",
+    "EvaluationReport", "GeokatzError", "IngestReport", "KatzConfig",
     "NodeRegistry", "NumericError", "PairUniverse", "PipelineResult",
     "RowError", "RunConfig", "SchemaError", "ScoreTable", "SpectralRadius",
     "SplitSpec", "SynthConfig", "TemporalNetwork", "UniverseMismatchError",

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat, zip_longest
-from operator import attrgetter
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,28 +48,6 @@ _INT64 = np.iinfo(np.int64)
 _NO_SPECIES = {"": None}
 
 
-@dataclass(frozen=True)
-class MovementRecord:
-    """One directed, geolocated movement in a calendar year."""
-    source_id: str
-    dest_id: str
-    year: int
-    source_lat: float
-    source_lon: float
-    dest_lat: float
-    dest_lon: float
-    species: Optional[str] = None
-
-
-def _coordinate_error(node_id, lat, lon):
-    """The DataError for a node first seen at (lat, lon), or None."""
-    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-        return DataError(f"node {node_id!r}: latitude {lat} out of range")
-    if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-        return DataError(f"node {node_id!r}: longitude {lon} out of range")
-    return None
-
-
 def _distinct(values):
     """The sorted distinct values of a 1-d array, as ``np.unique`` gives
     them. NumPy 2 finds distinct integers with a hash table, which is
@@ -83,61 +59,44 @@ def _distinct(values):
     return values[keep]
 
 
-def _read_only(values):
-    values = np.asarray(values, dtype=np.float64)
-    values.flags.writeable = False
-    return values
-
-
 class NodeRegistry:
     """Bijective mapping between opaque node ids and dense indices.
 
-    Indices are assigned contiguously from 0 in first-seen order and
-    each node carries one (lat, lon) coordinate in decimal degrees; the
-    first-seen coordinate wins on re-registration.
+    ``ids`` lists distinct node ids in index order; ``lat[i]`` and
+    ``lon[i]`` place node i in decimal degrees. A repeated id, a
+    coordinate array whose length is not that of ``ids``, or a
+    coordinate that is NaN or out of range is a DataError; the first
+    node out of range is the one named.
     """
 
-    def __init__(self):
-        self._index = {}
-        self.ids = []
-        self._lat = _read_only(())
-        self._lon = _read_only(())
-
-    @classmethod
-    def _from_columns(cls, ids, lat, lon):
-        """Registry of distinct ``ids`` in index order, each at its
-        (lat, lon); the first node out of range raises its DataError."""
-        bad = ~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
+    def __init__(self, ids, lat, lon):
+        self.ids = list(ids)
+        n = len(self.ids)
+        self._index = dict(zip(self.ids, range(n)))
+        if len(self._index) != n:
+            # The index keeps each id's last position.
+            repeated = next(node_id for i, node_id in enumerate(self.ids)
+                            if self._index[node_id] != i)
+            raise DataError(f"node {repeated!r} is listed more than once")
+        self._lat = np.array(lat, dtype=np.float64)
+        self._lon = np.array(lon, dtype=np.float64)
+        if self._lat.shape != (n,) or self._lon.shape != (n,):
+            raise DataError(
+                f"{n} node ids need {n} latitudes and longitudes, got "
+                f"{self._lat.size} and {self._lon.size}")
+        bad = ~((np.abs(self._lat) <= 90.0) & (np.abs(self._lon) <= 180.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise _coordinate_error(ids[i], float(lat[i]), float(lon[i]))
-        registry = cls()
-        registry.ids = ids
-        registry._index = dict(zip(ids, range(len(ids))))
-        registry._lat = _read_only(lat)
-        registry._lon = _read_only(lon)
-        return registry
+            lat_i = float(self._lat[i])
+            which, value = (("latitude", lat_i) if not abs(lat_i) <= 90.0
+                            else ("longitude", float(self._lon[i])))
+            raise DataError(f"node {self.ids[i]!r}: {which} {value} "
+                            "out of range")
+        self._lat.flags.writeable = False
+        self._lon.flags.writeable = False
 
     def __len__(self):
         return len(self.ids)
-
-    def __contains__(self, node_id):
-        return node_id in self._index
-
-    def add(self, node_id, lat, lon):
-        """Register a node (or return its existing index)."""
-        idx = self._index.get(node_id)
-        if idx is not None:
-            return idx
-        error = _coordinate_error(node_id, lat, lon)
-        if error is not None:
-            raise error
-        idx = len(self.ids)
-        self._index[node_id] = idx
-        self.ids.append(node_id)
-        self._lat = _read_only(np.append(self._lat, lat))
-        self._lon = _read_only(np.append(self._lon, lon))
-        return idx
 
     def index(self, node_id):
         return self._index[node_id]
@@ -289,7 +248,8 @@ class SplitSpec:
 
 @dataclass(eq=False)
 class IngestReport:
-    """Outcome of one ingestion pass: the accepted rows as columns.
+    """Movements as columns: the accepted rows of one ingestion pass,
+    and the one form in which movements reach ``build_network``.
 
     Accepted row i is ``source_ids[i]``, ``dest_ids[i]``, ``year[i]``,
     the four coordinate arrays at i and ``species[i]`` (None when the
@@ -307,29 +267,11 @@ class IngestReport:
     rejected: int = 0
     diagnostics: list = field(default_factory=list)
 
-    @cached_property
-    def records(self):
-        """The accepted rows as ``MovementRecord``s, built on first use."""
-        return list(map(MovementRecord, self.source_ids, self.dest_ids,
-                        self.year.tolist(), self.source_lat.tolist(),
-                        self.source_lon.tolist(), self.dest_lat.tolist(),
-                        self.dest_lon.tolist(), self.species))
-
-
-def _columns_of(records):
-    """An IngestReport whose columns hold ``records``."""
-    def column(name):
-        return list(map(attrgetter(name), records))
-
-    return IngestReport(
-        column("source_id"), column("dest_id"),
-        np.array(column("year"), dtype=np.int64),
-        *(np.array(column(name), dtype=np.float64)
-          for name in _COORD_COLUMNS),
-        column("species"), accepted=len(records))
-
 
 def _parse_row(fields, line_no, year_range):
+    """The (source id, dest id, year, [source lat, source lon, dest lat,
+    dest lon], species) of one row's fields; a bad field raises its
+    RowError."""
     sid = fields["source_id"].strip()
     did = fields["dest_id"].strip()
     if not sid or not did:
@@ -342,8 +284,8 @@ def _parse_row(fields, line_no, year_range):
     if not (year_range[0] <= year <= year_range[1]):
         raise RowError(
             f"row {line_no}: year {year} outside valid range {year_range}")
-    coords = {}
-    for key in ("source_lat", "source_lon", "dest_lat", "dest_lon"):
+    coords = []
+    for key in _COORD_COLUMNS:
         try:
             value = float(fields[key].strip())
         except ValueError:
@@ -355,13 +297,11 @@ def _parse_row(fields, line_no, year_range):
         if not -bound <= value <= bound:
             raise RowError(
                 f"row {line_no}: {key} {value} outside [-{bound}, {bound}]")
-        coords[key] = value
+        coords.append(value)
     species = fields.get("species")
     if species is not None:
         species = species.strip() or None
-    return MovementRecord(sid, did, year, coords["source_lat"],
-                          coords["source_lon"], coords["dest_lat"],
-                          coords["dest_lon"], species)
+    return sid, did, year, coords, species
 
 
 def delimiter_problem(delimiter, name):
@@ -402,7 +342,7 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
             return _ingest_stream(fh, schema, on_bad_rows, delimiter,
                                   year_range)
     except UnicodeDecodeError as exc:
-        raise _decode_error(source, exc) from exc
+        raise _decode_error(source, exc, "movement file") from exc
 
 
 def _open_input(path, what):
@@ -416,19 +356,18 @@ def _open_input(path, what):
                         f"{exc.strerror or exc}") from exc
 
 
-def _decode_error(source, exc):
-    """The DataError for the byte of ``source`` that ``exc`` could not
-    decode: a path names the file and the byte's offset, a stream its
-    ``name`` if it has one."""
+def _decode_error(source, exc, what):
+    """The DataError for the byte of ``source``, a ``what`` such as a
+    movement file, that ``exc`` could not decode: a path names the file
+    and the byte's offset, a stream its ``name`` if it has one."""
     byte = f"0x{exc.object[exc.start]:02x}"
     if hasattr(source, "read"):
         name = getattr(source, "name", None)
         where = name if isinstance(name, str) else "input stream"
         return DataError(f"{where}: byte {byte} is not valid {exc.encoding}; "
-                         "movement files must be encoded as UTF-8")
+                         f"{what}s must be encoded as UTF-8")
     return DataError(f"{source}: byte {_utf8_error_offset(source)} ({byte}) "
-                     "is not valid UTF-8; movement files must be encoded "
-                     "as UTF-8")
+                     f"is not valid UTF-8; {what}s must be encoded as UTF-8")
 
 
 def _utf8_error_offset(path):
@@ -449,18 +388,29 @@ def _utf8_error_offset(path):
             offset += len(chunk)
 
 
+def _read_header(lines, delimiter):
+    """The header record at the start of ``lines``, an iterator over a
+    text stream's lines, and a csv reader of the records after it.
+
+    The header's names are stripped, or None when there is no record.
+    Spreadsheet exports put a byte-order mark before the header; it
+    goes before parsing so a quoted first cell still parses. The reader
+    has taken just the header record's lines from ``lines``, and its
+    ``line_num`` counts them.
+    """
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
+    reader = csv.reader(chain(first, lines), delimiter=delimiter)
+    header = next(reader, None)
+    return None if header is None else list(map(str.strip, header)), reader
+
+
 def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     schema = dict(schema or {})
     lines = iter(stream)
-    # Spreadsheet exports put a byte-order mark before the header; it
-    # goes before parsing so a quoted first cell still parses.
-    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
-    # The reader takes just the header record's lines from ``lines``.
-    try:
-        header = next(csv.reader(chain(first, lines), delimiter=delimiter))
-    except StopIteration:
+    header, _ = _read_header(lines, delimiter)
+    if header is None:
         raise SchemaError("input has no header row")
-    positions = {name.strip(): i for i, name in enumerate(header)}
+    positions = {name: i for i, name in enumerate(header)}
 
     column_pos = {}
     missing = []
@@ -682,7 +632,7 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
                 raise RowError(
                     f"row {line_no}: expected at least {width} fields, "
                     f"got {len(fields)}")
-            record = _parse_row(
+            sid[i], did[i], row_year, coords[:, i], species[i] = _parse_row(
                 {name: fields[pos] for name, pos in column_pos.items()},
                 line_no, year_range)
         except RowError as exc:
@@ -695,15 +645,10 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
         # The column conversions leave the stripping to int() and
         # float(), which refuse the separators U+001C-U+001F that
         # str.strip removes; such a row is kept as _parse_row reads it.
-        if not _INT64.min <= record.year <= _INT64.max:
-            raise DataError(f"row {line_no}: year {record.year} does not "
+        if not _INT64.min <= row_year <= _INT64.max:
+            raise DataError(f"row {line_no}: year {row_year} does not "
                             "fit in a 64-bit integer")
-        sid[i] = record.source_id
-        did[i] = record.dest_id
-        species[i] = record.species
-        year[i] = record.year
-        coords[:, i] = (record.source_lat, record.source_lon,
-                        record.dest_lat, record.dest_lon)
+        year[i] = row_year
         bad[i] = False
     if bad.any():
         keep = ~bad
@@ -717,15 +662,12 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
 
 
 def build_network(movements):
-    """Assemble a temporal network from an IngestReport or records.
+    """Assemble a temporal network from an IngestReport's columns.
 
     Registers every id with its first-seen coordinates (conflicting
     re-registrations are counted and reported in one warning), drops
     self-loops, and collapses duplicate (source, dest, year) triples.
-    A sequence of ``MovementRecord``s is first turned into columns.
     """
-    if not isinstance(movements, IngestReport):
-        movements = _columns_of(movements)
     m = len(movements.source_ids)
     if m == 0:
         raise EmptyNetworkError("no movement records to build a network from")
@@ -746,7 +688,7 @@ def build_network(movements):
     # Indices are handed out in first-seen order, so an endpoint is a
     # node's first sighting exactly where the running maximum rises.
     first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
-    registry = NodeRegistry._from_columns(ids, lat[first], lon[first])
+    registry = NodeRegistry(ids, lat[first], lon[first])
     conflicts = int(np.count_nonzero(
         (np.abs(registry.lat_array()[codes] - lat) > COORD_CONFLICT_TOL)
         | (np.abs(registry.lon_array()[codes] - lon) > COORD_CONFLICT_TOL)))

@@ -8,7 +8,6 @@ split. All artifacts are written with fixed orderings and 6-significant
 -digit floats so identical configs reproduce byte-identical outputs.
 """
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -19,8 +18,9 @@ import numpy as np
 
 from . import geo, metrics, synth
 from .errors import DataError, UniverseMismatchError
-from .graphs import _open_input, build_adjacency, build_network, \
-    candidate_pairs, ingest_movements, temporal_split
+from .graphs import _decode_error, _open_input, _read_header, \
+    build_adjacency, build_network, candidate_pairs, ingest_movements, \
+    temporal_split
 from .katz import ScoreTable, combine, edge_weighted_katz_scores, \
     katz_scores, normalize, write_score_table
 
@@ -348,59 +348,66 @@ def _write_summary_table(models, reports, dest):
 def read_score_table(path, universe, registry):
     """Load an exported score table back onto a pair universe.
 
-    The file must cover exactly the universe's off-diagonal pairs, each
-    once, with ids resolvable in the registry. Returns a normalized
-    ScoreTable carrying the file's raw scores as ``raw_values``.
+    The file must be UTF-8 and cover exactly the universe's off-diagonal
+    pairs, each once, with ids resolvable in the registry. Its header
+    is read as a movement file's is. Returns a normalized ScoreTable
+    carrying the file's raw scores as ``raw_values``.
     """
+    try:
+        with _open_input(path, "score table") as fh:
+            return _read_scores(fh, path, universe, registry)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path, exc, "score table") from exc
+
+
+def _read_scores(fh, path, universe, registry):
     k = universe.k
     position = {int(node): i for i, node in enumerate(universe.node_indices)}
     norm = np.zeros((k, k), dtype=np.float64)
     raw = np.zeros((k, k), dtype=np.float64)
     seen = np.zeros((k, k), dtype=bool)
     model = None
-    with _open_input(path, "score table") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames
-        if names:
-            # A spreadsheet may save the file with a byte order mark.
-            reader.fieldnames = [names[0].removeprefix("\ufeff"), *names[1:]]
-        required = {"source_id", "dest_id", "model", "score", "score_norm"}
-        if reader.fieldnames is None or not required.issubset(
-                reader.fieldnames):
+    header, reader = _read_header(fh, ",")
+    names = ("source_id", "dest_id", "model", "score", "score_norm")
+    if header is None or not set(names).issubset(header):
+        raise DataError(
+            f"score table {path} lacks required columns {sorted(names)}")
+    at = {name: i for i, name in enumerate(header)}
+    columns = [at[name] for name in names]
+    for row in reader:
+        if not row:
+            continue
+        # The reader counts physical lines, blank ones included.
+        line_no = reader.line_num
+        if len(row) < len(header):
+            raise DataError(f"line {line_no}: fewer fields than the header")
+        source, dest, row_model, score, score_norm = map(row.__getitem__,
+                                                         columns)
+        if model is None:
+            model = row_model
+        elif row_model != model:
             raise DataError(
-                f"score table {path} lacks required columns "
-                f"{sorted(required)}")
-        for row in reader:
-            # DictReader skips blank lines, so count physical lines.
-            line_no = reader.line_num
-            if None in row.values():
-                raise DataError(
-                    f"line {line_no}: fewer fields than the header")
-            if model is None:
-                model = row["model"]
-            elif row["model"] != model:
-                raise DataError(
-                    f"score table mixes models {model!r} and "
-                    f"{row['model']!r} (line {line_no})")
-            try:
-                u = registry.index(row["source_id"])
-                v = registry.index(row["dest_id"])
-                i, j = position[u], position[v]
-            except KeyError:
-                raise UniverseMismatchError(
-                    f"line {line_no}: pair ({row['source_id']}, "
-                    f"{row['dest_id']}) is not in the evaluation universe")
-            if i == j or seen[i, j]:
-                raise UniverseMismatchError(
-                    f"line {line_no}: duplicate or diagonal pair")
-            seen[i, j] = True
-            try:
-                raw[i, j] = float(row["score"])
-                norm[i, j] = float(row["score_norm"])
-            except ValueError:
-                raise DataError(f"line {line_no}: non-numeric score")
-            if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
-                raise DataError(f"line {line_no}: non-finite score")
+                f"score table mixes models {model!r} and "
+                f"{row_model!r} (line {line_no})")
+        try:
+            u = registry.index(source)
+            v = registry.index(dest)
+            i, j = position[u], position[v]
+        except KeyError:
+            raise UniverseMismatchError(
+                f"line {line_no}: pair ({source}, {dest}) is not in the "
+                "evaluation universe")
+        if i == j or seen[i, j]:
+            raise UniverseMismatchError(
+                f"line {line_no}: duplicate or diagonal pair")
+        seen[i, j] = True
+        try:
+            raw[i, j] = float(score)
+            norm[i, j] = float(score_norm)
+        except ValueError:
+            raise DataError(f"line {line_no}: non-numeric score")
+        if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
+            raise DataError(f"line {line_no}: non-finite score")
     expected = k * (k - 1)
     got = int(seen.sum())
     if got != expected:

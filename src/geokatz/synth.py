@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, as_int, as_interval, as_real
 from .geo import haversine_from
-from .graphs import IngestReport, _columns_of, _distinct
+from .graphs import IngestReport, _distinct
 from .katz import _csv_fields
 from .metrics import _write_text
 
@@ -270,15 +270,12 @@ def _truth_summary(cfg, src, dst, year, year_counts):
 def write_movements(movements, dest):
     """Write movements in the delimited format the ingestion layer reads.
 
-    ``movements`` is an :class:`~geokatz.graphs.IngestReport` (what
-    :func:`generate` returns) or a sequence of ``MovementRecord``s.
-    Coordinates carry 6 decimal places (about 0.1 m), so output is
-    byte-stable across reruns of the same config. Fields are quoted as
-    ``csv.writer`` quotes them; each distinct id, species and
-    coordinate is quoted or formatted once.
+    ``movements`` is an :class:`~geokatz.graphs.IngestReport`, such as
+    :func:`generate` returns. Coordinates carry 6 decimal places (about
+    0.1 m), so output is byte-stable across reruns of the same config.
+    Fields are quoted as ``csv.writer`` quotes them; each distinct id,
+    species and coordinate is quoted or formatted once.
     """
-    if not isinstance(movements, IngestReport):
-        movements = _columns_of(movements)
     m = len(movements.source_ids)
     # csv.writer writes a missing species (None) as an empty field.
     names = list(set(movements.source_ids).union(movements.dest_ids,

@@ -4,11 +4,13 @@ import re
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from geokatz import config as config_mod
 from geokatz import pipeline
-from geokatz.graphs import MovementRecord, build_network
+from geokatz.graphs import IngestReport, build_network
+from oracles import MovementRecord
 
 # Frozen end-to-end fixture: a synthetic national live-fish-movement
 # record with hub trading patterns and distance-decayed destination
@@ -57,9 +59,31 @@ def national_scale_run(tmp_path_factory):
                            seconds=seconds)
 
 
+def rows_of(report):
+    """An IngestReport's accepted rows as the oracles' records."""
+    return list(map(MovementRecord, report.source_ids, report.dest_ids,
+                    report.year.tolist(), report.source_lat.tolist(),
+                    report.source_lon.tolist(), report.dest_lat.tolist(),
+                    report.dest_lon.tolist(), report.species))
+
+
+def report_of(rows):
+    """An IngestReport whose columns hold the records ``rows``."""
+    def column(name):
+        return [getattr(row, name) for row in rows]
+
+    return IngestReport(
+        column("source_id"), column("dest_id"),
+        np.array(column("year"), dtype=np.int64),
+        *(np.array(column(name), dtype=np.float64) for name in
+          ("source_lat", "source_lon", "dest_lat", "dest_lon")),
+        column("species"), accepted=len(rows))
+
+
 def make_record(src, dst, year, s_lat=0.0, s_lon=0.0, d_lat=0.0, d_lon=0.0,
                 species=None):
-    """Movement record with defaulted coordinates, for terse test setup."""
+    """Movement record with defaulted coordinates, for terse test setup;
+    ``report_of`` turns a list of them into the package's columns."""
     return MovementRecord(source_id=src, dest_id=dst, year=year,
                           source_lat=s_lat, source_lon=s_lon,
                           dest_lat=d_lat, dest_lon=d_lon, species=species)
@@ -74,7 +98,7 @@ def simple_network(edges):
     records = [make_record(u, v, year, coords[u], coords[u],
                            coords[v], coords[v])
                for u, v, year in edges]
-    return build_network(records)
+    return build_network(report_of(records))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import math
 from itertools import chain, islice
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,11 +35,25 @@ import yaml
 from geokatz.config import ALL_MODELS, RunConfig
 from geokatz.errors import (ConfigError, DataError, EmptyNetworkError,
                             RowError, SchemaError)
-from geokatz.graphs import MovementRecord, SplitSpec, delimiter_problem
+from geokatz.graphs import SplitSpec, delimiter_problem
 from geokatz.katz import KatzConfig
 from geokatz.synth import SynthConfig
 
 EARTH_RADIUS_KM = 6371.0
+
+
+@dataclasses.dataclass(frozen=True)
+class MovementRecord:
+    """One directed, geolocated movement in a calendar year: the row
+    the record-at-a-time loops below read and write."""
+    source_id: str
+    dest_id: str
+    year: int
+    source_lat: float
+    source_lon: float
+    dest_lat: float
+    dest_lon: float
+    species: Optional[str] = None
 
 
 def brute_force_katz(n, edges, beta, max_len, weights=None):

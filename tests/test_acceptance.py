@@ -63,9 +63,9 @@ def test_criterion_2_candidate_pairs_size(seed):
                             years=(2000, 2002), bbox=(50.0, 54.0, -4.0, 1.0),
                             movements_per_year=90, decay_rate=0.01,
                             hub_bias=2.0, repeat_edge_prob=0.3)
-    records = synth.generate(cfg)[0].records
+    report = synth.generate(cfg)[0]
     from geokatz.graphs import build_network
-    net = build_network(records)
+    net = build_network(report)
     universe = candidate_pairs(net)
     k = universe.k
     assert k == net.n_nodes
@@ -154,9 +154,9 @@ def reduction_setup():
                             bbox=(50.0, 54.0, -4.0, 1.0),
                             movements_per_year=150, decay_rate=0.02,
                             hub_bias=3.0, repeat_edge_prob=0.4)
-    records = synth.generate(cfg)[0].records
+    report = synth.generate(cfg)[0]
     from geokatz.graphs import build_network
-    net = build_network(records)
+    net = build_network(report)
     universe = candidate_pairs(net)
     adj = build_adjacency(net)
     registry = net.registry

@@ -303,6 +303,17 @@ class TestEvalCommand:
         assert f"model {model!r} cannot name a file" in caplog.text
         assert not (tmp_path / "nest").exists()
 
+    def test_undecodable_scores_is_data_error(self, run_config, scored,
+                                              caplog):
+        raw = scored.read_bytes()
+        offset = raw.index(b"\n", len(raw) // 2) + 1
+        scored.write_bytes(raw[:offset] + b"\xff" + raw[offset:])
+        assert main(["eval", "--config", str(run_config),
+                     "--scores", str(scored), "--tune"]) == 2
+        assert (f"{scored}: byte {offset} (0xff) is not valid UTF-8; "
+                "score tables must be encoded as UTF-8") in caplog.text
+        assert "unexpected failure" not in caplog.text
+
     def test_missing_scores_file_is_data_error(self, run_config, tmp_path,
                                                caplog):
         missing = tmp_path / "nope.csv"

@@ -31,10 +31,7 @@ FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(width=64))
 
 
 def _registry(ids):
-    registry = NodeRegistry()
-    for node_id in ids:
-        registry.add(node_id, 50.0, 0.0)
-    return registry
+    return NodeRegistry(ids, [50.0] * len(ids), [0.0] * len(ids))
 
 
 @settings(max_examples=60, deadline=None)

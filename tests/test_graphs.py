@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_record, simple_network
+from conftest import make_record, report_of, rows_of, simple_network
 from geokatz import graphs
 from geokatz.errors import (DataError, EmptyNetworkError, EmptySplitError,
                             GeokatzError, RowError, SchemaError)
@@ -35,9 +35,9 @@ def test_ingest_accepts_well_formed_rows():
     ]))
     assert report.accepted == 2
     assert report.rejected == 0
-    assert report.records[0].source_id == "a"
-    assert report.records[0].year == 2015
-    assert report.records[1].dest_lat == 52.0
+    assert rows_of(report)[0].source_id == "a"
+    assert rows_of(report)[0].year == 2015
+    assert rows_of(report)[1].dest_lat == 52.0
 
 
 def test_ingest_remaps_schema():
@@ -49,7 +49,7 @@ def test_ingest_remaps_schema():
               "dest_lat": "nlat", "dest_lon": "nlon"}
     report = ingest_movements(stream, schema=schema)
     assert report.accepted == 1
-    assert report.records[0].dest_id == "b"
+    assert rows_of(report)[0].dest_id == "b"
 
 
 @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", 44, None])
@@ -121,7 +121,7 @@ def test_ingest_species_column_is_optional():
         CSV_HEADER.rstrip("\n") + ",species\n"
         "a,b,2015,50.0,0.0,51.0,1.0,trout\n")
     report = ingest_movements(stream)
-    assert report.records[0].species == "trout"
+    assert rows_of(report)[0].species == "trout"
 
 
 def test_ingest_from_path(tmp_path):
@@ -138,7 +138,7 @@ def test_ingest_from_path_skips_byte_order_mark(tmp_path):
                      + (CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0\n").encode())
     report = ingest_movements(path)
     assert report.accepted == 1
-    assert report.records[0].source_id == "a"
+    assert rows_of(report)[0].source_id == "a"
 
 
 @pytest.mark.parametrize("header", [CSV_HEADER,
@@ -148,7 +148,7 @@ def test_ingest_from_stream_skips_byte_order_mark(header):
     report = ingest_movements(io.StringIO(
         "\ufeff" + header + "a,b,2015,50.0,0.0,51.0,1.0\n"))
     assert report.accepted == 1
-    assert report.records[0].source_id == "a"
+    assert rows_of(report)[0].source_id == "a"
 
 
 def test_build_network_drops_self_loops_and_duplicates():
@@ -158,7 +158,7 @@ def test_build_network_drops_self_loops_and_duplicates():
         make_record("a", "a", 2015),   # self-loop
         make_record("b", "a", 2016),
     ]
-    net = build_network(records)
+    net = build_network(report_of(records))
     assert net.n_edges == 2
     assert net.n_links == 2
     assert net.n_nodes == 2
@@ -166,12 +166,12 @@ def test_build_network_drops_self_loops_and_duplicates():
 
 def test_build_network_all_self_loops_is_empty():
     with pytest.raises(EmptyNetworkError):
-        build_network([make_record("a", "a", 2015)])
+        build_network(report_of([make_record("a", "a", 2015)]))
 
 
 def test_build_network_no_records_is_empty():
     with pytest.raises(EmptyNetworkError):
-        build_network([])
+        build_network(report_of([]))
 
 
 def test_build_network_first_seen_coordinates_win():
@@ -179,18 +179,49 @@ def test_build_network_first_seen_coordinates_win():
         make_record("a", "b", 2015, s_lat=50.0, s_lon=0.0),
         make_record("a", "c", 2016, s_lat=59.0, s_lon=9.0),  # conflict
     ]
-    net = build_network(records)
+    net = build_network(report_of(records))
     idx = net.registry.index("a")
     assert net.registry.coord(idx) == (50.0, 0.0)
 
 
 def test_registry_rejects_out_of_range_coordinates():
-    with pytest.raises(DataError):
-        build_network([make_record("a", "b", 2015, s_lat=95.0)])
-    with pytest.raises(DataError):
-        build_network([make_record("a", "b", 2015, d_lon=200.0)])
-    with pytest.raises(DataError):
-        build_network([make_record("a", "b", 2015, s_lat=float("nan"))])
+    for record in (make_record("a", "b", 2015, s_lat=95.0),
+                   make_record("a", "b", 2015, d_lon=200.0),
+                   make_record("a", "b", 2015, s_lat=float("nan"))):
+        with pytest.raises(DataError):
+            build_network(report_of([record]))
+
+
+def test_registry_takes_ids_and_coordinates_in_index_order():
+    registry = NodeRegistry(("b", "a"), [50.0, -0.0], np.array([1.0, 180.0]))
+    assert registry.ids == ["b", "a"]
+    assert registry.index("a") == 1
+    assert registry.coord(1) == (-0.0, 180.0)
+    assert not registry.lat_array().flags.writeable
+
+
+def test_registry_rejects_a_repeated_id():
+    with pytest.raises(DataError, match="node 'b' is listed more than once"):
+        NodeRegistry(["a", "b", "c", "b"], [0.0] * 4, [0.0] * 4)
+
+
+@pytest.mark.parametrize("lat,lon", [([0.0], [0.0, 0.0]),
+                                     ([0.0, 0.0, 0.0], [0.0, 0.0]),
+                                     ([[0.0, 0.0]], [0.0, 0.0])])
+def test_registry_rejects_coordinates_not_one_per_id(lat, lon):
+    with pytest.raises(DataError, match="2 node ids need 2 latitudes"):
+        NodeRegistry(["a", "b"], lat, lon)
+
+
+@pytest.mark.parametrize("lat,lon,message", [
+    ([0.0, 95.0, 0.0], [0.0, 0.0, 200.0], "node 'b': latitude 95.0 "),
+    ([0.0, 0.0, 95.0], [0.0, -180.5, 0.0], "node 'b': longitude -180.5 "),
+    ([0.0, float("nan"), 0.0], [0.0, 0.0, 0.0], "node 'b': latitude nan "),
+    ([0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], "node 'a': longitude inf "),
+])
+def test_registry_names_the_first_node_out_of_range(lat, lon, message):
+    with pytest.raises(DataError, match=re.escape(message + "out of range")):
+        NodeRegistry(["a", "b", "c"], lat, lon)
 
 
 def test_links_collapse_years():
@@ -495,9 +526,8 @@ def _assert_ingest_matches_loop(text, kwargs):
     assert (report.accepted, report.rejected) == (accepted, rejected)
     assert report.diagnostics == diagnostics
     # repr tells -0.0 from 0.0, which == does not.
-    assert repr(report.records) == repr(records)
+    assert repr(rows_of(report)) == repr(records)
     _assert_build_matches_loop(records, report)
-    _assert_build_matches_loop(records, records)
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,18 +640,10 @@ _COORDS = st.one_of(st.floats(-200, 200), st.sampled_from(
                           st.integers(2010, 2014), _COORDS, _COORDS,
                           _COORDS, _COORDS), max_size=25))
 def test_build_network_from_records_matches_record_loop(rows):
-    # Records from library callers are not range-checked on the way in:
+    # Columns from library callers are not range-checked on the way in:
     # the first node out of range raises the same DataError.
     records = [make_record(*row) for row in rows]
-    _assert_build_matches_loop(records, records)
-
-
-def test_ingest_report_records_are_built_on_first_access():
-    report = ingest_movements(_csv(["a,b,2015,50.0,0.0,51.0,1.0\n"]))
-    assert "records" not in vars(report)
-    first = report.records
-    assert first is report.records
-    assert first == [make_record("a", "b", 2015, 50.0, 0.0, 51.0, 1.0)]
+    _assert_build_matches_loop(records, report_of(records))
 
 
 # --- packed-key deduplication keeps np.unique's order ------------------------
@@ -649,7 +671,8 @@ def _edge_sets(draw):
 @given(_edge_sets())
 def test_edge_dedup_keeps_np_unique_order(edges):
     src, dst, year = edges
-    net = graphs._from_edge_arrays(NodeRegistry(), src, dst, year)
+    net = graphs._from_edge_arrays(NodeRegistry([], [], []), src, dst,
+                                    year)
     triples = np.unique(np.stack([year, src, dst], axis=1), axis=0)
     assert np.array_equal(net.edge_year, triples[:, 0])
     assert np.array_equal(net.edge_src, triples[:, 1])

@@ -683,9 +683,7 @@ def test_combine_unknown_rule():
 # --- export -------------------------------------------------------------------
 
 def test_write_score_table_sorted_six_significant_digits():
-    registry = NodeRegistry()
-    registry.add("site-b", 50.0, 0.0)
-    registry.add("site-a", 51.0, 1.0)
+    registry = NodeRegistry(["site-b", "site-a"], [50.0, 51.0], [0.0, 1.0])
     universe = _universe(2, [0, 1])
     table = normalize(_table([[0.0, 1.0 / 3.0], [2.0 / 3.0, 0.0]],
                              model="KI", universe=universe))
@@ -700,18 +698,15 @@ def test_write_score_table_sorted_six_significant_digits():
 
 
 def test_write_score_table_requires_normalized():
-    registry = NodeRegistry()
-    registry.add("a", 50.0, 0.0)
-    registry.add("b", 51.0, 0.0)
+    registry = NodeRegistry(["a", "b"], [50.0, 51.0], [0.0, 0.0])
     table = _table([[0.0, 1.0], [2.0, 0.0]], universe=_universe(2))
     with pytest.raises(ValueError):
         write_score_table(table, registry, io.StringIO())
 
 
 def test_write_score_table_quotes_awkward_ids():
-    registry = NodeRegistry()
-    registry.add("farm, east", 50.0, 0.0)
-    registry.add("farm-west", 51.0, 0.0)
+    registry = NodeRegistry(["farm, east", "farm-west"], [50.0, 51.0],
+                            [0.0, 0.0])
     universe = _universe(2)
     table = normalize(_table([[0.0, 1.0], [2.0, 0.0]], universe=universe))
     buf = io.StringIO()

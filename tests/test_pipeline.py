@@ -457,6 +457,18 @@ class TestScoreTableRoundTrip:
         assert loaded.values.tobytes() == plain.values.tobytes()
         assert loaded.raw_values.tobytes() == plain.raw_values.tobytes()
 
+    def test_header_names_are_stripped(self, exported):
+        # Movement-file headers are read alike: "model, score" names
+        # the columns model and score.
+        path, _, universe, registry = exported
+        plain = read_score_table(path, universe, registry)
+        self._mutate(path, lambda lines: [", ".join(lines[0].split(","))]
+                     + lines[1:])
+        loaded = read_score_table(path, universe, registry)
+        assert loaded.model == plain.model
+        assert loaded.values.tobytes() == plain.values.tobytes()
+        assert loaded.raw_values.tobytes() == plain.raw_values.tobytes()
+
     def test_unopenable_file_is_data_error_naming_it(self, exported,
                                                      tmp_path):
         _, _, universe, registry = exported

@@ -8,9 +8,10 @@ import pytest
 from scipy import stats
 
 import oracles
+from conftest import report_of, rows_of
 from geokatz.errors import ConfigError
 from geokatz.geo import haversine_km
-from geokatz.graphs import MovementRecord, build_network, ingest_movements
+from geokatz.graphs import build_network, ingest_movements
 from geokatz.synth import SynthConfig, generate, write_movements, write_truth
 
 
@@ -21,9 +22,9 @@ def _cfg(**overrides):
     return SynthConfig(**base)
 
 
-def _csv_bytes(records):
+def _csv_bytes(report):
     buf = io.StringIO()
-    write_movements(records, buf)
+    write_movements(report, buf)
     return buf.getvalue().encode()
 
 
@@ -55,7 +56,7 @@ class TestConfigValidation:
     def test_single_idle_node_allowed(self):
         cfg = _cfg(n_nodes=1, movements_per_year=0)
         report, truth = generate(cfg)
-        assert report.records == []
+        assert rows_of(report) == []
         assert truth["totals"]["movements"] == 0
 
     def test_repeat_prob_bounds(self):
@@ -119,14 +120,14 @@ class TestDeterminism:
 def shape_run():
     cfg = _cfg()
     report, truth = generate(cfg)
-    return cfg, report.records, truth
+    return cfg, rows_of(report), truth
 
 
 @pytest.fixture(scope="module")
 def truth_run():
     cfg = _cfg(movements_per_year=[30, 31, 32, 33])
     report, truth = generate(cfg)
-    return cfg, report.records, truth
+    return cfg, rows_of(report), truth
 
 
 class TestRecordShape:
@@ -145,8 +146,8 @@ class TestRecordShape:
                    for i in ids)
 
     def test_id_width_grows_with_node_count(self):
-        records = generate(_cfg(n_nodes=12000, movements_per_year=3,
-                                years=(2020, 2020)))[0].records
+        records = rows_of(generate(_cfg(n_nodes=12000, movements_per_year=3,
+                                        years=(2020, 2020)))[0])
         ids = {r.source_id for r in records}
         assert all(len(i) == len("farm-00000") for i in ids)
 
@@ -223,7 +224,7 @@ class TestGenerationDynamics:
         cfg = _cfg(seed=5, n_nodes=30, years=(2000, 2002),
                    movements_per_year=2000, decay_rate=0.0,
                    hub_bias=0.0, repeat_edge_prob=0.0)
-        records = generate(cfg)[0].records
+        records = rows_of(generate(cfg)[0])
         counts = np.zeros(cfg.n_nodes)
         for r in records:
             counts[int(r.dest_id.split("-")[1])] += 1
@@ -235,8 +236,8 @@ class TestGenerationDynamics:
                       movements_per_year=1500, hub_bias=0.0,
                       repeat_edge_prob=0.0,
                       bbox=(45.0, 55.0, -10.0, 5.0))
-        flat = generate(_cfg(decay_rate=0.0, **common))[0].records
-        decayed = generate(_cfg(decay_rate=0.05, **common))[0].records
+        flat = rows_of(generate(_cfg(decay_rate=0.0, **common))[0])
+        decayed = rows_of(generate(_cfg(decay_rate=0.05, **common))[0])
 
         def mean_km(records):
             return np.mean([haversine_km(r.source_lat, r.source_lon,
@@ -249,8 +250,8 @@ class TestGenerationDynamics:
         common = dict(seed=13, n_nodes=80, years=(2000, 2001),
                       movements_per_year=1500, decay_rate=0.0,
                       repeat_edge_prob=0.0)
-        flat = generate(_cfg(hub_bias=0.0, **common))[0].records
-        hubby = generate(_cfg(hub_bias=25.0, **common))[0].records
+        flat = rows_of(generate(_cfg(hub_bias=0.0, **common))[0])
+        hubby = rows_of(generate(_cfg(hub_bias=25.0, **common))[0])
 
         def top_source_share(records):
             counts = {}
@@ -266,7 +267,7 @@ class TestGenerationDynamics:
                       movements_per_year=800)
         fresh, t_fresh = generate(_cfg(repeat_edge_prob=0.0, **common))
         sticky, t_sticky = generate(_cfg(repeat_edge_prob=0.9, **common))
-        fresh, sticky = fresh.records, sticky.records
+        fresh, sticky = rows_of(fresh), rows_of(sticky)
         assert t_sticky["totals"]["links"] < t_fresh["totals"]["links"]
         assert len(sticky) == len(fresh)
 
@@ -276,26 +277,26 @@ class TestRoundTrip:
     def test_written_records_reingest_identically(self, tmp_path):
         cfg = _cfg(seed=21, movements_per_year=[25, 25, 25, 25])
         report, truth = generate(cfg)
-        records = report.records
+        records = rows_of(report)
         path = tmp_path / "movements.csv"
-        write_movements(records, path)
+        write_movements(report, path)
 
         report = ingest_movements(path)
         assert report.accepted == len(records)
         assert report.rejected == 0
-        net = build_network(report.records)
+        net = build_network(report)
         assert net.n_nodes == truth["totals"]["nodes"]
         assert net.n_edges == truth["totals"]["edges"]
         assert net.n_links == truth["totals"]["links"]
-        got = {(r.source_id, r.dest_id, r.year) for r in report.records}
+        got = {(r.source_id, r.dest_id, r.year) for r in rows_of(report)}
         want = {(r.source_id, r.dest_id, r.year) for r in records}
         assert got == want
 
     def test_write_movements_to_path_and_stream_agree(self, tmp_path):
-        records, _ = generate(_cfg(movements_per_year=5))
+        report, _ = generate(_cfg(movements_per_year=5))
         path = tmp_path / "m.csv"
-        write_movements(records, path)
-        assert path.read_bytes() == _csv_bytes(records)
+        write_movements(report, path)
+        assert path.read_bytes() == _csv_bytes(report)
 
     def test_write_truth_to_path(self, tmp_path):
         _, truth = generate(_cfg(movements_per_year=5))
@@ -327,21 +328,20 @@ class TestMatchesRecordLoop:
         cfg = _cfg(**{"hub_bias": 1.3, **overrides})
         report, truth = generate(cfg)
         records, want_truth = oracles.loop_generate(cfg)
-        assert _first_difference(map(repr, report.records),
+        assert _first_difference(map(repr, rows_of(report)),
                                  map(repr, records)) is None
         assert report.accepted == len(records)
         assert report.rejected == 0
         assert truth == want_truth
         expected = _loop_csv_lines(records)
         assert _first_difference(_csv_lines(report), expected) is None
-        assert _first_difference(_csv_lines(records), expected) is None
 
     def test_records_needing_quotes_write_as_csv_writer_does(self):
-        records = [MovementRecord("a,1", 'b"2', 2020, -0.0, 0.0,
-                                  1.0000005, -179.9999995, None),
-                   MovementRecord("c\n3", "d", 2021, 0.0, -0.0, 90.0,
-                                  180.0, "")]
-        assert _csv_lines(records) == _loop_csv_lines(records)
+        records = [oracles.MovementRecord("a,1", 'b"2', 2020, -0.0, 0.0,
+                                          1.0000005, -179.9999995, None),
+                   oracles.MovementRecord("c\n3", "d", 2021, 0.0, -0.0,
+                                          90.0, 180.0, "")]
+        assert _csv_lines(report_of(records)) == _loop_csv_lines(records)
 
 
 def _csv_lines(movements):
