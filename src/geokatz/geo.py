@@ -5,6 +5,8 @@ sphere of radius 6371.0 km. Latitudes and longitudes are accepted in
 degrees and converted once at the boundary.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -19,23 +21,11 @@ WEIGHT_TRANSFORMS = ("raw", "inverse", "decay", "minmax")
 DEFAULT_DENSE_LIMIT = 5000
 
 
-def haversine_pairs(lat_rad, lon_rad, src, dst):
-    """Great-circle distances in km for index pairs (src[i], dst[i]).
-
-    ``lat_rad``/``lon_rad`` are per-node coordinates in radians.
-    """
-    lat1 = lat_rad[src]
-    lat2 = lat_rad[dst]
-    return _haversine(lat2 - lat1, lon_rad[dst] - lon_rad[src],
-                      np.cos(lat1) * np.cos(lat2))
-
-
 def haversine_from(lat_rad, lon_rad, cos_lat, u):
     """Great-circle distances in km from node ``u`` to every node.
 
     ``cos_lat`` is ``np.cos(lat_rad)``, computed once by the caller; the
-    result is bitwise ``haversine_pairs`` over the pairs (u, v), v in
-    index order.
+    result is bitwise row ``u`` of ``distance_matrix``.
     """
     return _haversine(lat_rad - lat_rad[u], lon_rad - lon_rad[u],
                       cos_lat[u] * cos_lat)
@@ -52,9 +42,7 @@ def _haversine(dlat, dlon, cos_cos):
 
 def haversine_km(lat1, lon1, lat2, lon2):
     """Great-circle distance in km between two points given in degrees."""
-    lat = np.radians(np.array([lat1, lat2], dtype=np.float64))
-    lon = np.radians(np.array([lon1, lon2], dtype=np.float64))
-    out = haversine_pairs(lat, lon, np.array([0]), np.array([1]))
+    out = pair_distances([lat1, lat2], [lon1, lon2], [0], [1])
     return float(out[0])
 
 
@@ -65,9 +53,10 @@ def pair_distances(lat_deg, lon_deg, src, dst):
     """
     lat = np.radians(np.asarray(lat_deg, dtype=np.float64))
     lon = np.radians(np.asarray(lon_deg, dtype=np.float64))
-    return haversine_pairs(lat, lon,
-                           np.ascontiguousarray(src, dtype=np.int64),
-                           np.ascontiguousarray(dst, dtype=np.int64))
+    lat1 = lat[src]
+    lat2 = lat[dst]
+    return _haversine(lat2 - lat1, lon[dst] - lon[src],
+                      np.cos(lat1) * np.cos(lat2))
 
 
 def distance_matrix(lat_deg, lon_deg, max_nodes=DEFAULT_DENSE_LIMIT):
@@ -77,26 +66,28 @@ def distance_matrix(lat_deg, lon_deg, max_nodes=DEFAULT_DENSE_LIMIT):
     for more than ``max_nodes`` nodes; pairwise scoring only ever needs
     this for the (much smaller) evaluation node set.
     """
-    lat = np.asarray(lat_deg, dtype=np.float64)
+    lat = np.radians(np.asarray(lat_deg, dtype=np.float64))
     k = lat.shape[0]
     if k > max_nodes:
         raise DataError(
             f"dense distance matrix for {k} nodes exceeds the "
             f"{max_nodes}-node limit")
-    src = np.repeat(np.arange(k, dtype=np.int64), k)
-    dst = np.tile(np.arange(k, dtype=np.int64), k)
-    return pair_distances(lat, lon_deg, src, dst).reshape(k, k)
+    lon = np.radians(np.asarray(lon_deg, dtype=np.float64))
+    cos_lat = np.cos(lat)
+    return _haversine(lat - lat[:, None], lon - lon[:, None],
+                      cos_lat[:, None] * cos_lat)
 
 
 def decay_weights(dist, gamma):
     """Exponential distance decay exp(-gamma * dist).
 
-    ``gamma`` is in 1/km and must be >= 0. At gamma == 0 every weight
-    is exactly 1.0 (IEEE exp(-0.0)), so decay-weighted scores reduce
-    bitwise to their unweighted counterparts.
+    ``gamma`` is in 1/km and must be finite (exp(-inf * 0.0) is NaN)
+    and >= 0. At gamma == 0 every weight is exactly 1.0 (IEEE
+    exp(-0.0)), so decay-weighted scores reduce bitwise to their
+    unweighted counterparts.
     """
-    if gamma < 0:
-        raise ValueError(f"decay rate must be >= 0, got {gamma}")
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ValueError(f"decay rate must be finite and >= 0, got {gamma}")
     return np.exp(-gamma * np.asarray(dist, dtype=np.float64))
 
 

@@ -666,9 +666,16 @@ def build_network(movements):
 
     Registers every id with its first-seen coordinates (conflicting
     re-registrations are counted and reported in one warning), drops
-    self-loops, and collapses duplicate (source, dest, year) triples.
+    self-loops, and collapses duplicate (source, dest, year) triples. A
+    column that is not one entry per source id is a DataError.
     """
     m = len(movements.source_ids)
+    for name in ("dest_ids", "year", "source_lat", "source_lon", "dest_lat",
+                 "dest_lon"):
+        n = len(getattr(movements, name))
+        if n != m:
+            raise DataError(f"movement column {name!r} has {n} entries "
+                            f"for {m} source ids")
     if m == 0:
         raise EmptyNetworkError("no movement records to build a network from")
     # Endpoints in the order a record-at-a-time build meets them:

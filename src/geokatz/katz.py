@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 from .errors import (BetaDomainError, ConfigError, DegenerateScoreTableWarning,
                      NumericError, UniverseMismatchError, as_int, as_real,
                      one_of)
-from .geo import WEIGHT_TRANSFORMS
+from .geo import WEIGHT_TRANSFORMS, decay_weights
 from .metrics import _format6
 
 log = logging.getLogger(__name__)
@@ -389,29 +389,25 @@ def katz_scores(adj, cfg, universe, model="KI"):
     return tables[0] if single else tables
 
 
-def edge_weighted_katz_scores(adj, distances, cfg, universe, model="EWKI",
-                              ki_table=None):
+def edge_weighted_katz_scores(ki_table, distances, gamma, model="EWKI"):
     """Walk-count scores decayed pairwise by endpoint distance.
 
-    score(u, v) = exp(-gamma * d(u, v)) * base(u, v), where
-    ``distances`` is the (k, k) great-circle matrix aligned with the
-    universe's node order. At gamma = 0 every weight is exactly 1.0 and
-    the table equals the base table bitwise. Pass ``ki_table`` to reuse
-    an already-computed base table instead of rescoring.
+    score(u, v) = exp(-gamma * d(u, v)) * ki(u, v), where ``ki_table``
+    is an unnormalized KI table and ``distances`` the (k, k)
+    great-circle matrix aligned with its universe's node order. At
+    gamma = 0 every weight is exactly 1.0 and the table equals the KI
+    table bitwise.
     """
-    gamma = cfg.resolved_gamma()
-    if ki_table is None:
-        ki_table = katz_scores(adj, cfg, universe)
-    elif ki_table.normalized or not ki_table.universe.same_universe(universe):
-        raise UniverseMismatchError(
-            "ki_table must be an unnormalized table on the same universe")
+    if ki_table.normalized:
+        raise UniverseMismatchError("ki_table must be an unnormalized table")
+    universe = ki_table.universe
     distances = np.asarray(distances, dtype=np.float64)
     k = universe.k
     if distances.shape != (k, k):
         raise UniverseMismatchError(
             f"distance matrix shape {distances.shape} does not match "
             f"universe size {k}")
-    values = ki_table.values * np.exp(-gamma * distances)
+    values = ki_table.values * decay_weights(distances, gamma)
     np.fill_diagonal(values, 0.0)
     info = dict(ki_table.info, gamma=gamma)
     return ScoreTable(model=model, universe=universe, values=values,

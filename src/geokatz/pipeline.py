@@ -116,7 +116,7 @@ def _score_base(base, scorings, katz_cfg):
             scoring.raw[base] = table
 
 
-def _tune_gamma(scoring, katz_cfg):
+def _tune_gamma(scoring):
     """Pick gamma from a log grid by tuning-split F1 of the decay model.
 
     Each candidate multiplies the scoring's KI table by its decay
@@ -126,9 +126,7 @@ def _tune_gamma(scoring, katz_cfg):
     best_gamma, best_f1 = None, -1.0
     for gamma in GAMMA_GRID:
         candidate = edge_weighted_katz_scores(
-            scoring.adj, scoring.distances,
-            replace(katz_cfg, gamma=float(gamma)), scoring.universe,
-            ki_table=scoring.raw["KI"])
+            scoring.raw["KI"], scoring.distances, float(gamma))
         _, f1 = metrics.optimal_threshold(normalize(candidate))
         if f1 > best_f1:
             best_gamma, best_f1 = float(gamma), f1
@@ -142,8 +140,8 @@ def _model_tables(scoring, katz_cfg, cfg):
     combined models fuse two of them."""
     if "EWKI" in scoring.bases:
         scoring.raw["EWKI"] = edge_weighted_katz_scores(
-            scoring.adj, scoring.distances, katz_cfg, scoring.universe,
-            ki_table=scoring.raw["KI"])
+            scoring.raw["KI"], scoring.distances,
+            katz_cfg.resolved_gamma())
     norm = {base: normalize(scoring.raw[base]) for base in scoring.bases}
     tables = {}
     for model in cfg.models:
@@ -239,7 +237,7 @@ def _run_steps(cfg, out_dir, evaluate_models):
     # WKI (whose decay transform may need gamma), then the model tables.
     _score_base("KI", [s for s in scorings if (tuning and s is tune)
                        or "KI" in s.bases or "EWKI" in s.bases], katz_cfg)
-    gamma_tuned = _tune_gamma(tune, katz_cfg) if tuning else None
+    gamma_tuned = _tune_gamma(tune) if tuning else None
     if katz_cfg.gamma == "tune":
         katz_cfg = replace(katz_cfg, gamma=0.0 if gamma_tuned is None
                            else gamma_tuned)

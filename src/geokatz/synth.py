@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, as_int, as_interval, as_real
-from .geo import haversine_from
+from .geo import decay_weights, haversine_from
 from .graphs import IngestReport, _distinct
 from .katz import _csv_fields
 from .metrics import _write_text
@@ -133,7 +133,7 @@ class _DestinationSampler:
         cum = self._cum.get(u)
         if cum is None:
             dist = haversine_from(self._lat, self._lon, self._cos_lat, u)
-            weights = np.exp(-self._decay * dist)
+            weights = decay_weights(dist, self._decay)
             weights[u] = 0.0
             cum = self._cum[u] = weights.cumsum()
             if not cum[-1] >= sys.float_info.min:

@@ -19,7 +19,9 @@ Run-config parsing is the parser that checked each YAML value by its
 key; the config dataclasses now check their own fields, and the YAML
 mapping in ``geokatz.config`` must accept, refuse and build the same
 configs. Both end in the same dataclasses, so the two parsers are
-compared on their YAML handling.
+compared on their YAML handling. The dense distance matrix is the
+pair-by-pair gather that the package's broadcast must match bit for
+bit.
 """
 
 import csv
@@ -399,6 +401,16 @@ def _loop_pair_distances(lat_deg, lon_deg, src, dst):
     sin_dlon = np.sin((lon_rad[dst] - lon_rad[src]) * 0.5)
     a = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * sin_dlon * sin_dlon
     return EARTH_RADIUS_KM * (2.0 * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a)))
+
+
+def loop_distance_matrix(lat_deg, lon_deg):
+    """Dense (k, k) haversine km gathered pair by pair: every ordered
+    pair's index in two k*k arrays (row-major), then the pair
+    distances reshaped."""
+    k = len(lat_deg)
+    src = np.repeat(np.arange(k, dtype=np.int64), k)
+    dst = np.tile(np.arange(k, dtype=np.int64), k)
+    return _loop_pair_distances(lat_deg, lon_deg, src, dst).reshape(k, k)
 
 
 def loop_generate(cfg):

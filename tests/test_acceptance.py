@@ -170,8 +170,9 @@ def test_criterion_4_zero_gamma_edge_weighting(reduction_setup):
     net, universe, adj, distances = reduction_setup
     cfg = KatzConfig(gamma=0.0)
     plain = katz.katz_scores(adj, cfg, universe)
-    edge_weighted = katz.edge_weighted_katz_scores(adj, distances, cfg,
-                                                   universe)
+    edge_weighted = katz.edge_weighted_katz_scores(
+        katz.katz_scores(adj, cfg, universe), distances,
+        cfg.resolved_gamma())
     assert np.array_equal(edge_weighted.values, plain.values)
 
 

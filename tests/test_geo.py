@@ -23,11 +23,11 @@ def test_haversine_coincident_is_exactly_zero():
     assert geo.haversine_km(12.34, -56.78, 12.34, -56.78) == 0.0
 
 
-def test_haversine_pairs_zero_for_identical_indices():
-    lat = np.radians(np.array([51.5, -33.9]))
-    lon = np.radians(np.array([-0.1, 151.2]))
+def test_pair_distances_zero_for_identical_indices():
+    lat = np.array([51.5, -33.9])
+    lon = np.array([-0.1, 151.2])
     idx = np.array([0, 1], dtype=np.int64)
-    out = geo.haversine_pairs(lat, lon, idx, idx)
+    out = geo.pair_distances(lat, lon, idx, idx)
     assert np.array_equal(out, np.zeros(2))
 
 
@@ -95,6 +95,12 @@ def test_decay_weights_rejects_negative_gamma():
         geo.decay_weights(np.array([1.0]), -0.5)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_decay_weights_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        geo.decay_weights(np.array([0.0, 1.0]), gamma)
+
+
 def test_transform_raw_returns_a_copy():
     dist = np.array([3.0, 5.0])
     out = geo.transform_weights(dist, "raw")
@@ -153,13 +159,51 @@ def test_weighted_adjacency_decay_values():
     assert weighted[1, 0] == weighted[0, 1]
 
 
-def test_haversine_from_is_bitwise_haversine_pairs():
+def test_haversine_from_is_bitwise_pair_distances():
     rng = np.random.default_rng(4)
-    lat = np.radians(rng.uniform(-89.0, 89.0, 300))
-    lon = np.radians(rng.uniform(-180.0, 180.0, 300))
+    lat_deg = rng.uniform(-89.0, 89.0, 300)
+    lon_deg = rng.uniform(-180.0, 180.0, 300)
+    lat = np.radians(lat_deg)
+    lon = np.radians(lon_deg)
     cos_lat = np.cos(lat)
     nodes = np.arange(300, dtype=np.int64)
     for u in (0, 17, 299):
-        want = geo.haversine_pairs(lat, lon, np.full(300, u), nodes)
+        want = geo.pair_distances(lat_deg, lon_deg, np.full(300, u), nodes)
         got = geo.haversine_from(lat, lon, cos_lat, u)
         assert got.tobytes() == want.tobytes()
+
+
+def test_haversine_from_is_bitwise_distance_matrix_row():
+    rng = np.random.default_rng(5)
+    lat_deg = rng.uniform(-90.0, 90.0, 120)
+    lon_deg = rng.uniform(-180.0, 180.0, 120)
+    lat_deg[7] = lat_deg[3]
+    lon_deg[7] = lon_deg[3]
+    lat = np.radians(lat_deg)
+    lon = np.radians(lon_deg)
+    cos_lat = np.cos(lat)
+    mat = geo.distance_matrix(lat_deg, lon_deg)
+    for u in range(120):
+        got = geo.haversine_from(lat, lon, cos_lat, u)
+        assert got.tobytes() == mat[u].tobytes()
+
+
+# Coordinates that stress the kernel: the poles, the date line from both
+# sides, and a signed zero.
+EDGE_LAT = st.sampled_from([90.0, -90.0, 0.0, -0.0])
+EDGE_LON = st.sampled_from([180.0, -180.0, 0.0, -0.0])
+POINTS = st.lists(st.tuples(st.one_of(EDGE_LAT, LAT), st.one_of(EDGE_LON, LON)),
+                  min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTS, st.lists(st.integers(0, 59), max_size=60))
+def test_distance_matrix_is_bitwise_pair_gather(pool, picks):
+    # Picking from a pool with repeats makes coincident points common.
+    points = [pool[i % len(pool)] for i in picks]
+    lat = np.array([p[0] for p in points], dtype=np.float64)
+    lon = np.array([p[1] for p in points], dtype=np.float64)
+    got = geo.distance_matrix(lat, lon)
+    want = oracles.loop_distance_matrix(lat, lon)
+    assert got.shape == want.shape == (len(points), len(points))
+    assert got.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 """Ingestion, network assembly, temporal splits and pair universes."""
 
 import csv
+import dataclasses
 import io
 import logging
 import re
@@ -182,6 +183,20 @@ def test_build_network_first_seen_coordinates_win():
     net = build_network(report_of(records))
     idx = net.registry.index("a")
     assert net.registry.coord(idx) == (50.0, 0.0)
+
+
+@pytest.mark.parametrize("column, value, named", [
+    ("year", np.array([2015, 2016, 2017]), "year"),
+    ("source_ids", ["a", "a", "b"], "dest_ids"),
+    ("dest_lat", np.array([51.0]), "dest_lat"),
+])
+def test_build_network_rejects_a_column_not_one_per_row(column, value,
+                                                        named):
+    # A one-entry dest_lat would otherwise broadcast, putting c at 51.
+    report = report_of([make_record("a", "b", 2015, s_lat=50.0, d_lat=51.0),
+                        make_record("a", "c", 2016, s_lat=50.0, d_lat=52.0)])
+    with pytest.raises(DataError, match=f"column '{named}' has"):
+        build_network(dataclasses.replace(report, **{column: value}))
 
 
 def test_registry_rejects_out_of_range_coordinates():

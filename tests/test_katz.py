@@ -551,8 +551,7 @@ def test_edge_weighted_is_pairwise_decay_of_base():
     np.fill_diagonal(distances, 0.0)
     cfg = KatzConfig(gamma=0.005)
     base = katz_scores(sp.csr_matrix(dense), cfg, _universe(n))
-    table = edge_weighted_katz_scores(sp.csr_matrix(dense), distances,
-                                      cfg, _universe(n))
+    table = edge_weighted_katz_scores(base, distances, cfg.resolved_gamma())
     expected = base.values * np.exp(-0.005 * distances)
     np.fill_diagonal(expected, 0.0)
     assert np.array_equal(table.values, expected)
@@ -566,8 +565,7 @@ def test_edge_weighted_reuses_provided_base_table():
     universe = _universe(n)
     base = katz_scores(adj, cfg, universe)
     distances = np.array([[0.0, 100.0], [100.0, 0.0]])
-    table = edge_weighted_katz_scores(adj, distances, cfg, universe,
-                                      ki_table=base)
+    table = edge_weighted_katz_scores(base, distances, cfg.resolved_gamma())
     assert table.values[0, 1] == base.values[0, 1] * np.exp(-1.0)
 
 
@@ -576,14 +574,15 @@ def test_edge_weighted_rejects_mismatched_inputs():
     cfg = KatzConfig()
     universe = _universe(2)
     with pytest.raises(UniverseMismatchError):
-        edge_weighted_katz_scores(adj, np.zeros((3, 3)), cfg, universe)
+        edge_weighted_katz_scores(katz_scores(adj, cfg, universe),
+                                  np.zeros((3, 3)), cfg.resolved_gamma())
     # The 2-cycle's symmetric table is constant off-diagonal, so the
     # normalization legitimately warns before the mismatch check.
     with pytest.warns(DegenerateScoreTableWarning):
         base = normalize(katz_scores(adj, cfg, universe))
     with pytest.raises(UniverseMismatchError):
-        edge_weighted_katz_scores(adj, np.zeros((2, 2)), cfg, universe,
-                                  ki_table=base)
+        edge_weighted_katz_scores(base, np.zeros((2, 2)),
+                                  cfg.resolved_gamma())
 
 
 # --- normalization and combination -------------------------------------------

@@ -149,6 +149,29 @@ class TestFullRun:
                            for k in ("nodes", "edges", "links")}
 
 
+class TestSyntheticInput:
+
+    def test_exported_run_scores_its_written_movements(self, tmp_path):
+        # A synthetic run with an output directory scores the
+        # movements.csv it wrote (6-decimal coordinates), so running
+        # that file as input gives the same scores, reports and curves.
+        text = QUICKSTART.read_text(encoding="utf-8")
+        run(_cfg(text, out=tmp_path / "synth"))
+        movements = tmp_path / "synth" / "movements.csv"
+        body = re.sub(r"^synth:\n(?:[ \t].*\n)*", "", text, flags=re.M)
+        file_cfg = _cfg(f"input: {json.dumps(str(movements))}\n{body}",
+                        out=tmp_path / "file")
+        assert file_cfg.synth is None
+        run(file_cfg)
+        names = sorted(path.name for pattern in
+                       ("scores_*.csv", "report_*.json", "curve_*.csv")
+                       for path in (tmp_path / "synth").glob(pattern))
+        assert len(names) == 6 * 4
+        for name in names:
+            assert ((tmp_path / "synth" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes()), name
+
+
 class TestScoresOnly:
 
     def test_scores_only_skips_evaluation(self, tmp_path):
