@@ -508,25 +508,55 @@ def write_score_table(table, registry, dest, known=None):
     tables export byte-identically. ``known`` is text for the
     score_norm column, passed on to ``_format6`` (see
     ``metrics._write_curves``).
+
+    Most pairs of a score table hold its minimum in both score columns.
+    Each column's floor is the bit pattern of its first minimum; a pair
+    on both floors takes its row from one floor row per destination,
+    and only the pairs off either floor are formatted.
     """
     if not table.normalized or table.raw_values is None:
         raise ValueError("score export requires a normalized table")
     ids = [registry.ids[i] for i in table.universe.node_indices]
     order = sorted(range(len(ids)), key=ids.__getitem__)
+    k = len(order)
     cells = np.ix_(order, order)
-    raw = _format6(table.raw_values[cells])
-    norm = _format6(table.values[cells], known)
+    raw, norm = (np.ascontiguousarray(values[cells], dtype=np.float64).ravel()
+                 for values in (table.raw_values, table.values))
     quoted = _csv_fields([ids[i] for i in order] + [table.model])
     model = quoted.pop()
     middle = [f",{dest_id},{model}," for dest_id in quoted]
+    if k > 1:
+        low_raw, low_norm = raw.argmin(), norm.argmin()
+        raw_bits, norm_bits = raw.view(np.int64), norm.view(np.int64)
+        # A table read back from text can hold its two floors in
+        # different cells, so a pair is off when either score is.
+        off = np.flatnonzero((raw_bits != raw_bits[low_raw])
+                             | (norm_bits != norm_bits[low_norm]))
+        raw_floor, *raw_text = _format6(
+            raw[np.append(low_raw, off)]).tolist()
+        norm_floor, *norm_text = _format6(
+            norm[np.append(low_norm, off)], known).tolist()
+        floor_rows = [f"{m}{raw_floor},{norm_floor}\n" for m in middle]
+        sources, dests = divmod(off, k)
+        dests = dests.tolist()
+        off_rows = [f"{middle[b]}{r},{n}\n"
+                    for b, r, n in zip(dests, raw_text, norm_text)]
+        ends = np.cumsum(np.bincount(sources, minlength=k)).tolist()
 
     def _write(fh):
         fh.write("source_id,dest_id,model,score,score_norm\n")
-        for a, source in enumerate(quoted):
-            rows = [f"{source}{m}{r},{n}\n" for m, r, n
-                    in zip(middle, raw[a].tolist(), norm[a].tolist())]
+        if k < 2:
+            return
+        start = 0
+        for a, (source, end) in enumerate(zip(quoted, ends)):
+            rows = floor_rows.copy()
+            for b, row in zip(dests[start:end], off_rows[start:end]):
+                rows[b] = row
             del rows[a]
-            fh.write("".join(rows))
+            start = end
+            # rows holds k - 1 >= 1 texts, each of which takes the
+            # source in front of it.
+            fh.write(source + source.join(rows))
 
     if hasattr(dest, "write"):
         _write(dest)

@@ -266,11 +266,9 @@ def _format6(values, known=None):
 
     Each distinct value is formatted once, by one %-format call that
     gives the same text as the f-string. Values are told apart by bit
-    pattern, so -0.0 keeps its own text ("-0"). The entries holding the
-    bit pattern of the first minimum (the floor that most pairs of a
-    score table share) get one text and stay out of the distinct-value
-    sort; a NaN minimum or a zero of either sign is a floor like any
-    other, and the values off it are still told apart by bits.
+    pattern, so -0.0 keeps its own text ("-0") and NaNs are formatted
+    like any other value. Callers with a heavily repeated floor (the
+    score table writer) pass the floor once and the entries off it.
 
     ``known`` is a (floats, their text) pair with the floats ascending:
     when every entry is bitwise one of them, its text is taken from
@@ -287,18 +285,13 @@ def _format6(values, known=None):
         at = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
         if np.array_equal(keys[at].view(np.int64), bits):
             return text[at].reshape(values.shape)
-    low = flat.argmin()
-    off = np.flatnonzero(bits != bits[low])
     # np.unique stays on 1-D input: the shape of its inverse for other
     # input changed in NumPy 2.0.
-    distinct, inverse = np.unique(bits[off], return_inverse=True)
-    lines = (("%.6g\n" * (len(distinct) + 1)) % (
-        float(flat[low]), *distinct.view(np.float64).tolist())).split("\n")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    lines = (("%.6g\n" * len(distinct)) % tuple(
+        distinct.view(np.float64).tolist())).split("\n")
     lines.pop()
-    lines = np.array(lines, dtype=object)
-    out = np.full(flat.size, lines[0], dtype=object)
-    out[off] = lines[1:][inverse]
-    return out.reshape(values.shape)
+    return np.array(lines, dtype=object)[inverse].reshape(values.shape)
 
 
 def _format6_columns(*columns):

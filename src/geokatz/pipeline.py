@@ -10,6 +10,7 @@ split. All artifacts are written with fixed orderings and 6-significant
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -47,13 +48,23 @@ INCOMPLETE_MARKER = "INCOMPLETE"
 
 @dataclass
 class PipelineResult:
-    """Everything a run produced, keyed by model name."""
+    """Everything a run produced, keyed by model name.
+
+    ``timings`` holds the wall seconds of each stage: ``data`` (input,
+    network, split, adjacencies and universes), ``scoring`` (Katz
+    tables, decay, normalize and combine), ``gamma_tuning``,
+    ``evaluation`` (the tuning universe's tables, threshold tuning and
+    reports) and, when artifacts are written, ``export``. A stage the
+    run skips reads about 0. Wall times are not deterministic, so no
+    artifact holds them; each stage is logged once at DEBUG.
+    """
     reports: dict
     tables: dict
     universe: object
     tune_universe: object
     summary: dict = field(default_factory=dict)
     out_dir: object = None
+    timings: dict = field(default_factory=dict)
 
     @property
     def thresholds(self):
@@ -209,7 +220,21 @@ def run_scores_only(cfg):
     return _with_marker(cfg, evaluate_models=False)
 
 
+class _Stopwatch:
+    """Wall seconds between calls of ``lap``, added up per stage name."""
+
+    def __init__(self):
+        self.timings = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.timings[stage] = self.timings.get(stage, 0.0) + now - self._last
+        self._last = now
+
+
 def _run_steps(cfg, out_dir, evaluate_models):
+    watch = _Stopwatch()
     net, train, val, test = _build_data(cfg, out_dir)
     registry = net.registry
     mode = "binary-directed" if cfg.directed else "binary-undirected"
@@ -232,17 +257,21 @@ def _run_steps(cfg, out_dir, evaluate_models):
         scorings = [final, tune]
     tuning = katz_cfg.gamma == "tune" and (
         "EWKI" in bases or katz_cfg.wki_transform == "decay")
+    watch.lap("data")
 
     # KI, then gamma (which decays the tuning universe's KI table), then
     # WKI (whose decay transform may need gamma), then the model tables.
     _score_base("KI", [s for s in scorings if (tuning and s is tune)
                        or "KI" in s.bases or "EWKI" in s.bases], katz_cfg)
+    watch.lap("scoring")
     gamma_tuned = _tune_gamma(tune) if tuning else None
+    watch.lap("gamma_tuning")
     if katz_cfg.gamma == "tune":
         katz_cfg = replace(katz_cfg, gamma=0.0 if gamma_tuned is None
                            else gamma_tuned)
     _score_base("WKI", [s for s in scorings if "WKI" in s.bases], katz_cfg)
     tables = _model_tables(final, katz_cfg, cfg)
+    watch.lap("scoring")
 
     reports = {}
     if evaluate_models:
@@ -268,9 +297,13 @@ def _run_steps(cfg, out_dir, evaluate_models):
     result = PipelineResult(reports=reports, tables=tables,
                             universe=final.universe,
                             tune_universe=tune.universe, summary=summary,
-                            out_dir=out_dir)
+                            out_dir=out_dir, timings=watch.timings)
+    watch.lap("evaluation")
     if out_dir is not None:
         _write_artifacts(cfg, result, registry)
+        watch.lap("export")
+    for stage, seconds in watch.timings.items():
+        log.debug("stage %s took %.3f s", stage, seconds)
     return result
 
 

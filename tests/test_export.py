@@ -1,6 +1,7 @@
 """Chunked artifact writers against the row-at-a-time reference loops."""
 
 import io
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geokatz import metrics
+from geokatz import katz, metrics
 from geokatz.graphs import NodeRegistry, PairUniverse
 from geokatz.katz import ScoreTable, normalize, write_score_table
 
@@ -59,6 +60,124 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
     got = io.StringIO()
     write_score_table(table, registry, got)
     assert got.getvalue() == expected.getvalue()
+
+
+def _table(raw, norm, model="KI"):
+    k = len(raw)
+    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
+                            labels=np.zeros((k, k), dtype=np.uint8))
+    return ScoreTable(model=model, universe=universe,
+                      values=np.array(norm, dtype=np.float64),
+                      normalized=True,
+                      raw_values=np.array(raw, dtype=np.float64))
+
+
+def _check_against_row_loop(table, ids, known=None):
+    registry = _registry(ids)
+    expected = io.StringIO()
+    oracles.loop_write_score_table(table, registry, expected)
+    got = io.StringIO()
+    write_score_table(table, registry, got, known)
+    assert got.getvalue() == expected.getvalue()
+    return got.getvalue()
+
+
+# Floors a table can hold: signed zeros, NaN (argmin's first NaN is the
+# minimum) and a negative value.
+FLOORS = (0.0, -0.0, float("nan"), -2.5)
+
+# Added to a finite floor for the cells off it; a zero keeps the cell on
+# the floor's value, with either sign.
+STEPS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0 / 3.0, 1e6]),
+                  st.floats(0.0, 1e9))
+
+
+def _floor_heavy(floor, kinds, draws, steps):
+    """A table column on ``floor``: each row is all floor, all off or
+    mixed (off where ``draws`` is 0, one cell in ten on average)."""
+    k = len(kinds)
+    values = np.full((k, k), floor)
+    for a, kind in enumerate(kinds):
+        for b in range(k):
+            if kind == "off" or (kind == "mixed" and draws[a * k + b] == 0):
+                step = steps[(a * k + b) % len(steps)]
+                values[a, b] = step if math.isnan(floor) else floor + step
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 7),
+       floors=st.tuples(st.sampled_from(FLOORS), st.sampled_from(FLOORS)),
+       kinds=st.tuples(*[st.lists(st.sampled_from(["floor", "off", "mixed"]),
+                                  min_size=7, max_size=7)] * 2),
+       draws=st.tuples(*[st.lists(st.integers(0, 9), min_size=49,
+                                  max_size=49)] * 2),
+       steps=st.lists(STEPS, min_size=1, max_size=6),
+       known=st.sampled_from(["all", "part", "none"]))
+@example(k=3, floors=(0.0, 0.0), kinds=(["off"] * 7, ["floor"] * 7),
+         draws=([0] * 49, [0] * 49), steps=[1.0], known="all")
+@example(k=4, floors=(-0.0, float("nan")), kinds=(["mixed"] * 7,) * 2,
+         draws=([0, 5] * 25, [5, 0] * 25), steps=[0.0, -0.0, 2.0],
+         known="part")
+def test_floor_heavy_tables_match_row_loop(k, floors, kinds, draws, steps,
+                                           known):
+    # The raw and normalized columns have their own floors and their own
+    # off cells, so their first minima are often in different cells.
+    raw, norm = (_floor_heavy(floor, kind[:k], draw, steps)
+                 for floor, kind, draw in zip(floors, kinds, draws))
+    keys = np.unique(norm)
+    if known == "part":
+        keys = keys[1:]
+    known = None if known == "none" else (keys, _fstrings(keys))
+    _check_against_row_loop(_table(raw, norm, " KI,"), AWKWARD_IDS[:k],
+                            known)
+
+
+def test_floors_in_different_cells():
+    # Each column's floor sits where the other column is off it: a
+    # writer that finds the floor rows from one column alone writes the
+    # other column's floor text into a cell that is off it.
+    raw = [[0.0, 2.0, 0.0, 0.0],
+           [3.0, 0.0, 0.0, 0.0],
+           [0.0, 0.0, 0.0, 4.0],
+           [0.0, 0.0, 0.0, 0.0]]
+    norm = [[0.5, 0.5, 0.5, 0.5],
+            [0.0, 0.5, 0.5, 0.5],
+            [0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.25, 0.5, 0.5]]
+    text = _check_against_row_loop(_table(raw, norm), ["a", "b", "c", "d"])
+    assert "b,a,KI,3,0\n" in text and "a,b,KI,2,0.5\n" in text
+
+
+def test_one_and_two_node_tables():
+    header = "source_id,dest_id,model,score,score_norm\n"
+    assert _check_against_row_loop(_table([[0.0]], [[0.0]]), ["a"]) == header
+    text = _check_against_row_loop(
+        _table([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+        ["b", "a"])
+    assert text == header + "a,b,KI,0,0\nb,a,KI,1,1\n"
+
+
+def test_only_off_floor_cells_are_formatted(monkeypatch):
+    # A 6-node table on floor 0 with three raw and two normalized cells
+    # off it (one shared) and a diagonal off both: five formatted cells
+    # plus the floor per column, not the 36 cells of the table.
+    raw = np.zeros((6, 6))
+    norm = np.zeros((6, 6))
+    raw[0, 1], raw[2, 3], raw[5, 4] = 7.0, 8.0, 9.0
+    norm[2, 3], norm[4, 0] = 0.5, 1.0
+    raw[3, 3] = norm[3, 3] = 0.25
+    off = np.count_nonzero((raw != 0.0) | (norm != 0.0))
+    sizes = []
+
+    def counting(values, known=None):
+        sizes.append(np.size(values))
+        return metrics._format6(values, known)
+
+    monkeypatch.setattr(katz, "_format6", counting)
+    _check_against_row_loop(_table(raw, norm), list("abcdef"))
+    assert off == 5
+    assert sizes == [off + 1, off + 1]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Unit tests for the end-to-end pipeline and artifact round trips."""
 
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -36,6 +37,10 @@ katz:
 models: [KI, WKI, EWKI, KIEWKI]
 workers: 2
 """
+
+# The stages every run times; ``export`` is timed only with an output
+# directory.
+STAGES = ("data", "scoring", "gamma_tuning", "evaluation")
 
 TWO_HOP_CSV = """\
 source_id,dest_id,year,source_lat,source_lon,dest_lat,dest_lon,species
@@ -128,6 +133,22 @@ class TestFullRun:
         assert (summary["universes"]["final"]["pairs"]
                 == summary["universes"]["final"]["nodes"]
                 * (summary["universes"]["final"]["nodes"] - 1))
+
+    def test_stage_timings_stay_out_of_the_run_directory(self, small_run):
+        _, result, out = small_run
+        assert set(result.timings) == set(STAGES) | {"export"}
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+        summary = json.loads((out / "run_summary.json").read_text())
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+
+        assert not (set(keys(summary)) & (set(result.timings) | {"timings"}))
+        for path in out.iterdir():
+            assert "timings" not in path.read_text(encoding="utf-8")
 
     def test_summary_csv_layout(self, small_run):
         cfg, result, out = small_run
@@ -429,6 +450,17 @@ class TestIncompleteMarker:
         result = run_scores_only(cfg)
         assert result.out_dir is None
         assert list(tmp_path.iterdir()) == []
+
+    def test_no_output_dir_times_no_export(self, caplog):
+        cfg = _cfg(SMALL_SYNTH.replace("models: [KI, WKI, EWKI, KIEWKI]",
+                                       "models: [KI]"))
+        with caplog.at_level(logging.DEBUG, logger="geokatz.pipeline"):
+            result = run(cfg)
+        assert set(result.timings) == set(STAGES)
+        logged = [r.getMessage().split()[1] for r in caplog.records
+                  if r.levelno == logging.DEBUG
+                  and r.getMessage().startswith("stage ")]
+        assert sorted(logged) == sorted(STAGES)
 
 
 class TestWorkerParity:
