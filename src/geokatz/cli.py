@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import metrics, pipeline, synth
+from . import katz, metrics, pipeline, synth
 from .config import load_run_config, load_synth_config
 from .errors import ConfigError, DataError, GeokatzError, as_real
 from .graphs import candidate_pairs
@@ -110,7 +110,7 @@ def _cmd_eval(args):
     cfg = load_run_config(args.config, args.out, args.seed_override)
     net, _, _, test = pipeline._build_data(cfg, None)
     universe = candidate_pairs(test)
-    table = pipeline.read_score_table(args.scores, universe, net.registry)
+    table = katz.read_score_table(args.scores, universe, net.registry)
     if args.tune:
         _, tuned_f1, report = metrics._tune_and_evaluate(
             table, table.model, {"tuned_on": "eval-universe"})
@@ -125,9 +125,7 @@ def _cmd_eval(args):
                 "report and curves would be written outside --out")
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        metrics.write_report(report, out_dir / f"report_{name}.json")
-        metrics._write_curves(report, out_dir / f"curve_roc_{name}.csv",
-                              out_dir / f"curve_pr_{name}.csv")
+        metrics._write_evaluation(report, out_dir, name)
         log.info("evaluation written to %s", out_dir)
     else:
         metrics.write_report(report, sys.stdout)

@@ -101,9 +101,6 @@ class NodeRegistry:
     def index(self, node_id):
         return self._index[node_id]
 
-    def coord(self, idx):
-        return float(self._lat[idx]), float(self._lon[idx])
-
     def lat_array(self):
         """Latitudes in index order (read-only; not a copy)."""
         return self._lat
@@ -159,14 +156,6 @@ class TemporalNetwork:
     @property
     def n_links(self):
         return len(self.links)
-
-    @cached_property
-    def link_set(self):
-        return frozenset((int(u), int(v)) for u, v in self.links)
-
-    def years(self):
-        """Sorted distinct calendar years present."""
-        return _distinct(self.edge_year)
 
     def restrict(self, first_year, last_year):
         """Sub-network of edges with year in [first_year, last_year]."""
@@ -797,16 +786,6 @@ class PairUniverse:
     def flatten(self, matrix):
         """Off-diagonal cells of a (k, k) matrix in row-major order."""
         return matrix[self.offdiag_mask]
-
-    def pair_index_arrays(self):
-        """Global (source, dest) node indices in flattening order."""
-        k = self.k
-        src = np.repeat(self.node_indices, k - 1)
-        dst = np.empty((k, k - 1), dtype=self.node_indices.dtype)
-        for i in range(k):
-            dst[i, :i] = self.node_indices[:i]
-            dst[i, i:] = self.node_indices[i + 1:]
-        return src, dst.ravel()
 
     def same_universe(self, other):
         return self is other or (

@@ -6,7 +6,8 @@ sum_{l>=1} beta^l (A^l)[u, v], computed either in closed form as
 solve per source node, or as an explicitly truncated series. Variants
 swap in a distance-weighted adjacency or multiply each pair's score by
 an exponential distance decay. Tables are min-max normalized over their
-pair universe and can be fused pairwise into combined models.
+pair universe and can be fused pairwise into combined models, and
+written to and read back from delimited text (``SCORE_COLUMNS``).
 """
 
 import csv
@@ -21,10 +22,11 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import splu
 
-from .errors import (BetaDomainError, ConfigError, DegenerateScoreTableWarning,
-                     NumericError, UniverseMismatchError, as_int, as_real,
-                     one_of)
+from .errors import (BetaDomainError, ConfigError, DataError,
+                     DegenerateScoreTableWarning, NumericError,
+                     UniverseMismatchError, as_int, as_real, one_of)
 from .geo import WEIGHT_TRANSFORMS, decay_weights
+from .graphs import _decode_error, _open_input, _read_header
 from .metrics import _format6
 
 log = logging.getLogger(__name__)
@@ -33,6 +35,9 @@ BETA_MODES = ("fraction-of-spectral-bound", "explicit")
 METHODS = ("closed-form-solve", "truncated-series")
 COMBINE_RULES = ("mean", "product", "max")
 COMBINE_INPUTS = ("normalized", "raw")
+
+# The columns of an exported score table, in the order they are written.
+SCORE_COLUMNS = ("source_id", "dest_id", "model", "score", "score_norm")
 
 _BETA_MODE_ALIASES = {"fraction": "fraction-of-spectral-bound"}
 _METHOD_ALIASES = {"solve": "closed-form-solve", "series": "truncated-series"}
@@ -507,7 +512,7 @@ def write_score_table(table, registry, dest, known=None):
     then dest id, and floats use 6 significant digits, so identical
     tables export byte-identically. ``known`` is text for the
     score_norm column, passed on to ``_format6`` (see
-    ``metrics._write_curves``).
+    ``metrics._write_evaluation``).
 
     Most pairs of a score table hold its minimum in both score columns.
     Each column's floor is the bit pattern of its first minimum; a pair
@@ -544,7 +549,7 @@ def write_score_table(table, registry, dest, known=None):
         ends = np.cumsum(np.bincount(sources, minlength=k)).tolist()
 
     def _write(fh):
-        fh.write("source_id,dest_id,model,score,score_norm\n")
+        fh.write(",".join(SCORE_COLUMNS) + "\n")
         if k < 2:
             return
         start = 0
@@ -564,3 +569,74 @@ def write_score_table(table, registry, dest, known=None):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             _write(fh)
     return dest
+
+
+def read_score_table(path, universe, registry):
+    """Load an exported score table back onto a pair universe.
+
+    The file must be UTF-8 and cover exactly the universe's off-diagonal
+    pairs, each once, with ids resolvable in the registry. Its header
+    is read as a movement file's is. Returns a normalized ScoreTable
+    carrying the file's raw scores as ``raw_values``.
+    """
+    try:
+        with _open_input(path, "score table") as fh:
+            return _read_scores(fh, path, universe, registry)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path, exc, "score table") from exc
+
+
+def _read_scores(fh, path, universe, registry):
+    k = universe.k
+    position = {int(node): i for i, node in enumerate(universe.node_indices)}
+    norm = np.zeros((k, k), dtype=np.float64)
+    raw = np.zeros((k, k), dtype=np.float64)
+    seen = np.zeros((k, k), dtype=bool)
+    model = None
+    header, reader = _read_header(fh, ",")
+    if header is None or not set(SCORE_COLUMNS).issubset(header):
+        raise DataError(f"score table {path} lacks required columns "
+                        f"{sorted(SCORE_COLUMNS)}")
+    at = {name: i for i, name in enumerate(header)}
+    columns = [at[name] for name in SCORE_COLUMNS]
+    for row in reader:
+        if not row:
+            continue
+        # The reader counts physical lines, blank ones included.
+        line_no = reader.line_num
+        if len(row) < len(header):
+            raise DataError(f"line {line_no}: fewer fields than the header")
+        source, dest, row_model, score, score_norm = map(row.__getitem__,
+                                                         columns)
+        if model is None:
+            model = row_model
+        elif row_model != model:
+            raise DataError(
+                f"score table mixes models {model!r} and "
+                f"{row_model!r} (line {line_no})")
+        try:
+            u = registry.index(source)
+            v = registry.index(dest)
+            i, j = position[u], position[v]
+        except KeyError:
+            raise UniverseMismatchError(
+                f"line {line_no}: pair ({source}, {dest}) is not in the "
+                "evaluation universe")
+        if i == j or seen[i, j]:
+            raise UniverseMismatchError(
+                f"line {line_no}: duplicate or diagonal pair")
+        seen[i, j] = True
+        try:
+            raw[i, j] = float(score)
+            norm[i, j] = float(score_norm)
+        except ValueError:
+            raise DataError(f"line {line_no}: non-numeric score")
+        if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
+            raise DataError(f"line {line_no}: non-finite score")
+    expected = k * (k - 1)
+    got = int(seen.sum())
+    if got != expected:
+        raise UniverseMismatchError(
+            f"score table covers {got} pairs; the universe has {expected}")
+    return ScoreTable(model=model or "", universe=universe, values=norm,
+                      normalized=True, raw_values=raw)

@@ -264,11 +264,8 @@ def _tune_and_evaluate(table, model, info):
 def _format6(values, known=None):
     """The ``f"{v:.6g}"`` text of every entry of a float array.
 
-    Each distinct value is formatted once, by one %-format call that
-    gives the same text as the f-string. Values are told apart by bit
-    pattern, so -0.0 keeps its own text ("-0") and NaNs are formatted
-    like any other value. Callers with a heavily repeated floor (the
-    score table writer) pass the floor once and the entries off it.
+    All entries are formatted by one %-format call, which gives the same
+    text as the f-string: -0.0 gives "-0" and NaN gives "nan".
 
     ``known`` is a (floats, their text) pair with the floats ascending:
     when every entry is bitwise one of them, its text is taken from
@@ -277,27 +274,14 @@ def _format6(values, known=None):
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     flat = values.ravel()
-    if not flat.size:
-        return np.empty(values.shape, dtype=object)
-    bits = flat.view(np.int64)
     if known is not None and len(known[0]):
         keys, text = known
         at = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
-        if np.array_equal(keys[at].view(np.int64), bits):
+        if np.array_equal(keys[at].view(np.int64), flat.view(np.int64)):
             return text[at].reshape(values.shape)
-    # np.unique stays on 1-D input: the shape of its inverse for other
-    # input changed in NumPy 2.0.
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    lines = (("%.6g\n" * len(distinct)) % tuple(
-        distinct.view(np.float64).tolist())).split("\n")
+    lines = ("%.6g\n" * flat.size % tuple(flat.tolist())).split("\n")
     lines.pop()
-    return np.array(lines, dtype=object)[inverse].reshape(values.shape)
-
-
-def _format6_columns(*columns):
-    """``_format6`` of each 1-D column, from one call over all of them."""
-    ends = np.cumsum([len(column) for column in columns])
-    return np.split(_format6(np.concatenate(columns)), ends[:-1])
+    return np.array(lines, dtype=object).reshape(values.shape)
 
 
 def _round6(value):
@@ -353,46 +337,30 @@ def _curve_text(thresholds, x, y):
 
 def write_curve(curve, dest):
     """Write curve points as CSV with columns threshold, x, y."""
-    columns = _format6_columns(curve.thresholds, curve.x, curve.y)
-    return _write_text(_curve_text(*(c.tolist() for c in columns)), dest)
+    columns = (_format6(c).tolist() for c in (curve.thresholds, curve.x,
+                                              curve.y))
+    return _write_text(_curve_text(*columns), dest)
 
 
-def _bits(values):
-    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+def _write_evaluation(report, out_dir, name):
+    """Write an ``evaluate`` report's files into the ``pathlib.Path``
+    ``out_dir``: ``report_{name}.json`` as ``write_report`` writes it,
+    and ``curve_roc_{name}.csv`` and ``curve_pr_{name}.csv`` as
+    ``write_curve`` writes each curve.
 
-
-def _roc_extends_pr(roc, pr):
-    """True when ``roc`` is ``pr``'s thresholds and recall behind the
-    (inf, 0, 0) anchor, bit for bit, as ``evaluate`` builds them."""
-    n = len(pr.thresholds)
-    return (len(roc.x) == n + 1 and len(pr.y) == n
-            and np.array_equal(_bits(roc.thresholds),
-                               _bits(np.append(math.inf, pr.thresholds)))
-            and np.array_equal(_bits(roc.y), _bits(np.append(0.0, pr.x)))
-            and _bits(roc.x[:1])[0] == 0)
-
-
-def _write_curves(report, roc_dest, pr_dest):
-    """Write both curves of an ``evaluate`` report, as ``write_curve``
-    writes each, formatting the distinct floats of the two once.
-
-    The ROC thresholds past the anchor are the PR thresholds and its
-    TPR is the PR recall. Returns (the thresholds ascending, their
-    text), the ``known`` text of the evaluated table's normalized
-    scores (see ``_format6``), or None when the curves are not laid out
-    that way and were written apart.
+    ``evaluate`` builds the ROC curve as the PR thresholds and recall
+    behind an (inf, 0, 0) anchor, so the two curves share the text of
+    those columns. Returns (the thresholds ascending, their text), the
+    ``known`` text of the evaluated table's normalized scores (see
+    ``_format6``).
     """
+    write_report(report, out_dir / f"report_{name}.json")
     roc, pr = report.roc, report.pr
-    if not _roc_extends_pr(roc, pr):
-        write_curve(roc, roc_dest)
-        write_curve(pr, pr_dest)
-        return None
-    thresholds, fpr, tpr, prec = _format6_columns(
-        pr.thresholds, roc.x[1:], pr.x, pr.y)
-    t, f, r, p = (c.tolist() for c in (thresholds, fpr, tpr, prec))
-    _write_text(_curve_text(["inf", *t], ["0", *f], ["0", *r]), roc_dest)
-    _write_text(_curve_text(t, r, p), pr_dest)
-    # A copy, not a view: a view would keep all four columns' text alive
-    # while the score table is written.
+    thresholds = _format6(pr.thresholds)
+    t = thresholds.tolist()
+    fpr, r, p = (_format6(c).tolist() for c in (roc.x[1:], pr.x, pr.y))
+    _write_text(_curve_text(["inf", *t], ["0", *fpr], ["0", *r]),
+                out_dir / f"curve_roc_{name}.csv")
+    _write_text(_curve_text(t, r, p), out_dir / f"curve_pr_{name}.csv")
     return (np.ascontiguousarray(pr.thresholds[::-1], dtype=np.float64),
-            thresholds[::-1].copy())
+            thresholds[::-1])

@@ -18,12 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import geo, metrics, synth
-from .errors import DataError, UniverseMismatchError
-from .graphs import _decode_error, _open_input, _read_header, \
-    build_adjacency, build_network, candidate_pairs, ingest_movements, \
-    temporal_split
-from .katz import ScoreTable, combine, edge_weighted_katz_scores, \
-    katz_scores, normalize, write_score_table
+from .graphs import build_adjacency, build_network, candidate_pairs, \
+    ingest_movements, temporal_split
+from .katz import combine, edge_weighted_katz_scores, katz_scores, \
+    normalize, write_score_table
 
 log = logging.getLogger(__name__)
 
@@ -354,10 +352,7 @@ def _write_artifacts(cfg, result, registry):
         report = result.reports.get(model)
         known = None
         if report is not None:
-            metrics.write_report(report, out_dir / f"report_{model}.json")
-            known = metrics._write_curves(
-                report, out_dir / f"curve_roc_{model}.csv",
-                out_dir / f"curve_pr_{model}.csv")
+            known = metrics._write_evaluation(report, out_dir, model)
         write_score_table(result.tables[model], registry,
                           out_dir / f"scores_{model}.csv", known)
     if result.reports:
@@ -374,75 +369,3 @@ def _write_summary_table(models, reports, dest):
         cells = [f"{getattr(reports[m], attr):.6g}" for m in models]
         lines.append(label + "," + ",".join(cells) + "\n")
     metrics._write_text("".join(lines), dest)
-
-
-def read_score_table(path, universe, registry):
-    """Load an exported score table back onto a pair universe.
-
-    The file must be UTF-8 and cover exactly the universe's off-diagonal
-    pairs, each once, with ids resolvable in the registry. Its header
-    is read as a movement file's is. Returns a normalized ScoreTable
-    carrying the file's raw scores as ``raw_values``.
-    """
-    try:
-        with _open_input(path, "score table") as fh:
-            return _read_scores(fh, path, universe, registry)
-    except UnicodeDecodeError as exc:
-        raise _decode_error(path, exc, "score table") from exc
-
-
-def _read_scores(fh, path, universe, registry):
-    k = universe.k
-    position = {int(node): i for i, node in enumerate(universe.node_indices)}
-    norm = np.zeros((k, k), dtype=np.float64)
-    raw = np.zeros((k, k), dtype=np.float64)
-    seen = np.zeros((k, k), dtype=bool)
-    model = None
-    header, reader = _read_header(fh, ",")
-    names = ("source_id", "dest_id", "model", "score", "score_norm")
-    if header is None or not set(names).issubset(header):
-        raise DataError(
-            f"score table {path} lacks required columns {sorted(names)}")
-    at = {name: i for i, name in enumerate(header)}
-    columns = [at[name] for name in names]
-    for row in reader:
-        if not row:
-            continue
-        # The reader counts physical lines, blank ones included.
-        line_no = reader.line_num
-        if len(row) < len(header):
-            raise DataError(f"line {line_no}: fewer fields than the header")
-        source, dest, row_model, score, score_norm = map(row.__getitem__,
-                                                         columns)
-        if model is None:
-            model = row_model
-        elif row_model != model:
-            raise DataError(
-                f"score table mixes models {model!r} and "
-                f"{row_model!r} (line {line_no})")
-        try:
-            u = registry.index(source)
-            v = registry.index(dest)
-            i, j = position[u], position[v]
-        except KeyError:
-            raise UniverseMismatchError(
-                f"line {line_no}: pair ({source}, {dest}) is not in the "
-                "evaluation universe")
-        if i == j or seen[i, j]:
-            raise UniverseMismatchError(
-                f"line {line_no}: duplicate or diagonal pair")
-        seen[i, j] = True
-        try:
-            raw[i, j] = float(score)
-            norm[i, j] = float(score_norm)
-        except ValueError:
-            raise DataError(f"line {line_no}: non-numeric score")
-        if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
-            raise DataError(f"line {line_no}: non-finite score")
-    expected = k * (k - 1)
-    got = int(seen.sum())
-    if got != expected:
-        raise UniverseMismatchError(
-            f"score table covers {got} pairs; the universe has {expected}")
-    return ScoreTable(model=model or "", universe=universe, values=norm,
-                      normalized=True, raw_values=raw)

@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from geokatz import metrics, pipeline
+from geokatz import katz, metrics, pipeline
 from geokatz.cli import build_parser, main
 from geokatz.config import load_run_config
 from geokatz.graphs import candidate_pairs
@@ -279,8 +279,8 @@ class TestEvalCommand:
         got = json.loads(capsys.readouterr().out)
         cfg = load_run_config(run_config)
         net, _, _, test = pipeline._build_data(cfg, None)
-        table = pipeline.read_score_table(scored, candidate_pairs(test),
-                                          net.registry)
+        table = katz.read_score_table(scored, candidate_pairs(test),
+                                      net.registry)
         threshold, tuned_f1 = metrics.optimal_threshold(table)
         report = metrics.evaluate(
             table, threshold=threshold,

@@ -5,7 +5,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -244,7 +244,9 @@ RAW = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 7.25, 1e-12]),
                 st.floats(-1e3, 1e3))
 
 
-@settings(max_examples=80, deadline=None)
+# Each example overwrites the same three files in tmp_path.
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(k=st.integers(2, 6), pool=st.lists(RAW, min_size=1, max_size=6),
        cells=st.lists(st.integers(0, 5), min_size=36, max_size=36),
        flags=st.lists(st.booleans(), min_size=30, max_size=30),
@@ -254,7 +256,8 @@ RAW = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 7.25, 1e-12]),
          flags=[False] * 30, threshold=0.5)
 @example(k=4, pool=[-2.0, 3.0, 3.0, 7.25], cells=[1, 2, 3] * 12,
          flags=[True, False] * 15, threshold=1.0)
-def test_model_files_match_row_loops(k, pool, cells, flags, threshold):
+def test_model_files_match_row_loops(tmp_path, k, pool, cells, flags,
+                                     threshold):
     # A model's score table and curves, written as the pipeline writes
     # them (curves first, their threshold text reused for score_norm),
     # against the row-at-a-time loops. Small pools give constant
@@ -273,45 +276,59 @@ def test_model_files_match_row_loops(k, pool, cells, flags, threshold):
     report = metrics.evaluate(table, threshold=threshold)
     registry = _registry(AWKWARD_IDS[:k])
 
-    roc, pr, scores = io.StringIO(), io.StringIO(), io.StringIO()
-    known = metrics._write_curves(report, roc, pr)
+    known = metrics._write_evaluation(report, tmp_path, "KI")
     assert known is not None
-    write_score_table(table, registry, scores, known)
+    write_score_table(table, registry, tmp_path / "scores_KI.csv", known)
+    roc, pr, scores = (_text(tmp_path / f"{kind}_KI.csv")
+                       for kind in ("curve_roc", "curve_pr", "scores"))
 
     expected = [io.StringIO() for _ in range(3)]
     oracles.loop_write_curve(report.roc, expected[0])
     oracles.loop_write_curve(report.pr, expected[1])
     oracles.loop_write_score_table(table, registry, expected[2])
-    assert [roc.getvalue(), pr.getvalue(), scores.getvalue()] == \
-        [e.getvalue() for e in expected]
+    assert [roc, pr, scores] == [e.getvalue() for e in expected]
 
 
-@settings(max_examples=40, deadline=None)
-@given(points=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=12),
-       shift=st.integers(0, 2))
-def test_curves_not_laid_out_by_evaluate_are_written_apart(points, shift):
-    # A report whose ROC curve is not the PR curve behind the anchor
-    # (here built by hand) still gets both curves as write_curve writes
-    # them.
-    columns = np.array(points, dtype=np.float64).reshape(-1, 3).T
-    report = metrics.evaluate(np.array([0.1, 0.2, 0.2, 0.9]),
-                              np.array([0, 1, 0, 1]))
-    drawn = metrics.Curve("roc", *columns)
-    cases = [(drawn, report.pr), (report.roc, drawn),
-             (metrics.Curve("roc", report.roc.thresholds,
-                            np.roll(report.roc.x, shift), report.roc.y),
-              report.pr)]
-    for roc_curve, pr_curve in cases:
-        report.roc, report.pr = roc_curve, pr_curve
-        roc, pr = io.StringIO(), io.StringIO()
-        metrics._write_curves(report, roc, pr)
-        for curve, got in ((roc_curve, roc), (pr_curve, pr)):
-            expected = io.StringIO()
-            oracles.loop_write_curve(curve, expected)
-            assert got.getvalue() == expected.getvalue()
+def _text(path):
+    """A written file's text, with its line ends as written."""
+    return path.read_bytes().decode("utf-8")
 
 
-def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused():
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(
+        np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e-300])
+                       | st.floats(-1e3, 1e3), min_size=2, max_size=30),
+       labels=st.lists(st.booleans(), min_size=30, max_size=30),
+       single=st.integers(0, 29) | st.none())
+@example(scores=[0.0, -0.0, -0.0, 0.0], labels=[False] * 30, single=2)
+@example(scores=[-0.0, 0.5, 0.5, -0.0, 0.0], labels=[True, False] * 15,
+         single=None)
+@example(scores=[1.0, 1.0], labels=[False] * 30, single=1)
+def test_roc_curve_is_the_pr_curve_behind_its_anchor(scores, labels,
+                                                     single):
+    # _write_evaluation writes the ROC thresholds and TPR from the PR
+    # thresholds and recall text, so evaluate must lay them out so, bit
+    # for bit: ties, signed zeros and a single positive included.
+    n = len(scores)
+    if single is None:
+        labels = [True, False] + labels[:n - 2]
+    else:
+        labels = [i == single % n for i in range(n)]
+    report = metrics.evaluate(np.array(scores), np.array(labels))
+    roc, pr = report.roc, report.pr
+    assert len(roc.x) == len(roc.thresholds) == len(pr.thresholds) + 1
+    assert _bits(roc.thresholds) == _bits(np.append(math.inf,
+                                                    pr.thresholds))
+    assert _bits(roc.y) == _bits(np.append(0.0, pr.x))
+    assert _bits(roc.x[:1]) == _bits([0.0])
+
+
+def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
+        tmp_path):
     # -0.0 over a +0.0 minimum would normalize to -0.0, which the sweep
     # reports as a +0.0 threshold: the score table could then not take
     # its score_norm text from the curves.
@@ -323,7 +340,7 @@ def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused():
     table = normalize(ScoreTable(model="KI", universe=universe, values=raw))
     assert not np.signbit(table.values).any()
     report = metrics.evaluate(table, threshold=0.5)
-    keys, _ = metrics._write_curves(report, io.StringIO(), io.StringIO())
+    keys, _ = metrics._write_evaluation(report, tmp_path, "KI")
     marked = np.array([f"key {i}" for i in range(len(keys))], dtype=object)
     got = metrics._format6(table.values, (keys, marked))
     assert all(text.startswith("key ") for text in got.ravel())

@@ -182,7 +182,8 @@ def test_build_network_first_seen_coordinates_win():
     ]
     net = build_network(report_of(records))
     idx = net.registry.index("a")
-    assert net.registry.coord(idx) == (50.0, 0.0)
+    assert (net.registry.lat_array()[idx],
+            net.registry.lon_array()[idx]) == (50.0, 0.0)
 
 
 @pytest.mark.parametrize("column, value, named", [
@@ -211,7 +212,7 @@ def test_registry_takes_ids_and_coordinates_in_index_order():
     registry = NodeRegistry(("b", "a"), [50.0, -0.0], np.array([1.0, 180.0]))
     assert registry.ids == ["b", "a"]
     assert registry.index("a") == 1
-    assert registry.coord(1) == (-0.0, 180.0)
+    assert (registry.lat_array()[1], registry.lon_array()[1]) == (-0.0, 180.0)
     assert not registry.lat_array().flags.writeable
 
 
@@ -244,7 +245,7 @@ def test_links_collapse_years():
                           ("b", "c", 2016)])
     assert net.n_edges == 3
     assert net.n_links == 2
-    assert net.years().tolist() == [2015, 2016]
+    assert sorted(set(net.edge_year.tolist())) == [2015, 2016]
 
 
 def test_restrict_and_merge_round_trip():
@@ -256,7 +257,7 @@ def test_restrict_and_merge_round_trip():
     assert late.n_edges == 1
     merged = early.merged_with(late)
     assert merged.n_edges == net.n_edges
-    assert merged.link_set == net.link_set
+    assert merged.links.tolist() == net.links.tolist()
 
 
 def test_split_spec_rejects_disorder():
@@ -322,18 +323,24 @@ def test_build_adjacency_unknown_mode():
 
 
 def test_candidate_pairs_labels_match_links():
+    # Restricted to 2017, the network's nodes are c, d and e, at global
+    # indices 2..4, so a universe position is not a node index; d -> c
+    # is a link of 2016 only, so it is a negative pair.
     net = simple_network([("a", "b", 2015), ("b", "c", 2015),
-                          ("c", "a", 2016)])
+                          ("d", "c", 2016), ("c", "d", 2017),
+                          ("d", "e", 2017), ("e", "c", 2017)]).restrict(
+                              2017, 2017)
     universe = candidate_pairs(net)
+    assert universe.node_indices.tolist() == [2, 3, 4]
     assert universe.k == 3
     assert universe.n_pairs == 6
     assert universe.n_positives == 3
-    src, dst = universe.pair_index_arrays()
-    labels = universe.label_vector
-    link_set = net.link_set
-    for s, d, y in zip(src, dst, labels):
-        assert bool(y) == ((int(universe.node_indices[s]),
-                            int(universe.node_indices[d])) in link_set)
+    rows, cols = np.nonzero(universe.offdiag_mask)
+    pairs = zip(universe.node_indices[rows].tolist(),
+                universe.node_indices[cols].tolist())
+    links = set(map(tuple, net.links.tolist()))
+    assert universe.label_vector.tolist() == [int(pair in links)
+                                              for pair in pairs]
 
 
 def test_candidate_pairs_flatten_is_row_major_offdiagonal():

@@ -12,9 +12,9 @@ from geokatz import katz, pipeline
 from geokatz.config import parse_run_config
 from geokatz.errors import (BetaDomainError, DataError,
                             UniverseMismatchError)
+from geokatz.katz import read_score_table
 from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, MODEL_PARTS,
-                              SUMMARY_ROWS, read_score_table, run,
-                              run_scores_only)
+                              SUMMARY_ROWS, run, run_scores_only)
 
 QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
 
@@ -403,6 +403,30 @@ class TestTuning:
     def test_val_tuning_uses_distinct_universe(self, small_run):
         _, result, _ = small_run
         assert result.tune_universe is not result.universe
+
+    def test_export_sorts_no_values(self, tmp_path, monkeypatch):
+        # Each exported column is formatted where it is written, so the
+        # export leaves each table's one sort to its sweep.
+        calls = []
+        write_artifacts = pipeline._write_artifacts
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return unique(*args, **kwargs)
+
+        def watched(*args):
+            monkeypatch.setattr(np, "unique", counting)
+            try:
+                write_artifacts(*args)
+            finally:
+                monkeypatch.setattr(np, "unique", unique)
+            calls.append("written")
+
+        monkeypatch.setattr(pipeline, "_write_artifacts", watched)
+        run(_cfg(QUICKSTART.read_text(), out=tmp_path))
+        assert calls == ["written"]
+        assert len(list(tmp_path.glob("curve_*.csv"))) == 12
 
 
 class TestCombineOn:
