@@ -432,20 +432,28 @@ def normalize(table):
     mask = table.universe.offdiag_mask
     pair_scores = table.values[mask]
     lo = pair_scores.min()
-    span = pair_scores.max() - lo
     out = np.zeros_like(table.values)
-    if span == 0.0:
-        warnings.warn(
-            f"score table {table.model!r} is constant ({lo:.6g} "
-            "everywhere); normalizing to all zeros",
-            DegenerateScoreTableWarning, stacklevel=2)
-    else:
-        # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
-        # +0.0 and leaves every other value as it is.
-        out[mask] = (pair_scores - lo) / span + 0.0
+    out[mask] = _min_max(pair_scores, lo, pair_scores.max() - lo,
+                         table.model)
     return ScoreTable(model=table.model, universe=table.universe,
                       values=out, normalized=True, raw_values=table.values,
                       info=dict(table.info))
+
+
+def _min_max(scores, lo, span, model):
+    """``scores`` as :func:`normalize` maps them, given the minimum
+    ``lo`` and the range ``span`` of their table's pairs: all zeros,
+    with a :class:`DegenerateScoreTableWarning` for ``model``'s table,
+    when the span is 0."""
+    if span == 0.0:
+        warnings.warn(
+            f"score table {model!r} is constant ({lo:.6g} "
+            "everywhere); normalizing to all zeros",
+            DegenerateScoreTableWarning, stacklevel=3)
+        return np.zeros_like(scores)
+    # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
+    # +0.0 and leaves every other value as it is.
+    return (scores - lo) / span + 0.0
 
 
 def combine(a, b, rule="mean", on="normalized"):

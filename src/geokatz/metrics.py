@@ -84,9 +84,14 @@ def _vectors(scores, labels):
             f"vs {labels.shape}")
     if scores.size == 0:
         raise ValueError("empty score vector")
+    _check_finite(scores)
+    return scores, (labels != 0)
+
+
+def _check_finite(scores):
+    """Refuse a score array holding NaN or an infinity."""
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    return scores, (labels != 0)
 
 
 def precision(cm):
@@ -133,7 +138,17 @@ def _sweep(s, y):
     always the last step (everything positive). A group of zeros is
     reported as +0.0 whatever mix of signed zeros it holds.
     """
-    floor = s.min()
+    n_pos = int(np.count_nonzero(y))
+    return _sweep_above(s, y, s.min(), n_pos, len(y) - n_pos)
+
+
+def _sweep_above(s, y, floor, n_pos, n_neg):
+    """The sweep of a universe given only some of its scores: ``s``
+    with labels ``y`` holds every score above ``floor``, the universe's
+    minimum, and may hold some at it. Every pair left out scores
+    ``floor``; ``n_pos`` and ``n_neg`` count the universe's labels.
+    Returns what :func:`_sweep` returns for the whole universe.
+    """
     above = np.flatnonzero(s > floor)
     order = above[np.argsort(-s[above])]
     ranked = s[order]
@@ -141,8 +156,6 @@ def _sweep(s, y):
     ends = np.flatnonzero(ranked[1:] != ranked[:-1])
     if ranked.size:
         ends = np.append(ends, ranked.size - 1)
-    n_pos = int(np.count_nonzero(y))
-    n_neg = len(y) - n_pos
     thresholds = np.append(ranked[ends], floor) + 0.0
     return (thresholds, np.append(tp[ends], n_pos),
             np.append(ends + 1 - tp[ends], n_neg), n_pos, n_neg)

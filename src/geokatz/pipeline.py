@@ -20,8 +20,9 @@ import numpy as np
 from . import geo, metrics, synth
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
-from .katz import combine, edge_weighted_katz_scores, katz_scores, \
-    normalize, write_score_table
+from .errors import NumericError
+from .katz import _min_max, combine, edge_weighted_katz_scores, \
+    katz_scores, normalize, write_score_table
 
 log = logging.getLogger(__name__)
 
@@ -125,22 +126,45 @@ def _score_base(base, scorings, katz_cfg):
             scoring.raw[base] = table
 
 
-def _tune_gamma(scoring):
+def _tune_gamma(ki_table, distances):
     """Pick gamma from a log grid by tuning-split F1 of the decay model.
 
-    Each candidate multiplies the scoring's KI table by its decay
+    Each candidate decays the unnormalized KI table by the distance
     weights, normalizes, and sweeps the optimal F1; ties keep the
-    smaller gamma. Returns the chosen value.
+    smaller gamma. Only KI's nonzero pairs, its support, are decayed
+    and sorted: every other pair of a candidate is a zero, which
+    normalizes to 0.0, the candidate's minimum, so the sweep counts
+    those pairs in its floor group. That rests on KI tables being
+    non-negative; a negative KI score is a NumericError. Returns the
+    chosen gamma and each candidate's (threshold, F1), in grid order.
     """
-    best_gamma, best_f1 = None, -1.0
+    universe = ki_table.universe
+    support = ki_table.values != 0
+    np.fill_diagonal(support, False)
+    ki = ki_table.values[support]
+    if (ki < 0).any():
+        raise NumericError(
+            f"KI table holds {np.count_nonzero(ki < 0)} negative scores; "
+            "walk counts cannot be negative")
+    distances = distances[support]
+    labels = universe.labels[support] != 0
+    n_pos = universe.n_positives
+    n_neg = universe.n_pairs - n_pos
+    # Off the support every pair decays to a zero, which is the minimum.
+    off_support = ki.size < universe.n_pairs
+    cuts = []
     for gamma in GAMMA_GRID:
-        candidate = edge_weighted_katz_scores(
-            scoring.raw["KI"], scoring.distances, float(gamma))
-        _, f1 = metrics.optimal_threshold(normalize(candidate))
-        if f1 > best_f1:
-            best_gamma, best_f1 = float(gamma), f1
-    log.info("gamma tuned to %.6g (tuning F1 %.6g)", best_gamma, best_f1)
-    return best_gamma
+        decayed = ki * geo.decay_weights(distances, float(gamma))
+        lo = 0.0 if off_support else decayed.min()
+        scores = _min_max(decayed, lo, decayed.max(initial=0.0) - lo, "EWKI")
+        metrics._check_finite(scores)
+        # Normalization maps the minimum to exactly 0.0.
+        cuts.append(metrics._best_cut(*metrics._sweep_above(
+            scores, labels, 0.0, n_pos, n_neg)))
+    best = int(np.argmax([f1 for _, f1 in cuts]))
+    log.info("gamma tuned to %.6g (tuning F1 %.6g)", GAMMA_GRID[best],
+             cuts[best][1])
+    return float(GAMMA_GRID[best]), cuts
 
 
 def _model_tables(scoring, katz_cfg, cfg):
@@ -262,7 +286,8 @@ def _run_steps(cfg, out_dir, evaluate_models):
     _score_base("KI", [s for s in scorings if (tuning and s is tune)
                        or "KI" in s.bases or "EWKI" in s.bases], katz_cfg)
     watch.lap("scoring")
-    gamma_tuned = _tune_gamma(tune) if tuning else None
+    gamma_tuned, cuts = (_tune_gamma(tune.raw["KI"], tune.distances)
+                         if tuning else (None, None))
     watch.lap("gamma_tuning")
     if katz_cfg.gamma == "tune":
         katz_cfg = replace(katz_cfg, gamma=0.0 if gamma_tuned is None
@@ -291,7 +316,8 @@ def _run_steps(cfg, out_dir, evaluate_models):
             reports[model] = report
 
     summary = _run_summary(cfg, net, train, val, test, tune.universe,
-                           final.universe, reports, katz_cfg, gamma_tuned)
+                           final.universe, reports, katz_cfg, gamma_tuned,
+                           cuts)
     result = PipelineResult(reports=reports, tables=tables,
                             universe=final.universe,
                             tune_universe=tune.universe, summary=summary,
@@ -316,7 +342,7 @@ def _universe_stats(universe):
 
 
 def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
-                 reports, katz_cfg, gamma_tuned):
+                 reports, katz_cfg, gamma_tuned, cuts):
     summary = {
         "models": list(cfg.models),
         "score_basis": cfg.score_basis,
@@ -336,6 +362,9 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
     }
     if gamma_tuned is not None:
         summary["gamma_tuned"] = gamma_tuned
+        summary["gamma_grid"] = {
+            "gamma": [metrics._round6(g) for g in GAMMA_GRID],
+            "tuning_f1": [metrics._round6(f1) for _, f1 in cuts]}
     if cfg.synth is not None:
         summary["synth_seed"] = cfg.synth.seed
     if reports:

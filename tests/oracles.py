@@ -21,7 +21,10 @@ mapping in ``geokatz.config`` must accept, refuse and build the same
 configs. Both end in the same dataclasses, so the two parsers are
 compared on their YAML handling. The dense distance matrix is the
 pair-by-pair gather that the package's broadcast must match bit for
-bit.
+bit. The gamma search is the dense loop that the search over KI's
+nonzero pairs must match candidate by candidate, bit for bit; unlike
+the rest, it calls the package's public decay, normalize and threshold
+functions, which other oracles check.
 """
 
 import csv
@@ -698,3 +701,23 @@ def keyed_parse_run_config(text):
         workers=_keyed_int(raw.get("workers", 1), "workers"),
         output_dir=raw.get("output_dir"),
         source_text=text)
+
+
+def dense_tune_gamma(ki_table, distances):
+    """The gamma search over dense tables: for each grid gamma the full
+    (k, k) EWKI table, normalized and swept by the package's public
+    functions, ties keeping the smaller gamma. Returns the chosen gamma
+    and each candidate's (threshold, F1), in grid order."""
+    from geokatz.katz import edge_weighted_katz_scores, normalize
+    from geokatz.metrics import optimal_threshold
+    from geokatz.pipeline import GAMMA_GRID
+
+    best_gamma, best_f1 = None, -1.0
+    cuts = []
+    for gamma in GAMMA_GRID:
+        candidate = edge_weighted_katz_scores(ki_table, distances,
+                                              float(gamma))
+        cuts.append(optimal_threshold(normalize(candidate)))
+        if cuts[-1][1] > best_f1:
+            best_gamma, best_f1 = float(gamma), cuts[-1][1]
+    return best_gamma, cuts

@@ -3,16 +3,23 @@
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from geokatz import katz, pipeline
 from geokatz.config import parse_run_config
 from geokatz.errors import (BetaDomainError, DataError,
+                            DegenerateLabelsError,
+                            DegenerateScoreTableWarning, NumericError,
                             UniverseMismatchError)
-from geokatz.katz import read_score_table
+from geokatz.graphs import PairUniverse
+from geokatz.katz import ScoreTable, read_score_table
 from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, MODEL_PARTS,
                               SUMMARY_ROWS, run, run_scores_only)
 
@@ -127,6 +134,7 @@ class TestFullRun:
         assert summary["kernel_backend"] == "python"
         assert summary["models"] == list(cfg.models)
         assert summary["gamma"] == pytest.approx(0.01)
+        assert "gamma_grid" not in summary
         assert summary["synth_seed"] == 314
         assert set(summary["thresholds"]) == set(cfg.models)
         assert summary["splits"]["test"]["edges"] > 0
@@ -291,6 +299,12 @@ class TestTuning:
         assert summary["gamma"] == summary["gamma_tuned"]
         assert result.reports["EWKI"].info["gamma_tuned"] == summary[
             "gamma_tuned"]
+        grid = summary["gamma_grid"]
+        assert grid["gamma"] == [float(f"{g:.6g}") for g in GAMMA_GRID]
+        assert len(grid["tuning_f1"]) == len(GAMMA_GRID)
+        assert all(f1 == float(f"{f1:.6g}") for f1 in grid["tuning_f1"])
+        chosen = GAMMA_GRID.index(summary["gamma_tuned"])
+        assert grid["tuning_f1"][chosen] == max(grid["tuning_f1"])
 
     def test_gamma_tune_without_spatial_models_becomes_zero(self, tmp_path):
         text = SMALL_SYNTH.replace("  gamma: 0.01", "  gamma: tune").replace(
@@ -300,6 +314,7 @@ class TestTuning:
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["gamma"] == 0.0
         assert "gamma_tuned" not in summary
+        assert "gamma_grid" not in summary
         assert "gamma_tuned" not in result.reports["KI"].info
 
     @pytest.mark.parametrize("edits,builds", [
@@ -427,6 +442,148 @@ class TestTuning:
         run(_cfg(QUICKSTART.read_text(), out=tmp_path))
         assert calls == ["written"]
         assert len(list(tmp_path.glob("curve_*.csv"))) == 12
+
+
+def _tuning_input(ki, distances, labels):
+    """A KI table over k nodes and its (k, k) distance matrix."""
+    k = len(ki)
+    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
+                            labels=np.asarray(labels, dtype=np.uint8))
+    table = ScoreTable(model="KI", universe=universe,
+                       values=np.asarray(ki, dtype=np.float64))
+    return table, np.asarray(distances, dtype=np.float64)
+
+
+def _search(tune, ki_table, distances):
+    """A gamma search's outcome: the chosen gamma and each candidate's
+    (threshold, F1) as hex text, or the type of the error it raised;
+    and whether it warned of a constant table."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            gamma, cuts = tune(ki_table, distances)
+            outcome = (gamma, [(t.hex(), f1.hex()) for t, f1 in cuts])
+        except (ValueError, DegenerateLabelsError) as exc:
+            outcome = type(exc)
+    return outcome, any(issubclass(w.category, DegenerateScoreTableWarning)
+                        for w in caught)
+
+
+# Zeros of both signs, tied values, a score whose decay underflows, and
+# free draws.
+KI_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
+                     st.floats(0.0, 10.0))
+# Coincident sites, distances at which exp(-0.1 * d) is subnormal or
+# underflows to 0, and free draws.
+DISTANCE_CELLS = st.one_of(st.sampled_from([0.0, 7400.0, 8000.0]),
+                           st.floats(0.0, 2000.0))
+
+
+@st.composite
+def _tuning_cases(draw):
+    k = draw(st.integers(2, 7))
+    cells = k * k
+    ki = np.array(draw(st.lists(KI_CELLS, min_size=cells,
+                                max_size=cells))).reshape(k, k)
+    shape = draw(st.sampled_from(["drawn", "no zero pairs", "all zero"]))
+    if shape == "no zero pairs":
+        ki[ki == 0.0] = 0.25
+    elif shape == "all zero":
+        ki[:] = draw(st.sampled_from([0.0, -0.0]))
+    distances = np.array(draw(st.lists(
+        DISTANCE_CELLS, min_size=cells, max_size=cells))).reshape(k, k)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=cells,
+                                    max_size=cells))).reshape(k, k)
+    for matrix in (ki, distances, labels):
+        np.fill_diagonal(matrix, 0)
+    return _tuning_input(ki, distances, labels)
+
+
+class TestGammaSearch:
+    """``_tune_gamma`` decays and sweeps KI's nonzero pairs only; every
+    candidate must match the dense search over full (k, k) tables."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tuning_cases())
+    def test_matches_dense_search_bit_for_bit(self, case):
+        want = _search(oracles.dense_tune_gamma, *case)
+        assert _search(pipeline._tune_gamma, *case) == want
+
+    def test_all_zero_table_warns_and_keeps_smallest_gamma(self):
+        k = 4
+        labels = np.ones((k, k)) - np.eye(k)
+        case = _tuning_input(np.zeros((k, k)), np.full((k, k), 10.0), labels)
+        with pytest.warns(DegenerateScoreTableWarning):
+            gamma, cuts = pipeline._tune_gamma(*case)
+        assert gamma == GAMMA_GRID[0]
+        assert cuts == [(0.0, 1.0)] * len(GAMMA_GRID)
+
+    def test_negative_ki_score_is_numeric_error(self):
+        ki = np.array([[0.0, 0.5, -1e-17], [0.2, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        labels = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+        with pytest.raises(NumericError, match="1 negative"):
+            pipeline._tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_ki_score_is_refused(self, bad):
+        ki = np.array([[0.0, 0.5, bad], [0.2, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        labels = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="non-finite"), \
+                np.errstate(invalid="ignore"):
+            pipeline._tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
+
+    def test_no_positive_label_is_degenerate(self):
+        ki = np.array([[0.0, 0.5], [0.2, 0.0]])
+        with pytest.raises(DegenerateLabelsError):
+            pipeline._tune_gamma(*_tuning_input(ki, np.ones((2, 2)),
+                                                np.zeros((2, 2))))
+
+    def test_quickstart_tunes_on_support_vectors_only(self, monkeypatch):
+        # No dense table, normalization or public sweep per candidate:
+        # every array handed on has one entry per nonzero KI pair.
+        active = []
+        forbidden = []
+        sizes = {"decay_weights": [], "_min_max": [], "_sweep_above": []}
+
+        def watch(module, name, record):
+            wrapped = getattr(module, name)
+
+            def call(*args, **kwargs):
+                if active:
+                    record(name, args)
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for module in (katz, pipeline):
+            for name in ("normalize", "edge_weighted_katz_scores"):
+                watch(module, name, lambda name, args: forbidden.append(name))
+        watch(pipeline.metrics, "optimal_threshold",
+              lambda name, args: forbidden.append(name))
+        for module, name in ((pipeline.geo, "decay_weights"),
+                             (pipeline, "_min_max"),
+                             (pipeline.metrics, "_sweep_above")):
+            watch(module, name,
+                  lambda name, args: sizes[name].append(len(args[0])))
+        tune_gamma = pipeline._tune_gamma
+        support = []
+
+        def tracked(ki_table, distances):
+            values = ki_table.universe.flatten(ki_table.values)
+            support.append((np.count_nonzero(values), len(values)))
+            active.append(True)
+            try:
+                return tune_gamma(ki_table, distances)
+            finally:
+                active.clear()
+
+        monkeypatch.setattr(pipeline, "_tune_gamma", tracked)
+        text = QUICKSTART.read_text().replace("  gamma: 0.01",
+                                              "  gamma: tune")
+        assert len(run(_cfg(text)).reports) == 6
+        [(nonzero, pairs)] = support
+        assert 0 < nonzero < pairs
+        assert forbidden == []
+        assert sizes == {name: [nonzero] * len(GAMMA_GRID) for name in sizes}
 
 
 class TestCombineOn:
