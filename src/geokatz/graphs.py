@@ -507,7 +507,8 @@ def _split_block(lines, delimiter, width):
                          np.intp, n)
     k = max(int(np.bincount(counts).argmax()) + 1, width)
     odd = counts != k - 1
-    if text.startswith("\n") or "\n\n" in text:
+    # A blank line holds no delimiter, so it is odd already unless k is 1.
+    if k == 1 and (text.startswith("\n") or "\n\n" in text):
         odd |= np.fromiter(map("\n".__eq__, lines), bool, n)
     if odd.any():
         patched = lines.copy()
@@ -557,19 +558,34 @@ def _csv_blocks(reader, width):
 
 def _convert(texts, kind, dtype):
     """``texts`` converted by ``kind`` into a ``dtype`` array, and a
-    mask of the texts that did not convert (False when all did)."""
-    try:
-        return np.fromiter(map(kind, texts), dtype, len(texts)), False
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(texts), dtype=dtype)
-    failed = np.zeros(len(texts), dtype=bool)
-    for i, text in enumerate(texts):
+    mask of the texts that did not convert (False when all did).
+
+    A text that fails takes a 0 and conversion resumes after it:
+    ``list.extend`` keeps what it took from the iterator before the
+    error. A value the dtype cannot hold (an int past int64) fails too.
+    """
+    values, failed, rest = [], False, iter(texts)
+    while True:
         try:
-            values[i] = kind(text)
+            values.extend(map(kind, rest))
+            break
         except (ValueError, OverflowError):
+            if failed is False:
+                failed = np.zeros(len(texts), dtype=bool)
+            failed[len(values)] = True
+            values.append(0)
+    try:
+        return np.array(values, dtype=dtype), failed
+    except OverflowError:
+        pass
+    array = np.zeros(len(values), dtype=dtype)
+    failed = np.zeros(len(values), dtype=bool) | failed
+    for i, value in enumerate(values):
+        try:
+            array[i] = value
+        except OverflowError:
             failed[i] = True
-    return values, failed
+    return array, failed
 
 
 def _stripped(texts, seen):

@@ -518,9 +518,11 @@ def write_score_table(table, registry, dest, known=None):
     Columns are source_id, dest_id, model, score (pre-normalization)
     and score_norm; rows are ordered lexicographically by source id
     then dest id, and floats use 6 significant digits, so identical
-    tables export byte-identically. ``known`` is text for the
-    score_norm column, passed on to ``_format6`` (see
-    ``metrics._write_evaluation``).
+    tables export byte-identically. ``known`` is a (floats ascending,
+    their text) pair, such as the thresholds and their text that
+    ``metrics._write_evaluation`` returns for the table's report: when
+    every off-floor score_norm value is bitwise one of the floats, the
+    column takes its text from there (see ``_format6``).
 
     Most pairs of a score table hold its minimum in both score columns.
     Each column's floor is the bit pattern of its first minimum; a pair

@@ -274,11 +274,19 @@ def _tune_and_evaluate(table, model, info):
     return threshold, best, _report(sweep, threshold, model, info)
 
 
-def _format6(values, known=None):
-    """The ``f"{v:.6g}"`` text of every entry of a float array.
+def _texts(values):
+    """The ``f"{v:.6g}"`` text of each float of ``values``, flattened,
+    as a list of str from one %-format call: -0.0 gives "-0" and NaN
+    gives "nan", as the f-string does."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    lines = ("%.6g\n" * flat.size % tuple(flat.tolist())).split("\n")
+    lines.pop()
+    return lines
 
-    All entries are formatted by one %-format call, which gives the same
-    text as the f-string: -0.0 gives "-0" and NaN gives "nan".
+
+def _format6(values, known=None):
+    """The ``f"{v:.6g}"`` text of every entry of a float array (see
+    ``_texts``).
 
     ``known`` is a (floats, their text) pair with the floats ascending:
     when every entry is bitwise one of them, its text is taken from
@@ -292,9 +300,7 @@ def _format6(values, known=None):
         at = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
         if np.array_equal(keys[at].view(np.int64), flat.view(np.int64)):
             return text[at].reshape(values.shape)
-    lines = ("%.6g\n" * flat.size % tuple(flat.tolist())).split("\n")
-    lines.pop()
-    return np.array(lines, dtype=object).reshape(values.shape)
+    return np.array(_texts(flat), dtype=object).reshape(values.shape)
 
 
 def _round6(value):
@@ -342,38 +348,105 @@ def write_report(report, dest):
     return _write_text(payload + "\n", dest)
 
 
-def _curve_text(thresholds, x, y):
-    """Curve CSV text from the text of its three columns."""
-    return "threshold,x,y\n" + "".join(
+def _curve_text(thresholds, x, y, anchor=""):
+    """Curve CSV text from the text of its three columns, with the
+    ``anchor`` row, if any, first."""
+    return "threshold,x,y\n" + anchor + "".join(
         [f"{t},{x},{y}\n" for t, x, y in zip(thresholds, x, y)])
 
 
 def write_curve(curve, dest):
     """Write curve points as CSV with columns threshold, x, y."""
-    columns = (_format6(c).tolist() for c in (curve.thresholds, curve.x,
-                                              curve.y))
+    columns = map(_texts, (curve.thresholds, curve.x, curve.y))
     return _write_text(_curve_text(*columns), dest)
 
 
-def _write_evaluation(report, out_dir, name):
+def _counts(ratios, n, what):
+    """The counts c with ``c / n`` bitwise equal to each of ``ratios``,
+    as int64; a ValueError when one is no such ratio."""
+    ratios = np.ascontiguousarray(ratios, dtype=np.float64)
+    # The range check also refuses NaN, before anything is scaled.
+    if not ((ratios >= 0.0) & (ratios <= 1.0)).all():
+        raise ValueError(f"{what} is not a count over {n}")
+    counts = np.rint(ratios * n).astype(np.int64)
+    if not np.array_equal((counts / n).view(np.int64), ratios.view(np.int64)):
+        raise ValueError(f"{what} is not a count over {n}")
+    return counts
+
+
+def _denominators(report):
+    """(n_pos, n_neg) of the universe a report was evaluated on."""
+    cm = report.confusion
+    return cm.tp + cm.fn, cm.fp + cm.tn
+
+
+def _ratio_text(reports):
+    """The recall and FPR text of the curves of one universe's
+    ``evaluate`` reports, each distinct ratio formatted once.
+
+    ``evaluate`` makes each recall tp / n_pos and each FPR fp / n_neg
+    over the universe's label counts, so a curve's recall takes one of
+    n_pos + 1 values, and the models of a universe reach many of the
+    same FPRs. Returns (n_pos, n_neg, recall text by tp, FPR text by
+    fp, the fp counts reached), the texts as object arrays; FPR text is
+    formatted only at the fp counts some report reaches. A ValueError
+    when the reports' label counts differ or a curve is not made of
+    such ratios.
+    """
+    sizes = {_denominators(report) for report in reports}
+    if len(sizes) != 1:
+        raise ValueError(
+            f"reports of one universe must share their label counts, "
+            f"not {sorted(sizes)}")
+    (n_pos, n_neg), = sizes
+    if n_pos < 1 or n_neg < 1:
+        raise ValueError(
+            f"curves need both classes, not {n_pos} positive and {n_neg} "
+            "negative labels")
+    reached = np.zeros(n_neg + 1, dtype=bool)
+    for report in reports:
+        reached[_counts(report.roc.x[1:], n_neg, "the ROC FPR")] = True
+    recall = np.array(_texts(np.arange(n_pos + 1) / n_pos), dtype=object)
+    fp = np.flatnonzero(reached)
+    fpr = np.empty(n_neg + 1, dtype=object)
+    fpr[fp] = _texts(fp / n_neg)
+    return n_pos, n_neg, recall, fpr, reached
+
+
+def _write_evaluation(report, out_dir, name, ratios=None):
     """Write an ``evaluate`` report's files into the ``pathlib.Path``
     ``out_dir``: ``report_{name}.json`` as ``write_report`` writes it,
-    and ``curve_roc_{name}.csv`` and ``curve_pr_{name}.csv`` as
-    ``write_curve`` writes each curve.
+    and ``curve_roc_{name}.csv`` and ``curve_pr_{name}.csv`` with the
+    bytes ``write_curve`` gives each curve.
 
-    ``evaluate`` builds the ROC curve as the PR thresholds and recall
-    behind an (inf, 0, 0) anchor, so the two curves share the text of
-    those columns. Returns (the thresholds ascending, their text), the
-    ``known`` text of the evaluated table's normalized scores (see
-    ``_format6``).
+    ``ratios`` is the ``_ratio_text`` of reports of the same universe,
+    this one among them (by default of this one alone): the recall and
+    FPR columns are looked up there by their tp and fp counts, so only
+    the thresholds and precision are formatted here. ``evaluate`` builds
+    the ROC curve as the PR thresholds and recall behind an (inf, 0, 0)
+    anchor, so the two curves share the text of those columns. A
+    ValueError when a recall or FPR is no count over the universe's
+    label counts, or an fp count is not among ``ratios``'.
+
+    Returns (the thresholds ascending, their text), the ``known`` text
+    of the evaluated table's normalized scores (see ``_format6``).
     """
-    write_report(report, out_dir / f"report_{name}.json")
+    n_pos, n_neg, recall, fpr, reached = (
+        _ratio_text([report]) if ratios is None else ratios)
+    if _denominators(report) != (n_pos, n_neg):
+        raise ValueError(
+            f"report {name!r} counts {_denominators(report)} labels, not "
+            f"the {(n_pos, n_neg)} its recall and FPR text was built for")
     roc, pr = report.roc, report.pr
-    thresholds = _format6(pr.thresholds)
-    t = thresholds.tolist()
-    fpr, r, p = (_format6(c).tolist() for c in (roc.x[1:], pr.x, pr.y))
-    _write_text(_curve_text(["inf", *t], ["0", *fpr], ["0", *r]),
+    fp = _counts(roc.x[1:], n_neg, "the ROC FPR")
+    if not reached[fp].all():
+        raise ValueError(f"report {name!r} reaches an FPR its text lacks")
+    r = recall[_counts(pr.x, n_pos, "the PR recall")].tolist()
+    write_report(report, out_dir / f"report_{name}.json")
+    t = _texts(pr.thresholds)
+    _write_text(_curve_text(t, fpr[fp].tolist(), r, anchor="inf,0,0\n"),
                 out_dir / f"curve_roc_{name}.csv")
-    _write_text(_curve_text(t, r, p), out_dir / f"curve_pr_{name}.csv")
+    _write_text(_curve_text(t, r, _texts(pr.y)),
+                out_dir / f"curve_pr_{name}.csv")
     return (np.ascontiguousarray(pr.thresholds[::-1], dtype=np.float64),
-            thresholds[::-1])
+            np.array(t[::-1], dtype=object))

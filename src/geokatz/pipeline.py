@@ -376,12 +376,18 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
 
 
 def _write_artifacts(cfg, result, registry):
+    """Write the run's files model by model: a model's report and
+    curves, then its score table, which takes its ``score_norm`` text
+    from the curves' thresholds. The recall and FPR text of all the
+    reports (one universe) is built once, before the first model."""
     out_dir = result.out_dir
+    ratios = (metrics._ratio_text(list(result.reports.values()))
+              if result.reports else None)
     for model in cfg.models:
         report = result.reports.get(model)
         known = None
         if report is not None:
-            known = metrics._write_evaluation(report, out_dir, model)
+            known = metrics._write_evaluation(report, out_dir, model, ratios)
         write_score_table(result.tables[model], registry,
                           out_dir / f"scores_{model}.csv", known)
     if result.reports:

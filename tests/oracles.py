@@ -24,7 +24,11 @@ pair-by-pair gather that the package's broadcast must match bit for
 bit. The gamma search is the dense loop that the search over KI's
 nonzero pairs must match candidate by candidate, bit for bit; unlike
 the rest, it calls the package's public decay, normalize and threshold
-functions, which other oracles check.
+functions, which other oracles check. The column conversion of
+movement ingest is the loop that re-converts a whole column text by
+text after its first bad text, and the evaluation writer is the one
+that formats all four float columns of each model's curves on their
+own; the count-table writer must match them exactly.
 """
 
 import csv
@@ -193,6 +197,51 @@ def loop_write_score_table(table, registry, fh):
                 continue
             writer.writerow([ids[i], ids[j], table.model,
                              f"{raw[i, j]:.6g}", f"{norm[i, j]:.6g}"])
+
+
+def loop_convert(texts, kind, dtype):
+    """Column conversion in one pass, or, after any text fails, a second
+    pass over the whole column with one conversion and one array write
+    per text: (values, failed mask or False)."""
+    try:
+        return np.fromiter(map(kind, texts), dtype, len(texts)), False
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), dtype=dtype)
+    failed = np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = kind(text)
+        except (ValueError, OverflowError):
+            failed[i] = True
+    return values, failed
+
+
+def _format_column(values):
+    """The .6g text of each float, as an object array."""
+    return np.array([f"{v:.6g}" for v in np.ravel(values)], dtype=object)
+
+
+def one_report_write_evaluation(report, out_dir, name):
+    """A report's JSON and curve files, each curve column formatted on
+    its own: the ROC curve is the PR thresholds and recall behind an
+    (inf, 0, 0) anchor. Returns (the thresholds ascending, their text),
+    the ``known`` text of the evaluated table's normalized scores."""
+    from geokatz.metrics import write_report
+
+    write_report(report, out_dir / f"report_{name}.json")
+    roc, pr = report.roc, report.pr
+    t, fpr, r, p = (_format_column(c).tolist()
+                    for c in (pr.thresholds, roc.x[1:], pr.x, pr.y))
+    for kind, columns in (("roc", (["inf", *t], ["0", *fpr], ["0", *r])),
+                          ("pr", (t, r, p))):
+        with open(out_dir / f"curve_{kind}_{name}.csv", "w",
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write("threshold,x,y\n")
+            for row in zip(*columns):
+                fh.write(",".join(row) + "\n")
+    return (np.ascontiguousarray(pr.thresholds[::-1], dtype=np.float64),
+            _format_column(pr.thresholds)[::-1])
 
 
 def loop_write_curve(curve, fh):

@@ -5,6 +5,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -344,3 +345,119 @@ def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
     marked = np.array([f"key {i}" for i in range(len(keys))], dtype=object)
     got = metrics._format6(table.values, (keys, marked))
     assert all(text.startswith("key ") for text in got.ravel())
+
+
+def _universe_reports(scores, labels, pad, floor):
+    """``evaluate`` reports of one universe: one per score list, each
+    padded with ``pad`` negatives at ``floor`` below every score."""
+    y = np.append(np.array(labels, dtype=bool), np.zeros(pad, dtype=bool))
+    return [metrics.evaluate(np.append(np.array(s), np.full(pad, floor)), y)
+            for s in scores]
+
+
+def _written(out_dir):
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+# Each example overwrites the files of the two directories it makes.
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(2, 30),
+       pools=st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, 1e-05])
+                               | st.floats(-1e3, 1e3), min_size=1,
+                               max_size=30),
+                      min_size=1, max_size=4),
+       flags=st.lists(st.booleans(), min_size=28, max_size=28),
+       single=st.integers(0, 29) | st.none(),
+       pad=st.sampled_from([0, 1, 100_000]))
+@example(n=4, pools=[[0.25]], flags=[False] * 28, single=None, pad=0)
+@example(n=3, pools=[[0.0, -0.0, -0.0], [-0.0, 0.5, 0.0]],
+         flags=[False] * 28, single=1, pad=0)
+@example(n=5, pools=[[1.0, 1.0, 0.5], [0.5], [2.0, 0.0, 2.0, 1.0]],
+         flags=[True] * 28, single=None, pad=100_000)
+def test_universe_evaluations_match_one_report_writer(tmp_path, n, pools,
+                                                      flags, single, pad):
+    # One pass over 1-4 reports of one universe (the pipeline's), against
+    # each report written alone with every curve column formatted. Small
+    # pools give ties and all-floor tables; signed zeros, a single
+    # positive and 100k floor negatives (FPRs over a large n_neg) too.
+    if single is None:
+        labels = [True, False] + flags[:n - 2]
+    else:
+        labels = [i == single % n for i in range(n)]
+    scores = [[pool[i % len(pool)] for i in range(n)] for pool in pools]
+    floor = min(min(s) for s in scores) - 1.0
+    reports = _universe_reports(scores, labels, pad, floor)
+    got_dir, expected_dir = tmp_path / "got", tmp_path / "expected"
+    got_dir.mkdir(exist_ok=True)
+    expected_dir.mkdir(exist_ok=True)
+
+    ratios = metrics._ratio_text(reports)
+    for i, report in enumerate(reports):
+        keys, text = metrics._write_evaluation(report, got_dir, f"M{i}",
+                                               ratios)
+        expected_keys, expected_text = oracles.one_report_write_evaluation(
+            report, expected_dir, f"M{i}")
+        assert _bits(keys) == _bits(expected_keys)
+        assert text.tolist() == expected_text.tolist()
+    assert _written(got_dir) == _written(expected_dir)
+
+
+def test_recall_and_fpr_are_formatted_once_per_count(tmp_path, monkeypatch):
+    # Three models of one universe: recall text is formatted once for
+    # each count 0..n_pos and FPR text once for each fp count some model
+    # reaches; per model only its thresholds and precision are formatted.
+    rng = np.random.default_rng(7)
+    labels = rng.random(400) < 0.1
+    scores = [rng.random(400).round(2), rng.random(400).round(3),
+              rng.random(400)]
+    reports = [metrics.evaluate(s, labels) for s in scores]
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    fp = {int(c) for r in reports for c in np.rint(r.roc.x[1:] * n_neg)}
+    calls = []
+    texts = metrics._texts
+
+    def counting(values):
+        calls.append(np.asarray(values, dtype=np.float64).copy())
+        return texts(values)
+
+    monkeypatch.setattr(metrics, "_texts", counting)
+    ratios = metrics._ratio_text(reports)
+    recall, fpr = calls
+    assert _bits(recall) == _bits(np.arange(n_pos + 1) / n_pos)
+    assert _bits(fpr) == _bits(np.array(sorted(fp)) / n_neg)
+    assert len(fp) < sum(len(r.roc.x) - 1 for r in reports)
+    calls.clear()
+    for i, report in enumerate(reports):
+        metrics._write_evaluation(report, tmp_path, f"M{i}", ratios)
+    assert [len(c) for c in calls] == [
+        len(r.pr.thresholds) for r in reports for _ in range(2)]
+
+
+def test_mixed_denominators_and_doctored_curves_raise(tmp_path):
+    labels = np.array([True, False, False, True, False])
+    # Ties among the negatives: this report reaches fp counts 0 and 3.
+    scores = np.array([0.9, 0.1, 0.1, 0.4, 0.1])
+    report = metrics.evaluate(scores, labels)
+    other = metrics.evaluate(scores, ~labels)
+    with pytest.raises(ValueError, match="label counts"):
+        metrics._ratio_text([report, other])
+    with pytest.raises(ValueError, match="labels"):
+        metrics._write_evaluation(other, tmp_path, "KI",
+                                  metrics._ratio_text([report]))
+    # Same label counts, but an FPR the shared text was not built for.
+    shifted = metrics.evaluate(np.array([0.9, 0.8, 0.4, 0.4, 0.0]), labels)
+    with pytest.raises(ValueError, match="FPR"):
+        metrics._write_evaluation(shifted, tmp_path, "KI",
+                                  metrics._ratio_text([report]))
+    for curve, doctor in ((report.pr, lambda x: np.nextafter(x, 0.0)),
+                          (report.roc, lambda x: np.nextafter(x, 2.0)),
+                          (report.pr, lambda x: x * np.nan),
+                          (report.roc, lambda x: x + 1e300)):
+        original = curve.x.copy()
+        curve.x[-2] = doctor(curve.x[-2])
+        with pytest.raises(ValueError, match="not a count"):
+            metrics._write_evaluation(report, tmp_path, "KI")
+        curve.x[:] = original
+    assert list(tmp_path.iterdir()) == []
+    metrics._write_evaluation(report, tmp_path, "KI")

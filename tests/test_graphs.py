@@ -552,6 +552,45 @@ def _assert_ingest_matches_loop(text, kwargs):
     _assert_build_matches_loop(records, report)
 
 
+# Texts that int or float refuses or reads in an unusual way: empty,
+# words, padding, digit grouping, non-ASCII digits, a control
+# character and an int past int64 (a float holds it).
+_CONVERT_TEXTS = ("", "n/a", " 7 ", "1_0", "\u0661\u0662", "\x1f5",
+                  "99999999999999999999")
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.sampled_from(_CONVERT_TEXTS)
+                      | st.integers(-10**20, 10**20).map(str)
+                      | st.floats().map(repr), max_size=40),
+       kind=st.sampled_from([(int, np.int64), (float, np.float64)]))
+def test_convert_matches_whole_column_retry(texts, kind):
+    # Conversion resumes after each failing text, and the result is the
+    # whole-column retry's: the same values, bit for bit, and the same
+    # failed texts, or False when none failed.
+    values, failed = graphs._convert(texts, *kind)
+    expected, expected_failed = oracles.loop_convert(texts, *kind)
+    assert values.dtype == expected.dtype
+    assert values.view(np.int64).tolist() == expected.view(
+        np.int64).tolist()
+    assert (failed is False) == (expected_failed is False)
+    assert np.array_equal(failed, expected_failed)
+
+
+def test_convert_resumes_after_a_failing_text():
+    converted = []
+
+    def kind(text):
+        converted.append(text)
+        return int(text)
+
+    texts = ["1", "x", "2", "99999999999999999999", "", "3"]
+    values, failed = graphs._convert(texts, kind, np.int64)
+    assert converted == texts
+    assert values.tolist() == [1, 0, 2, 0, 0, 3]
+    assert failed.tolist() == [False, True, False, True, True, False]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_movement_files(), st.sampled_from([1, 2, 3, 5, 64]))
 def test_columnar_ingest_and_build_match_row_loop(movement_file, block):
