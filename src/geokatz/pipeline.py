@@ -10,6 +10,8 @@ split. All artifacts are written with fixed orderings and 6-significant
 
 import json
 import logging
+import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -53,9 +55,11 @@ class PipelineResult:
     network, split, adjacencies and universes), ``scoring`` (Katz
     tables, decay, normalize and combine), ``gamma_tuning``,
     ``evaluation`` (the tuning universe's tables, threshold tuning and
-    reports) and, when artifacts are written, ``export``. A stage the
-    run skips reads about 0. Wall times are not deterministic, so no
-    artifact holds them; each stage is logged once at DEBUG.
+    reports) and, when artifacts are written, ``export``: the wall time
+    until every file is written, which includes waiting for the forked
+    writers of ``_write_artifacts``. A stage the run skips reads about
+    0. Wall times are not deterministic, so no artifact holds them;
+    each stage is logged once at DEBUG.
     """
     reports: dict
     tables: dict
@@ -375,26 +379,132 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
     return summary
 
 
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_artifacts(cfg, result, registry):
     """Write the run's files model by model: a model's report and
     curves, then its score table, which takes its ``score_norm`` text
     from the curves' thresholds. The recall and FPR text of all the
-    reports (one universe) is built once, before the first model."""
+    reports (one universe) is built once, before the first model.
+
+    The models are dealt round-robin into ``min(cfg.workers, number of
+    models, usable CPUs)`` groups. Where ``os.fork`` exists, each group
+    but the first is written by a forked child, which shares the tables
+    copy-on-write and is sent nothing; the caller writes the first
+    group (it holds the first model, KI by default), then waits for
+    every child, even when its own group raised. A child's exception is
+    raised here with its type and message; a child that ends without
+    reporting one (a signal, running out of memory) is a RuntimeError
+    naming its models. Only when every group is written are
+    ``summary.csv`` and ``run_summary.json`` written. Each file depends
+    only on its model, so the bytes do not depend on the group count.
+    """
     out_dir = result.out_dir
     ratios = (metrics._ratio_text(list(result.reports.values()))
               if result.reports else None)
-    for model in cfg.models:
+
+    def write(model):
         report = result.reports.get(model)
         known = None
         if report is not None:
             known = metrics._write_evaluation(report, out_dir, model, ratios)
         write_score_table(result.tables[model], registry,
                           out_dir / f"scores_{model}.csv", known)
+
+    n = (min(cfg.workers, len(cfg.models), _usable_cpus())
+         if hasattr(os, "fork") else 1)
+    groups = [cfg.models[i::n] for i in range(n)]
+    children = []
+    try:
+        for group in groups[1:]:
+            children.append(_fork_writer(group, write))
+        for model in groups[0]:
+            write(model)
+    finally:
+        errors = [_wait_writer(*child) for child in children]
+    for error in errors:
+        if error is not None:
+            raise error
     if result.reports:
         _write_summary_table(cfg.models, result.reports,
                              out_dir / "summary.csv")
     payload = json.dumps(result.summary, indent=2, sort_keys=True)
     metrics._write_text(payload + "\n", out_dir / "run_summary.json")
+
+
+def _fork_writer(group, write):
+    """Fork a child that calls ``write`` on each model of ``group``.
+
+    Returns (the child's pid, the read end of the pipe on which it
+    sends its exception, if any, pickled, the group). The child never
+    returns into the caller's stack: it leaves through ``os._exit``,
+    which also skips the exit handlers and buffers it shares with the
+    caller. Raw ``os.fork`` rather than ``multiprocessing``: a pool
+    starts a thread before it forks, and a spawned worker would have to
+    be sent the tables pickled. The run starts no thread of its own, and
+    OpenBLAS stops its thread pool before a fork.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                for model in group:
+                    write(model)
+                status = 0
+            except BaseException as exc:
+                # Sent, not raised: the child leaves only by os._exit.
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(_pickled(exc))
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd, group
+
+
+def _pickled(exc):
+    """``exc`` pickled, or, when it does not survive a round trip, a
+    RuntimeError carrying its type name and message."""
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _wait_writer(pid, read_fd, group):
+    """Reap a ``_fork_writer`` child; returns the exception it sent, an
+    error when it ended otherwise without success, or None."""
+    chunks = []
+    try:
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    if chunks:
+        return pickle.loads(b"".join(chunks))
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return None
+    return RuntimeError(
+        f"the export worker writing models {', '.join(group)} ended "
+        f"with exit status {code}"
+        + (f" (killed by signal {-code})" if code < 0 else "")
+        + " without reporting an error")
 
 
 def _write_summary_table(models, reports, dest):

@@ -2,8 +2,11 @@
 
 import json
 import logging
+import os
 import re
+import signal
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +442,8 @@ class TestTuning:
             calls.append("written")
 
         monkeypatch.setattr(pipeline, "_write_artifacts", watched)
-        run(_cfg(QUICKSTART.read_text(), out=tmp_path))
+        # One writing process: a forked writer's calls would not be seen.
+        run(replace(_cfg(QUICKSTART.read_text(), out=tmp_path), workers=1))
         assert calls == ["written"]
         assert len(list(tmp_path.glob("curve_*.csv"))) == 12
 
@@ -658,6 +662,163 @@ class TestWorkerParity:
             assert path.read_bytes() == (out_two / path.name).read_bytes(), \
                 path.name
 
+
+def _artifacts(out_dir):
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def _log_writers(monkeypatch, log_path, act=None):
+    """Make the pipeline's score writer append "model pid" to
+    ``log_path`` before it writes, from whichever process it runs in;
+    ``act(model)``, if given, runs first and may raise or end the
+    process."""
+    write = pipeline.write_score_table
+
+    def logged(table, registry, dest, known=None):
+        model = Path(dest).stem.removeprefix("scores_")
+        if act is not None:
+            act(model)
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{model} {os.getpid()}\n")
+        return write(table, registry, dest, known)
+
+    monkeypatch.setattr(pipeline, "write_score_table", logged)
+
+
+def _writers(log_path):
+    """The pid that wrote each model's score table."""
+    lines = log_path.read_text(encoding="utf-8").split()
+    return dict(zip(lines[::2], map(int, lines[1::2])))
+
+
+class TestForkedExport:
+    """Each group of models but the first is written by a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        # Every child was reaped, on success and on failure alike.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Pretend the host has ``n`` usable CPUs."""
+        def set_cpus(n):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+        return set_cpus
+
+    @pytest.mark.parametrize("entry", [run, run_scores_only])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, cpus, entry):
+        cpus(64)
+        cfg = _cfg(QUICKSTART.read_text())
+        written = []
+        for workers in (1, 2, 7):
+            out = tmp_path / f"w{workers}"
+            entry(replace(cfg, workers=workers, output_dir=str(out)))
+            written.append(_artifacts(out))
+        assert INCOMPLETE_MARKER not in written[0]
+        assert {f"scores_{m}.csv" for m in cfg.models} <= set(written[0])
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+    def test_two_workers_write_from_two_processes(self, tmp_path, cpus,
+                                                  monkeypatch):
+        cpus(2)
+        _log_writers(monkeypatch, tmp_path / "writers.log")
+        cfg = _cfg(SMALL_SYNTH, out=tmp_path / "out")
+        run(cfg)
+        writers = _writers(tmp_path / "writers.log")
+        assert sorted(writers) == sorted(cfg.models)
+        assert len(set(writers.values())) == 2
+        # Round-robin: the caller writes the first model and every
+        # second one after it, one child the rest.
+        assert {writers[m] for m in cfg.models[::2]} == {os.getpid()}
+        assert os.getpid() not in {writers[m] for m in cfg.models[1::2]}
+
+    def test_without_fork_the_caller_writes_everything(self, tmp_path, cpus,
+                                                       monkeypatch):
+        cpus(2)
+        cfg = _cfg(SMALL_SYNTH)
+        run(replace(cfg, workers=1, output_dir=str(tmp_path / "one")))
+        monkeypatch.delattr(os, "fork")
+        _log_writers(monkeypatch, tmp_path / "writers.log")
+        run(replace(cfg, output_dir=str(tmp_path / "two")))
+        assert set(_writers(tmp_path / "writers.log").values()) \
+            == {os.getpid()}
+        assert _artifacts(tmp_path / "two") == _artifacts(tmp_path / "one")
+
+    @pytest.mark.parametrize("cpu_count,forks", [(None, None), (10**6, 3)])
+    def test_forks_at_most_one_child_per_model_but_one(
+            self, tmp_path, cpus, monkeypatch, cpu_count, forks):
+        if cpu_count is not None:
+            cpus(cpu_count)
+        calls = []
+        fork = os.fork
+
+        def counting():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        cfg = _cfg(SMALL_SYNTH, out=tmp_path)
+        run(replace(cfg, workers=10**6))
+        assert len(cfg.models) == 4
+        if forks is None:
+            forks = min(pipeline._usable_cpus(), len(cfg.models)) - 1
+        assert len(calls) == forks <= len(cfg.models) - 1
+        assert INCOMPLETE_MARKER not in _artifacts(tmp_path)
+
+    class LocalError(Exception):
+        """An exception pickle cannot rebuild: it takes two arguments."""
+
+        def __init__(self, what, where):
+            super().__init__(f"{what} in {where}")
+
+    @pytest.mark.parametrize("in_child,error,raised", [
+        (True, DataError("bad table WKI"), DataError("bad table WKI")),
+        (True, LocalError("bad table", "WKI"),
+         RuntimeError("LocalError: bad table in WKI")),
+        # The caller's own failure wins, after its child is reaped.
+        (False, NumericError("bad table KI"), NumericError("bad table KI")),
+    ])
+    def test_a_failed_group_fails_the_run(self, tmp_path, cpus, monkeypatch,
+                                          in_child, error, raised):
+        cpus(2)
+        parent = os.getpid()
+
+        def fail(model):
+            if (os.getpid() != parent) == in_child \
+                    and model == ("WKI" if in_child else "KI"):
+                raise error
+
+        _log_writers(monkeypatch, tmp_path / "writers.log", fail)
+        out = tmp_path / "out"
+        with pytest.raises(type(raised)) as info:
+            run(_cfg(SMALL_SYNTH, out=out))
+        assert type(info.value) is type(raised)
+        assert str(info.value) == str(raised)
+        names = _artifacts(out)
+        assert INCOMPLETE_MARKER in names
+        assert "summary.csv" not in names and "run_summary.json" not in names
+
+    def test_a_killed_child_is_an_error_naming_its_models(
+            self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+
+        def die(model):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _log_writers(monkeypatch, tmp_path / "writers.log", die)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError,
+                           match=r"models WKI, KIEWKI ended with exit "
+                                 r"status -9 \(killed by signal 9\)"):
+            run(_cfg(SMALL_SYNTH, out=out))
+        assert INCOMPLETE_MARKER in _artifacts(out)
+        assert set(_writers(tmp_path / "writers.log")) == {"KI", "EWKI"}
 
 class TestScoreTableRoundTrip:
 
