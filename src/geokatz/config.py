@@ -35,7 +35,7 @@ class RunConfig:
     """Validated pipeline configuration plus the verbatim source text.
 
     ``models`` may be given as one model name; ``year_range`` is a
-    [first, last] pair of years.
+    [first, last] pair of years, which must hold a synth block's years.
     """
     split: SplitSpec
     katz: KatzConfig
@@ -89,6 +89,11 @@ class RunConfig:
                 f"ingest.year_range [{first}, {last}] is reversed: "
                 "the first year must not be after the last")
         put("year_range", (first, last))
+        if self.synth is not None and not (
+                first <= self.synth.years[0] <= self.synth.years[1] <= last):
+            raise ConfigError(
+                f"synth.years {list(self.synth.years)} are not inside "
+                f"ingest.year_range [{first}, {last}]")
 
         models = ((self.models,) if isinstance(self.models, str)
                   else self.models)

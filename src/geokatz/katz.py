@@ -27,7 +27,7 @@ from .errors import (BetaDomainError, ConfigError, DataError,
                      UniverseMismatchError, as_int, as_real, one_of)
 from .geo import WEIGHT_TRANSFORMS, decay_weights
 from .graphs import _decode_error, _open_input, _read_header
-from .metrics import _format6
+from .metrics import _format6, _write_text
 
 log = logging.getLogger(__name__)
 
@@ -558,8 +558,8 @@ def write_score_table(table, registry, dest, known=None):
                     for b, r, n in zip(dests, raw_text, norm_text)]
         ends = np.cumsum(np.bincount(sources, minlength=k)).tolist()
 
-    def _write(fh):
-        fh.write(",".join(SCORE_COLUMNS) + "\n")
+    def texts():
+        yield ",".join(SCORE_COLUMNS) + "\n"
         if k < 2:
             return
         start = 0
@@ -571,14 +571,9 @@ def write_score_table(table, registry, dest, known=None):
             start = end
             # rows holds k - 1 >= 1 texts, each of which takes the
             # source in front of it.
-            fh.write(source + source.join(rows))
+            yield source + source.join(rows)
 
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh)
-    return dest
+    return _write_text(texts(), dest)
 
 
 def read_score_table(path, universe, registry):

@@ -5,8 +5,10 @@ iff score >= threshold). Threshold sweeps visit every distinct score
 once (ties form a single step), which makes the swept optimum exact
 rather than grid-approximate. ``evaluate`` builds the ROC and PR
 curves, their trapezoidal areas, average precision and the confusion at
-its threshold from one sweep; ``optimal_threshold`` is the only other
-sweep, and tuning on the evaluated table itself shares it.
+its threshold from one sweep, whose counts its report keeps; tuning on
+the evaluated table itself shares it. ``optimal_threshold`` and the
+pipeline's gamma search (``_sweep_above`` of KI's nonzero pairs) sweep
+on their own.
 """
 
 import json
@@ -48,7 +50,9 @@ class Curve:
 
 @dataclass
 class EvaluationReport:
-    """Everything measured about one model on one labeled universe."""
+    """Everything measured about one model on one labeled universe;
+    ``counts`` is its sweep's (tp, fp, n_pos, n_neg), tp and fp int64
+    at each PR point, from which the curve files are written."""
     model: str
     threshold: float
     confusion: ConfusionMatrix
@@ -61,6 +65,7 @@ class EvaluationReport:
     roc: Curve
     pr: Curve
     info: dict = field(default_factory=dict)
+    counts: tuple = field(default=None, repr=False, compare=False)
 
 
 def _vectors(scores, labels):
@@ -237,7 +242,8 @@ def _report(sweep, threshold, model, info):
         average_precision=float(np.sum(pr.y * np.diff(pr.x, prepend=0.0))),
         roc=roc,
         pr=pr,
-        info=dict(info or {}))
+        info=dict(info or {}),
+        counts=(tp, fp, n_pos, n_neg))
 
 
 def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
@@ -332,13 +338,14 @@ def report_dict(report):
 
 
 def _write_text(text, dest):
-    """Write ``text`` to an open stream, or to a path as UTF-8 with
-    ``\\n`` line ends; returns ``dest``."""
+    """Write ``text``, a str or an iterable of str, to an open stream,
+    or to a path as UTF-8 with ``\\n`` line ends; returns ``dest``."""
+    parts = (text,) if isinstance(text, str) else text
     if hasattr(dest, "write"):
-        dest.write(text)
+        dest.writelines(parts)
     else:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     return dest
 
 
@@ -361,23 +368,11 @@ def write_curve(curve, dest):
     return _write_text(_curve_text(*columns), dest)
 
 
-def _counts(ratios, n, what):
-    """The counts c with ``c / n`` bitwise equal to each of ``ratios``,
-    as int64; a ValueError when one is no such ratio."""
-    ratios = np.ascontiguousarray(ratios, dtype=np.float64)
-    # The range check also refuses NaN, before anything is scaled.
-    if not ((ratios >= 0.0) & (ratios <= 1.0)).all():
-        raise ValueError(f"{what} is not a count over {n}")
-    counts = np.rint(ratios * n).astype(np.int64)
-    if not np.array_equal((counts / n).view(np.int64), ratios.view(np.int64)):
-        raise ValueError(f"{what} is not a count over {n}")
-    return counts
-
-
-def _denominators(report):
-    """(n_pos, n_neg) of the universe a report was evaluated on."""
-    cm = report.confusion
-    return cm.tp + cm.fn, cm.fp + cm.tn
+def _sweep_counts(report):
+    """A report's ``counts``; a ValueError when it holds none."""
+    if report.counts is None:
+        raise ValueError(f"report {report.model!r} holds no sweep counts")
+    return report.counts
 
 
 def _ratio_text(reports):
@@ -390,22 +385,18 @@ def _ratio_text(reports):
     same FPRs. Returns (n_pos, n_neg, recall text by tp, FPR text by
     fp, the fp counts reached), the texts as object arrays; FPR text is
     formatted only at the fp counts some report reaches. A ValueError
-    when the reports' label counts differ or a curve is not made of
-    such ratios.
+    when the reports' label counts differ or one holds no counts.
     """
-    sizes = {_denominators(report) for report in reports}
+    counts = [_sweep_counts(report) for report in reports]
+    sizes = {(n_pos, n_neg) for _, _, n_pos, n_neg in counts}
     if len(sizes) != 1:
         raise ValueError(
             f"reports of one universe must share their label counts, "
             f"not {sorted(sizes)}")
     (n_pos, n_neg), = sizes
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError(
-            f"curves need both classes, not {n_pos} positive and {n_neg} "
-            "negative labels")
     reached = np.zeros(n_neg + 1, dtype=bool)
-    for report in reports:
-        reached[_counts(report.roc.x[1:], n_neg, "the ROC FPR")] = True
+    for _, fp, _, _ in counts:
+        reached[fp] = True
     recall = np.array(_texts(np.arange(n_pos + 1) / n_pos), dtype=object)
     fp = np.flatnonzero(reached)
     fpr = np.empty(n_neg + 1, dtype=object)
@@ -421,27 +412,28 @@ def _write_evaluation(report, out_dir, name, ratios=None):
 
     ``ratios`` is the ``_ratio_text`` of reports of the same universe,
     this one among them (by default of this one alone): the recall and
-    FPR columns are looked up there by their tp and fp counts, so only
-    the thresholds and precision are formatted here. ``evaluate`` builds
-    the ROC curve as the PR thresholds and recall behind an (inf, 0, 0)
-    anchor, so the two curves share the text of those columns. A
-    ValueError when a recall or FPR is no count over the universe's
-    label counts, or an fp count is not among ``ratios``'.
+    FPR columns are looked up there by the report's tp and fp counts,
+    so only the thresholds and precision are formatted here.
+    ``evaluate`` builds the ROC curve as the PR thresholds and recall
+    behind an (inf, 0, 0) anchor, so the two curves share the text of
+    those columns. A ValueError, before any file is written, when the
+    report holds no counts, counts other labels than ``ratios`` was
+    built for, or reaches an fp count ``ratios`` has no text for.
 
     Returns (the thresholds ascending, their text), the ``known`` text
     of the evaluated table's normalized scores (see ``_format6``).
     """
+    tp, fp, *labels = _sweep_counts(report)
     n_pos, n_neg, recall, fpr, reached = (
         _ratio_text([report]) if ratios is None else ratios)
-    if _denominators(report) != (n_pos, n_neg):
+    if labels != [n_pos, n_neg]:
         raise ValueError(
-            f"report {name!r} counts {_denominators(report)} labels, not "
-            f"the {(n_pos, n_neg)} its recall and FPR text was built for")
-    roc, pr = report.roc, report.pr
-    fp = _counts(roc.x[1:], n_neg, "the ROC FPR")
+            f"report {name!r} counts {tuple(labels)} labels, not the "
+            f"{(n_pos, n_neg)} its recall and FPR text was built for")
     if not reached[fp].all():
         raise ValueError(f"report {name!r} reaches an FPR its text lacks")
-    r = recall[_counts(pr.x, n_pos, "the PR recall")].tolist()
+    pr = report.pr
+    r = recall[tp].tolist()
     write_report(report, out_dir / f"report_{name}.json")
     t = _texts(pr.thresholds)
     _write_text(_curve_text(t, fpr[fp].tolist(), r, anchor="inf,0,0\n"),

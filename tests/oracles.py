@@ -732,11 +732,18 @@ def keyed_parse_run_config(text):
     if not isinstance(models, list):
         raise ConfigError(f"'models' must be a list, got {models!r}")
 
+    synth = _keyed_synth(raw["synth"]) if "synth" in raw else None
+    if synth is not None and not (year_range[0] <= synth.years[0]
+                                  and synth.years[1] <= year_range[1]):
+        raise ConfigError(
+            f"synth.years {list(synth.years)} are not inside "
+            f"ingest.year_range {list(year_range)}")
+
     return RunConfig(
         split=_keyed_split(raw["split"]),
         katz=_keyed_katz(raw.get("katz")),
         input=raw.get("input"),
-        synth=_keyed_synth(raw["synth"]) if "synth" in raw else None,
+        synth=synth,
         schema=schema,
         on_bad_rows=ingest.get("on_bad_rows", "abort"),
         delimiter=delimiter,

@@ -114,6 +114,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_synth_years_outside_year_range_is_config_error(self, tmp_path,
+                                                            caplog):
+        # Refused with the config, before the run directory is made, not
+        # by the re-ingest of the movements.csv the run wrote.
+        path = tmp_path / "run.yaml"
+        path.write_text(RUN_YAML + "ingest:\n  year_range: [2017, 2100]\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "synth.years [2016, 2019] are not inside" in caplog.text
+        assert not out.exists()
+
     def test_bad_rows_abort_is_data_error(self, tmp_path):
         data = tmp_path / "m.csv"
         data.write_text(

@@ -203,6 +203,30 @@ class TestScalarCoercion:
         with pytest.raises(ConfigError, match="year_range"):
             parse_run_config(MINIMAL_SYNTH + "ingest:\n  year_range: 1990\n")
 
+    @pytest.mark.parametrize("out", [None, "runs/quickstart"])
+    def test_synth_years_outside_year_range_refused(self, tmp_path, out):
+        # Without an output directory the synthetic movements used to be
+        # scored as generated; with one, the re-ingest of movements.csv
+        # refused the first year outside the range as a data error.
+        path = tmp_path / "quickstart.yaml"
+        path.write_text((CONFIGS / "quickstart.yaml").read_text()
+                        + "ingest:\n  year_range: [2019, 2100]\n")
+        outside = (r"synth\.years \[2015, 2020\] are not inside "
+                   r"ingest\.year_range \[2019, 2100\]")
+        with pytest.raises(ConfigError, match=outside):
+            load_run_config(path, out_override=out)
+        with pytest.raises(ConfigError, match=outside):
+            oracles.keyed_parse_run_config(path.read_text())
+        cfg = load_run_config(CONFIGS / "quickstart.yaml", out_override=out)
+        with pytest.raises(ConfigError, match=outside):
+            replace(cfg, year_range=(2019, 2100))
+        with pytest.raises(ConfigError, match=r"synth\.years \[2015, 2101\]"):
+            replace(cfg, synth=replace(cfg.synth, years=(2015, 2101),
+                                       movements_per_year=1))
+        # The range's own ends are inside it.
+        assert replace(cfg, year_range=(2015, 2020)).year_range == (2015,
+                                                                    2020)
+
 
 class TestModelList:
 
@@ -633,6 +657,8 @@ def test_run_config_builds_well_typed_or_is_refused(edits):
     assert type(cfg.year_range) is tuple
     assert all(map(_is_int, cfg.year_range))
     assert cfg.year_range[0] <= cfg.year_range[1]
+    assert cfg.synth is None or (cfg.year_range[0] <= cfg.synth.years[0]
+                                 and cfg.synth.years[1] <= cfg.year_range[1])
     assert type(cfg.models) is tuple and cfg.models
     assert set(cfg.models) <= set(ALL_MODELS)
     assert type(cfg.directed) is bool

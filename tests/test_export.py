@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -312,8 +313,9 @@ def _bits(values):
 def test_roc_curve_is_the_pr_curve_behind_its_anchor(scores, labels,
                                                      single):
     # _write_evaluation writes the ROC thresholds and TPR from the PR
-    # thresholds and recall text, so evaluate must lay them out so, bit
-    # for bit: ties, signed zeros and a single positive included.
+    # thresholds and recall text, and the recall and FPR text from the
+    # report's counts, so evaluate must lay them out so, bit for bit:
+    # ties, signed zeros and a single positive included.
     n = len(scores)
     if single is None:
         labels = [True, False] + labels[:n - 2]
@@ -326,6 +328,12 @@ def test_roc_curve_is_the_pr_curve_behind_its_anchor(scores, labels,
                                                     pr.thresholds))
     assert _bits(roc.y) == _bits(np.append(0.0, pr.x))
     assert _bits(roc.x[:1]) == _bits([0.0])
+    tp, fp, n_pos, n_neg = report.counts
+    assert tp.dtype == fp.dtype == np.int64
+    assert (n_pos, n_neg) == (sum(labels), n - sum(labels))
+    assert _bits(fp / n_neg) == _bits(roc.x[1:])
+    assert _bits(tp / n_pos) == _bits(pr.x)
+    assert _bits(tp / (tp + fp)) == _bits(pr.y)
 
 
 def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
@@ -434,7 +442,7 @@ def test_recall_and_fpr_are_formatted_once_per_count(tmp_path, monkeypatch):
         len(r.pr.thresholds) for r in reports for _ in range(2)]
 
 
-def test_mixed_denominators_and_doctored_curves_raise(tmp_path):
+def test_mixed_label_counts_and_reports_without_counts_raise(tmp_path):
     labels = np.array([True, False, False, True, False])
     # Ties among the negatives: this report reaches fp counts 0 and 3.
     scores = np.array([0.9, 0.1, 0.1, 0.4, 0.1])
@@ -450,14 +458,17 @@ def test_mixed_denominators_and_doctored_curves_raise(tmp_path):
     with pytest.raises(ValueError, match="FPR"):
         metrics._write_evaluation(shifted, tmp_path, "KI",
                                   metrics._ratio_text([report]))
-    for curve, doctor in ((report.pr, lambda x: np.nextafter(x, 0.0)),
-                          (report.roc, lambda x: np.nextafter(x, 2.0)),
-                          (report.pr, lambda x: x * np.nan),
-                          (report.roc, lambda x: x + 1e300)):
-        original = curve.x.copy()
-        curve.x[-2] = doctor(curve.x[-2])
-        with pytest.raises(ValueError, match="not a count"):
-            metrics._write_evaluation(report, tmp_path, "KI")
-        curve.x[:] = original
+    # A report built by hand has curves but not the counts its curve
+    # files are written from.
+    bare = metrics.EvaluationReport(**{
+        f.name: getattr(report, f.name) for f in fields(report)
+        if f.name != "counts"})
+    assert bare == report and bare.counts is None
+    for reports in ([bare], [report, bare]):
+        with pytest.raises(ValueError, match="no sweep counts"):
+            metrics._ratio_text(reports)
+    for ratios in (None, metrics._ratio_text([report])):
+        with pytest.raises(ValueError, match="no sweep counts"):
+            metrics._write_evaluation(bare, tmp_path, "KI", ratios)
     assert list(tmp_path.iterdir()) == []
     metrics._write_evaluation(report, tmp_path, "KI")
