@@ -771,10 +771,12 @@ class PairUniverse:
     """All ordered pairs (u, v), u != v, over a fixed node set.
 
     ``node_indices`` holds the k participating global node indices in
-    sorted order; pair data lives in (k, k) matrices whose diagonal is
-    excluded everywhere. ``labels[i, j]`` is 1 when the ordered pair is
-    a known link. Flattening is row-major over off-diagonal cells, a
-    fixed order shared by scores, labels and exports.
+    sorted order; pair (i, j) is the cell of a (k, k) matrix whose
+    diagonal is excluded everywhere, at flat row-major position
+    i * k + j, which is how a score table's support lists its pairs.
+    ``labels[i, j]`` is 1 when the ordered pair is a known link.
+    Flattening is row-major over off-diagonal cells, a fixed order
+    shared by dense score vectors and labels.
     """
     node_indices: np.ndarray
     labels: np.ndarray

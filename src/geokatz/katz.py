@@ -5,16 +5,18 @@ sum_{l>=1} beta^l (A^l)[u, v], computed either in closed form as
 ((I - beta*A)^{-1} - I)[u, v] via one sparse factorization and one
 solve per source node, or as an explicitly truncated series. Variants
 swap in a distance-weighted adjacency or multiply each pair's score by
-an exponential distance decay. Tables are min-max normalized over their
-pair universe and can be fused pairwise into combined models, and
-written to and read back from delimited text (``SCORE_COLUMNS``).
+an exponential distance decay. A table holds its scores on its support,
+the pairs with a nonzero walk score, and one floor for every other
+pair; it is min-max normalized over its pair universe, fused pairwise
+into combined models, and written to and read back from delimited text
+(``SCORE_COLUMNS``) on that support.
 """
 
 import csv
 import io
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -233,25 +235,144 @@ def resolve_beta(cfg, adj):
     return beta, sr
 
 
-@dataclass
+@dataclass(eq=False)
+class _Column:
+    """One score column of a table: its scores at the table's support
+    positions and the floor that every other pair holds. ``dense``
+    caches the (k, k) view once it is asked for."""
+    on_support: np.ndarray
+    floor: float
+    dense: Optional[np.ndarray] = None
+
+
+def _support_of(*matrices):
+    """The flat row-major positions i * k + j of the off-diagonal cells
+    at which any of the (k, k) ``matrices`` is not +0.0, bit for bit (a
+    -0.0 is on the support)."""
+    k = len(matrices[0])
+    keep = np.zeros(k * k, dtype=bool)
+    for matrix in matrices:
+        bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+        keep |= bits.ravel() != 0
+    keep[::k + 1] = False
+    return np.flatnonzero(keep)
+
+
 class ScoreTable:
     """Per-ordered-pair scores for one model over a pair universe.
 
-    ``values`` is (k, k) with the diagonal fixed at 0 and excluded from
-    every pair-level view. Normalized tables keep the pre-normalization
-    matrix in ``raw_values`` so exports can carry both.
+    The scores live on ``support``, a sorted int64 vector of the flat
+    row-major positions i * k + j of off-diagonal pairs (i, j); every
+    other off-diagonal pair, ``n_floor`` of them, holds the floor.
+    ``scores`` holds the table's scores and, for a normalized table,
+    ``raw`` the pre-normalization ones, each as an ``on_support`` vector
+    and a ``floor``. The pipeline scores all tables of a universe on one
+    support, the union of its base tables' nonzero pairs; an
+    unnormalized table's floor is a zero.
+
+    ``ScoreTable(model, universe, values, normalized, raw_values, info)``
+    builds a table from (k, k) matrices, ignoring their diagonals: its
+    support is the pairs at which either matrix is not +0.0, and both
+    floors are 0.0. ``values``, ``raw_values`` and ``score_vector`` are
+    dense views with the diagonal at 0, built on first use and kept (a
+    table built from matrices keeps those matrices); the table's steps
+    never read them, so writing to one does not change its scores.
     """
-    model: str
-    universe: object
-    values: np.ndarray
-    normalized: bool = False
-    raw_values: Optional[np.ndarray] = None
-    info: dict = field(default_factory=dict)
+
+    def __init__(self, model, universe, values, normalized=False,
+                 raw_values=None, info=None):
+        matrices = [values] if raw_values is None else [values, raw_values]
+        matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+        k = universe.k
+        if any(m.shape != (k, k) for m in matrices):
+            raise UniverseMismatchError(
+                f"score matrices of shapes {[m.shape for m in matrices]} "
+                f"do not match universe size {k}")
+        support = _support_of(*matrices)
+        scores, *raw = [_Column(m.ravel()[support], 0.0, m) for m in matrices]
+        self._set(model, universe, support, scores, normalized,
+                  raw[0] if raw else None, info)
+
+    @classmethod
+    def _of(cls, model, universe, support, scores, normalized=False,
+            raw=None, info=None):
+        """A table from its support and columns."""
+        table = cls.__new__(cls)
+        table._set(model, universe, support, scores, normalized, raw, info)
+        return table
+
+    def _set(self, model, universe, support, scores, normalized, raw, info):
+        self.model = model
+        self.universe = universe
+        self.support = support
+        self.scores = scores
+        self.normalized = normalized
+        self.raw = raw
+        self.info = {} if info is None else info
+
+    def __repr__(self):
+        return (f"ScoreTable(model={self.model!r}, k={self.universe.k}, "
+                f"support={self.support.size}, n_floor={self.n_floor}, "
+                f"normalized={self.normalized})")
+
+    @property
+    def n_floor(self):
+        """The number of off-diagonal pairs off the support."""
+        return self.universe.n_pairs - self.support.size
+
+    def _dense(self, column):
+        if column.dense is None:
+            k = self.universe.k
+            dense = np.full(k * k, column.floor)
+            dense[self.support] = column.on_support
+            dense[::k + 1] = 0.0
+            column.dense = dense.reshape(k, k)
+        return column.dense
+
+    @property
+    def values(self):
+        """The scores as a (k, k) matrix."""
+        return self._dense(self.scores)
+
+    @property
+    def raw_values(self):
+        """The pre-normalization scores as a (k, k) matrix, or None."""
+        return None if self.raw is None else self._dense(self.raw)
 
     @property
     def score_vector(self):
         """Scores for all universe pairs in flattening order."""
         return self.universe.flatten(self.values)
+
+    def _on(self, support):
+        """This table on ``support``, a superset of its own: a pair
+        added holds its column's floor."""
+        if support is self.support:
+            return self
+        if np.array_equal(support, self.support):
+            def moved(column):
+                return column
+        else:
+            at = np.searchsorted(support, self.support)
+
+            def moved(column):
+                values = np.full(support.size, column.floor)
+                values[at] = column.on_support
+                return _Column(values, column.floor, column.dense)
+        return ScoreTable._of(
+            self.model, self.universe, support, moved(self.scores),
+            self.normalized, None if self.raw is None else moved(self.raw),
+            dict(self.info))
+
+
+def _common_support(tables):
+    """The tables on the union of their supports, which is the first
+    table's support object when every support equals it."""
+    support = tables[0].support
+    for table in tables[1:]:
+        if not np.array_equal(table.support, support):
+            support = np.union1d(support, table.support)
+    return [table._on(support) for table in tables]
 
 
 def _solve_rows(adj, beta, source_sets):
@@ -389,8 +510,12 @@ def katz_scores(adj, cfg, universe, model="KI"):
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    tables = [ScoreTable(model=model, universe=u, values=v, info=dict(info))
-              for u, v in zip(universes, values)]
+    tables = []
+    for u, v in zip(universes, values):
+        support = _support_of(v)
+        tables.append(ScoreTable._of(model, u, support,
+                                     _Column(v.ravel()[support], 0.0),
+                                     info=dict(info)))
     return tables[0] if single else tables
 
 
@@ -398,73 +523,76 @@ def edge_weighted_katz_scores(ki_table, distances, gamma, model="EWKI"):
     """Walk-count scores decayed pairwise by endpoint distance.
 
     score(u, v) = exp(-gamma * d(u, v)) * ki(u, v), where ``ki_table``
-    is an unnormalized KI table and ``distances`` the (k, k)
-    great-circle matrix aligned with its universe's node order. At
-    gamma = 0 every weight is exactly 1.0 and the table equals the KI
-    table bitwise.
+    is an unnormalized KI table and ``distances`` holds the great-circle
+    km of its support pairs, in support order, or is the (k, k) matrix
+    aligned with its universe's node order. Only the support decays:
+    every other pair holds KI's floor, a zero, which any weight keeps.
+    At gamma = 0 every weight is exactly 1.0 and the table equals the
+    KI table bitwise.
     """
     if ki_table.normalized:
         raise UniverseMismatchError("ki_table must be an unnormalized table")
-    universe = ki_table.universe
+    support = ki_table.support
     distances = np.asarray(distances, dtype=np.float64)
-    k = universe.k
-    if distances.shape != (k, k):
+    if distances.ndim == 2:
+        k = ki_table.universe.k
+        if distances.shape != (k, k):
+            raise UniverseMismatchError(
+                f"distance matrix shape {distances.shape} does not match "
+                f"universe size {k}")
+        distances = distances.ravel()[support]
+    elif distances.shape != support.shape:
         raise UniverseMismatchError(
-            f"distance matrix shape {distances.shape} does not match "
-            f"universe size {k}")
-    values = ki_table.values * decay_weights(distances, gamma)
-    np.fill_diagonal(values, 0.0)
-    info = dict(ki_table.info, gamma=gamma)
-    return ScoreTable(model=model, universe=universe, values=values,
-                      info=info)
+            f"{distances.size} distances do not match the table's "
+            f"{support.size} support pairs")
+    ki = ki_table.scores
+    decayed = _Column(ki.on_support * decay_weights(distances, gamma),
+                      ki.floor)
+    return ScoreTable._of(model, ki_table.universe, support, decayed,
+                          info=dict(ki_table.info, gamma=gamma))
 
 
 def normalize(table):
     """Min-max rescale a table's universe scores to [0, 1].
 
-    A constant table maps to all zeros and raises
-    :class:`DegenerateScoreTableWarning`, since a single value carries
-    no ranking information. The input's values are kept as the
-    normalized table's ``raw_values``.
+    The minimum and range are taken over the support's scores and,
+    when some pair is off the support, the floor. A constant table maps
+    to all zeros and raises :class:`DegenerateScoreTableWarning`, since
+    a single value carries no ranking information. The input's scores
+    are kept as the normalized table's ``raw`` column.
     """
     if table.normalized:
         raise ValueError(f"table {table.model!r} is already normalized")
-    mask = table.universe.offdiag_mask
-    pair_scores = table.values[mask]
-    lo = pair_scores.min()
-    out = np.zeros_like(table.values)
-    out[mask] = _min_max(pair_scores, lo, pair_scores.max() - lo,
-                         table.model)
-    return ScoreTable(model=table.model, universe=table.universe,
-                      values=out, normalized=True, raw_values=table.values,
-                      info=dict(table.info))
-
-
-def _min_max(scores, lo, span, model):
-    """``scores`` as :func:`normalize` maps them, given the minimum
-    ``lo`` and the range ``span`` of their table's pairs: all zeros,
-    with a :class:`DegenerateScoreTableWarning` for ``model``'s table,
-    when the span is 0."""
+    column = table.scores
+    scores = np.append(column.on_support, column.floor)
+    pairs = scores if table.n_floor else scores[:-1]
+    lo = pairs.min()
+    span = pairs.max() - lo
     if span == 0.0:
         warnings.warn(
-            f"score table {model!r} is constant ({lo:.6g} "
+            f"score table {table.model!r} is constant ({lo:.6g} "
             "everywhere); normalizing to all zeros",
-            DegenerateScoreTableWarning, stacklevel=3)
-        return np.zeros_like(scores)
-    # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
-    # +0.0 and leaves every other value as it is.
-    return (scores - lo) / span + 0.0
+            DegenerateScoreTableWarning, stacklevel=2)
+        scores = np.zeros_like(scores)
+    else:
+        # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
+        # +0.0 and leaves every other value as it is.
+        scores = (scores - lo) / span + 0.0
+    return ScoreTable._of(table.model, table.universe, table.support,
+                          _Column(scores[:-1], float(scores[-1])),
+                          normalized=True, raw=column, info=dict(table.info))
 
 
 def combine(a, b, rule="mean", on="normalized"):
     """Fuse two normalized tables pairwise into a combined model.
 
     The rule is applied to the normalized scores (``on="normalized"``)
-    or to the inputs' pre-normalization ``raw_values`` (``on="raw"``,
+    or to the inputs' pre-normalization ``raw`` scores (``on="raw"``,
     recorded as ``combined_on`` in the output's info), and the result
     is re-normalized; the model name is the concatenation of the
-    inputs' names. The pre-renormalization combination is kept as the
-    output's ``raw_values``.
+    inputs' names. The rule fuses the two tables' scores on the union
+    of their supports, and their floors into the output's floor. The
+    pre-renormalization combination is kept as the output's ``raw``.
     """
     if not (a.normalized and b.normalized):
         raise ValueError("combine requires two normalized tables")
@@ -472,26 +600,27 @@ def combine(a, b, rule="mean", on="normalized"):
         raise UniverseMismatchError(
             f"tables {a.model!r} and {b.model!r} cover different universes")
     info = {"rule": rule, "components": (a.model, b.model)}
-    if on == "normalized":
-        a_values, b_values = a.values, b.values
-    elif on == "raw":
-        a_values, b_values = a.raw_values, b.raw_values
-        info["combined_on"] = "raw"
-    else:
+    if on not in COMBINE_INPUTS:
         raise ConfigError(f"combine input must be one of {COMBINE_INPUTS}, "
                           f"got {on!r}")
+    if on == "raw":
+        info["combined_on"] = "raw"
+    if rule not in COMBINE_RULES:
+        raise ConfigError(f"combine rule must be one of {COMBINE_RULES}, "
+                          f"got {rule!r}")
+    a, b = _common_support([a, b])
+    a_values, b_values = (
+        np.append(column.on_support, column.floor) for column in
+        ((a.raw, b.raw) if on == "raw" else (a.scores, b.scores)))
     if rule == "mean":
         fused = (a_values + b_values) / 2.0
     elif rule == "product":
         fused = a_values * b_values
-    elif rule == "max":
-        fused = np.maximum(a_values, b_values)
     else:
-        raise ConfigError(f"combine rule must be one of {COMBINE_RULES}, "
-                          f"got {rule!r}")
-    np.fill_diagonal(fused, 0.0)
-    return normalize(ScoreTable(model=a.model + b.model, universe=a.universe,
-                                values=fused, info=info))
+        fused = np.maximum(a_values, b_values)
+    return normalize(ScoreTable._of(
+        a.model + b.model, a.universe, a.support,
+        _Column(fused[:-1], float(fused[-1])), info=info))
 
 
 def _csv_fields(values):
@@ -521,38 +650,33 @@ def write_score_table(table, registry, dest, known=None):
     tables export byte-identically. ``known`` is a (floats ascending,
     their text) pair, such as the thresholds and their text that
     ``metrics._write_evaluation`` returns for the table's report: when
-    every off-floor score_norm value is bitwise one of the floats, the
+    every support score_norm value is bitwise one of the floats, the
     column takes its text from there (see ``_format6``).
 
-    Most pairs of a score table hold its minimum in both score columns.
-    Each column's floor is the bit pattern of its first minimum; a pair
-    on both floors takes its row from one floor row per destination,
-    and only the pairs off either floor are formatted.
+    A pair off the table's support takes its row from one floor row
+    per destination; only the support's pairs are formatted.
     """
-    if not table.normalized or table.raw_values is None:
+    if not table.normalized or table.raw is None:
         raise ValueError("score export requires a normalized table")
     ids = [registry.ids[i] for i in table.universe.node_indices]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     k = len(order)
-    cells = np.ix_(order, order)
-    raw, norm = (np.ascontiguousarray(values[cells], dtype=np.float64).ravel()
-                 for values in (table.raw_values, table.values))
     quoted = _csv_fields([ids[i] for i in order] + [table.model])
     model = quoted.pop()
     middle = [f",{dest_id},{model}," for dest_id in quoted]
     if k > 1:
-        low_raw, low_norm = raw.argmin(), norm.argmin()
-        raw_bits, norm_bits = raw.view(np.int64), norm.view(np.int64)
-        # A table read back from text can hold its two floors in
-        # different cells, so a pair is off when either score is.
-        off = np.flatnonzero((raw_bits != raw_bits[low_raw])
-                             | (norm_bits != norm_bits[low_norm]))
-        raw_floor, *raw_text = _format6(
-            raw[np.append(low_raw, off)]).tolist()
-        norm_floor, *norm_text = _format6(
-            norm[np.append(low_norm, off)], known).tolist()
+        # Each support pair's position in the export's id order.
+        rank = np.empty(k, dtype=np.int64)
+        rank[order] = np.arange(k)
+        rows, cols = np.divmod(table.support, k)
+        at = rank[rows] * k + rank[cols]
+        by = np.argsort(at)
+        raw, norm = table.raw, table.scores
+        raw_text = _format6(raw.on_support[by]).tolist()
+        norm_text = _format6(norm.on_support[by], known).tolist()
+        raw_floor, norm_floor = _format6([raw.floor, norm.floor]).tolist()
         floor_rows = [f"{m}{raw_floor},{norm_floor}\n" for m in middle]
-        sources, dests = divmod(off, k)
+        sources, dests = np.divmod(at[by], k)
         dests = dests.tolist()
         off_rows = [f"{middle[b]}{r},{n}\n"
                     for b, r, n in zip(dests, raw_text, norm_text)]

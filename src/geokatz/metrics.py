@@ -6,9 +6,9 @@ once (ties form a single step), which makes the swept optimum exact
 rather than grid-approximate. ``evaluate`` builds the ROC and PR
 curves, their trapezoidal areas, average precision and the confusion at
 its threshold from one sweep, whose counts its report keeps; tuning on
-the evaluated table itself shares it. ``optimal_threshold`` and the
-pipeline's gamma search (``_sweep_above`` of KI's nonzero pairs) sweep
-on their own.
+the evaluated table itself shares it; ``optimal_threshold`` sweeps on
+its own. A ScoreTable is swept from its support, with the pairs off it
+counted in its floor's step.
 """
 
 import json
@@ -149,10 +149,12 @@ def _sweep(s, y):
 
 def _sweep_above(s, y, floor, n_pos, n_neg):
     """The sweep of a universe given only some of its scores: ``s``
-    with labels ``y`` holds every score above ``floor``, the universe's
-    minimum, and may hold some at it. Every pair left out scores
-    ``floor``; ``n_pos`` and ``n_neg`` count the universe's labels.
-    Returns what :func:`_sweep` returns for the whole universe.
+    with labels ``y`` holds every score other than ``floor`` and may
+    hold some at it. Every pair left out scores ``floor``; ``n_pos``
+    and ``n_neg`` count the universe's labels, and some pair scores
+    ``floor``. Returns what :func:`_sweep` returns for the whole
+    universe. Only the scores above ``floor`` are sorted, unless some
+    score is below it: those are swept after the floor's step.
     """
     above = np.flatnonzero(s > floor)
     order = above[np.argsort(-s[above])]
@@ -161,9 +163,60 @@ def _sweep_above(s, y, floor, n_pos, n_neg):
     ends = np.flatnonzero(ranked[1:] != ranked[:-1])
     if ranked.size:
         ends = np.append(ends, ranked.size - 1)
+    below = np.flatnonzero(s < floor)
+    # Everything at or above the floor is positive at its step.
+    floor_tp = n_pos - int(np.count_nonzero(y[below]))
+    floor_fp = n_neg - (below.size - (n_pos - floor_tp))
+    hit = tp[ends]
     thresholds = np.append(ranked[ends], floor) + 0.0
-    return (thresholds, np.append(tp[ends], n_pos),
-            np.append(ends + 1 - tp[ends], n_neg), n_pos, n_neg)
+    tp = np.append(hit, floor_tp)
+    fp = np.append(ends + 1 - hit, floor_fp)
+    if below.size:
+        low_thresholds, low_tp, low_fp, _, _ = _sweep(s[below], y[below])
+        thresholds = np.append(thresholds, low_thresholds)
+        tp = np.append(tp, floor_tp + low_tp)
+        fp = np.append(fp, floor_fp + low_fp)
+    return thresholds, tp, fp, n_pos, n_neg
+
+
+def _table_sweep(table, labels=None):
+    """The sweep of a ScoreTable over its universe, from its support:
+    every pair off the support scores the table's floor. ``labels``,
+    when given, label the universe's pairs in flattening order;
+    by default they are the universe's own."""
+    universe = table.universe
+    if universe.n_pairs == 0:
+        raise ValueError("empty score vector")
+    support = table.support
+    if labels is None:
+        y = universe.labels.ravel()[support] != 0
+        n_pos = universe.n_positives
+    else:
+        labels = np.asarray(labels).ravel()
+        if labels.shape != (universe.n_pairs,):
+            raise ValueError(
+                f"scores and labels differ in length: "
+                f"({universe.n_pairs},) vs {labels.shape}")
+        # Pair (i, j) is entry i * (k - 1) + j - (j > i) of the order.
+        rows, cols = np.divmod(support, universe.k)
+        y = labels[support - rows - (cols > rows)] != 0
+        n_pos = int(np.count_nonzero(labels))
+    s = table.scores.on_support
+    _check_finite(s)
+    if table.n_floor:
+        floor = table.scores.floor
+        _check_finite(np.array([floor]))
+    else:
+        floor = s.min()
+    return _sweep_above(s, y, floor, n_pos, universe.n_pairs - n_pos)
+
+
+def _sweep_of(scores, labels):
+    """The sweep of a ScoreTable, from its support, or of a plain score
+    array with its labels."""
+    if hasattr(scores, "support"):
+        return _table_sweep(scores, labels)
+    return _sweep(*_vectors(scores, labels))
 
 
 def _confusion_from_sweep(thresholds, tp, fp, n_pos, n_neg, threshold):
@@ -214,7 +267,7 @@ def optimal_threshold(scores, labels=None):
     maximum (predict nothing); ties go to the larger threshold, i.e.
     the more conservative decision rule. Returns (threshold, f1).
     """
-    return _best_cut(*_sweep(*_vectors(scores, labels)))
+    return _best_cut(*_sweep_of(scores, labels))
 
 
 def _report(sweep, threshold, model, info):
@@ -267,15 +320,14 @@ def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
     """
     if hasattr(scores, "model") and not model:
         model = scores.model
-    return _report(_sweep(*_vectors(scores, labels)), threshold, model,
-                   info)
+    return _report(_sweep_of(scores, labels), threshold, model, info)
 
 
 def _tune_and_evaluate(table, model, info):
     """``optimal_threshold(table)``, then ``evaluate`` of the same table
     at that threshold, from one sweep. Returns (threshold, f1, report).
     """
-    sweep = _sweep(*_vectors(table, None))
+    sweep = _table_sweep(table)
     threshold, best = _best_cut(*sweep)
     return threshold, best, _report(sweep, threshold, model, info)
 

@@ -14,7 +14,6 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import geo, metrics, synth
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
 from .errors import NumericError
-from .katz import _min_max, combine, edge_weighted_katz_scores, \
+from .katz import _common_support, combine, edge_weighted_katz_scores, \
     katz_scores, normalize, write_score_table
 
 log = logging.getLogger(__name__)
@@ -90,19 +89,27 @@ class _Scoring:
 
     ``bases`` are the base models whose tables the run wants for the
     universe; ``raw`` holds the unnormalized tables scored so far.
+    Every step works on score tables' supports, so the universe's
+    great-circle distances are taken for its support pairs only.
     """
     universe: object
     adj: object
     registry: object
     bases: tuple
     raw: dict = field(default_factory=dict)
+    _distances: tuple = field(default=(None, None), repr=False)
 
-    @cached_property
-    def distances(self):
-        """Great-circle (k, k) matrix of the universe, built on first use."""
-        nodes = self.universe.node_indices
-        return geo.distance_matrix(self.registry.lat_array()[nodes],
-                                   self.registry.lon_array()[nodes])
+    def distances(self, support):
+        """Great-circle km of the universe's pairs at the flat positions
+        ``support``, as ``ScoreTable.support`` holds them; the last
+        support's distances are kept for the next call."""
+        if self._distances[0] is not support:
+            nodes = self.universe.node_indices
+            rows, cols = np.divmod(support, self.universe.k)
+            self._distances = support, geo.pair_distances(
+                self.registry.lat_array()[nodes],
+                self.registry.lon_array()[nodes], rows, cols)
+        return self._distances[1]
 
 
 def _score_base(base, scorings, katz_cfg):
@@ -133,38 +140,22 @@ def _score_base(base, scorings, katz_cfg):
 def _tune_gamma(ki_table, distances):
     """Pick gamma from a log grid by tuning-split F1 of the decay model.
 
-    Each candidate decays the unnormalized KI table by the distance
-    weights, normalizes, and sweeps the optimal F1; ties keep the
-    smaller gamma. Only KI's nonzero pairs, its support, are decayed
-    and sorted: every other pair of a candidate is a zero, which
-    normalizes to 0.0, the candidate's minimum, so the sweep counts
-    those pairs in its floor group. That rests on KI tables being
-    non-negative; a negative KI score is a NumericError. Returns the
-    chosen gamma and each candidate's (threshold, F1), in grid order.
+    Each candidate is the EWKI table of the unnormalized KI table,
+    normalized and swept for its optimal F1; ties keep the smaller
+    gamma. ``distances`` are those ``edge_weighted_katz_scores`` takes.
+    Every step works on KI's support: a pair off it holds a zero, which
+    decays to a zero, the candidate's minimum. That rests on KI tables
+    being non-negative; a negative KI score is a NumericError. Returns
+    the chosen gamma and each candidate's (threshold, F1), in grid
+    order.
     """
-    universe = ki_table.universe
-    support = ki_table.values != 0
-    np.fill_diagonal(support, False)
-    ki = ki_table.values[support]
+    ki = ki_table.scores.on_support
     if (ki < 0).any():
         raise NumericError(
             f"KI table holds {np.count_nonzero(ki < 0)} negative scores; "
             "walk counts cannot be negative")
-    distances = distances[support]
-    labels = universe.labels[support] != 0
-    n_pos = universe.n_positives
-    n_neg = universe.n_pairs - n_pos
-    # Off the support every pair decays to a zero, which is the minimum.
-    off_support = ki.size < universe.n_pairs
-    cuts = []
-    for gamma in GAMMA_GRID:
-        decayed = ki * geo.decay_weights(distances, float(gamma))
-        lo = 0.0 if off_support else decayed.min()
-        scores = _min_max(decayed, lo, decayed.max(initial=0.0) - lo, "EWKI")
-        metrics._check_finite(scores)
-        # Normalization maps the minimum to exactly 0.0.
-        cuts.append(metrics._best_cut(*metrics._sweep_above(
-            scores, labels, 0.0, n_pos, n_neg)))
+    cuts = [metrics.optimal_threshold(normalize(edge_weighted_katz_scores(
+        ki_table, distances, float(gamma)))) for gamma in GAMMA_GRID]
     best = int(np.argmax([f1 for _, f1 in cuts]))
     log.info("gamma tuned to %.6g (tuning F1 %.6g)", GAMMA_GRID[best],
              cuts[best][1])
@@ -173,12 +164,16 @@ def _tune_gamma(ki_table, distances):
 
 def _model_tables(scoring, katz_cfg, cfg):
     """Normalized table of each of ``cfg.models`` on the scoring's
-    universe: EWKI decays the KI table, each base is normalized and the
+    universe: the base tables are put on the union of their supports,
+    EWKI decays the KI table there, each base is normalized and the
     combined models fuse two of them."""
+    scored = [base for base in ("KI", "WKI") if base in scoring.raw]
+    scoring.raw.update(zip(scored, _common_support(
+        [scoring.raw[base] for base in scored])))
     if "EWKI" in scoring.bases:
+        ki = scoring.raw["KI"]
         scoring.raw["EWKI"] = edge_weighted_katz_scores(
-            scoring.raw["KI"], scoring.distances,
-            katz_cfg.resolved_gamma())
+            ki, scoring.distances(ki.support), katz_cfg.resolved_gamma())
     norm = {base: normalize(scoring.raw[base]) for base in scoring.bases}
     tables = {}
     for model in cfg.models:
@@ -290,8 +285,11 @@ def _run_steps(cfg, out_dir, evaluate_models):
     _score_base("KI", [s for s in scorings if (tuning and s is tune)
                        or "KI" in s.bases or "EWKI" in s.bases], katz_cfg)
     watch.lap("scoring")
-    gamma_tuned, cuts = (_tune_gamma(tune.raw["KI"], tune.distances)
-                         if tuning else (None, None))
+    if tuning:
+        ki = tune.raw["KI"]
+        gamma_tuned, cuts = _tune_gamma(ki, tune.distances(ki.support))
+    else:
+        gamma_tuned, cuts = None, None
     watch.lap("gamma_tuning")
     if katz_cfg.gamma == "tune":
         katz_cfg = replace(katz_cfg, gamma=0.0 if gamma_tuned is None

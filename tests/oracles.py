@@ -21,10 +21,12 @@ mapping in ``geokatz.config`` must accept, refuse and build the same
 configs. Both end in the same dataclasses, so the two parsers are
 compared on their YAML handling. The dense distance matrix is the
 pair-by-pair gather that the package's broadcast must match bit for
-bit. The gamma search is the dense loop that the search over KI's
-nonzero pairs must match candidate by candidate, bit for bit; unlike
-the rest, it calls the package's public decay, normalize and threshold
-functions, which other oracles check. The column conversion of
+bit. Decay, normalization, fusion, the model tables and the score
+table export are the (k, k) versions over every pair that the package's
+tables on their nonzero-pair support must match bit for bit, and the
+gamma search is the dense loop over them that must match candidate by
+candidate; unlike the rest, the search sweeps with the package's public
+threshold search, which other oracles check. The column conversion of
 movement ingest is the loop that re-converts a whole column text by
 text after its first bad text, and the evaluation writer is the one
 that formats all four float columns of each model's curves on their
@@ -761,19 +763,142 @@ def keyed_parse_run_config(text):
 
 def dense_tune_gamma(ki_table, distances):
     """The gamma search over dense tables: for each grid gamma the full
-    (k, k) EWKI table, normalized and swept by the package's public
-    functions, ties keeping the smaller gamma. Returns the chosen gamma
-    and each candidate's (threshold, F1), in grid order."""
-    from geokatz.katz import edge_weighted_katz_scores, normalize
+    (k, k) EWKI table, normalized by the dense oracles below and swept
+    over its score vector by the package's public threshold search,
+    ties keeping the smaller gamma. Returns the chosen gamma and each
+    candidate's (threshold, F1), in grid order."""
     from geokatz.metrics import optimal_threshold
     from geokatz.pipeline import GAMMA_GRID
 
     best_gamma, best_f1 = None, -1.0
     cuts = []
     for gamma in GAMMA_GRID:
-        candidate = edge_weighted_katz_scores(ki_table, distances,
-                                              float(gamma))
-        cuts.append(optimal_threshold(normalize(candidate)))
+        candidate = dense_normalize(dense_edge_weighted_katz_scores(
+            ki_table, distances, float(gamma)))
+        cuts.append(optimal_threshold(candidate.score_vector,
+                                      candidate.universe.label_vector))
         if cuts[-1][1] > best_f1:
             best_gamma, best_f1 = float(gamma), cuts[-1][1]
     return best_gamma, cuts
+
+
+@dataclasses.dataclass
+class DenseTable:
+    """A score table held as (k, k) matrices whose diagonal is fixed at
+    0 and excluded from every pair-level view: the table the dense
+    oracles below take and return."""
+    model: str
+    universe: object
+    values: np.ndarray
+    normalized: bool = False
+    raw_values: Optional[np.ndarray] = None
+    info: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def score_vector(self):
+        return self.universe.flatten(self.values)
+
+
+def dense_edge_weighted_katz_scores(ki_table, distances, gamma,
+                                    model="EWKI"):
+    """Every pair of a KI table (anything with dense ``values``) times
+    exp(-gamma * d), ``distances`` the universe's (k, k) matrix."""
+    values = ki_table.values * np.exp(
+        -gamma * np.asarray(distances, dtype=np.float64))
+    np.fill_diagonal(values, 0.0)
+    return DenseTable(model, ki_table.universe, values,
+                      info=dict(ki_table.info, gamma=gamma))
+
+
+def dense_normalize(table):
+    """Min-max of every off-diagonal pair of a dense table: all zeros,
+    with a DegenerateScoreTableWarning, when the pairs are constant."""
+    import warnings
+
+    from geokatz.errors import DegenerateScoreTableWarning
+
+    mask = table.universe.offdiag_mask
+    pair_scores = table.values[mask]
+    lo = pair_scores.min()
+    span = pair_scores.max() - lo
+    out = np.zeros_like(table.values)
+    if span == 0.0:
+        warnings.warn(f"score table {table.model!r} is constant",
+                      DegenerateScoreTableWarning)
+    else:
+        out[mask] = (pair_scores - lo) / span + 0.0
+    return DenseTable(table.model, table.universe, out, True, table.values,
+                      dict(table.info))
+
+
+def dense_combine(a, b, rule="mean", on="normalized"):
+    """Two normalized dense tables fused over every pair, then
+    normalized."""
+    info = {"rule": rule, "components": (a.model, b.model)}
+    if on == "normalized":
+        a_values, b_values = a.values, b.values
+    else:
+        a_values, b_values = a.raw_values, b.raw_values
+        info["combined_on"] = "raw"
+    fused = {"mean": lambda: (a_values + b_values) / 2.0,
+             "product": lambda: a_values * b_values,
+             "max": lambda: np.maximum(a_values, b_values)}[rule]()
+    np.fill_diagonal(fused, 0.0)
+    return dense_normalize(DenseTable(a.model + b.model, a.universe, fused,
+                                      info=info))
+
+
+def dense_model_tables(raw, distances, gamma, models, rule, on):
+    """The normalized dense table of each of ``models`` from the
+    unnormalized base tables ``raw`` (KI and WKI, as they are needed):
+    EWKI decays KI by the (k, k) ``distances``."""
+    from geokatz.pipeline import MODEL_PARTS
+
+    raw = dict(raw)
+    bases = list(dict.fromkeys(
+        base for model in models for base in MODEL_PARTS[model]))
+    if "EWKI" in bases:
+        raw["EWKI"] = dense_edge_weighted_katz_scores(raw["KI"], distances,
+                                                      gamma)
+    norm = {base: dense_normalize(raw[base]) for base in bases}
+    return {model: norm[model] if len(MODEL_PARTS[model]) == 1
+            else dense_combine(*(norm[part] for part in MODEL_PARTS[model]),
+                               rule=rule, on=on)
+            for model in models}
+
+
+def dense_write_score_table(table, registry, dest, known=None):
+    """Score-table export from a dense table's two (k, k) matrices in
+    the export's id order: each column's floor is the bit pattern of
+    its first minimum, a pair on both floors takes its row from one
+    floor row per destination, and only the pairs off either floor are
+    formatted."""
+    from geokatz.katz import SCORE_COLUMNS, _csv_fields
+    from geokatz.metrics import _format6, _write_text
+
+    ids = [registry.ids[i] for i in table.universe.node_indices]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    k = len(order)
+    cells = np.ix_(order, order)
+    raw, norm = (np.ascontiguousarray(values[cells], dtype=np.float64).ravel()
+                 for values in (table.raw_values, table.values))
+    quoted = _csv_fields([ids[i] for i in order] + [table.model])
+    model = quoted.pop()
+    middle = [f",{dest_id},{model}," for dest_id in quoted]
+    lines = [",".join(SCORE_COLUMNS) + "\n"]
+    if k > 1:
+        low_raw, low_norm = raw.argmin(), norm.argmin()
+        raw_bits, norm_bits = raw.view(np.int64), norm.view(np.int64)
+        off = np.flatnonzero((raw_bits != raw_bits[low_raw])
+                             | (norm_bits != norm_bits[low_norm]))
+        raw_floor, *raw_text = _format6(
+            raw[np.append(low_raw, off)]).tolist()
+        norm_floor, *norm_text = _format6(
+            norm[np.append(low_norm, off)], known).tolist()
+        text = {int(p): f"{middle[p % k]}{r},{n}\n"
+                for p, r, n in zip(off, raw_text, norm_text)}
+        for a in range(k):
+            rows = [text.get(a * k + b, f"{middle[b]}{raw_floor},"
+                             f"{norm_floor}\n") for b in range(k) if b != a]
+            lines.append(quoted[a] + quoted[a].join(rows))
+    return _write_text(lines, dest)

@@ -162,8 +162,9 @@ def test_one_and_two_node_tables():
 
 def test_only_off_floor_cells_are_formatted(monkeypatch):
     # A 6-node table on floor 0 with three raw and two normalized cells
-    # off it (one shared) and a diagonal off both: five formatted cells
-    # plus the floor per column, not the 36 cells of the table.
+    # off it (one shared) and a diagonal off both: the four support
+    # cells per column plus the two floors are formatted, not the 36
+    # cells of the table, nor the diagonal one, which is not written.
     raw = np.zeros((6, 6))
     norm = np.zeros((6, 6))
     raw[0, 1], raw[2, 3], raw[5, 4] = 7.0, 8.0, 9.0
@@ -177,9 +178,11 @@ def test_only_off_floor_cells_are_formatted(monkeypatch):
         return metrics._format6(values, known)
 
     monkeypatch.setattr(katz, "_format6", counting)
-    _check_against_row_loop(_table(raw, norm), list("abcdef"))
+    table = _table(raw, norm)
+    _check_against_row_loop(table, list("abcdef"))
     assert off == 5
-    assert sizes == [off + 1, off + 1]
+    assert table.support.size == off - 1
+    assert sizes == [off - 1, off - 1, 2]
 
 
 @settings(max_examples=80, deadline=None)

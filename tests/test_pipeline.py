@@ -251,6 +251,28 @@ class TestScoresOnly:
                 assert a.tobytes() == b.tobytes(), (model, name)
 
 
+class TestSupportTables:
+
+    @pytest.mark.parametrize("gamma", ["0.01", "tune"])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_run_builds_no_dense_table(self, tmp_path, monkeypatch, gamma,
+                                       write):
+        # Every step works on the tables' supports: no dense view of a
+        # table is built, by the caller or by a forked export writer.
+        def refused(table):
+            raise AssertionError(f"a dense view of {table.model} was built")
+
+        for name in ("values", "raw_values", "score_vector"):
+            monkeypatch.setattr(ScoreTable, name, property(refused))
+        text = QUICKSTART.read_text().replace("  gamma: 0.01",
+                                              f"  gamma: {gamma}")
+        result = run(_cfg(text, out=tmp_path if write else None))
+        assert len(result.reports) == 6
+        written = sorted(p.name for p in tmp_path.glob("scores_*.csv"))
+        assert written == (sorted(f"scores_{m}.csv" for m in MODEL_PARTS)
+                           if write else [])
+
+
 class TestScoreBasis:
 
     def _run(self, tmp_path, basis):
@@ -330,22 +352,42 @@ class TestTuning:
         ((("katz:\n", "katz:\n  wki_transform: decay\n"),
           ("[EWKI]", "[KI, WKI]")), 0),
     ])
-    def test_distance_matrix_built_once_per_ewki_universe(
+    def test_distances_computed_once_per_ewki_universe(
             self, monkeypatch, edits, builds):
+        # Gamma tuning and EWKI share the distances of KI's support
+        # pairs; no (k, k) distance matrix is built.
         calls = []
-        distance_matrix = pipeline.geo.distance_matrix
+        inside_weighting = []
+        pair_distances = pipeline.geo.pair_distances
+        weighted_adjacency = pipeline.geo.weighted_adjacency
 
-        def counting(lat, lon):
-            calls.append(len(lat))
-            return distance_matrix(lat, lon)
+        def counting(lat, lon, src, dst):
+            if not inside_weighting:
+                calls.append(len(src))
+            return pair_distances(lat, lon, src, dst)
 
-        monkeypatch.setattr(pipeline.geo, "distance_matrix", counting)
+        def weighting(*args, **kwargs):
+            inside_weighting.append(True)
+            try:
+                return weighted_adjacency(*args, **kwargs)
+            finally:
+                inside_weighting.pop()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a dense distance matrix was built")
+
+        monkeypatch.setattr(pipeline.geo, "pair_distances", counting)
+        monkeypatch.setattr(pipeline.geo, "weighted_adjacency", weighting)
+        monkeypatch.setattr(pipeline.geo, "distance_matrix", refused)
         text = SMALL_SYNTH.replace("models: [KI, WKI, EWKI, KIEWKI]",
                                    "models: [EWKI]")
         for old, new in edits:
             text = text.replace(old, new)
-        run(_cfg(text))
+        result = run(_cfg(text))
         assert len(calls) == builds
+        if builds:
+            support = result.tables["EWKI"].support
+            assert calls[-1] == support.size < result.universe.n_pairs
 
     @pytest.mark.parametrize("edit,spectral,factorizations,weighted", [
         # The tuning and the final universe share adj_train: KI and WKI
@@ -399,7 +441,7 @@ class TestTuning:
                                     public_calls):
         # Tuning on the evaluated table reads threshold and report off
         # one sweep; tuning on val still goes through both public names.
-        calls = {"_sweep": 0, "optimal_threshold": 0, "evaluate": 0}
+        calls = {"_table_sweep": 0, "optimal_threshold": 0, "evaluate": 0}
 
         def counting(name):
             wrapped = getattr(pipeline.metrics, name)
@@ -415,7 +457,8 @@ class TestTuning:
             "\nsplit:", f"\ntune_on: {tune_on}\nsplit:")
         result = run(_cfg(text))
         assert len(result.reports) == 6
-        assert calls == {"_sweep": sweeps, "optimal_threshold": public_calls,
+        assert calls == {"_table_sweep": sweeps,
+                         "optimal_threshold": public_calls,
                          "evaluate": public_calls}
 
     def test_val_tuning_uses_distinct_universe(self, small_run):
@@ -543,11 +586,14 @@ class TestGammaSearch:
                                                 np.zeros((2, 2))))
 
     def test_quickstart_tunes_on_support_vectors_only(self, monkeypatch):
-        # No dense table, normalization or public sweep per candidate:
-        # every array handed on has one entry per nonzero KI pair.
+        # Each candidate goes through EWKI's own decay, normalize and
+        # threshold code, on KI's support: no dense view of a table is
+        # built, and every array decayed or swept has one entry per
+        # nonzero KI pair.
         active = []
-        forbidden = []
-        sizes = {"decay_weights": [], "_min_max": [], "_sweep_above": []}
+        calls = {"edge_weighted_katz_scores": 0, "normalize": 0,
+                 "optimal_threshold": 0}
+        sizes = {"decay_weights": [], "_sweep_above": []}
 
         def watch(module, name, record):
             wrapped = getattr(module, name)
@@ -558,22 +604,30 @@ class TestGammaSearch:
                 return wrapped(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for module in (katz, pipeline):
-            for name in ("normalize", "edge_weighted_katz_scores"):
-                watch(module, name, lambda name, args: forbidden.append(name))
-        watch(pipeline.metrics, "optimal_threshold",
-              lambda name, args: forbidden.append(name))
-        for module, name in ((pipeline.geo, "decay_weights"),
-                             (pipeline, "_min_max"),
+        def counted(name, args):
+            calls[name] += 1
+
+        for module, name in ((pipeline, "edge_weighted_katz_scores"),
+                             (pipeline, "normalize"),
+                             (pipeline.metrics, "optimal_threshold")):
+            watch(module, name, counted)
+        for module, name in ((katz, "decay_weights"),
                              (pipeline.metrics, "_sweep_above")):
             watch(module, name,
                   lambda name, args: sizes[name].append(len(args[0])))
+        for name in ("values", "raw_values", "score_vector"):
+            view = getattr(ScoreTable, name)
+
+            def dense(table, view=view):
+                if active:
+                    raise AssertionError("a dense view was built")
+                return view.fget(table)
+            monkeypatch.setattr(ScoreTable, name, property(dense))
         tune_gamma = pipeline._tune_gamma
         support = []
 
         def tracked(ki_table, distances):
-            values = ki_table.universe.flatten(ki_table.values)
-            support.append((np.count_nonzero(values), len(values)))
+            support.append((ki_table.support.size, ki_table.n_floor))
             active.append(True)
             try:
                 return tune_gamma(ki_table, distances)
@@ -584,10 +638,11 @@ class TestGammaSearch:
         text = QUICKSTART.read_text().replace("  gamma: 0.01",
                                               "  gamma: tune")
         assert len(run(_cfg(text)).reports) == 6
-        [(nonzero, pairs)] = support
-        assert 0 < nonzero < pairs
-        assert forbidden == []
-        assert sizes == {name: [nonzero] * len(GAMMA_GRID) for name in sizes}
+        [(nonzero, n_floor)] = support
+        assert nonzero > 0 and n_floor > 0
+        grid = len(GAMMA_GRID)
+        assert calls == dict.fromkeys(calls, grid)
+        assert sizes == dict.fromkeys(sizes, [nonzero] * grid)
 
 
 class TestCombineOn:
