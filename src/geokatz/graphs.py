@@ -9,8 +9,11 @@ candidate-pair universes), so indices stay comparable across splits.
 
 import codecs
 import csv
+import io
 import logging
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat, zip_longest
@@ -18,6 +21,7 @@ from itertools import chain, compress, islice, repeat, zip_longest
 import numpy as np
 import scipy.sparse as sp
 
+from . import _fork
 from .errors import (DataError, EmptyNetworkError, EmptySplitError, RowError,
                      SchemaError, as_interval)
 
@@ -43,6 +47,15 @@ _COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
 # columns do). On the 80k-row benchmark register, blocks of 256 to 4096
 # lines ingest within 6% of each other, and 4096 holds 5 MB more.
 _INGEST_BLOCK = 512
+# The fewest blocks worth a forked ingest process of their own (see
+# _ingest_split). Forking costs a fixed 15-25 ms (the line-end scan, the
+# fork, copy-on-write faults, the part's columns sent back pickled): in
+# a warm 104 MB process on a 2-core host, two parts of 8k rows each
+# ingested no faster than one reader, two of 10k rows 23% faster.
+_MIN_PART_BLOCKS = 20
+# Diagnostics kept in an IngestReport; rows rejected past them are
+# counted only.
+_MAX_DIAGNOSTICS = 50
 _INT64 = np.iinfo(np.int64)
 # Maps a blank species cell to None, any other to itself (``get(s, s)``).
 _NO_SPECIES = {"": None}
@@ -305,7 +318,8 @@ def delimiter_problem(delimiter, name):
 
 
 def ingest_movements(source, schema=None, on_bad_rows="abort",
-                     delimiter=",", year_range=DEFAULT_YEAR_RANGE):
+                     delimiter=",", year_range=DEFAULT_YEAR_RANGE,
+                     workers=1):
     """Parse delimited movement records from a path or text stream.
 
     ``schema`` maps canonical column names (``source_id``, ``dest_id``,
@@ -315,6 +329,10 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     either abort ingestion (``on_bad_rows="abort"``) or are skipped and
     counted (``"skip"``), with row-numbered diagnostics in the report.
     ``delimiter`` is one character other than a quote or a line break.
+
+    ``workers`` caps the processes that read a path: a large UTF-8 file
+    without quotes, CRs and NULs may be split into parts read by forked
+    children (see ``_ingest_split``). The report does not depend on it.
     """
     if on_bad_rows not in BAD_ROW_POLICIES:
         raise DataError(
@@ -327,6 +345,11 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         if hasattr(source, "read"):
             return _ingest_stream(source, schema, on_bad_rows, delimiter,
                                   year_range)
+        if workers > 1 and hasattr(os, "fork"):
+            report = _ingest_split(source, schema, on_bad_rows, delimiter,
+                                   year_range, workers)
+            if report is not None:
+                return report
         with _open_input(source, "movement file") as fh:
             return _ingest_stream(fh, schema, on_bad_rows, delimiter,
                                   year_range)
@@ -393,14 +416,13 @@ def _read_header(lines, delimiter):
     return None if header is None else list(map(str.strip, header)), reader
 
 
-def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
-    schema = dict(schema or {})
-    lines = iter(stream)
-    header, _ = _read_header(lines, delimiter)
+def _column_positions(header, schema):
+    """Each canonical column's position in ``header``, the stripped
+    header names or None; a missing required column is a SchemaError."""
     if header is None:
         raise SchemaError("input has no header row")
+    schema = dict(schema or {})
     positions = {name: i for i, name in enumerate(header)}
-
     column_pos = {}
     missing = []
     for canonical in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
@@ -412,18 +434,47 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
     if missing:
         raise SchemaError(
             f"input is missing required column(s): {', '.join(missing)}")
+    return column_pos
 
-    report = IngestReport()
+
+@dataclass
+class _Part:
+    """The accepted columns of a run of records, as ``_ingest_block``
+    returns them block by block, and the part's rejected rows."""
+    blocks: list = field(default_factory=list)
+    rejected: int = 0
+    diagnostics: list = field(default_factory=list)
+
+
+def _ingest_lines(lines, first_line, column_pos, delimiter, year_range,
+                  on_bad_rows):
+    """The ``_Part`` of the records in ``lines``, an iterator over text
+    lines whose first is line ``first_line`` of its file."""
+    part = _Part()
     width = max(column_pos.values()) + 1
     # One string object per distinct id or species: the report holds
     # fewer objects, and their hashes are cached for build_network.
     seen = {}
-    blocks = []
-    first_line = 2
     for block in _blocks(lines, delimiter, width):
-        blocks.append(_ingest_block(block, first_line, column_pos, width,
-                                    year_range, on_bad_rows, report, seen))
+        part.blocks.append(_ingest_block(block, first_line, column_pos,
+                                         width, year_range, on_bad_rows,
+                                         part, seen))
         first_line += len(block[0])
+    return part
+
+
+def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
+    lines = iter(stream)
+    header, _ = _read_header(lines, delimiter)
+    column_pos = _column_positions(header, schema)
+    return _report([_ingest_lines(lines, 2, column_pos, delimiter,
+                                  year_range, on_bad_rows)])
+
+
+def _report(parts):
+    """The IngestReport of consecutive ``_Part``s of one file."""
+    report = IngestReport()
+    blocks = [block for part in parts for block in part.blocks]
     if blocks:
         sid, did, species, year, coords = zip(*blocks)
         report.source_ids = list(chain.from_iterable(sid))
@@ -433,11 +484,74 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
         (report.source_lat, report.source_lon, report.dest_lat,
          report.dest_lon) = np.concatenate(coords, axis=1)
     report.accepted = len(report.source_ids)
+    report.rejected = sum(part.rejected for part in parts)
+    report.diagnostics = list(islice(chain.from_iterable(
+        part.diagnostics for part in parts), _MAX_DIAGNOSTICS))
     log.info("ingested %d records (%d rejected)",
              report.accepted, report.rejected)
     if report.rejected and report.diagnostics:
         log.warning("first rejected row: %s", report.diagnostics[0])
     return report
+
+
+def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
+    """The report of the movement file at ``path`` read in parts by up
+    to ``workers`` processes, or None when it is not to be read so.
+
+    The file is read whole and cut into ``min(workers, usable CPUs,
+    blocks // _MIN_PART_BLOCKS)`` parts of whole ``_INGEST_BLOCK``
+    blocks, each starting on a block's first line, when there are two
+    parts or more, and when it is UTF-8 without a quote, a CR or a NUL
+    and has no line of more bytes than the csv field size limit. Then
+    ``_blocks`` splits every block directly, so each part's blocks and
+    line numbers are those of one reader of the whole file. The caller
+    reads the first part and one forked child each other part
+    (``_fork.run_parts``), and the parts are joined in file order:
+    the report equals one reader's, field for field, and under
+    ``abort`` the first bad row in file order raises.
+    """
+    try:
+        with open(path, "rb") as fh:
+            # A pipe or a device could not be read again by the single
+            # reader that a small file goes to.
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None
+            data = fh.read()
+    except OSError:
+        return None  # the single reader names the path in its error
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    n_lines = len(ends) + (data[-1:] not in (b"", b"\n"))
+    n_blocks = -(-max(n_lines - 1, 0) // _INGEST_BLOCK)
+    n_parts = min(workers, _fork.usable_cpus(), n_blocks // _MIN_PART_BLOCKS)
+    if n_parts < 2 or b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    if np.diff(ends, prepend=-1, append=len(data) - 1).max() \
+            > csv.field_size_limit():
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None  # the single reader judges the rows before it
+    header, _ = _read_header(iter([data[:ends[0] + 1].decode("utf-8")]),
+                             delimiter)
+    column_pos = _column_positions(header, schema)
+    # Line i (from 0, the header) starts after the i-th line end.
+    starts = [1 + p * n_blocks // n_parts * _INGEST_BLOCK
+              for p in range(n_parts)]
+    offsets = (ends[np.array(starts) - 1] + 1).tolist() + [len(data)]
+
+    def read(p):
+        lines = io.TextIOWrapper(io.BytesIO(data[offsets[p]:offsets[p + 1]]),
+                                 encoding="utf-8", newline="")
+        return _ingest_lines(lines, starts[p] + 1, column_pos, delimiter,
+                             year_range, on_bad_rows)
+
+    last = starts[1:] + [n_lines]
+    return _report(_fork.run_parts([
+        (partial(read, p), f"the ingest worker reading lines "
+                           f"{starts[p] + 1}-{last[p]} of {path}")
+        for p in range(n_parts)]))
 
 
 def _blocks(lines, delimiter, width):
@@ -596,7 +710,7 @@ def _stripped(texts, seen):
 
 
 def _ingest_block(block, first_line, column_pos, width, year_range,
-                  on_bad_rows, report, seen):
+                  on_bad_rows, part, seen):
     """Accepted columns of one block of records (see ``_blocks``), in
     row order.
 
@@ -604,7 +718,8 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
     rows and the rows the checks flag go through ``_parse_row``, one at
     a time, so that a rejected row gets its row-numbered diagnostic (or
     aborts) exactly as it would alone; blank records are skipped but
-    keep their number. Returns (source ids, dest ids, species, years,
+    keep their number. A rejected row is counted in ``part``, a
+    ``_Part``. Returns (source ids, dest ids, species, years,
     (4, k) coordinates).
     """
     odd, columns, row = block
@@ -643,9 +758,9 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
         except RowError as exc:
             if on_bad_rows == "abort":
                 raise
-            report.rejected += 1
-            if len(report.diagnostics) < 50:
-                report.diagnostics.append(str(exc))
+            part.rejected += 1
+            if len(part.diagnostics) < _MAX_DIAGNOSTICS:
+                part.diagnostics.append(str(exc))
             continue
         # The column conversions leave the stripping to int() and
         # float(), which refuse the separators U+001C-U+001F that

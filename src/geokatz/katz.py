@@ -376,7 +376,8 @@ def _common_support(tables):
 
 
 def _solve_rows(adj, beta, source_sets):
-    """Rows of (I - beta*A)^{-1} - I for each set of source nodes.
+    """Rows of (I - beta*A)^{-1} - I for each set of source nodes, as
+    the (support, scores on it) of the set's score table.
 
     One sparse LU factorization of (I - beta*A^T) serves every set; each
     set is then one solve of (I - beta*A^T) x = e_u per source u, and x
@@ -413,13 +414,32 @@ def _solve_rows(adj, beta, source_sets):
                 f"closed-form solve residual {ratio:.3g} exceeds "
                 f"{_SOLVE_RESIDUAL_TOL:g} of the system scale; the "
                 "factorization of I - beta*A^T is unreliable")
-        values = solved[sources, :].T.copy()
-        np.fill_diagonal(values, 0.0)
-        # The exact inverse is entrywise non-negative below the spectral
-        # bound; round-off may leave tiny negatives on zero entries.
-        np.maximum(values, 0.0, out=values)
-        tables.append(values)
+        tables.append(_solved_support(solved, sources))
     return tables
+
+
+def _solved_support(solved, sources):
+    """The support and its scores of the table whose pair (i, j) scores
+    ``solved[sources[j], i]``, with the diagonal at 0.
+
+    One gather along the rows of ``solved.T`` (C-ordered, as SuperLU's
+    column-major solutions are) builds the (k, k) block in score order.
+    The exact inverse is entrywise non-negative below the spectral
+    bound; round-off may leave tiny negatives on zero entries, which
+    ``np.maximum`` clips to 0 as it would clip the whole block. Only
+    the cells that are not +0.0 are clipped, and those clipped to +0.0
+    leave the support.
+    """
+    values = np.take(solved.T, sources, axis=1)
+    keep = values.view(np.int64) != 0
+    np.fill_diagonal(keep, False)
+    support = np.flatnonzero(keep)
+    scores = values.ravel()[support]
+    np.maximum(scores, 0.0, out=scores)
+    kept = scores.view(np.int64) != 0
+    if kept.all():
+        return support, scores
+    return support[kept], scores[kept]
 
 
 def _scaled_transpose(adj, beta):
@@ -500,22 +520,22 @@ def katz_scores(adj, cfg, universe, model="KI"):
                  "truncated series", adj.shape[0], cfg.solve_max_nodes)
         method = "truncated-series"
     if method == "closed-form-solve":
-        values = _solve_rows(adj, beta, source_sets)
+        columns = _solve_rows(adj, beta, source_sets)
     else:
         at_beta = _scaled_transpose(adj, beta)
-        values = [_series_rows(at_beta, sources, cfg.max_walk_length,
-                               cfg.series_tolerance)
-                  for sources in source_sets]
+        columns = []
+        for sources in source_sets:
+            values = _series_rows(at_beta, sources, cfg.max_walk_length,
+                                  cfg.series_tolerance)
+            support = _support_of(values)
+            columns.append((support, values.ravel()[support]))
     info = {"beta": beta, "spectral_radius": sr.value,
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    tables = []
-    for u, v in zip(universes, values):
-        support = _support_of(v)
-        tables.append(ScoreTable._of(model, u, support,
-                                     _Column(v.ravel()[support], 0.0),
-                                     info=dict(info)))
+    tables = [ScoreTable._of(model, u, support, _Column(scores, 0.0),
+                             info=dict(info))
+              for u, (support, scores) in zip(universes, columns)]
     return tables[0] if single else tables
 
 

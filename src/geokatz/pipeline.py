@@ -11,14 +11,15 @@ split. All artifacts are written with fixed orderings and 6-significant
 import json
 import logging
 import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import geo, metrics, synth
+from ._fork import run_parts, usable_cpus as _usable_cpus
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
 from .errors import NumericError
@@ -186,7 +187,13 @@ def _model_tables(scoring, katz_cfg, cfg):
 
 def _build_data(cfg, out_dir):
     """Movements to networks: synth-or-ingest (either gives an
-    IngestReport), build, split."""
+    IngestReport), build, split.
+
+    A movement file, the ``input:`` file or the synthetic movements
+    written to the output directory and read back, is ingested by up to
+    ``cfg.workers`` processes (see ``ingest_movements``); the report
+    does not depend on their number.
+    """
     if cfg.synth is not None:
         report, truth = synth.generate(cfg.synth)
         if out_dir is not None:
@@ -195,11 +202,12 @@ def _build_data(cfg, out_dir):
             synth.write_truth(truth, out_dir / "truth.json")
             report = ingest_movements(
                 movements_path, schema=None, on_bad_rows="abort",
-                year_range=cfg.year_range)
+                year_range=cfg.year_range, workers=cfg.workers)
     else:
         report = ingest_movements(
             cfg.input, schema=cfg.schema, on_bad_rows=cfg.on_bad_rows,
-            delimiter=cfg.delimiter, year_range=cfg.year_range)
+            delimiter=cfg.delimiter, year_range=cfg.year_range,
+            workers=cfg.workers)
     net = build_network(report)
     train, val, test = temporal_split(net, cfg.split)
     return net, train, val, test
@@ -377,13 +385,6 @@ def _run_summary(cfg, net, train, val, test, tune_universe, final_universe,
     return summary
 
 
-def _usable_cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_artifacts(cfg, result, registry):
     """Write the run's files model by model: a model's report and
     curves, then its score table, which takes its ``score_norm`` text
@@ -392,117 +393,42 @@ def _write_artifacts(cfg, result, registry):
 
     The models are dealt round-robin into ``min(cfg.workers, number of
     models, usable CPUs)`` groups. Where ``os.fork`` exists, each group
-    but the first is written by a forked child, which shares the tables
-    copy-on-write and is sent nothing; the caller writes the first
-    group (it holds the first model, KI by default), then waits for
-    every child, even when its own group raised. A child's exception is
-    raised here with its type and message; a child that ends without
-    reporting one (a signal, running out of memory) is a RuntimeError
-    naming its models. Only when every group is written are
-    ``summary.csv`` and ``run_summary.json`` written. Each file depends
-    only on its model, so the bytes do not depend on the group count.
+    but the first is written by a forked child (``_fork.run_parts``),
+    which shares the tables copy-on-write and is sent nothing; the
+    caller writes the first group (it holds the first model, KI by
+    default), then waits for every child, even when its own group
+    raised. A child's exception is raised here with its type and
+    message; a child that ends without reporting one (a signal, running
+    out of memory) is a RuntimeError naming its models. Only when every
+    group is written are ``summary.csv`` and ``run_summary.json``
+    written. Each file depends only on its model, so the bytes do not
+    depend on the group count.
     """
     out_dir = result.out_dir
     ratios = (metrics._ratio_text(list(result.reports.values()))
               if result.reports else None)
 
-    def write(model):
-        report = result.reports.get(model)
-        known = None
-        if report is not None:
-            known = metrics._write_evaluation(report, out_dir, model, ratios)
-        write_score_table(result.tables[model], registry,
-                          out_dir / f"scores_{model}.csv", known)
+    def write(group):
+        for model in group:
+            report = result.reports.get(model)
+            known = None
+            if report is not None:
+                known = metrics._write_evaluation(report, out_dir, model,
+                                                  ratios)
+            write_score_table(result.tables[model], registry,
+                              out_dir / f"scores_{model}.csv", known)
 
     n = (min(cfg.workers, len(cfg.models), _usable_cpus())
          if hasattr(os, "fork") else 1)
     groups = [cfg.models[i::n] for i in range(n)]
-    children = []
-    try:
-        for group in groups[1:]:
-            children.append(_fork_writer(group, write))
-        for model in groups[0]:
-            write(model)
-    finally:
-        errors = [_wait_writer(*child) for child in children]
-    for error in errors:
-        if error is not None:
-            raise error
+    run_parts([(partial(write, group),
+                f"the export worker writing models {', '.join(group)}")
+               for group in groups])
     if result.reports:
         _write_summary_table(cfg.models, result.reports,
                              out_dir / "summary.csv")
     payload = json.dumps(result.summary, indent=2, sort_keys=True)
     metrics._write_text(payload + "\n", out_dir / "run_summary.json")
-
-
-def _fork_writer(group, write):
-    """Fork a child that calls ``write`` on each model of ``group``.
-
-    Returns (the child's pid, the read end of the pipe on which it
-    sends its exception, if any, pickled, the group). The child never
-    returns into the caller's stack: it leaves through ``os._exit``,
-    which also skips the exit handlers and buffers it shares with the
-    caller. Raw ``os.fork`` rather than ``multiprocessing``: a pool
-    starts a thread before it forks, and a spawned worker would have to
-    be sent the tables pickled. The run starts no thread of its own, and
-    OpenBLAS stops its thread pool before a fork.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                for model in group:
-                    write(model)
-                status = 0
-            except BaseException as exc:
-                # Sent, not raised: the child leaves only by os._exit.
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(_pickled(exc))
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd, group
-
-
-def _pickled(exc):
-    """``exc`` pickled, or, when it does not survive a round trip, a
-    RuntimeError carrying its type name and message."""
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-def _wait_writer(pid, read_fd, group):
-    """Reap a ``_fork_writer`` child; returns the exception it sent, an
-    error when it ended otherwise without success, or None."""
-    chunks = []
-    try:
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-    if chunks:
-        return pickle.loads(b"".join(chunks))
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return None
-    return RuntimeError(
-        f"the export worker writing models {', '.join(group)} ended "
-        f"with exit status {code}"
-        + (f" (killed by signal {-code})" if code < 0 else "")
-        + " without reporting an error")
 
 
 def _write_summary_table(models, reports, dest):

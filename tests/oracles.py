@@ -30,7 +30,10 @@ threshold search, which other oracles check. The column conversion of
 movement ingest is the loop that re-converts a whole column text by
 text after its first bad text, and the evaluation writer is the one
 that formats all four float columns of each model's curves on their
-own; the count-table writer must match them exactly.
+own; the count-table writer must match them exactly. The closed-form
+Katz rows are the transposed dense block of the solved columns, clipped
+and with its diagonal cleared, whose off-diagonal cells that are not
++0.0 the package's support extraction must match bit for bit.
 """
 
 import csv
@@ -42,6 +45,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import yaml
+from scipy.sparse.linalg import splu
 
 from geokatz.config import ALL_MODELS, RunConfig
 from geokatz.errors import (ConfigError, DataError, EmptyNetworkError,
@@ -100,6 +104,42 @@ def dense_katz_closed_form(adj_dense, beta):
     n = a.shape[0]
     eye = np.eye(n)
     return np.linalg.inv(eye - beta * a) - eye
+
+
+def solved_block(solved, sources):
+    """The (k, k) block of the solved columns at the source rows,
+    transposed into score orientation (pair (i, j) is
+    ``solved[sources[j], i]``), with the diagonal at 0 and round-off
+    negatives clipped by ``np.maximum``: the dense block whose
+    off-diagonal cells that are not +0.0 the package's support
+    extraction must match bit for bit."""
+    values = solved[sources, :].T.copy()
+    np.fill_diagonal(values, 0.0)
+    np.maximum(values, 0.0, out=values)
+    return values
+
+
+def solved_columns(adj, beta, source_sets):
+    """For each source set, the SuperLU solutions x of
+    (I - beta*A^T) x = e_u, one column per source u: one factorization,
+    one solve per set, and no residual check."""
+    n = adj.shape[0]
+    system = (sp.identity(n, format="csc", dtype=np.float64)
+              - beta * adj.T.tocsc()).tocsc()
+    lu = splu(system)
+    solved = []
+    for sources in source_sets:
+        rhs = np.zeros((n, len(sources)), dtype=np.float64)
+        rhs[sources, np.arange(len(sources))] = 1.0
+        solved.append(lu.solve(rhs))
+    return solved
+
+
+def block_solve_rows(adj, beta, source_sets):
+    """Closed-form Katz rows of each source set as ``solved_block``
+    blocks of its ``solved_columns``."""
+    return [solved_block(solved, sources) for solved, sources in
+            zip(solved_columns(adj, beta, source_sets), source_sets)]
 
 
 def dense_spectral_radius(adj_dense):

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import io
 import logging
+import os
 import re
+import signal
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_record, report_of, rows_of, simple_network
-from geokatz import graphs
+from geokatz import _fork, graphs
 from geokatz.errors import (DataError, EmptyNetworkError, EmptySplitError,
                             GeokatzError, RowError, SchemaError)
 from geokatz.graphs import (REQUIRED_COLUMNS, NodeRegistry, SplitSpec,
@@ -413,13 +415,14 @@ def _plain(field, delimiter):
 
 
 @st.composite
-def _movement_files(draw):
+def _movement_files(draw, direct=False):
     """CSV text with awkward rows, and the keyword arguments to read it.
 
     About half the files are quote-free with LF line ends, read by
     splitting lines; a NUL, a line over the csv field size limit, or a
     quoted field (which may span lines) in a later row sends the rest of
-    such a file through the csv module.
+    such a file through the csv module. With ``direct``, every file is
+    quote-free with LF line ends and has none of those rows.
     """
     columns = list(REQUIRED_COLUMNS)
     if draw(st.booleans()):
@@ -428,7 +431,7 @@ def _movement_files(draw):
         columns.append("note")
     columns = draw(st.permutations(columns))
     delimiter = draw(st.sampled_from([",", ";"]))
-    plain = draw(st.booleans())
+    plain = direct or draw(st.booleans())
     text = io.StringIO()
     writer = csv.writer(text, delimiter=delimiter,
                         lineterminator="\n" if plain else draw(
@@ -436,7 +439,7 @@ def _movement_files(draw):
     writer.writerow([f" {c} " if draw(st.booleans()) else c
                      for c in columns])
     kinds = ["row"] * 6 + ["blank", "short", "long"]
-    if plain:
+    if plain and not direct:
         kinds += ["nul", "wide", "quoted"]
     for i in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(kinds))
@@ -690,6 +693,282 @@ def test_year_past_64_bits_inside_year_range_is_data_error():
         ingest_movements(io.StringIO(text), year_range=(0, 10**20))
     report = ingest_movements(io.StringIO(text), on_bad_rows="skip")
     assert report.rejected == 1
+
+
+# --- movement files read in forked parts ------------------------------------
+
+def _report_fields(report):
+    """Every field of an IngestReport, the float columns as bytes (which
+    tell -0.0 from 0.0)."""
+    fields = dataclasses.asdict(report)
+    for name in ("year", "source_lat", "source_lon", "dest_lat", "dest_lon"):
+        column = fields[name]
+        fields[name] = (column.dtype, column.tobytes())
+    return fields
+
+
+def _split_parts(raw, workers, cpus):
+    """The parts a file of bytes ``raw`` should be read in, by the rules
+    ``ingest_movements`` documents; 1 where one reader reads it."""
+    limit = csv.field_size_limit()
+    lines = raw.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    blocks = -(-max(len(lines) - 1, 0) // graphs._INGEST_BLOCK)
+    parts = min(workers, cpus, blocks // graphs._MIN_PART_BLOCKS)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return 1
+    if (parts < 2 or any(c in raw for c in (b'"', b"\r", b"\0"))
+            or max(len(line) + 1 for line in lines) > limit):
+        return 1
+    return parts
+
+
+class TestSplitIngest:
+    """A large movement file is read in block-aligned parts by the caller
+    and forked children, and gives the report of one reader."""
+
+    CPUS = 8
+
+    @pytest.fixture(autouse=True)
+    def small_parts(self, monkeypatch):
+        """Small blocks and parts, a pretended host of CPUS CPUs, and
+        every fork counted in ``self.forks``."""
+        monkeypatch.setattr(graphs, "_INGEST_BLOCK", 4)
+        monkeypatch.setattr(graphs, "_MIN_PART_BLOCKS", 2)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: self.CPUS)
+        self.forks = 0
+        fork = os.fork
+
+        def counting():
+            self.forks += 1
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        yield
+        # Every child was reaped, on success and on failure alike.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _read(self, path, workers, **kwargs):
+        """(the report's fields, None) or (None, (error type, message)),
+        and the forks the read made."""
+        before = self.forks
+        report, error = _outcome(ingest_movements, path, workers=workers,
+                                 **kwargs)
+        return ((None if report is None else _report_fields(report)),
+                error), self.forks - before
+
+    def _assert_split_as_one_reader(self, path, workers, forks, **kwargs):
+        one, one_forks = self._read(path, 1, **kwargs)
+        split, split_forks = self._read(path, workers, **kwargs)
+        assert one_forks == 0
+        assert split_forks == forks
+        assert split == one
+        return split
+
+    @settings(max_examples=200, deadline=None)
+    @given(movement_file=_movement_files() | _movement_files(direct=True),
+           block=st.sampled_from([1, 2, 3]),
+           min_part=st.sampled_from([1, 2]),
+           workers=st.sampled_from([2, 3]))
+    def test_split_matches_row_loop_and_one_reader(
+            self, tmp_path_factory, movement_file, block, min_part, workers):
+        text, kwargs = movement_file
+        path = tmp_path_factory.getbasetemp() / "split.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(graphs, "_INGEST_BLOCK", block), \
+                mock.patch.object(graphs, "_MIN_PART_BLOCKS", min_part):
+            parts = _split_parts(path.read_bytes(), workers, self.CPUS)
+            (fields, error), _ = self._read(path, workers, **kwargs)
+            self._assert_split_as_one_reader(path, workers, parts - 1,
+                                             **kwargs)
+            with open(path, encoding="utf-8", newline="") as fh:
+                ref, ref_error = _outcome(oracles.loop_ingest_stream, fh,
+                                          **kwargs)
+        assert error == ref_error
+        if ref_error is None:
+            records, accepted, rejected, diagnostics = ref
+            report = ingest_movements(path, workers=workers, **kwargs)
+            assert (report.accepted, report.rejected) == (accepted, rejected)
+            assert report.diagnostics == diagnostics
+            assert repr(rows_of(report)) == repr(records)
+
+    @pytest.mark.parametrize("on_bad_rows", ["skip", "abort"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bad_rows_on_both_sides_of_a_part_boundary(
+            self, tmp_path, on_bad_rows, workers):
+        # 12 blocks of 4 lines: parts start at lines 26 and 34 (3 parts)
+        # or at line 26 (2 parts), so records 23-26 and 31-34 straddle
+        # the boundaries.
+        path = tmp_path / "boundary.csv"
+        bad = {23, 24, 25, 26, 31, 32, 33}
+        path.write_text(_boundary_file(bad, 48))
+        split = self._assert_split_as_one_reader(
+            path, workers, workers - 1, on_bad_rows=on_bad_rows)
+        if on_bad_rows == "skip":
+            assert split[0]["rejected"] == len(bad)
+            assert split[0]["diagnostics"][0].startswith("row 25: ")
+        else:
+            assert split[1] == (RowError,
+                                "row 25: year 'n/a' is not an integer")
+
+    @pytest.mark.parametrize("first,later,raised", [
+        # A bad row in the caller's part wins over any child's error.
+        (("row", 5), ("wide", 30), (RowError, "row 7: year 'n/a'")),
+        (("wide", 5), ("row", 30), (DataError, "row 7: year 1")),
+        # Between children, the first in file order wins.
+        (("row", 30), ("wide", 40), (RowError, "row 32: year 'n/a'")),
+        (("wide", 30), ("row", 40), (DataError, "row 32: year 1")),
+    ])
+    def test_abort_raises_the_first_error_in_file_order(
+            self, tmp_path, first, later, raised):
+        # 48 records in 3 parts starting at lines 18 and 34.
+        rows = {}
+        for kind, i in (first, later):
+            rows[i] = ("a,b,n/a,50.0,0.0,51.0,1.0\n" if kind == "row"
+                       else f"a,b,1{'0' * 19},50.0,0.0,51.0,1.0\n")
+        text = CSV_HEADER + "".join(
+            rows.get(i, "a,b,2015,50.0,0.0,51.0,1.0\n") for i in range(48))
+        path = tmp_path / "abort.csv"
+        path.write_text(text)
+        (_, error), forks = self._read(path, 3, year_range=(0, 10**20))
+        assert forks == 2
+        assert error[0] is raised[0]
+        assert error[1].startswith(raised[1])
+        self._assert_split_as_one_reader(path, 3, 2, year_range=(0, 10**20))
+
+    def test_diagnostics_keep_file_order_and_the_cap_across_parts(
+            self, tmp_path):
+        # Every second record is bad: 30 per part, 90 in all.
+        path = tmp_path / "many_bad.csv"
+        path.write_text(_boundary_file(set(range(0, 180, 2)), 180))
+        split = self._assert_split_as_one_reader(path, 3, 2,
+                                                 on_bad_rows="skip")
+        fields = split[0]
+        assert fields["rejected"] == 90
+        assert len(fields["diagnostics"]) == 50
+        assert fields["diagnostics"][0].startswith("row 2: ")
+        assert fields["diagnostics"][-1].startswith("row 100: ")
+        with open(path, encoding="utf-8", newline="") as fh:
+            _, _, rejected, diagnostics = oracles.loop_ingest_stream(
+                fh, on_bad_rows="skip")
+        assert (fields["rejected"], fields["diagnostics"]) == (rejected,
+                                                               diagnostics)
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("last_lf", [True, False])
+    def test_blank_lines_last_line_and_byte_order_mark(self, tmp_path, bom,
+                                                       last_lf):
+        text = _boundary_file({3, 20}, 40)
+        lines = text.splitlines(keepends=True)
+        # Blank lines keep their numbers: one at a part's start, one
+        # inside a part, one last.
+        for at in (39, 17, 5):
+            lines.insert(at, "\n")
+        text = bom + "".join(lines) + "\n"
+        if not last_lf:
+            text = text.removesuffix("\n\n").removesuffix("\n")
+        path = tmp_path / "blank.csv"
+        path.write_text(text, encoding="utf-8")
+        split = self._assert_split_as_one_reader(path, 3, 2,
+                                                 on_bad_rows="skip")
+        assert split[0]["rejected"] == 2
+        assert split[0]["accepted"] == 38
+
+    @pytest.mark.parametrize("change", [
+        lambda text: text.replace("s3,", '"s3",', 1),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r\n", 30).replace("\r\n", "\n", 29),
+        lambda text: text.replace("s5,", "s\x005,", 1),
+        lambda text: text.replace(
+            "s7,", "s7" + "w" * csv.field_size_limit() + ",", 1),
+        lambda text: text.encode("utf-8").replace(b"s9,", b"s\xff9,", 1),
+        lambda text: "".join(text.splitlines(keepends=True)[:13]),
+    ], ids=["quote", "crlf", "one-cr", "nul", "long-line", "undecodable",
+            "below-threshold"])
+    @pytest.mark.parametrize("on_bad_rows", ["skip", "abort"])
+    def test_files_one_reader_must_read_are_not_split(
+            self, tmp_path, change, on_bad_rows):
+        text = change(_boundary_file({10, 40}, 60))
+        path = tmp_path / "single.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+        self._assert_split_as_one_reader(path, 3, 0, on_bad_rows=on_bad_rows)
+
+    class LocalError(Exception):
+        """An exception pickle cannot rebuild: it takes two arguments."""
+
+        def __init__(self, what, where):
+            super().__init__(f"{what} in {where}")
+
+    @pytest.mark.parametrize("error,raised", [
+        (DataError("bad block"), DataError("bad block")),
+        (LocalError("bad block", "part 2"),
+         RuntimeError("LocalError: bad block in part 2")),
+    ])
+    def test_an_error_raised_in_a_child_is_raised_here(
+            self, tmp_path, monkeypatch, error, raised):
+        parent = os.getpid()
+        ingest_block = graphs._ingest_block
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise error
+            return ingest_block(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_ingest_block", failing)
+        path = tmp_path / "child_error.csv"
+        path.write_text(_boundary_file(set(), 48))
+        with pytest.raises(type(raised)) as info:
+            ingest_movements(path, workers=2)
+        assert type(info.value) is type(raised)
+        assert str(info.value) == str(raised)
+        assert self.forks == 1
+
+    def test_a_killed_child_is_a_runtime_error_naming_its_lines(
+            self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        ingest_block = graphs._ingest_block
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return ingest_block(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_ingest_block", dying)
+        path = tmp_path / "killed.csv"
+        path.write_text(_boundary_file(set(), 48))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"the ingest worker reading lines 26-49 of {path} ended "
+                "with exit status -9 (killed by signal 9) without "
+                "reporting an error")):
+            ingest_movements(path, workers=2)
+        assert self.forks == 1
+
+    def test_workers_past_the_cpus_fork_one_child_per_part_but_one(
+            self, tmp_path, monkeypatch):
+        # 10 blocks make 5 parts of 2 blocks at most, whatever the
+        # workers and CPUs; the CPUs cap them below that.
+        path = tmp_path / "many_workers.csv"
+        path.write_text(_boundary_file({7}, 40))
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 10**6)
+        self._assert_split_as_one_reader(path, 10**6, 4)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        self._assert_split_as_one_reader(path, 10**6, 2)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        self._assert_split_as_one_reader(path, 10**6, 0)
+
+    def test_without_fork_one_reader_reads(self, tmp_path, monkeypatch):
+        path = tmp_path / "no_fork.csv"
+        path.write_text(_boundary_file({7}, 40))
+        monkeypatch.delattr(os, "fork")
+        one, _ = self._read(path, 1)
+        assert self._read(path, 3) == (one, 0)
 
 
 _COORDS = st.one_of(st.floats(-200, 200), st.sampled_from(

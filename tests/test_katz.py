@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,9 @@ from geokatz.graphs import NodeRegistry, PairUniverse
 from geokatz.katz import (KatzConfig, combine, edge_weighted_katz_scores,
                           katz_scores, normalize, resolve_beta,
                           spectral_radius, write_score_table)
+
+
+QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
 
 
 def _universe(n, nodes=None):
@@ -396,6 +400,94 @@ def test_series_rows_bitwise_equal_to_per_source_loop(case):
                             max_len, tol)
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()
+
+
+def _block_columns(block):
+    """A dense score block as the (support, scores) of its table."""
+    support = np.flatnonzero(block.view(np.int64) != 0)
+    return support, block.ravel()[support]
+
+
+def _assert_same_columns(got, want):
+    assert got[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+# Cells a solve may leave: exact and signed zeros, round-off negatives,
+# scores of every size.
+_SOLVED_CELLS = st.sampled_from([0.0, -0.0, -1e-17, -2.5e-300, 1e-300,
+                                 3e-17, 0.25, 1.0, 7.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 4), st.data(), st.booleans())
+def test_solved_support_matches_the_dense_block(k, extra, data, fortran):
+    n = k + extra
+    cells = data.draw(st.lists(_SOLVED_CELLS, min_size=n * k,
+                               max_size=n * k))
+    solved = np.array(cells).reshape(n, k)
+    if fortran:
+        # SuperLU hands its solutions back column-major.
+        solved = np.asfortranarray(solved)
+    sources = np.array(data.draw(st.permutations(range(n)))[:k],
+                       dtype=np.int64)
+    _assert_same_columns(katz._solved_support(solved, sources),
+                         _block_columns(oracles.solved_block(solved,
+                                                             sources)))
+
+
+# Adjacencies whose SuperLU solve leaves round-off negatives or a -0.0
+# on pairs without a walk, at these fractions of the spectral bound.
+_ROUND_OFF_CASES = (
+    ([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 0]], 0.75),
+    ([[0, 0, 0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 0, 1, 1, 1],
+      [0, 1, 0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 1],
+      [0, 0, 0, 0, 0, 0, 1, 0], [1, 1, 0, 0, 1, 0, 0, 0],
+      [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]], 0.9),
+    ([[0, 1, 1, 0, 1, 1], [1, 0, 0, 1, 1, 1], [0, 1, 0, 0, 0, 1],
+      [0, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 1], [0, 0, 1, 0, 0, 0]], 0.9),
+)
+
+
+def test_solve_rows_clip_round_off_negatives_as_the_dense_block():
+    clipped = 0
+    for dense, alpha in _ROUND_OFF_CASES:
+        dense = np.array(dense, dtype=np.float64)
+        n = len(dense)
+        adj = sp.csr_matrix(dense)
+        beta = alpha / oracles.dense_spectral_radius(dense)
+        source_sets = [np.arange(n), np.arange(n)[::-1].copy(),
+                       np.arange(1, n, 2)]
+        got = katz._solve_rows(adj, beta, source_sets)
+        for columns, sources, solved in zip(
+                got, source_sets,
+                oracles.solved_columns(adj, beta, source_sets)):
+            _assert_same_columns(columns, _block_columns(
+                oracles.solved_block(solved, sources)))
+            raw = solved[sources].T.copy()
+            np.fill_diagonal(raw, 1.0)
+            clipped += int(np.count_nonzero(np.signbit(raw)))
+    # The cases are here for the cells that np.maximum clips.
+    assert clipped > 0
+
+
+def test_quickstart_solve_matches_the_dense_block():
+    from geokatz import pipeline
+    from geokatz.config import load_run_config
+    from geokatz.graphs import build_adjacency, candidate_pairs
+
+    cfg = load_run_config(QUICKSTART)
+    _, train, val, test = pipeline._build_data(cfg, None)
+    adj = build_adjacency(train)
+    universes = [candidate_pairs(test), candidate_pairs(val)]
+    tables = katz_scores(adj, cfg.katz, universes)
+    assert tables[0].info["method"] == "closed-form-solve"
+    blocks = oracles.block_solve_rows(
+        adj, tables[0].info["beta"], [u.node_indices for u in universes])
+    for table, block in zip(tables, blocks):
+        _assert_same_columns((table.support, table.scores.on_support),
+                             _block_columns(block))
 
 
 def test_solve_matches_dense_inverse_oracle():
