@@ -15,8 +15,8 @@ from .errors import (BetaDomainError, ConfigError, DataError,
                      NumericError, RowError, SchemaError,
                      UniverseMismatchError)
 from .geo import (EARTH_RADIUS_KM, WEIGHT_TRANSFORMS, decay_weights,
-                  distance_matrix, haversine_km, pair_distances,
-                  transform_weights, weighted_adjacency)
+                  haversine_km, pair_distances, transform_weights,
+                  weighted_adjacency)
 from .graphs import (IngestReport, NodeRegistry, PairUniverse, SplitSpec,
                      TemporalNetwork, build_adjacency, build_network,
                      candidate_pairs, ingest_movements, temporal_split)
@@ -40,11 +40,11 @@ __all__ = [
     "RowError", "RunConfig", "SchemaError", "ScoreTable", "SpectralRadius",
     "SplitSpec", "SynthConfig", "TemporalNetwork", "UniverseMismatchError",
     "WEIGHT_TRANSFORMS", "build_adjacency", "build_network", "candidate_pairs",
-    "combine", "confusion_at", "decay_weights", "distance_matrix",
-    "edge_weighted_katz_scores", "evaluate", "f1", "generate", "haversine_km",
-    "ingest_movements", "katz_scores", "load_run_config", "normalize",
-    "optimal_threshold", "pair_distances", "parse_run_config", "precision",
-    "recall", "resolve_beta", "run", "run_scores_only", "spectral_radius",
+    "combine", "confusion_at", "decay_weights", "edge_weighted_katz_scores",
+    "evaluate", "f1", "generate", "haversine_km", "ingest_movements",
+    "katz_scores", "load_run_config", "normalize", "optimal_threshold",
+    "pair_distances", "parse_run_config", "precision", "recall",
+    "resolve_beta", "run", "run_scores_only", "spectral_radius",
     "temporal_split", "transform_weights", "weighted_adjacency", "write_curve",
     "write_movements", "write_report", "write_score_table", "write_truth",
 ]

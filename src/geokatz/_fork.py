@@ -18,6 +18,13 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
+def processes(*caps):
+    """How many processes to share work among: the smallest of ``caps``
+    (the workers asked for, the parts the work has) and the usable
+    CPUs, or 1 where ``os.fork`` does not exist."""
+    return min(*caps, usable_cpus()) if hasattr(os, "fork") else 1
+
+
 def run_parts(parts):
     """The results of ``parts``, a list of (call, what) pairs, in order.
 

@@ -10,22 +10,17 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
-
 EARTH_RADIUS_KM = 6371.0
 
 WEIGHT_TRANSFORMS = ("raw", "inverse", "decay", "minmax")
-
-# Dense k*k distance matrices above this node count are refused rather
-# than silently allocating gigabytes.
-DEFAULT_DENSE_LIMIT = 5000
 
 
 def haversine_from(lat_rad, lon_rad, cos_lat, u):
     """Great-circle distances in km from node ``u`` to every node.
 
     ``cos_lat`` is ``np.cos(lat_rad)``, computed once by the caller; the
-    result is bitwise row ``u`` of ``distance_matrix``.
+    result is bitwise ``pair_distances`` of the pairs (u, v) for every
+    node v.
     """
     return _haversine(lat_rad - lat_rad[u], lon_rad - lon_rad[u],
                       cos_lat[u] * cos_lat)
@@ -57,25 +52,6 @@ def pair_distances(lat_deg, lon_deg, src, dst):
     lat2 = lat[dst]
     return _haversine(lat2 - lat1, lon[dst] - lon[src],
                       np.cos(lat1) * np.cos(lat2))
-
-
-def distance_matrix(lat_deg, lon_deg, max_nodes=DEFAULT_DENSE_LIMIT):
-    """Dense (k, k) matrix of pairwise great-circle distances in km.
-
-    Coincident points produce an exact 0.0. Refuses to build matrices
-    for more than ``max_nodes`` nodes; pairwise scoring only ever needs
-    this for the (much smaller) evaluation node set.
-    """
-    lat = np.radians(np.asarray(lat_deg, dtype=np.float64))
-    k = lat.shape[0]
-    if k > max_nodes:
-        raise DataError(
-            f"dense distance matrix for {k} nodes exceeds the "
-            f"{max_nodes}-node limit")
-    lon = np.radians(np.asarray(lon_deg, dtype=np.float64))
-    cos_lat = np.cos(lat)
-    return _haversine(lat - lat[:, None], lon - lon[:, None],
-                      cos_lat[:, None] * cos_lat)
 
 
 def decay_weights(dist, gamma):

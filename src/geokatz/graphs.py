@@ -53,6 +53,9 @@ _INGEST_BLOCK = 512
 # a warm 104 MB process on a 2-core host, two parts of 8k rows each
 # ingested no faster than one reader, two of 10k rows 23% faster.
 _MIN_PART_BLOCKS = 20
+# Bytes of a file searched for line ends at once: a bool mask as large
+# as the chunk is the scan's only transient beyond the offsets found.
+_SCAN_CHUNK = 1 << 20
 # Diagnostics kept in an IngestReport; rows rejected past them are
 # counted only.
 _MAX_DIAGNOSTICS = 50
@@ -345,7 +348,7 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         if hasattr(source, "read"):
             return _ingest_stream(source, schema, on_bad_rows, delimiter,
                                   year_range)
-        if workers > 1 and hasattr(os, "fork"):
+        if _fork.processes(workers) > 1:
             report = _ingest_split(source, schema, on_bad_rows, delimiter,
                                    year_range, workers)
             if report is not None:
@@ -498,7 +501,7 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
     """The report of the movement file at ``path`` read in parts by up
     to ``workers`` processes, or None when it is not to be read so.
 
-    The file is read whole and cut into ``min(workers, usable CPUs,
+    The file is read whole and cut into ``_fork.processes(workers,
     blocks // _MIN_PART_BLOCKS)`` parts of whole ``_INGEST_BLOCK``
     blocks, each starting on a block's first line, when there are two
     parts or more, and when it is UTF-8 without a quote, a CR or a NUL
@@ -519,10 +522,10 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
             data = fh.read()
     except OSError:
         return None  # the single reader names the path in its error
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    ends = _line_ends(data)
     n_lines = len(ends) + (data[-1:] not in (b"", b"\n"))
     n_blocks = -(-max(n_lines - 1, 0) // _INGEST_BLOCK)
-    n_parts = min(workers, _fork.usable_cpus(), n_blocks // _MIN_PART_BLOCKS)
+    n_parts = _fork.processes(workers, n_blocks // _MIN_PART_BLOCKS)
     if n_parts < 2 or b'"' in data or b"\r" in data or b"\0" in data:
         return None
     if np.diff(ends, prepend=-1, append=len(data) - 1).max() \
@@ -552,6 +555,15 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
         (partial(read, p), f"the ingest worker reading lines "
                            f"{starts[p] + 1}-{last[p]} of {path}")
         for p in range(n_parts)]))
+
+
+def _line_ends(data):
+    """The int64 offsets of the LF bytes of ``data``, found
+    ``_SCAN_CHUNK`` bytes at a time."""
+    view = np.frombuffer(data, np.uint8)
+    return np.concatenate([np.empty(0, np.int64)] + [
+        start + np.flatnonzero(view[start:start + _SCAN_CHUNK] == ord("\n"))
+        for start in range(0, len(view), _SCAN_CHUNK)])
 
 
 def _blocks(lines, delimiter, width):

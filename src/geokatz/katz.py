@@ -16,7 +16,7 @@ import csv
 import io
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -238,26 +238,25 @@ def resolve_beta(cfg, adj):
 @dataclass(eq=False)
 class _Column:
     """One score column of a table: its scores at the table's support
-    positions and the floor that every other pair holds. ``dense``
-    caches the (k, k) view once it is asked for."""
+    positions and the floor that every other pair holds."""
     on_support: np.ndarray
     floor: float
-    dense: Optional[np.ndarray] = None
 
 
 def _support_of(*matrices):
     """The flat row-major positions i * k + j of the off-diagonal cells
     at which any of the (k, k) ``matrices`` is not +0.0, bit for bit (a
     -0.0 is on the support)."""
-    k = len(matrices[0])
-    keep = np.zeros(k * k, dtype=bool)
-    for matrix in matrices:
-        bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
-        keep |= bits.ravel() != 0
-    keep[::k + 1] = False
+    keep, *others = [
+        np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64) != 0
+        for matrix in matrices]
+    for other in others:
+        keep |= other
+    np.fill_diagonal(keep, False)
     return np.flatnonzero(keep)
 
 
+@dataclass(eq=False)
 class ScoreTable:
     """Per-ordered-pair scores for one model over a pair universe.
 
@@ -269,46 +268,14 @@ class ScoreTable:
     and a ``floor``. The pipeline scores all tables of a universe on one
     support, the union of its base tables' nonzero pairs; an
     unnormalized table's floor is a zero.
-
-    ``ScoreTable(model, universe, values, normalized, raw_values, info)``
-    builds a table from (k, k) matrices, ignoring their diagonals: its
-    support is the pairs at which either matrix is not +0.0, and both
-    floors are 0.0. ``values``, ``raw_values`` and ``score_vector`` are
-    dense views with the diagonal at 0, built on first use and kept (a
-    table built from matrices keeps those matrices); the table's steps
-    never read them, so writing to one does not change its scores.
     """
-
-    def __init__(self, model, universe, values, normalized=False,
-                 raw_values=None, info=None):
-        matrices = [values] if raw_values is None else [values, raw_values]
-        matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
-        k = universe.k
-        if any(m.shape != (k, k) for m in matrices):
-            raise UniverseMismatchError(
-                f"score matrices of shapes {[m.shape for m in matrices]} "
-                f"do not match universe size {k}")
-        support = _support_of(*matrices)
-        scores, *raw = [_Column(m.ravel()[support], 0.0, m) for m in matrices]
-        self._set(model, universe, support, scores, normalized,
-                  raw[0] if raw else None, info)
-
-    @classmethod
-    def _of(cls, model, universe, support, scores, normalized=False,
-            raw=None, info=None):
-        """A table from its support and columns."""
-        table = cls.__new__(cls)
-        table._set(model, universe, support, scores, normalized, raw, info)
-        return table
-
-    def _set(self, model, universe, support, scores, normalized, raw, info):
-        self.model = model
-        self.universe = universe
-        self.support = support
-        self.scores = scores
-        self.normalized = normalized
-        self.raw = raw
-        self.info = {} if info is None else info
+    model: str
+    universe: object
+    support: np.ndarray
+    scores: _Column
+    normalized: bool = False
+    raw: Optional[_Column] = None
+    info: dict = field(default_factory=dict)
 
     def __repr__(self):
         return (f"ScoreTable(model={self.model!r}, k={self.universe.k}, "
@@ -319,30 +286,6 @@ class ScoreTable:
     def n_floor(self):
         """The number of off-diagonal pairs off the support."""
         return self.universe.n_pairs - self.support.size
-
-    def _dense(self, column):
-        if column.dense is None:
-            k = self.universe.k
-            dense = np.full(k * k, column.floor)
-            dense[self.support] = column.on_support
-            dense[::k + 1] = 0.0
-            column.dense = dense.reshape(k, k)
-        return column.dense
-
-    @property
-    def values(self):
-        """The scores as a (k, k) matrix."""
-        return self._dense(self.scores)
-
-    @property
-    def raw_values(self):
-        """The pre-normalization scores as a (k, k) matrix, or None."""
-        return None if self.raw is None else self._dense(self.raw)
-
-    @property
-    def score_vector(self):
-        """Scores for all universe pairs in flattening order."""
-        return self.universe.flatten(self.values)
 
     def _on(self, support):
         """This table on ``support``, a superset of its own: a pair
@@ -358,8 +301,8 @@ class ScoreTable:
             def moved(column):
                 values = np.full(support.size, column.floor)
                 values[at] = column.on_support
-                return _Column(values, column.floor, column.dense)
-        return ScoreTable._of(
+                return _Column(values, column.floor)
+        return ScoreTable(
             self.model, self.universe, support, moved(self.scores),
             self.normalized, None if self.raw is None else moved(self.raw),
             dict(self.info))
@@ -431,9 +374,7 @@ def _solved_support(solved, sources):
     leave the support.
     """
     values = np.take(solved.T, sources, axis=1)
-    keep = values.view(np.int64) != 0
-    np.fill_diagonal(keep, False)
-    support = np.flatnonzero(keep)
+    support = _support_of(values)
     scores = values.ravel()[support]
     np.maximum(scores, 0.0, out=scores)
     kept = scores.view(np.int64) != 0
@@ -533,8 +474,8 @@ def katz_scores(adj, cfg, universe, model="KI"):
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    tables = [ScoreTable._of(model, u, support, _Column(scores, 0.0),
-                             info=dict(info))
+    tables = [ScoreTable(model, u, support, _Column(scores, 0.0),
+                         info=dict(info))
               for u, (support, scores) in zip(universes, columns)]
     return tables[0] if single else tables
 
@@ -544,32 +485,25 @@ def edge_weighted_katz_scores(ki_table, distances, gamma, model="EWKI"):
 
     score(u, v) = exp(-gamma * d(u, v)) * ki(u, v), where ``ki_table``
     is an unnormalized KI table and ``distances`` holds the great-circle
-    km of its support pairs, in support order, or is the (k, k) matrix
-    aligned with its universe's node order. Only the support decays:
-    every other pair holds KI's floor, a zero, which any weight keeps.
-    At gamma = 0 every weight is exactly 1.0 and the table equals the
-    KI table bitwise.
+    km of its support pairs, in support order (``geo.pair_distances`` of
+    the pairs ``divmod(support, k)`` in universe node order). Only the
+    support decays: every other pair holds KI's floor, a zero, which any
+    weight keeps. At gamma = 0 every weight is exactly 1.0 and the table
+    equals the KI table bitwise.
     """
     if ki_table.normalized:
         raise UniverseMismatchError("ki_table must be an unnormalized table")
     support = ki_table.support
     distances = np.asarray(distances, dtype=np.float64)
-    if distances.ndim == 2:
-        k = ki_table.universe.k
-        if distances.shape != (k, k):
-            raise UniverseMismatchError(
-                f"distance matrix shape {distances.shape} does not match "
-                f"universe size {k}")
-        distances = distances.ravel()[support]
-    elif distances.shape != support.shape:
+    if distances.shape != support.shape:
         raise UniverseMismatchError(
             f"{distances.size} distances do not match the table's "
             f"{support.size} support pairs")
     ki = ki_table.scores
     decayed = _Column(ki.on_support * decay_weights(distances, gamma),
                       ki.floor)
-    return ScoreTable._of(model, ki_table.universe, support, decayed,
-                          info=dict(ki_table.info, gamma=gamma))
+    return ScoreTable(model, ki_table.universe, support, decayed,
+                      info=dict(ki_table.info, gamma=gamma))
 
 
 def normalize(table):
@@ -598,9 +532,9 @@ def normalize(table):
         # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
         # +0.0 and leaves every other value as it is.
         scores = (scores - lo) / span + 0.0
-    return ScoreTable._of(table.model, table.universe, table.support,
-                          _Column(scores[:-1], float(scores[-1])),
-                          normalized=True, raw=column, info=dict(table.info))
+    return ScoreTable(table.model, table.universe, table.support,
+                      _Column(scores[:-1], float(scores[-1])),
+                      normalized=True, raw=column, info=dict(table.info))
 
 
 def combine(a, b, rule="mean", on="normalized"):
@@ -638,7 +572,7 @@ def combine(a, b, rule="mean", on="normalized"):
         fused = a_values * b_values
     else:
         fused = np.maximum(a_values, b_values)
-    return normalize(ScoreTable._of(
+    return normalize(ScoreTable(
         a.model + b.model, a.universe, a.support,
         _Column(fused[:-1], float(fused[-1])), info=info))
 
@@ -726,7 +660,9 @@ def read_score_table(path, universe, registry):
     The file must be UTF-8 and cover exactly the universe's off-diagonal
     pairs, each once, with ids resolvable in the registry. Its header
     is read as a movement file's is. Returns a normalized ScoreTable
-    carrying the file's raw scores as ``raw_values``.
+    whose ``scores`` are the file's ``score_norm`` column and ``raw`` its
+    ``score`` column, on the pairs at which either is not +0.0; both
+    floors are 0.0.
     """
     try:
         with _open_input(path, "score table") as fh:
@@ -787,5 +723,7 @@ def _read_scores(fh, path, universe, registry):
     if got != expected:
         raise UniverseMismatchError(
             f"score table covers {got} pairs; the universe has {expected}")
-    return ScoreTable(model=model or "", universe=universe, values=norm,
-                      normalized=True, raw_values=raw)
+    support = _support_of(norm, raw)
+    return ScoreTable(model or "", universe, support,
+                      _Column(norm.ravel()[support], 0.0), normalized=True,
+                      raw=_Column(raw.ravel()[support], 0.0))

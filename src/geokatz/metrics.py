@@ -69,17 +69,9 @@ class EvaluationReport:
 
 
 def _vectors(scores, labels):
-    """Extract aligned 1-D score/label arrays.
-
-    ``scores`` may be a ScoreTable (labels default to its universe's)
-    or a plain array (labels required).
-    """
-    if hasattr(scores, "score_vector"):
-        table = scores
-        if labels is None:
-            labels = table.universe.label_vector
-        scores = table.score_vector
-    elif labels is None:
+    """Aligned 1-D score and boolean label arrays from a plain score
+    array and its labels."""
+    if labels is None:
         raise ValueError("labels are required when scores is a plain array")
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
@@ -120,14 +112,10 @@ def f1(cm):
 
 
 def confusion_at(scores, labels=None, threshold=0.0):
-    """Confusion counts for the decision rule score >= threshold."""
-    s, y = _vectors(scores, labels)
-    pred = s >= threshold
-    tp = int(np.count_nonzero(pred & y))
-    fp = int(np.count_nonzero(pred & ~y))
-    fn = int(np.count_nonzero(~pred & y))
-    tn = int(np.count_nonzero(~pred & ~y))
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    """Confusion counts for the decision rule score >= threshold, read
+    off the sweep of ``scores``: a ScoreTable (labels default to its
+    universe's) or a plain array with its labels."""
+    return _confusion_from_sweep(*_sweep_of(scores, labels), threshold)
 
 
 def _sweep(s, y):
@@ -220,8 +208,8 @@ def _sweep_of(scores, labels):
 
 
 def _confusion_from_sweep(thresholds, tp, fp, n_pos, n_neg, threshold):
-    """``confusion_at`` read off a sweep: the groups scoring at least
-    ``threshold`` are a prefix of the descending thresholds. A NaN
+    """The confusion at ``threshold`` of a sweep: the groups scoring at
+    least ``threshold`` are a prefix of the descending thresholds. A NaN
     threshold sorts above every score, so nothing is predicted."""
     k = len(thresholds) - int(np.searchsorted(thresholds[::-1], threshold))
     hit_tp = int(tp[k - 1]) if k else 0

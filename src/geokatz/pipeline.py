@@ -10,7 +10,6 @@ split. All artifacts are written with fixed orderings and 6-significant
 
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geo, metrics, synth
-from ._fork import run_parts, usable_cpus as _usable_cpus
+from ._fork import processes, run_parts
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
 from .errors import NumericError
@@ -391,18 +390,17 @@ def _write_artifacts(cfg, result, registry):
     from the curves' thresholds. The recall and FPR text of all the
     reports (one universe) is built once, before the first model.
 
-    The models are dealt round-robin into ``min(cfg.workers, number of
-    models, usable CPUs)`` groups. Where ``os.fork`` exists, each group
-    but the first is written by a forked child (``_fork.run_parts``),
-    which shares the tables copy-on-write and is sent nothing; the
-    caller writes the first group (it holds the first model, KI by
-    default), then waits for every child, even when its own group
-    raised. A child's exception is raised here with its type and
-    message; a child that ends without reporting one (a signal, running
-    out of memory) is a RuntimeError naming its models. Only when every
-    group is written are ``summary.csv`` and ``run_summary.json``
-    written. Each file depends only on its model, so the bytes do not
-    depend on the group count.
+    The models are dealt round-robin into ``_fork.processes(cfg.workers,
+    number of models)`` groups. Each group but the first is written by a
+    forked child (``_fork.run_parts``), which shares the tables
+    copy-on-write and is sent nothing; the caller writes the first
+    group (it holds the first model, KI by default), then waits for
+    every child, even when its own group raised. A child's exception is
+    raised here with its type and message; a child that ends without
+    reporting one (a signal, running out of memory) is a RuntimeError
+    naming its models. Only when every group is written are
+    ``summary.csv`` and ``run_summary.json`` written. Each file depends
+    only on its model, so the bytes do not depend on the group count.
     """
     out_dir = result.out_dir
     ratios = (metrics._ratio_text(list(result.reports.values()))
@@ -418,8 +416,7 @@ def _write_artifacts(cfg, result, registry):
             write_score_table(result.tables[model], registry,
                               out_dir / f"scores_{model}.csv", known)
 
-    n = (min(cfg.workers, len(cfg.models), _usable_cpus())
-         if hasattr(os, "fork") else 1)
+    n = processes(cfg.workers, len(cfg.models))
     groups = [cfg.models[i::n] for i in range(n)]
     run_parts([(partial(write, group),
                 f"the export worker writing models {', '.join(group)}")

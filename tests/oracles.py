@@ -20,20 +20,25 @@ key; the config dataclasses now check their own fields, and the YAML
 mapping in ``geokatz.config`` must accept, refuse and build the same
 configs. Both end in the same dataclasses, so the two parsers are
 compared on their YAML handling. The dense distance matrix is the
-pair-by-pair gather that the package's broadcast must match bit for
-bit. Decay, normalization, fusion, the model tables and the score
-table export are the (k, k) versions over every pair that the package's
-tables on their nonzero-pair support must match bit for bit, and the
-gamma search is the dense loop over them that must match candidate by
-candidate; unlike the rest, the search sweeps with the package's public
-threshold search, which other oracles check. The column conversion of
+pair-by-pair gather that the package's pair distances, and each row
+from ``haversine_from``, must match bit for bit; the dense oracles
+below take it as their (k, k) distances. Decay, normalization, fusion,
+the model tables and the score table export are the (k, k) versions
+over every pair that the package's tables on their nonzero-pair
+support must match bit for bit, and the gamma search is the dense loop
+over them that must match candidate by candidate; unlike the rest, the
+search sweeps with the package's public threshold search, which other
+oracles check. The column conversion of
 movement ingest is the loop that re-converts a whole column text by
 text after its first bad text, and the evaluation writer is the one
 that formats all four float columns of each model's curves on their
 own; the count-table writer must match them exactly. The closed-form
 Katz rows are the transposed dense block of the solved columns, clipped
 and with its diagonal cleared, whose off-diagonal cells that are not
-+0.0 the package's support extraction must match bit for bit.
++0.0 the package's support extraction must match bit for bit. Score
+tables that tests write as (k, k) matrices are built by ``table_of``,
+and ``dense``, ``dense_raw`` and ``dense_vector`` give a table's
+columns back as matrices over every pair.
 """
 
 import csv
@@ -231,8 +236,8 @@ def loop_write_score_table(table, registry, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["source_id", "dest_id", "model", "score",
                      "score_norm"])
-    raw = table.raw_values
-    norm = table.values
+    raw = dense_raw(table)
+    norm = dense(table)
     for i in order:
         for j in order:
             if i == j:
@@ -815,11 +820,66 @@ def dense_tune_gamma(ki_table, distances):
     for gamma in GAMMA_GRID:
         candidate = dense_normalize(dense_edge_weighted_katz_scores(
             ki_table, distances, float(gamma)))
-        cuts.append(optimal_threshold(candidate.score_vector,
+        cuts.append(optimal_threshold(dense_vector(candidate),
                                       candidate.universe.label_vector))
         if cuts[-1][1] > best_f1:
             best_gamma, best_f1 = float(gamma), cuts[-1][1]
     return best_gamma, cuts
+
+
+def table_of(model, universe, values, normalized=False, raw_values=None,
+             info=None):
+    """A ScoreTable from (k, k) matrices, ignoring their diagonals: its
+    support is the pairs at which either matrix is not +0.0, bit for
+    bit, and both floors are 0.0. Matrices of another shape than the
+    universe's are a UniverseMismatchError."""
+    from geokatz.errors import UniverseMismatchError
+    from geokatz.katz import ScoreTable, _Column
+
+    matrices = [values] if raw_values is None else [values, raw_values]
+    matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+    k = universe.k
+    if any(m.shape != (k, k) for m in matrices):
+        raise UniverseMismatchError(
+            f"score matrices of shapes {[m.shape for m in matrices]} "
+            f"do not match universe size {k}")
+    keep = np.zeros((k, k), dtype=bool)
+    for m in matrices:
+        keep |= np.ascontiguousarray(m).view(np.int64) != 0
+    np.fill_diagonal(keep, False)
+    support = np.flatnonzero(keep)
+    scores, *raw = [_Column(m.ravel()[support], 0.0) for m in matrices]
+    return ScoreTable(model, universe, support, scores, normalized,
+                      raw[0] if raw else None, {} if info is None else info)
+
+
+def _dense_column(table, column):
+    k = table.universe.k
+    values = np.full(k * k, column.floor)
+    values[table.support] = column.on_support
+    values[::k + 1] = 0.0
+    return values.reshape(k, k)
+
+
+def dense(table):
+    """A ScoreTable's scores as a (k, k) matrix: its support pairs hold
+    their scores, every other off-diagonal pair the floor, and the
+    diagonal 0. A DenseTable's own matrix."""
+    if isinstance(table, DenseTable):
+        return table.values
+    return _dense_column(table, table.scores)
+
+
+def dense_raw(table):
+    """``dense`` of a table's pre-normalization scores, or None."""
+    if isinstance(table, DenseTable):
+        return table.raw_values
+    return None if table.raw is None else _dense_column(table, table.raw)
+
+
+def dense_vector(table):
+    """``dense(table)`` in the universe's pair flattening order."""
+    return table.universe.flatten(dense(table))
 
 
 @dataclasses.dataclass
@@ -834,16 +894,12 @@ class DenseTable:
     raw_values: Optional[np.ndarray] = None
     info: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def score_vector(self):
-        return self.universe.flatten(self.values)
-
 
 def dense_edge_weighted_katz_scores(ki_table, distances, gamma,
                                     model="EWKI"):
-    """Every pair of a KI table (anything with dense ``values``) times
+    """Every pair of a KI table (a ScoreTable or a DenseTable) times
     exp(-gamma * d), ``distances`` the universe's (k, k) matrix."""
-    values = ki_table.values * np.exp(
+    values = dense(ki_table) * np.exp(
         -gamma * np.asarray(distances, dtype=np.float64))
     np.fill_diagonal(values, 0.0)
     return DenseTable(model, ki_table.universe, values,

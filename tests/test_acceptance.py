@@ -113,7 +113,7 @@ def test_criterion_3_series_equals_walk_enumeration():
                                  _full_universe(n))
         reference = oracles.brute_force_katz(n, edges, beta, max_len=4)
         np.fill_diagonal(reference, 0.0)
-        assert np.max(np.abs(table.values - reference)) <= 1e-12
+        assert np.max(np.abs(oracles.dense(table) - reference)) <= 1e-12
         checked += 1
     assert checked == 50
 
@@ -129,7 +129,7 @@ def test_criterion_3_solve_equals_series():
                              method="truncated-series",
                              max_walk_length=length,
                              series_tolerance=1e-300)
-            return katz.katz_scores(adj, cfg, universe).values
+            return oracles.dense(katz.katz_scores(adj, cfg, universe))
 
         long_series = series_table(400)
         longer_series = series_table(500)
@@ -142,7 +142,7 @@ def test_criterion_3_solve_equals_series():
 
         solve_cfg = KatzConfig(beta_mode="explicit", beta=beta,
                                method="closed-form-solve")
-        solved = katz.katz_scores(adj, solve_cfg, universe).values
+        solved = oracles.dense(katz.katz_scores(adj, solve_cfg, universe))
         assert np.max(np.abs(solved - longer_series)) <= 1e-9
 
 
@@ -159,25 +159,33 @@ def reduction_setup():
     net = build_network(report)
     universe = candidate_pairs(net)
     adj = build_adjacency(net)
-    registry = net.registry
-    nodes = universe.node_indices
-    distances = geo.distance_matrix(registry.lat_array()[nodes],
-                                    registry.lon_array()[nodes])
-    return net, universe, adj, distances
+    return net, universe, adj
+
+
+def _assert_same_scores(got, want):
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.scores.on_support.tobytes() == want.scores.on_support.tobytes()
+    assert got.scores.floor == want.scores.floor == 0.0
 
 
 def test_criterion_4_zero_gamma_edge_weighting(reduction_setup):
-    net, universe, adj, distances = reduction_setup
+    net, universe, adj = reduction_setup
     cfg = KatzConfig(gamma=0.0)
     plain = katz.katz_scores(adj, cfg, universe)
-    edge_weighted = katz.edge_weighted_katz_scores(
-        katz.katz_scores(adj, cfg, universe), distances,
-        cfg.resolved_gamma())
-    assert np.array_equal(edge_weighted.values, plain.values)
+    base = katz.katz_scores(adj, cfg, universe)
+    nodes = universe.node_indices
+    rows, cols = np.divmod(base.support, universe.k)
+    distances = geo.pair_distances(net.registry.lat_array()[nodes],
+                                   net.registry.lon_array()[nodes],
+                                   rows, cols)
+    assert distances.max() > 0.0
+    edge_weighted = katz.edge_weighted_katz_scores(base, distances,
+                                                   cfg.resolved_gamma())
+    _assert_same_scores(edge_weighted, plain)
 
 
 def test_criterion_4_zero_gamma_decay_transform(reduction_setup):
-    net, universe, adj, _ = reduction_setup
+    net, universe, adj = reduction_setup
     cfg = KatzConfig()
     registry = net.registry
     weighted = geo.weighted_adjacency(adj, registry.lat_array(),
@@ -186,7 +194,7 @@ def test_criterion_4_zero_gamma_decay_transform(reduction_setup):
     plain = katz.katz_scores(adj, cfg, universe)
     distance_weighted = katz.katz_scores(weighted, cfg, universe,
                                           model="WKI")
-    assert np.array_equal(distance_weighted.values, plain.values)
+    _assert_same_scores(distance_weighted, plain)
 
 
 # --- criterion 5: metric properties -----------------------------------------

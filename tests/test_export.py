@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from geokatz import katz, metrics
 from geokatz.graphs import NodeRegistry, PairUniverse
-from geokatz.katz import ScoreTable, normalize, write_score_table
+from geokatz.katz import normalize, write_score_table
 
 # Ids with a comma, a double quote, a newline, a carriage return,
 # padding spaces or non-ASCII letters, plus one id that is a prefix of
@@ -54,8 +54,8 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
     norm = np.array(data.draw(cells)).reshape(k, k)
     universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
                             labels=np.zeros((k, k), dtype=np.uint8))
-    table = ScoreTable(model=model, universe=universe, values=norm,
-                       normalized=True, raw_values=raw)
+    table = oracles.table_of(model, universe, norm, normalized=True,
+                             raw_values=raw)
     registry = _registry(ids)
     expected = io.StringIO()
     oracles.loop_write_score_table(table, registry, expected)
@@ -68,10 +68,8 @@ def _table(raw, norm, model="KI"):
     k = len(raw)
     universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
                             labels=np.zeros((k, k), dtype=np.uint8))
-    return ScoreTable(model=model, universe=universe,
-                      values=np.array(norm, dtype=np.float64),
-                      normalized=True,
-                      raw_values=np.array(raw, dtype=np.float64))
+    return oracles.table_of(model, universe, norm, normalized=True,
+                            raw_values=raw)
 
 
 def _check_against_row_loop(table, ids, known=None):
@@ -276,8 +274,7 @@ def test_model_files_match_row_loops(tmp_path, k, pool, cells, flags,
                             labels=labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = normalize(ScoreTable(model="KI", universe=universe,
-                                     values=raw))
+        table = normalize(oracles.table_of("KI", universe, raw))
     report = metrics.evaluate(table, threshold=threshold)
     registry = _registry(AWKWARD_IDS[:k])
 
@@ -349,12 +346,12 @@ def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
     labels[1, 0] = 1
     universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
                             labels=labels)
-    table = normalize(ScoreTable(model="KI", universe=universe, values=raw))
-    assert not np.signbit(table.values).any()
+    table = normalize(oracles.table_of("KI", universe, raw))
+    assert not np.signbit(oracles.dense(table)).any()
     report = metrics.evaluate(table, threshold=0.5)
     keys, _ = metrics._write_evaluation(report, tmp_path, "KI")
     marked = np.array([f"key {i}" for i in range(len(keys))], dtype=object)
-    got = metrics._format6(table.values, (keys, marked))
+    got = metrics._format6(oracles.dense(table), (keys, marked))
     assert all(text.startswith("key ") for text in got.ravel())
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from geokatz import geo
-from geokatz.errors import DataError
 
 LAT = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 LON = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
@@ -55,25 +54,6 @@ def test_pair_distances_matches_scalar_calls():
     for i, (u, v) in enumerate(zip(src, dst)):
         assert out[i] == pytest.approx(
             geo.haversine_km(lat[u], lon[u], lat[v], lon[v]), abs=1e-9)
-
-
-def test_distance_matrix_shape_and_symmetry():
-    rng = np.random.default_rng(7)
-    lat = rng.uniform(50.0, 55.0, 12)
-    lon = rng.uniform(-5.0, 1.0, 12)
-    mat = geo.distance_matrix(lat, lon)
-    assert mat.shape == (12, 12)
-    assert np.array_equal(np.diag(mat), np.zeros(12))
-    assert np.array_equal(mat, mat.T)
-    assert mat[1, 4] == pytest.approx(
-        geo.haversine_km(lat[1], lon[1], lat[4], lon[4]), abs=1e-9)
-
-
-def test_distance_matrix_refuses_oversized_request():
-    lat = np.zeros(11)
-    lon = np.zeros(11)
-    with pytest.raises(DataError):
-        geo.distance_matrix(lat, lon, max_nodes=10)
 
 
 def test_decay_weights_zero_gamma_is_exactly_one():
@@ -173,7 +153,7 @@ def test_haversine_from_is_bitwise_pair_distances():
         assert got.tobytes() == want.tobytes()
 
 
-def test_haversine_from_is_bitwise_distance_matrix_row():
+def test_haversine_from_is_bitwise_loop_gather_row():
     rng = np.random.default_rng(5)
     lat_deg = rng.uniform(-90.0, 90.0, 120)
     lon_deg = rng.uniform(-180.0, 180.0, 120)
@@ -182,7 +162,7 @@ def test_haversine_from_is_bitwise_distance_matrix_row():
     lat = np.radians(lat_deg)
     lon = np.radians(lon_deg)
     cos_lat = np.cos(lat)
-    mat = geo.distance_matrix(lat_deg, lon_deg)
+    mat = oracles.loop_distance_matrix(lat_deg, lon_deg)
     for u in range(120):
         got = geo.haversine_from(lat, lon, cos_lat, u)
         assert got.tobytes() == mat[u].tobytes()
@@ -198,12 +178,16 @@ POINTS = st.lists(st.tuples(st.one_of(EDGE_LAT, LAT), st.one_of(EDGE_LON, LON)),
 
 @settings(max_examples=200, deadline=None)
 @given(POINTS, st.lists(st.integers(0, 59), max_size=60))
-def test_distance_matrix_is_bitwise_pair_gather(pool, picks):
+def test_pair_distances_is_bitwise_loop_gather(pool, picks):
     # Picking from a pool with repeats makes coincident points common.
+    # Every ordered pair, in row-major order: the (k, k) matrix that the
+    # dense oracles take holds these distances.
     points = [pool[i % len(pool)] for i in picks]
     lat = np.array([p[0] for p in points], dtype=np.float64)
     lon = np.array([p[1] for p in points], dtype=np.float64)
-    got = geo.distance_matrix(lat, lon)
+    k = len(points)
+    src, dst = np.divmod(np.arange(k * k, dtype=np.int64), k)
+    got = geo.pair_distances(lat, lon, src, dst)
     want = oracles.loop_distance_matrix(lat, lon)
-    assert got.shape == want.shape == (len(points), len(points))
+    assert want.shape == (k, k)
     assert got.tobytes() == want.tobytes()

@@ -244,8 +244,8 @@ def test_fraction_beta_unconverged_uses_certified_bound():
         assert beta == pytest.approx(0.25)
         table = katz_scores(adj, cfg, universe)
         assert table.info["spectral_bound"] == pytest.approx(2.0)
-        np.testing.assert_allclose(table.values, expected, rtol=1e-9,
-                                   atol=1e-12)
+        np.testing.assert_allclose(oracles.dense(table), expected,
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_converged_table_info_has_no_spectral_bound():
@@ -276,9 +276,10 @@ def test_two_cycle_closed_form_analytic():
     cfg = KatzConfig(beta_mode="explicit", beta=beta)
     table = katz_scores(_two_cycle(), cfg, _universe(2))
     expected = beta / (1.0 - beta * beta)
-    assert table.values[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert table.values[1, 0] == pytest.approx(expected, rel=1e-12)
-    assert table.values[0, 0] == 0.0
+    values = oracles.dense(table)
+    assert values[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert values[1, 0] == pytest.approx(expected, rel=1e-12)
+    assert values[0, 0] == 0.0
 
 
 def test_series_matches_solve_on_random_graph():
@@ -294,7 +295,8 @@ def test_series_matches_solve_on_random_graph():
     series = katz_scores(adj, series_cfg, universe)
     assert solved.info["method"] == "closed-form-solve"
     assert series.info["method"] == "truncated-series"
-    assert np.max(np.abs(solved.values - series.values)) < 1e-10
+    gap = oracles.dense(solved) - oracles.dense(series)
+    assert np.max(np.abs(gap)) < 1e-10
 
 
 def _random_series_case(seed, n=40, density=0.1):
@@ -500,7 +502,7 @@ def test_solve_matches_dense_inverse_oracle():
     table = katz_scores(sp.csr_matrix(dense), cfg, _universe(12))
     reference = oracles.dense_katz_closed_form(dense, beta)
     np.fill_diagonal(reference, 0.0)
-    assert np.max(np.abs(table.values - reference)) < 1e-10
+    assert np.max(np.abs(oracles.dense(table) - reference)) < 1e-10
 
 
 def test_scores_restricted_to_universe_nodes():
@@ -511,10 +513,10 @@ def test_scores_restricted_to_universe_nodes():
     nodes = np.array([1, 4, 7, 9])
     sub = katz_scores(adj, KatzConfig(), _universe(10, nodes))
     full = katz_scores(adj, KatzConfig(), _universe(10))
-    expected = full.values[np.ix_(nodes, nodes)].copy()
+    expected = oracles.dense(full)[np.ix_(nodes, nodes)].copy()
     np.fill_diagonal(expected, 0.0)
-    assert np.allclose(sub.values, expected, atol=1e-12)
-    assert sub.values.shape == (4, 4)
+    assert np.allclose(oracles.dense(sub), expected, atol=1e-12)
+    assert oracles.dense(sub).shape == (4, 4)
 
 
 def test_solve_falls_back_to_series_above_node_limit():
@@ -523,7 +525,8 @@ def test_solve_falls_back_to_series_above_node_limit():
                      series_tolerance=1e-16)
     table = katz_scores(adj, cfg, _universe(2))
     assert table.info["method"] == "truncated-series"
-    assert table.values[0, 1] == pytest.approx(0.5 / (1 - 0.25), rel=1e-8)
+    assert oracles.dense(table)[0, 1] == pytest.approx(0.5 / (1 - 0.25),
+                                                       rel=1e-8)
 
 
 @st.composite
@@ -567,7 +570,11 @@ def test_shared_scoring_bitwise_equal_to_separate(case):
         assert table.universe is universe
         assert table.model == "WKI"
         assert table.info == alone.info
-        assert table.values.tobytes() == alone.values.tobytes()
+        assert table.support.tobytes() == alone.support.tobytes()
+        assert table.scores.on_support.tobytes() == \
+            alone.scores.on_support.tobytes()
+        assert table.scores.floor == alone.scores.floor == 0.0
+        assert table.raw is alone.raw is None
 
 
 class _PerturbedSolve:
@@ -606,7 +613,7 @@ def test_solve_residual_check_passes_near_the_spectral_bound():
     lam = oracles.dense_spectral_radius(dense)
     cfg = KatzConfig(beta_mode="explicit", beta=0.999 / lam)
     table = katz_scores(sp.csr_matrix(dense), cfg, _universe(30))
-    assert np.all(np.isfinite(table.values))
+    assert np.all(np.isfinite(oracles.dense(table)))
 
 
 def test_scores_are_non_negative_with_zero_diagonal():
@@ -614,8 +621,8 @@ def test_scores_are_non_negative_with_zero_diagonal():
     dense = ((rng.random((20, 20)) < 0.25)
              & ~np.eye(20, dtype=bool)).astype(np.float64)
     table = katz_scores(sp.csr_matrix(dense), KatzConfig(), _universe(20))
-    assert np.all(table.values >= 0.0)
-    assert np.array_equal(np.diag(table.values), np.zeros(20))
+    assert np.all(oracles.dense(table) >= 0.0)
+    assert not (table.support % 21 == 0).any()
 
 
 def test_weighted_scores_match_dense_oracle():
@@ -630,7 +637,7 @@ def test_weighted_scores_match_dense_oracle():
     table = katz_scores(sp.csr_matrix(dense), cfg, _universe(n), model="WKI")
     reference = oracles.dense_katz_closed_form(dense, beta)
     np.fill_diagonal(reference, 0.0)
-    assert np.max(np.abs(table.values - reference)) < 1e-10
+    assert np.max(np.abs(oracles.dense(table) - reference)) < 1e-10
 
 
 def test_edge_weighted_is_pairwise_decay_of_base():
@@ -643,10 +650,12 @@ def test_edge_weighted_is_pairwise_decay_of_base():
     np.fill_diagonal(distances, 0.0)
     cfg = KatzConfig(gamma=0.005)
     base = katz_scores(sp.csr_matrix(dense), cfg, _universe(n))
-    table = edge_weighted_katz_scores(base, distances, cfg.resolved_gamma())
-    expected = base.values * np.exp(-0.005 * distances)
+    table = edge_weighted_katz_scores(base, distances.ravel()[base.support],
+                                      cfg.resolved_gamma())
+    expected = oracles.dense(base) * np.exp(-0.005 * distances)
     np.fill_diagonal(expected, 0.0)
-    assert np.array_equal(table.values, expected)
+    assert table.support is base.support
+    assert np.array_equal(oracles.dense(table), expected)
     assert table.info["gamma"] == 0.005
 
 
@@ -656,25 +665,30 @@ def test_edge_weighted_reuses_provided_base_table():
     cfg = KatzConfig(gamma=0.01)
     universe = _universe(n)
     base = katz_scores(adj, cfg, universe)
-    distances = np.array([[0.0, 100.0], [100.0, 0.0]])
-    table = edge_weighted_katz_scores(base, distances, cfg.resolved_gamma())
-    assert table.values[0, 1] == base.values[0, 1] * np.exp(-1.0)
+    assert base.support.tolist() == [1, 2]
+    table = edge_weighted_katz_scores(base, [100.0, 100.0],
+                                      cfg.resolved_gamma())
+    assert oracles.dense(table)[0, 1] == \
+        oracles.dense(base)[0, 1] * np.exp(-1.0)
 
 
 def test_edge_weighted_rejects_mismatched_inputs():
     adj = _two_cycle()
     cfg = KatzConfig()
     universe = _universe(2)
-    with pytest.raises(UniverseMismatchError):
+    with pytest.raises(UniverseMismatchError, match="3 distances"):
         edge_weighted_katz_scores(katz_scores(adj, cfg, universe),
-                                  np.zeros((3, 3)), cfg.resolved_gamma())
+                                  np.zeros(3), cfg.resolved_gamma())
+    # Distances are those of the support pairs: a (k, k) matrix is not.
+    with pytest.raises(UniverseMismatchError, match="4 distances"):
+        edge_weighted_katz_scores(katz_scores(adj, cfg, universe),
+                                  np.zeros((2, 2)), cfg.resolved_gamma())
     # The 2-cycle's symmetric table is constant off-diagonal, so the
     # normalization legitimately warns before the mismatch check.
     with pytest.warns(DegenerateScoreTableWarning):
         base = normalize(katz_scores(adj, cfg, universe))
     with pytest.raises(UniverseMismatchError):
-        edge_weighted_katz_scores(base, np.zeros((2, 2)),
-                                  cfg.resolved_gamma())
+        edge_weighted_katz_scores(base, np.zeros(2), cfg.resolved_gamma())
 
 
 # --- normalization and combination -------------------------------------------
@@ -682,7 +696,7 @@ def test_edge_weighted_rejects_mismatched_inputs():
 def _table(values, model="KI", universe=None):
     values = np.asarray(values, dtype=np.float64)
     uni = universe or _universe(values.shape[0])
-    return katz.ScoreTable(model=model, universe=uni, values=values)
+    return oracles.table_of(model, uni, values)
 
 
 def test_normalize_rescales_offdiagonal_to_unit_interval():
@@ -691,17 +705,17 @@ def test_normalize_rescales_offdiagonal_to_unit_interval():
                     [10.0, 12.0, 0.0]])
     normed = normalize(table)
     assert normed.normalized
-    assert normed.values.min() == 0.0
-    assert normed.values[2, 1] == 1.0
-    assert normed.values[1, 0] == pytest.approx(0.4)
-    assert normed.raw_values is table.values
+    assert oracles.dense(normed).min() == 0.0
+    assert oracles.dense(normed)[2, 1] == 1.0
+    assert oracles.dense(normed)[1, 0] == pytest.approx(0.4)
+    assert normed.raw is table.scores
 
 
 def test_normalize_constant_table_warns_and_zeroes():
     table = _table([[0.0, 5.0], [5.0, 0.0]])
     with pytest.warns(DegenerateScoreTableWarning):
         normed = normalize(table)
-    assert np.array_equal(normed.values, np.zeros((2, 2)))
+    assert np.array_equal(oracles.dense(normed), np.zeros((2, 2)))
 
 
 def test_normalize_twice_is_rejected():
@@ -720,18 +734,18 @@ def test_combine_rules():
     combined = combine(a, b, rule="mean")
     assert combined.model == "KIWKI"
     assert combined.normalized
-    fused = (a.values + b.values) / 2.0
+    fused = (oracles.dense(a) + oracles.dense(b)) / 2.0
     lo = fused[~np.eye(3, dtype=bool)].min()
     span = fused[~np.eye(3, dtype=bool)].max() - lo
     expected = np.zeros((3, 3))
     mask = ~np.eye(3, dtype=bool)
     expected[mask] = (fused[mask] - lo) / span
-    assert np.allclose(combined.values, expected, atol=1e-15)
+    assert np.allclose(oracles.dense(combined), expected, atol=1e-15)
 
     product = combine(a, b, rule="product")
     assert product.model == "KIWKI"
     biggest = combine(a, b, rule="max")
-    assert np.all(biggest.raw_values >= a.values - 1e-15)
+    assert np.all(oracles.dense_raw(biggest) >= oracles.dense(a) - 1e-15)
 
 
 def test_combine_on_raw_fuses_pre_normalization_scores():
@@ -743,8 +757,8 @@ def test_combine_on_raw_fuses_pre_normalization_scores():
                           [10.0, 20.0, 0.0]], model="EWKI"))
     combined = combine(a, b, rule="mean", on="raw")
     assert combined.model == "KIEWKI"
-    assert np.array_equal(combined.raw_values,
-                          (a.raw_values + b.raw_values) / 2.0)
+    assert np.array_equal(oracles.dense_raw(combined),
+                          (oracles.dense_raw(a) + oracles.dense_raw(b)) / 2.0)
     assert combined.info == {"rule": "mean", "components": ("KI", "EWKI"),
                              "combined_on": "raw"}
     assert "combined_on" not in combine(a, b).info

@@ -206,12 +206,11 @@ def test_evaluate_accepts_score_table():
     # A ScoreTable carries its universe labels; omitted labels resolve
     # from it. Build a tiny stand-in with the same duck-typed surface.
     from geokatz.graphs import PairUniverse
-    from geokatz.katz import ScoreTable, normalize
+    from geokatz.katz import normalize
     labels = np.array([[0, 1], [0, 0]], dtype=np.uint8)
     universe = PairUniverse(node_indices=np.array([0, 1]), labels=labels)
-    table = normalize(ScoreTable(model="KI", universe=universe,
-                                 values=np.array([[0.0, 0.9],
-                                                  [0.1, 0.0]])))
+    table = normalize(oracles.table_of("KI", universe,
+                                       np.array([[0.0, 0.9], [0.1, 0.0]])))
     threshold, best = metrics.optimal_threshold(table)
     report = metrics.evaluate(table, threshold=threshold)
     assert report.model == "KI"

@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geokatz import katz, pipeline
+from geokatz import _fork, katz, pipeline
 from geokatz.config import parse_run_config
 from geokatz.errors import (BetaDomainError, DataError,
                             DegenerateLabelsError,
                             DegenerateScoreTableWarning, NumericError,
                             UniverseMismatchError)
 from geokatz.graphs import PairUniverse
-from geokatz.katz import ScoreTable, read_score_table
+from geokatz.katz import read_score_table
 from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, MODEL_PARTS,
                               SUMMARY_ROWS, run, run_scores_only)
 
@@ -78,6 +78,14 @@ def _cfg(text, tmp_path=None, out=None):
     return cfg
 
 
+def _assert_same_table(got, want):
+    """The two tables hold the same support and columns, bit for bit."""
+    assert got.support.tobytes() == want.support.tobytes()
+    for a, b in ((got.scores, want.scores), (got.raw, want.raw)):
+        assert a.on_support.tobytes() == b.on_support.tobytes()
+        assert float(a.floor).hex() == float(b.floor).hex()
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_run")
@@ -97,7 +105,8 @@ class TestFullRun:
         _, result, _ = small_run
         for table in result.tables.values():
             assert table.normalized
-            off = table.values[~np.eye(table.values.shape[0], dtype=bool)]
+            values = oracles.dense(table)
+            off = values[~np.eye(values.shape[0], dtype=bool)]
             assert off.min() >= 0.0 and off.max() <= 1.0
 
     def test_reports_are_internally_consistent(self, small_run):
@@ -244,30 +253,30 @@ class TestScoresOnly:
         full, scores_only = run(cfg), run_scores_only(cfg)
         assert list(scores_only.tables) == list(MODEL_PARTS)
         for model, table in full.tables.items():
-            other = scores_only.tables[model]
-            for name in ("values", "raw_values"):
-                a, b = getattr(table, name), getattr(other, name)
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (model, name)
+            _assert_same_table(scores_only.tables[model], table)
 
 
 class TestSupportTables:
 
     @pytest.mark.parametrize("gamma", ["0.01", "tune"])
     @pytest.mark.parametrize("write", [False, True])
-    def test_run_builds_no_dense_table(self, tmp_path, monkeypatch, gamma,
-                                       write):
-        # Every step works on the tables' supports: no dense view of a
-        # table is built, by the caller or by a forked export writer.
-        def refused(table):
-            raise AssertionError(f"a dense view of {table.model} was built")
-
-        for name in ("values", "raw_values", "score_vector"):
-            monkeypatch.setattr(ScoreTable, name, property(refused))
+    def test_run_builds_no_dense_table(self, tmp_path, gamma, write):
+        # Every table of a run holds one score per support pair and a
+        # floor for the rest, and all six share the universe's support.
         text = QUICKSTART.read_text().replace("  gamma: 0.01",
                                               f"  gamma: {gamma}")
         result = run(_cfg(text, out=tmp_path if write else None))
         assert len(result.reports) == 6
+        support = result.tables["KI"].support
+        assert 0 < support.size < result.universe.n_pairs
+        for table in result.tables.values():
+            assert table.support is support
+            assert vars(table).keys() == {"model", "universe", "support",
+                                          "scores", "normalized", "raw",
+                                          "info"}
+            for column in (table.scores, table.raw):
+                assert column.on_support.shape == support.shape
+                assert isinstance(column.floor, float)
         written = sorted(p.name for p in tmp_path.glob("scores_*.csv"))
         assert written == (sorted(f"scores_{m}.csv" for m in MODEL_PARTS)
                            if write else [])
@@ -294,7 +303,7 @@ class TestScoreBasis:
         for result, expect_positive in ((train_only, False),
                                         (with_val, True)):
             universe = result.universe
-            raw = result.tables["KI"].raw_values
+            raw = oracles.dense_raw(result.tables["KI"])
             assert raw is not None
             assert universe.k == 3
             # a and c are global nodes 0 and 3 (first-seen order in the
@@ -306,7 +315,7 @@ class TestScoreBasis:
     def test_direct_train_edge_scores_either_way(self, tmp_path):
         result = self._run(tmp_path, basis="train")
         pos = {int(n): i for i, n in enumerate(result.universe.node_indices)}
-        raw = result.tables["KI"].raw_values
+        raw = oracles.dense_raw(result.tables["KI"])
         # d -> a is a train edge, so its one-hop walk is always there.
         assert raw[pos[2], pos[0]] > 0
 
@@ -355,7 +364,7 @@ class TestTuning:
     def test_distances_computed_once_per_ewki_universe(
             self, monkeypatch, edits, builds):
         # Gamma tuning and EWKI share the distances of KI's support
-        # pairs; no (k, k) distance matrix is built.
+        # pairs.
         calls = []
         inside_weighting = []
         pair_distances = pipeline.geo.pair_distances
@@ -373,12 +382,8 @@ class TestTuning:
             finally:
                 inside_weighting.pop()
 
-        def refused(*args, **kwargs):
-            raise AssertionError("a dense distance matrix was built")
-
         monkeypatch.setattr(pipeline.geo, "pair_distances", counting)
         monkeypatch.setattr(pipeline.geo, "weighted_adjacency", weighting)
-        monkeypatch.setattr(pipeline.geo, "distance_matrix", refused)
         text = SMALL_SYNTH.replace("models: [KI, WKI, EWKI, KIEWKI]",
                                    "models: [EWKI]")
         for old, new in edits:
@@ -496,9 +501,15 @@ def _tuning_input(ki, distances, labels):
     k = len(ki)
     universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
                             labels=np.asarray(labels, dtype=np.uint8))
-    table = ScoreTable(model="KI", universe=universe,
-                       values=np.asarray(ki, dtype=np.float64))
+    table = oracles.table_of("KI", universe, ki)
     return table, np.asarray(distances, dtype=np.float64)
+
+
+def _tune_gamma(ki_table, distances):
+    """``pipeline._tune_gamma`` given the (k, k) distance matrix: it
+    takes the distances of the table's support pairs."""
+    support = ki_table.support
+    return pipeline._tune_gamma(ki_table, distances.ravel()[support])
 
 
 def _search(tune, ki_table, distances):
@@ -554,14 +565,14 @@ class TestGammaSearch:
     @given(_tuning_cases())
     def test_matches_dense_search_bit_for_bit(self, case):
         want = _search(oracles.dense_tune_gamma, *case)
-        assert _search(pipeline._tune_gamma, *case) == want
+        assert _search(_tune_gamma, *case) == want
 
     def test_all_zero_table_warns_and_keeps_smallest_gamma(self):
         k = 4
         labels = np.ones((k, k)) - np.eye(k)
         case = _tuning_input(np.zeros((k, k)), np.full((k, k), 10.0), labels)
         with pytest.warns(DegenerateScoreTableWarning):
-            gamma, cuts = pipeline._tune_gamma(*case)
+            gamma, cuts = _tune_gamma(*case)
         assert gamma == GAMMA_GRID[0]
         assert cuts == [(0.0, 1.0)] * len(GAMMA_GRID)
 
@@ -569,7 +580,7 @@ class TestGammaSearch:
         ki = np.array([[0.0, 0.5, -1e-17], [0.2, 0.0, 0.0], [0.0, 0.1, 0.0]])
         labels = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
         with pytest.raises(NumericError, match="1 negative"):
-            pipeline._tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
+            _tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_ki_score_is_refused(self, bad):
@@ -577,19 +588,18 @@ class TestGammaSearch:
         labels = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError, match="non-finite"), \
                 np.errstate(invalid="ignore"):
-            pipeline._tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
+            _tune_gamma(*_tuning_input(ki, np.ones((3, 3)), labels))
 
     def test_no_positive_label_is_degenerate(self):
         ki = np.array([[0.0, 0.5], [0.2, 0.0]])
         with pytest.raises(DegenerateLabelsError):
-            pipeline._tune_gamma(*_tuning_input(ki, np.ones((2, 2)),
+            _tune_gamma(*_tuning_input(ki, np.ones((2, 2)),
                                                 np.zeros((2, 2))))
 
     def test_quickstart_tunes_on_support_vectors_only(self, monkeypatch):
         # Each candidate goes through EWKI's own decay, normalize and
-        # threshold code, on KI's support: no dense view of a table is
-        # built, and every array decayed or swept has one entry per
-        # nonzero KI pair.
+        # threshold code, on KI's support: every array decayed or swept
+        # has one entry per nonzero KI pair.
         active = []
         calls = {"edge_weighted_katz_scores": 0, "normalize": 0,
                  "optimal_threshold": 0}
@@ -615,14 +625,6 @@ class TestGammaSearch:
                              (pipeline.metrics, "_sweep_above")):
             watch(module, name,
                   lambda name, args: sizes[name].append(len(args[0])))
-        for name in ("values", "raw_values", "score_vector"):
-            view = getattr(ScoreTable, name)
-
-            def dense(table, view=view):
-                if active:
-                    raise AssertionError("a dense view was built")
-                return view.fget(table)
-            monkeypatch.setattr(ScoreTable, name, property(dense))
         tune_gamma = pipeline._tune_gamma
         support = []
 
@@ -652,8 +654,8 @@ class TestCombineOn:
                                    "models: [KIWKI]")
         r_norm = run_scores_only(_cfg(base))
         r_raw = run_scores_only(_cfg(base + "combine_on: raw\n"))
-        a = r_norm.tables["KIWKI"].values
-        b = r_raw.tables["KIWKI"].values
+        a = oracles.dense(r_norm.tables["KIWKI"])
+        b = oracles.dense(r_raw.tables["KIWKI"])
         assert a.shape == b.shape
         assert not np.allclose(a, b)
 
@@ -760,7 +762,7 @@ class TestForkedExport:
     def cpus(self, monkeypatch):
         """Pretend the host has ``n`` usable CPUs."""
         def set_cpus(n):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: n)
         return set_cpus
 
     @pytest.mark.parametrize("entry", [run, run_scores_only])
@@ -820,7 +822,7 @@ class TestForkedExport:
         run(replace(cfg, workers=10**6))
         assert len(cfg.models) == 4
         if forks is None:
-            forks = min(pipeline._usable_cpus(), len(cfg.models)) - 1
+            forks = min(_fork.usable_cpus(), len(cfg.models)) - 1
         assert len(calls) == forks <= len(cfg.models) - 1
         assert INCOMPLETE_MARKER not in _artifacts(tmp_path)
 
@@ -894,10 +896,11 @@ class TestScoreTableRoundTrip:
         assert loaded.model == "KI"
         assert loaded.normalized
         # Exported floats carry 6 significant digits.
-        np.testing.assert_allclose(loaded.values, table.values,
-                                   rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(loaded.raw_values, table.raw_values,
-                                   rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(oracles.dense(loaded),
+                                   oracles.dense(table), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(oracles.dense_raw(loaded),
+                                   oracles.dense_raw(table), rtol=1e-5,
+                                   atol=1e-7)
 
     def test_byte_order_mark_is_stripped(self, exported):
         # A spreadsheet saving the table as UTF-8 prefixes U+FEFF.
@@ -906,8 +909,7 @@ class TestScoreTableRoundTrip:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         loaded = read_score_table(path, universe, registry)
         assert loaded.model == plain.model
-        assert loaded.values.tobytes() == plain.values.tobytes()
-        assert loaded.raw_values.tobytes() == plain.raw_values.tobytes()
+        _assert_same_table(loaded, plain)
 
     def test_header_names_are_stripped(self, exported):
         # Movement-file headers are read alike: "model, score" names
@@ -918,8 +920,7 @@ class TestScoreTableRoundTrip:
                      + lines[1:])
         loaded = read_score_table(path, universe, registry)
         assert loaded.model == plain.model
-        assert loaded.values.tobytes() == plain.values.tobytes()
-        assert loaded.raw_values.tobytes() == plain.raw_values.tobytes()
+        _assert_same_table(loaded, plain)
 
     def test_unopenable_file_is_data_error_naming_it(self, exported,
                                                      tmp_path):

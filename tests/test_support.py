@@ -106,7 +106,7 @@ def _evaluation(table, dense):
         return threshold.hex(), f1.hex(), _report_bits(report)
 
     def dense_tuned():
-        scores = dense.score_vector
+        scores = oracles.dense_vector(dense)
         labels = dense.universe.label_vector
         threshold, f1 = metrics.optimal_threshold(scores, labels)
         report = metrics.evaluate(scores, labels, threshold=threshold,
@@ -140,8 +140,9 @@ def _exports(table, dense, registry):
 def _check_tables(tables, dense, registry):
     for model, table in tables.items():
         want = dense[model]
-        assert _bits(table.values) == _bits(want.values), model
-        assert _bits(table.raw_values) == _bits(want.raw_values), model
+        assert _bits(oracles.dense(table)) == _bits(want.values), model
+        assert _bits(oracles.dense_raw(table)) == _bits(want.raw_values), \
+            model
         assert table.info == want.info
         assert table.support.dtype == np.int64
         assert np.all(np.diff(table.support) > 0)
@@ -165,10 +166,11 @@ def _model_tables(case, ki, wki):
                           combine_on=case.on)
     got = _outcome(lambda: pipeline._model_tables(
         scoring, KatzConfig(gamma=case.gamma), cfg))
-    dense_raw = {name: oracles.DenseTable(name, universe, table.values,
+    dense_raw = {name: oracles.DenseTable(name, universe,
+                                          oracles.dense(table),
                                           info=dict(table.info))
                  for name, table in (("KI", ki), ("WKI", wki))}
-    distances = geo.distance_matrix(case.lat, case.lon)
+    distances = oracles.loop_distance_matrix(case.lat, case.lon)
     want = _outcome(lambda: oracles.dense_model_tables(
         dense_raw, distances, case.gamma, ALL_MODELS, case.rule, case.on))
     return got, want, registry
@@ -180,15 +182,15 @@ def test_model_tables_match_dense_oracle(case):
     k = len(case.ki)
     universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
                             labels=case.labels)
-    ki = ScoreTable(model="KI", universe=universe, values=case.ki,
-                    info={"beta": 0.1})
-    wki = ScoreTable(model="WKI", universe=universe, values=case.wki,
-                     info={"beta": 0.2})
+    ki = oracles.table_of("KI", universe, case.ki, info={"beta": 0.1})
+    wki = oracles.table_of("WKI", universe, case.wki, info={"beta": 0.2})
     (tables, warned), (dense, want_warned), registry = _model_tables(
         case, ki, wki)
     assert warned == want_warned
     union = np.flatnonzero(((_bits_matrix(case.ki) != 0)
                             | (_bits_matrix(case.wki) != 0)).ravel())
+    assert katz._support_of(case.ki).tolist() == ki.support.tolist()
+    assert katz._support_of(case.ki, case.wki).tolist() == union.tolist()
     for table in tables.values():
         assert table.support.tolist() == union.tolist()
     _check_tables(tables, dense, registry)
@@ -211,7 +213,7 @@ def test_combine_of_tables_on_other_supports_matches_dense_oracle(case):
                             labels=case.labels)
     tables, dense = [], []
     for model, values in (("KI", case.ki), ("WKI", case.wki)):
-        table = ScoreTable(model=model, universe=universe, values=values)
+        table = oracles.table_of(model, universe, values)
         tables.append(_outcome(lambda: katz.normalize(table))[0])
         dense.append(_outcome(lambda: oracles.dense_normalize(
             oracles.DenseTable(model, universe, values)))[0])
@@ -249,7 +251,7 @@ def test_decay_wki_on_part_of_ki_support_matches_dense_oracle(rule, on):
     assert np.count_nonzero(weighted.data == 0.0) == 2
     wki = katz.katz_scores(weighted, cfg, universe, model="WKI")
     assert set(wki.support) < set(ki.support)
-    case = SimpleNamespace(ki=ki.values, lat=np.array(SITES[0]),
+    case = SimpleNamespace(ki=oracles.dense(ki), lat=np.array(SITES[0]),
                            lon=np.array(SITES[1]), gamma=0.1, rule=rule,
                            on=on)
     (tables, warned), (dense, want_warned), registry = _model_tables(
@@ -266,23 +268,28 @@ def test_support_holds_signed_zeros_and_leaves_the_diagonal():
                                                              -0.0]])
     universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
                             labels=np.zeros((3, 3), dtype=np.uint8))
-    table = ScoreTable(model="KI", universe=universe, values=values)
+    assert katz._support_of(values).tolist() == [1, 5, 6]
+    # A second matrix adds the cells at which it is not +0.0.
+    other = np.zeros((3, 3))
+    other[0, 0], other[1, 0], other[2, 1] = 1.0, -0.0, 0.0
+    assert katz._support_of(values, other).tolist() == [1, 3, 5, 6]
+    table = oracles.table_of("KI", universe, values)
     assert table.support.tolist() == [1, 5, 6]
     assert table.n_floor == 3
     assert _bits(table.scores.on_support) == _bits([-0.0, 2.0, 1e-300])
-    assert table.values is values
-    rebuilt = ScoreTable._of("KI", universe, table.support, katz._Column(
+    rebuilt = ScoreTable("KI", universe, table.support, katz._Column(
         table.scores.on_support, table.scores.floor))
     want = values.copy()
     np.fill_diagonal(want, 0.0)
-    assert _bits(rebuilt.values) == _bits(want)
+    assert _bits(oracles.dense(table)) == _bits(want)
+    assert _bits(oracles.dense(rebuilt)) == _bits(want)
 
 
 def test_score_matrix_of_another_size_is_refused():
     universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
                             labels=np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(katz.UniverseMismatchError):
-        ScoreTable(model="KI", universe=universe, values=np.zeros((2, 2)))
+        oracles.table_of("KI", universe, np.zeros((2, 2)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,13 +300,21 @@ def test_table_sweep_with_given_labels_matches_dense_vector(case, drawn):
     universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
                             labels=case.labels)
     table = _outcome(lambda: katz.normalize(
-        ScoreTable(model="KI", universe=universe, values=case.ki)))[0]
+        oracles.table_of("KI", universe, case.ki)))[0]
     labels = np.array(drawn[:universe.n_pairs])
     for given_labels in (labels, universe.label_vector):
         got = _outcome(lambda: _report_bits(metrics.evaluate(
             table, given_labels, threshold=0.5)))
         want = _outcome(lambda: _report_bits(metrics.evaluate(
-            table.score_vector, given_labels, threshold=0.5, model="KI")))
+            oracles.dense_vector(table), given_labels, threshold=0.5,
+            model="KI")))
         assert got == want
+        # The confusion at any cut is read off the table's sweep, and
+        # counts what masks over every pair count.
+        vector = oracles.dense_vector(table)
+        for cut in np.append(vector, [0.5, -np.inf, np.inf, np.nan]):
+            cm = metrics.confusion_at(table, given_labels, cut)
+            assert (cm.tp, cm.fp, cm.fn, cm.tn) == oracles.mask_confusion(
+                vector, given_labels != 0, cut)
     with pytest.raises(ValueError, match="differ in length"):
         metrics.optimal_threshold(table, labels[:-1])
