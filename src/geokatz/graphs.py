@@ -545,8 +545,12 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
     offsets = (ends[np.array(starts) - 1] + 1).tolist() + [len(data)]
 
     def read(p):
-        lines = io.TextIOWrapper(io.BytesIO(data[offsets[p]:offsets[p + 1]]),
-                                 encoding="utf-8", newline="")
+        # The caller reads its part after every child is forked, so the
+        # whole file's bytes can go once that part is sliced.
+        nonlocal data
+        part, data = data[offsets[p]:offsets[p + 1]], None
+        lines = io.TextIOWrapper(io.BytesIO(part), encoding="utf-8",
+                                 newline="")
         return _ingest_lines(lines, starts[p] + 1, column_pos, delimiter,
                              year_range, on_bad_rows)
 
@@ -898,15 +902,26 @@ class PairUniverse:
     """All ordered pairs (u, v), u != v, over a fixed node set.
 
     ``node_indices`` holds the k participating global node indices in
-    sorted order; pair (i, j) is the cell of a (k, k) matrix whose
-    diagonal is excluded everywhere, at flat row-major position
+    strictly ascending order; pair (i, j) is the cell of a (k, k) matrix
+    whose diagonal is excluded everywhere, at flat row-major position
     i * k + j, which is how a score table's support lists its pairs.
-    ``labels[i, j]`` is 1 when the ordered pair is a known link.
-    Flattening is row-major over off-diagonal cells, a fixed order
-    shared by dense score vectors and labels.
+    ``positives`` holds the flat positions of the pairs that are known
+    links, strictly ascending. Anything else is a ValueError.
     """
     node_indices: np.ndarray
-    labels: np.ndarray
+    positives: np.ndarray
+
+    def __post_init__(self):
+        for name in ("node_indices", "positives"):
+            values = getattr(self, name)
+            if np.ndim(values) != 1 or np.any(np.diff(values) <= 0):
+                raise ValueError(
+                    f"{name} must be a strictly ascending 1-d array")
+        k, positives = self.k, self.positives
+        if np.any((positives < 0) | (positives >= k * k)
+                  | (positives % (k + 1) == 0)):
+            raise ValueError(f"positives must be off-diagonal positions "
+                             f"in [0, {k * k})")
 
     @property
     def k(self):
@@ -916,26 +931,14 @@ class PairUniverse:
     def n_pairs(self):
         return self.k * (self.k - 1)
 
-    @cached_property
-    def offdiag_mask(self):
-        return ~np.eye(self.k, dtype=bool)
-
-    @cached_property
-    def label_vector(self):
-        return self.flatten(self.labels)
-
     @property
     def n_positives(self):
-        return int(self.label_vector.sum())
-
-    def flatten(self, matrix):
-        """Off-diagonal cells of a (k, k) matrix in row-major order."""
-        return matrix[self.offdiag_mask]
+        return self.positives.size
 
     def same_universe(self, other):
         return self is other or (
             np.array_equal(self.node_indices, other.node_indices)
-            and np.array_equal(self.labels, other.labels))
+            and np.array_equal(self.positives, other.positives))
 
 
 def candidate_pairs(eval_net):
@@ -943,15 +946,13 @@ def candidate_pairs(eval_net):
 
     Pairs cover exactly the nodes incident to the network's edges, so a
     k-node network yields k(k-1) pairs; a pair is positive iff it is a
-    (year-collapsed) link of the network.
+    (year-collapsed) link of the network. The links are sorted by
+    (source, dest), so their flat positions come out ascending.
     """
     nodes = eval_net.node_indices
     if len(nodes) == 0:
         raise EmptyNetworkError("evaluation network has no edges")
     links = eval_net.links
-    k = len(nodes)
-    labels = np.zeros((k, k), dtype=np.uint8)
-    rows = np.searchsorted(nodes, links[:, 0])
-    cols = np.searchsorted(nodes, links[:, 1])
-    labels[rows, cols] = 1
-    return PairUniverse(node_indices=nodes, labels=labels)
+    positives = (np.searchsorted(nodes, links[:, 0]) * len(nodes)
+                 + np.searchsorted(nodes, links[:, 1]))
+    return PairUniverse(node_indices=nodes, positives=positives)

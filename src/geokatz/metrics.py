@@ -113,8 +113,8 @@ def f1(cm):
 
 def confusion_at(scores, labels=None, threshold=0.0):
     """Confusion counts for the decision rule score >= threshold, read
-    off the sweep of ``scores``: a ScoreTable (labels default to its
-    universe's) or a plain array with its labels."""
+    off the sweep of ``scores``: a ScoreTable, labeled by its universe,
+    or a plain array with its labels."""
     return _confusion_from_sweep(*_sweep_of(scores, labels), threshold)
 
 
@@ -167,28 +167,16 @@ def _sweep_above(s, y, floor, n_pos, n_neg):
     return thresholds, tp, fp, n_pos, n_neg
 
 
-def _table_sweep(table, labels=None):
+def _table_sweep(table):
     """The sweep of a ScoreTable over its universe, from its support:
-    every pair off the support scores the table's floor. ``labels``,
-    when given, label the universe's pairs in flattening order;
-    by default they are the universe's own."""
+    every pair off the support scores the table's floor, and a support
+    pair is positive when its flat position is one of the universe's
+    positives."""
     universe = table.universe
     if universe.n_pairs == 0:
         raise ValueError("empty score vector")
-    support = table.support
-    if labels is None:
-        y = universe.labels.ravel()[support] != 0
-        n_pos = universe.n_positives
-    else:
-        labels = np.asarray(labels).ravel()
-        if labels.shape != (universe.n_pairs,):
-            raise ValueError(
-                f"scores and labels differ in length: "
-                f"({universe.n_pairs},) vs {labels.shape}")
-        # Pair (i, j) is entry i * (k - 1) + j - (j > i) of the order.
-        rows, cols = np.divmod(support, universe.k)
-        y = labels[support - rows - (cols > rows)] != 0
-        n_pos = int(np.count_nonzero(labels))
+    y = np.isin(table.support, universe.positives, assume_unique=True)
+    n_pos = universe.n_positives
     s = table.scores.on_support
     _check_finite(s)
     if table.n_floor:
@@ -200,10 +188,13 @@ def _table_sweep(table, labels=None):
 
 
 def _sweep_of(scores, labels):
-    """The sweep of a ScoreTable, from its support, or of a plain score
-    array with its labels."""
+    """The sweep of a ScoreTable, from its support and its universe's
+    labels, or of a plain score array with its labels."""
     if hasattr(scores, "support"):
-        return _table_sweep(scores, labels)
+        if labels is not None:
+            raise ValueError("a ScoreTable is labeled by its universe; "
+                             "labels must not be given with it")
+        return _table_sweep(scores)
     return _sweep(*_vectors(scores, labels))
 
 

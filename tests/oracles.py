@@ -38,7 +38,11 @@ and with its diagonal cleared, whose off-diagonal cells that are not
 +0.0 the package's support extraction must match bit for bit. Score
 tables that tests write as (k, k) matrices are built by ``table_of``,
 and ``dense``, ``dense_raw`` and ``dense_vector`` give a table's
-columns back as matrices over every pair.
+columns back as matrices over every pair. Universes that tests write
+as (k, k) label matrices are built by ``universe_of``, and
+``label_vector`` gives a universe's labels back over every pair; the
+candidate pairs are the (k, k) label matrix whose nonzero cells the
+package's flat positives must match.
 """
 
 import csv
@@ -55,7 +59,7 @@ from scipy.sparse.linalg import splu
 from geokatz.config import ALL_MODELS, RunConfig
 from geokatz.errors import (ConfigError, DataError, EmptyNetworkError,
                             RowError, SchemaError)
-from geokatz.graphs import SplitSpec, delimiter_problem
+from geokatz.graphs import PairUniverse, SplitSpec, delimiter_problem
 from geokatz.katz import KatzConfig
 from geokatz.synth import SynthConfig
 
@@ -821,10 +825,54 @@ def dense_tune_gamma(ki_table, distances):
         candidate = dense_normalize(dense_edge_weighted_katz_scores(
             ki_table, distances, float(gamma)))
         cuts.append(optimal_threshold(dense_vector(candidate),
-                                      candidate.universe.label_vector))
+                                      label_vector(candidate.universe)))
         if cuts[-1][1] > best_f1:
             best_gamma, best_f1 = float(gamma), cuts[-1][1]
     return best_gamma, cuts
+
+
+def dense_candidate_pairs(eval_net):
+    """The node indices of an evaluation network and its (k, k) uint8
+    labels, 1 where the ordered pair of universe positions is a link:
+    the universe ``candidate_pairs`` gives, as a dense matrix."""
+    nodes = eval_net.node_indices
+    if len(nodes) == 0:
+        raise EmptyNetworkError("evaluation network has no edges")
+    links = eval_net.links
+    k = len(nodes)
+    labels = np.zeros((k, k), dtype=np.uint8)
+    rows = np.searchsorted(nodes, links[:, 0])
+    cols = np.searchsorted(nodes, links[:, 1])
+    labels[rows, cols] = 1
+    return nodes, labels
+
+
+def universe_of(node_indices, labels=None):
+    """A PairUniverse over ``node_indices`` whose positives are the
+    off-diagonal cells of the (k, k) ``labels`` that are not 0, none
+    when ``labels`` is None; the diagonal is ignored."""
+    node_indices = np.asarray(node_indices, dtype=np.int64)
+    k = len(node_indices)
+    if labels is None:
+        labels = np.zeros((k, k))
+    positive = (np.asarray(labels) != 0).reshape(k, k)
+    np.fill_diagonal(positive, False)
+    return PairUniverse(node_indices, np.flatnonzero(positive))
+
+
+def _offdiagonal(matrix):
+    """The off-diagonal cells of a square matrix, row-major: the pair
+    flattening order."""
+    return matrix[~np.eye(len(matrix), dtype=bool)]
+
+
+def label_vector(universe):
+    """A universe's labels, 1 at its positives and 0 elsewhere, in the
+    pair flattening order."""
+    k = universe.k
+    labels = np.zeros(k * k, dtype=np.uint8)
+    labels[universe.positives] = 1
+    return _offdiagonal(labels.reshape(k, k))
 
 
 def table_of(model, universe, values, normalized=False, raw_values=None,
@@ -878,8 +926,8 @@ def dense_raw(table):
 
 
 def dense_vector(table):
-    """``dense(table)`` in the universe's pair flattening order."""
-    return table.universe.flatten(dense(table))
+    """``dense(table)`` in the pair flattening order."""
+    return _offdiagonal(dense(table))
 
 
 @dataclasses.dataclass
@@ -913,7 +961,7 @@ def dense_normalize(table):
 
     from geokatz.errors import DegenerateScoreTableWarning
 
-    mask = table.universe.offdiag_mask
+    mask = ~np.eye(table.universe.k, dtype=bool)
     pair_scores = table.values[mask]
     lo = pair_scores.min()
     span = pair_scores.max() - lo

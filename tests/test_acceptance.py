@@ -16,7 +16,7 @@ import oracles
 from conftest import NATIONAL_SCALE_YAML
 from geokatz import config as config_mod
 from geokatz import geo, katz, metrics, pipeline, synth
-from geokatz.graphs import PairUniverse, build_adjacency, candidate_pairs
+from geokatz.graphs import build_adjacency, candidate_pairs
 from geokatz.katz import KatzConfig
 
 # Published test-split confusion matrices, keyed by model:
@@ -70,7 +70,7 @@ def test_criterion_2_candidate_pairs_size(seed):
     k = universe.k
     assert k == net.n_nodes
     assert universe.n_pairs == k * (k - 1)
-    assert len(universe.label_vector) == k * (k - 1)
+    assert len(oracles.label_vector(universe)) == k * (k - 1)
     assert universe.n_positives == net.n_links
 
 
@@ -93,8 +93,7 @@ def _random_digraphs(seed, count=50, max_nodes=6, edge_prob=0.3):
 
 
 def _full_universe(n):
-    return PairUniverse(node_indices=np.arange(n, dtype=np.int64),
-                        labels=np.zeros((n, n), dtype=np.uint8))
+    return oracles.universe_of(np.arange(n))
 
 
 def _safe_beta(dense):

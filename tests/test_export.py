@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from geokatz import katz, metrics
-from geokatz.graphs import NodeRegistry, PairUniverse
+from geokatz.graphs import NodeRegistry
 from geokatz.katz import normalize, write_score_table
 
 # Ids with a comma, a double quote, a newline, a carriage return,
@@ -52,8 +52,7 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
                      min_size=k * k, max_size=k * k)
     raw = np.array(data.draw(cells)).reshape(k, k)
     norm = np.array(data.draw(cells)).reshape(k, k)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=np.zeros((k, k), dtype=np.uint8))
+    universe = oracles.universe_of(np.arange(k))
     table = oracles.table_of(model, universe, norm, normalized=True,
                              raw_values=raw)
     registry = _registry(ids)
@@ -66,8 +65,7 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
 
 def _table(raw, norm, model="KI"):
     k = len(raw)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=np.zeros((k, k), dtype=np.uint8))
+    universe = oracles.universe_of(np.arange(k))
     return oracles.table_of(model, universe, norm, normalized=True,
                             raw_values=raw)
 
@@ -270,8 +268,7 @@ def test_model_files_match_row_loops(tmp_path, k, pool, cells, flags,
     np.fill_diagonal(raw, 0.0)
     labels = np.zeros((k, k), dtype=np.uint8)
     labels[~np.eye(k, dtype=bool)] = [True, False] + flags[:k * k - k - 2]
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=labels)
+    universe = oracles.universe_of(np.arange(k), labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = normalize(oracles.table_of("KI", universe, raw))
@@ -344,8 +341,7 @@ def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
     raw = np.array([[0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     labels = np.zeros((3, 3), dtype=np.uint8)
     labels[1, 0] = 1
-    universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
-                            labels=labels)
+    universe = oracles.universe_of(np.arange(3), labels)
     table = normalize(oracles.table_of("KI", universe, raw))
     assert not np.signbit(oracles.dense(table)).any()
     report = metrics.evaluate(table, threshold=0.5)

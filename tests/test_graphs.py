@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,9 +19,10 @@ from conftest import make_record, report_of, rows_of, simple_network
 from geokatz import _fork, graphs
 from geokatz.errors import (DataError, EmptyNetworkError, EmptySplitError,
                             GeokatzError, RowError, SchemaError)
-from geokatz.graphs import (REQUIRED_COLUMNS, NodeRegistry, SplitSpec,
-                            build_adjacency, build_network, candidate_pairs,
-                            ingest_movements, temporal_split)
+from geokatz.graphs import (REQUIRED_COLUMNS, NodeRegistry, PairUniverse,
+                            SplitSpec, build_adjacency, build_network,
+                            candidate_pairs, ingest_movements,
+                            temporal_split)
 
 CSV_HEADER = ("source_id,dest_id,year,source_lat,source_lon,"
               "dest_lat,dest_lon\n")
@@ -337,22 +338,63 @@ def test_candidate_pairs_labels_match_links():
     assert universe.k == 3
     assert universe.n_pairs == 6
     assert universe.n_positives == 3
-    rows, cols = np.nonzero(universe.offdiag_mask)
+    rows, cols = np.divmod(universe.positives, universe.k)
     pairs = zip(universe.node_indices[rows].tolist(),
                 universe.node_indices[cols].tolist())
-    links = set(map(tuple, net.links.tolist()))
-    assert universe.label_vector.tolist() == [int(pair in links)
-                                              for pair in pairs]
+    assert sorted(pairs) == sorted(map(tuple, net.links.tolist()))
 
 
 def test_candidate_pairs_flatten_is_row_major_offdiagonal():
+    # Links a -> b and b -> c are cells (0, 1) and (1, 2) of the (3, 3)
+    # matrix, at row-major positions 1 and 5; over the off-diagonal
+    # cells in row-major order they are the first and fourth pairs.
     net = simple_network([("a", "b", 2015), ("b", "c", 2015)])
     universe = candidate_pairs(net)
-    k = universe.k
-    matrix = np.arange(k * k, dtype=np.float64).reshape(k, k)
-    flat = universe.flatten(matrix)
-    expected = matrix[~np.eye(k, dtype=bool)]
-    assert np.array_equal(flat, expected)
+    assert universe.positives.dtype == np.int64
+    assert universe.positives.tolist() == [1, 5]
+    assert oracles.label_vector(universe).tolist() == [1, 0, 0, 1, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                          st.integers(2015, 2017)), min_size=1, max_size=40),
+       st.integers(2015, 2017))
+def test_candidate_pairs_positives_match_dense_labels(edges, year):
+    # Restricted to one year, the universe's nodes are some of the
+    # registry's, so their global indices are not contiguous.
+    edges = [(f"n{u}", f"n{v}", y) for u, v, y in edges if u != v]
+    assume(any(y == year for _, _, y in edges))
+    net = simple_network(edges).restrict(year, year)
+    nodes, labels = oracles.dense_candidate_pairs(net)
+    universe = candidate_pairs(net)
+    assert universe.node_indices.tolist() == nodes.tolist()
+    assert universe.positives.dtype == np.int64
+    assert universe.positives.tolist() == np.flatnonzero(labels).tolist()
+
+
+@pytest.mark.parametrize("nodes, positives", [
+    ([0, 2, 1], []),
+    ([0, 1, 1], []),
+    ([[0, 1, 2]], []),
+    ([0, 1, 2], [5, 1]),
+    ([0, 1, 2], [1, 1]),
+    ([0, 1, 2], [[1, 5]]),
+    ([0, 1, 2], [-1]),
+    ([0, 1, 2], [9]),
+    ([0, 1, 2], [0]),
+    ([0, 1, 2], [1, 4]),
+    ([], [0]),
+])
+def test_pair_universe_refuses_malformed_sets(nodes, positives):
+    # Nodes and positives must be strictly ascending 1-d arrays, and a
+    # positive a flat position i * k + j of the (k, k) matrix, i != j.
+    with pytest.raises(ValueError):
+        PairUniverse(np.array(nodes, np.int64), np.array(positives, np.int64))
+
+
+def test_pair_universe_accepts_off_diagonal_positions():
+    universe = PairUniverse(np.array([2, 5, 9]), np.array([1, 5, 6, 7]))
+    assert (universe.k, universe.n_pairs, universe.n_positives) == (3, 6, 4)
 
 
 def test_same_universe_requires_identical_nodes():

@@ -15,7 +15,7 @@ from geokatz import katz
 from geokatz.errors import (BetaDomainError, ConfigError,
                             DegenerateScoreTableWarning, NumericError,
                             UniverseMismatchError)
-from geokatz.graphs import NodeRegistry, PairUniverse
+from geokatz.graphs import NodeRegistry
 from geokatz.katz import (KatzConfig, combine, edge_weighted_katz_scores,
                           katz_scores, normalize, resolve_beta,
                           spectral_radius, write_score_table)
@@ -25,10 +25,7 @@ QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
 
 
 def _universe(n, nodes=None):
-    idx = np.arange(n) if nodes is None else np.asarray(nodes)
-    k = len(idx)
-    return PairUniverse(node_indices=idx.astype(np.int64),
-                        labels=np.zeros((k, k), dtype=np.uint8))
+    return oracles.universe_of(np.arange(n) if nodes is None else nodes)
 
 
 def _two_cycle():

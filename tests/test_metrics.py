@@ -205,10 +205,8 @@ def test_write_curve_format():
 def test_evaluate_accepts_score_table():
     # A ScoreTable carries its universe labels; omitted labels resolve
     # from it. Build a tiny stand-in with the same duck-typed surface.
-    from geokatz.graphs import PairUniverse
     from geokatz.katz import normalize
-    labels = np.array([[0, 1], [0, 0]], dtype=np.uint8)
-    universe = PairUniverse(node_indices=np.array([0, 1]), labels=labels)
+    universe = oracles.universe_of([0, 1], [[0, 1], [0, 0]])
     table = normalize(oracles.table_of("KI", universe,
                                        np.array([[0.0, 0.9], [0.1, 0.0]])))
     threshold, best = metrics.optimal_threshold(table)

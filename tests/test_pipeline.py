@@ -21,7 +21,6 @@ from geokatz.errors import (BetaDomainError, DataError,
                             DegenerateLabelsError,
                             DegenerateScoreTableWarning, NumericError,
                             UniverseMismatchError)
-from geokatz.graphs import PairUniverse
 from geokatz.katz import read_score_table
 from geokatz.pipeline import (GAMMA_GRID, INCOMPLETE_MARKER, MODEL_PARTS,
                               SUMMARY_ROWS, run, run_scores_only)
@@ -499,8 +498,7 @@ class TestTuning:
 def _tuning_input(ki, distances, labels):
     """A KI table over k nodes and its (k, k) distance matrix."""
     k = len(ki)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=np.asarray(labels, dtype=np.uint8))
+    universe = oracles.universe_of(np.arange(k), labels)
     table = oracles.table_of("KI", universe, ki)
     return table, np.asarray(distances, dtype=np.float64)
 

@@ -107,7 +107,7 @@ def _evaluation(table, dense):
 
     def dense_tuned():
         scores = oracles.dense_vector(dense)
-        labels = dense.universe.label_vector
+        labels = oracles.label_vector(dense.universe)
         threshold, f1 = metrics.optimal_threshold(scores, labels)
         report = metrics.evaluate(scores, labels, threshold=threshold,
                                   model=dense.model)
@@ -180,8 +180,7 @@ def _model_tables(case, ki, wki):
 @given(_cases())
 def test_model_tables_match_dense_oracle(case):
     k = len(case.ki)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=case.labels)
+    universe = oracles.universe_of(np.arange(k), case.labels)
     ki = oracles.table_of("KI", universe, case.ki, info={"beta": 0.1})
     wki = oracles.table_of("WKI", universe, case.wki, info={"beta": 0.2})
     (tables, warned), (dense, want_warned), registry = _model_tables(
@@ -209,8 +208,7 @@ def test_combine_of_tables_on_other_supports_matches_dense_oracle(case):
     # Tables built apart each hold their own support; combine fuses
     # them on the union.
     k = len(case.ki)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=case.labels)
+    universe = oracles.universe_of(np.arange(k), case.labels)
     tables, dense = [], []
     for model, values in (("KI", case.ki), ("WKI", case.wki)):
         table = oracles.table_of(model, universe, values)
@@ -240,10 +238,8 @@ def test_decay_wki_on_part_of_ki_support_matches_dense_oracle(rule, on):
     n = len(SITES[0])
     adj = sp.csr_matrix((np.ones(len(EDGES)), tuple(zip(*EDGES))),
                         shape=(n, n))
-    labels = np.zeros((n, n), dtype=np.uint8)
-    labels[0, 1] = labels[3, 1] = labels[2, 0] = 1
-    universe = PairUniverse(node_indices=np.arange(n, dtype=np.int64),
-                            labels=labels)
+    # Positives (0, 1), (2, 0) and (3, 1) at their flat positions.
+    universe = PairUniverse(np.arange(n), np.array([1, 8, 13]))
     cfg = KatzConfig(gamma=0.1)
     ki = katz.katz_scores(adj, cfg, universe)
     weighted = geo.weighted_adjacency(adj, *SITES, transform="decay",
@@ -266,8 +262,7 @@ def test_decay_wki_on_part_of_ki_support_matches_dense_oracle(rule, on):
 def test_support_holds_signed_zeros_and_leaves_the_diagonal():
     values = np.array([[5.0, -0.0, 0.0], [0.0, 0.0, 2.0], [1e-300, 0.0,
                                                              -0.0]])
-    universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
-                            labels=np.zeros((3, 3), dtype=np.uint8))
+    universe = oracles.universe_of(np.arange(3))
     assert katz._support_of(values).tolist() == [1, 5, 6]
     # A second matrix adds the cells at which it is not +0.0.
     other = np.zeros((3, 3))
@@ -286,35 +281,43 @@ def test_support_holds_signed_zeros_and_leaves_the_diagonal():
 
 
 def test_score_matrix_of_another_size_is_refused():
-    universe = PairUniverse(node_indices=np.arange(3, dtype=np.int64),
-                            labels=np.zeros((3, 3), dtype=np.uint8))
+    universe = oracles.universe_of(np.arange(3))
     with pytest.raises(katz.UniverseMismatchError):
         oracles.table_of("KI", universe, np.zeros((2, 2)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_cases(), st.lists(st.integers(0, 1), min_size=30, max_size=30))
+@given(_cases(), st.lists(st.booleans(), min_size=36, max_size=36))
 def test_table_sweep_with_given_labels_matches_dense_vector(case, drawn):
-    # Labels given in flattening order are gathered onto the support.
+    # The universe's positives, drawn apart from the table's values,
+    # label the support pairs by their flat positions.
     k = len(case.ki)
-    universe = PairUniverse(node_indices=np.arange(k, dtype=np.int64),
-                            labels=case.labels)
+    positives = [p for p in range(k * k) if drawn[p] and p % (k + 1)]
+    universe = PairUniverse(np.arange(k), np.array(positives, np.int64))
     table = _outcome(lambda: katz.normalize(
         oracles.table_of("KI", universe, case.ki)))[0]
-    labels = np.array(drawn[:universe.n_pairs])
-    for given_labels in (labels, universe.label_vector):
-        got = _outcome(lambda: _report_bits(metrics.evaluate(
-            table, given_labels, threshold=0.5)))
-        want = _outcome(lambda: _report_bits(metrics.evaluate(
-            oracles.dense_vector(table), given_labels, threshold=0.5,
-            model="KI")))
-        assert got == want
-        # The confusion at any cut is read off the table's sweep, and
-        # counts what masks over every pair count.
-        vector = oracles.dense_vector(table)
-        for cut in np.append(vector, [0.5, -np.inf, np.inf, np.nan]):
-            cm = metrics.confusion_at(table, given_labels, cut)
-            assert (cm.tp, cm.fp, cm.fn, cm.tn) == oracles.mask_confusion(
-                vector, given_labels != 0, cut)
-    with pytest.raises(ValueError, match="differ in length"):
-        metrics.optimal_threshold(table, labels[:-1])
+    labels = oracles.label_vector(universe)
+    vector = oracles.dense_vector(table)
+    got = _outcome(lambda: _report_bits(metrics.evaluate(
+        table, threshold=0.5)))
+    want = _outcome(lambda: _report_bits(metrics.evaluate(
+        vector, labels, threshold=0.5, model="KI")))
+    assert got == want
+    # The confusion at any cut is read off the table's sweep, and
+    # counts what masks over every pair count.
+    for cut in np.append(vector, [0.5, -np.inf, np.inf, np.nan]):
+        cm = metrics.confusion_at(table, threshold=cut)
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == oracles.mask_confusion(
+            vector, labels != 0, cut)
+
+
+def test_table_with_labels_is_refused():
+    # A table is labeled by its universe: labels given beside it are
+    # refused, not read in another order.
+    universe = oracles.universe_of(np.arange(3), np.eye(3)[::-1])
+    table = oracles.table_of("KI", universe, np.eye(3)[::-1], True)
+    labels = oracles.label_vector(universe)
+    for call in (metrics.evaluate, metrics.optimal_threshold,
+                 metrics.confusion_at):
+        with pytest.raises(ValueError, match="labeled by its universe"):
+            call(table, labels)
