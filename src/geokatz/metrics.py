@@ -126,41 +126,50 @@ def _sweep(s, y):
     (everything scoring >= it is positive). Tied scores collapse into
     one step, so the order inside a tie cannot change any entry.
 
-    Only the scores above the minimum are sorted: most candidate pairs
-    have no training walk and share the table's floor, whose group is
-    always the last step (everything positive). A group of zeros is
+    Only the scores above the minimum are sorted, and only as values:
+    most candidate pairs have no training walk and share the table's
+    floor, whose group is always the last step (everything positive).
+    The positives enter by their scores, ``s[y]``. A group of zeros is
     reported as +0.0 whatever mix of signed zeros it holds.
     """
     n_pos = int(np.count_nonzero(y))
-    return _sweep_above(s, y, s.min(), n_pos, len(y) - n_pos)
+    return _sweep_above(s, s[y], s.min(), n_pos, len(y) - n_pos)
 
 
-def _sweep_above(s, y, floor, n_pos, n_neg):
+def _sweep_above(s, hits, floor, n_pos, n_neg):
     """The sweep of a universe given only some of its scores: ``s``
-    with labels ``y`` holds every score other than ``floor`` and may
-    hold some at it. Every pair left out scores ``floor``; ``n_pos``
-    and ``n_neg`` count the universe's labels, and some pair scores
-    ``floor``. Returns what :func:`_sweep` returns for the whole
-    universe. Only the scores above ``floor`` are sorted, unless some
-    score is below it: those are swept after the floor's step.
+    holds every score other than ``floor`` and may hold some at it, and
+    ``hits`` the scores of the positives among ``s``. Every pair left
+    out scores ``floor``; ``n_pos`` and ``n_neg`` count the universe's
+    labels, and some pair scores ``floor``. Returns what :func:`_sweep`
+    returns for the whole universe.
+
+    The values above ``floor`` are sorted once; their group ends give
+    the thresholds and the predicted counts. No pair's rank is kept:
+    each positive above ``floor`` is placed in its group by a binary
+    search among the thresholds, and the groups' positive counts
+    cumulate to tp. Scores below ``floor``, if any, are swept after the
+    floor's step.
     """
-    above = np.flatnonzero(s > floor)
-    order = above[np.argsort(-s[above])]
-    ranked = s[order]
-    tp = np.cumsum(y[order], dtype=np.int64)
+    ranked = np.sort(s[s > floor])[::-1]
     ends = np.flatnonzero(ranked[1:] != ranked[:-1])
     if ranked.size:
         ends = np.append(ends, ranked.size - 1)
-    below = np.flatnonzero(s < floor)
+    above = ranked[ends]
+    group = np.searchsorted(above[::-1], hits[hits > floor])
+    hit = np.cumsum(np.bincount(group, minlength=above.size)[::-1],
+                    dtype=np.int64)
+    low, low_hits = s[s < floor], hits[hits < floor]
     # Everything at or above the floor is positive at its step.
-    floor_tp = n_pos - int(np.count_nonzero(y[below]))
-    floor_fp = n_neg - (below.size - (n_pos - floor_tp))
-    hit = tp[ends]
-    thresholds = np.append(ranked[ends], floor) + 0.0
+    floor_tp = n_pos - low_hits.size
+    floor_fp = n_neg - (low.size - low_hits.size)
+    thresholds = np.append(above, floor) + 0.0
     tp = np.append(hit, floor_tp)
     fp = np.append(ends + 1 - hit, floor_fp)
-    if below.size:
-        low_thresholds, low_tp, low_fp, _, _ = _sweep(s[below], y[below])
+    if low.size:
+        low_thresholds, low_tp, low_fp, _, _ = _sweep_above(
+            low, low_hits, low.min(), low_hits.size,
+            low.size - low_hits.size)
         thresholds = np.append(thresholds, low_thresholds)
         tp = np.append(tp, floor_tp + low_tp)
         fp = np.append(fp, floor_fp + low_fp)
@@ -169,22 +178,25 @@ def _sweep_above(s, y, floor, n_pos, n_neg):
 
 def _table_sweep(table):
     """The sweep of a ScoreTable over its universe, from its support:
-    every pair off the support scores the table's floor, and a support
-    pair is positive when its flat position is one of the universe's
-    positives."""
+    every pair off the support scores the table's floor, and the
+    positives on the support are found by one binary search of the
+    universe's positives in it (both are ascending flat positions)."""
     universe = table.universe
     if universe.n_pairs == 0:
         raise ValueError("empty score vector")
-    y = np.isin(table.support, universe.positives, assume_unique=True)
-    n_pos = universe.n_positives
     s = table.scores.on_support
     _check_finite(s)
+    support, positives = table.support, universe.positives
+    at = np.searchsorted(support, positives)
+    at = at[at < support.size]
+    hits = s[at[support[at] == positives[:at.size]]]
+    n_pos = universe.n_positives
     if table.n_floor:
         floor = table.scores.floor
         _check_finite(np.array([floor]))
     else:
         floor = s.min()
-    return _sweep_above(s, y, floor, n_pos, universe.n_pairs - n_pos)
+    return _sweep_above(s, hits, floor, n_pos, universe.n_pairs - n_pos)
 
 
 def _sweep_of(scores, labels):
@@ -226,17 +238,26 @@ def _f1_vector(tp, fp, n_pos):
 
 
 def _best_cut(thresholds, tp, fp, n_pos, n_neg):
-    """(threshold, F1) of ``optimal_threshold`` from a sweep."""
+    """(threshold, F1) of ``optimal_threshold`` from a sweep: the first
+    maximum of F1 over the above-maximum cut and the sweep's steps,
+    with F1 computed only at the steps where tp rises."""
     if n_pos == 0:
         raise DegenerateLabelsError(
             "threshold tuning needs at least one positive label")
-    thresholds = np.concatenate(
-        [[thresholds[0] + ABOVE_MAX_STEP], thresholds])
-    tp = np.concatenate([[0], tp])
-    fp = np.concatenate([[0], fp])
-    f1s = _f1_vector(tp, fp, n_pos)
+    # A step that adds only negatives cannot be the first maximum. Its
+    # exact F1, 2 tp / (tp + fp + n_pos), is that of the step before
+    # divided by at least 1 + 1 / (n_pairs + n_pos), or 0 when tp is
+    # 0. _f1_vector rounds five times, so each F1 it returns is within
+    # a factor 1 +- 8u of the exact one (u = 2**-53), and the step
+    # before stays strictly larger as computed while n_pairs + n_pos <
+    # 1 / (16u), about 5.6e14. Every cut with tp = 0, the above-maximum
+    # one first, has F1 0.
+    rises = np.flatnonzero(np.diff(tp, prepend=0))
+    f1s = _f1_vector(tp[rises], fp[rises], n_pos)
+    if not f1s.any():
+        return float(thresholds[0] + ABOVE_MAX_STEP), 0.0
     best = int(np.argmax(f1s))
-    return float(thresholds[best]), float(f1s[best])
+    return float(thresholds[rises[best]]), float(f1s[best])
 
 
 def optimal_threshold(scores, labels=None):

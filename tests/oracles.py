@@ -13,6 +13,11 @@ movement ingestion and network assembly are the record-at-a-time loops
 that the package's columnar versions must match exactly, and the
 threshold sweep is the stable sort of every score, with the confusion
 counted by masks, that the package's floor-split sweep must match. The
+floor-split sweep that argsorts the pairs above the floor and labels a
+table's support with ``np.isin``, and the cut that computes F1 at
+every step, are what the package's value sort, with its positives
+placed by search, and its cut at the steps where tp rises must match
+bit for bit. The
 synthetic generator is the record-at-a-time loop whose PRNG draws,
 records, ground truth and CSV bytes the columnar generator must match.
 Run-config parsing is the parser that checked each YAML value by its
@@ -230,6 +235,67 @@ def mask_confusion(s, y, threshold):
     fn = int(np.count_nonzero(~pred & y))
     tn = int(np.count_nonzero(~pred & ~y))
     return tp, fp, fn, tn
+
+
+def argsort_sweep_above(s, y, floor, n_pos, n_neg):
+    """The floor-split sweep that orders the pairs: an argsort of the
+    negated scores above ``floor``, tp cumulated over the labels in
+    that order, and the scores below ``floor`` swept after its step,
+    with the same arguments as the package's sweep except the labels
+    ``y`` of ``s`` in place of the positives' scores."""
+    above = np.flatnonzero(s > floor)
+    order = above[np.argsort(-s[above])]
+    ranked = s[order]
+    tp = np.cumsum(y[order], dtype=np.int64)
+    ends = np.flatnonzero(ranked[1:] != ranked[:-1])
+    if ranked.size:
+        ends = np.append(ends, ranked.size - 1)
+    below = np.flatnonzero(s < floor)
+    floor_tp = n_pos - int(np.count_nonzero(y[below]))
+    floor_fp = n_neg - (below.size - (n_pos - floor_tp))
+    hit = tp[ends]
+    thresholds = np.append(ranked[ends], floor) + 0.0
+    tp = np.append(hit, floor_tp)
+    fp = np.append(ends + 1 - hit, floor_fp)
+    if below.size:
+        low_s, low_y = s[below], y[below]
+        low_pos = int(np.count_nonzero(low_y))
+        low_thresholds, low_tp, low_fp, _, _ = argsort_sweep_above(
+            low_s, low_y, low_s.min(), low_pos, len(low_y) - low_pos)
+        thresholds = np.append(thresholds, low_thresholds)
+        tp = np.append(tp, floor_tp + low_tp)
+        fp = np.append(fp, floor_fp + low_fp)
+    return thresholds, tp, fp, n_pos, n_neg
+
+
+def isin_table_sweep(table):
+    """The sweep of a ScoreTable with each support pair labeled by
+    ``np.isin`` of its flat position among the universe's positives,
+    then swept by ``argsort_sweep_above``."""
+    universe = table.universe
+    y = np.isin(table.support, universe.positives, assume_unique=True)
+    s = table.scores.on_support
+    floor = table.scores.floor if table.n_floor else s.min()
+    n_pos = universe.n_positives
+    return argsort_sweep_above(s, y, floor, n_pos, universe.n_pairs - n_pos)
+
+
+def argmax_best_cut(thresholds, tp, fp, n_pos, n_neg):
+    """(threshold, F1) of the first maximum of F1 computed at every
+    step of a sweep, behind the above-maximum cut (the top threshold
+    plus 1.0, F1 0), by the F1 formula chain of ``metrics.f1``."""
+    thresholds = np.concatenate([[thresholds[0] + 1.0], thresholds])
+    tp = np.concatenate([[0], tp])
+    fp = np.concatenate([[0], fp])
+    predicted = tp + fp
+    p = np.divide(tp, predicted, out=np.zeros(len(tp)),
+                  where=predicted > 0)
+    r = tp / n_pos
+    denom = p + r
+    f1s = np.divide(2.0 * p * r, denom, out=np.zeros(len(tp)),
+                    where=denom > 0)
+    best = int(np.argmax(f1s))
+    return float(thresholds[best]), float(f1s[best])
 
 
 def loop_write_score_table(table, registry, fh):

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
@@ -315,3 +315,131 @@ def test_import_leaves_scipy_integrate_unloaded():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
                              sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def _assert_same_sweep(got, want):
+    """Two sweeps agree bit for bit: thresholds, int64 tp and fp, and
+    the label counts as ints."""
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert got[3:] == want[3:]
+    assert all(type(n) is int for n in got[3:])
+
+
+@st.composite
+def _table_cases(draw):
+    """A ScoreTable over a universe of 2 to 7 nodes: any support, empty
+    and full included, scores and a floor with heavy ties, signed zeros
+    and values below the floor, and positives drawn apart from the
+    support (none, one, any, or every pair)."""
+    from geokatz.graphs import PairUniverse
+    from geokatz.katz import ScoreTable, _Column
+
+    k = draw(st.integers(2, 7))
+    pairs = [p for p in range(k * k) if p % (k + 1)]
+    support = sorted(draw(st.one_of(st.sets(st.sampled_from(pairs)),
+                                    st.just(set(pairs)))))
+    positives = sorted(draw(st.one_of(
+        st.sets(st.sampled_from(pairs)),
+        st.sampled_from(pairs).map(lambda p: {p}),
+        st.just(set(pairs)))))
+    scores = draw(st.lists(_SCORES, min_size=len(support),
+                           max_size=len(support)))
+    universe = PairUniverse(np.arange(k), np.array(positives, np.int64))
+    column = _Column(np.array(scores, dtype=np.float64), draw(_SCORES))
+    return ScoreTable("KI", universe, np.array(support, np.int64), column)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_cases())
+def test_table_sweep_matches_argsort_isin_oracle(table):
+    _assert_same_sweep(metrics._table_sweep(table),
+                       oracles.isin_table_sweep(table))
+
+
+@st.composite
+def _cut_sweeps(draw):
+    """A sweep drawn as its steps' tp and fp increments, with counts up
+    to a few 1e12: long runs of steps that add only negatives between
+    positives, steps that add both (a tied group of mixed labels), and
+    sweeps whose positives all fall in the last (floor) step."""
+    scale = draw(st.sampled_from([1, 1000, 10 ** 9]))
+    count = st.integers(0, 3).map(lambda n: n * scale)
+    steps = draw(st.lists(st.tuples(count, count), min_size=1,
+                          max_size=40))
+    if draw(st.booleans()):
+        steps = [(0, fp) for _, fp in steps[:-1]] + [steps[-1]]
+    run = st.integers(0, 30)
+    steps = [step for tp_fp in steps for step in
+             [(0, scale)] * draw(run) + [tp_fp]]
+    tp = np.cumsum([t for t, _ in steps], dtype=np.int64)
+    fp = np.cumsum([f for _, f in steps], dtype=np.int64)
+    if tp[-1] == 0:
+        tp[-1] = 1
+    thresholds = -np.arange(len(steps), dtype=np.float64) / 7.0 + 0.0
+    return thresholds, tp, fp, int(tp[-1]), int(fp[-1])
+
+
+def _cut_bits(cut):
+    threshold, best = cut
+    return float(threshold).hex(), float(best).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cut_sweeps())
+def test_best_cut_at_rises_matches_full_argmax(sweep):
+    assert _cut_bits(metrics._best_cut(*sweep)) == _cut_bits(
+        oracles.argmax_best_cut(*sweep))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swept_cases())
+def test_best_cut_of_score_sweeps_matches_full_argmax(case):
+    s, y = case
+    assume(y.any())
+    sweep = metrics._sweep(s, y)
+    assert _cut_bits(metrics._best_cut(*sweep)) == _cut_bits(
+        oracles.argmax_best_cut(*sweep))
+    n_pos = int(np.count_nonzero(y))
+    assert _cut_bits(metrics.optimal_threshold(s, y)) == _cut_bits(
+        oracles.argmax_best_cut(*oracles.argsort_sweep_above(
+            s, y, s.min(), n_pos, len(y) - n_pos)))
+
+
+@pytest.fixture(scope="module")
+def quickstart_tables():
+    from pathlib import Path
+
+    from geokatz.config import parse_run_config
+    from geokatz.pipeline import run
+
+    path = Path(__file__).parents[1] / "configs" / "quickstart.yaml"
+    return run(parse_run_config(path.read_text())).tables
+
+
+def test_quickstart_sweeps_and_cuts_match_oracles(quickstart_tables):
+    for table in quickstart_tables.values():
+        sweep = metrics._table_sweep(table)
+        want = oracles.isin_table_sweep(table)
+        _assert_same_sweep(sweep, want)
+        assert _cut_bits(metrics._best_cut(*sweep)) == _cut_bits(
+            oracles.argmax_best_cut(*want))
+
+
+def test_table_sweep_sorts_values_once(monkeypatch, quickstart_tables):
+    # One value sort per sweep; no pair order and no membership test.
+    calls = {"sort": 0, "argsort": 0, "isin": 0}
+
+    def counting(name):
+        wrapped = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(np, name, call)
+
+    for name in calls:
+        counting(name)
+    metrics._table_sweep(quickstart_tables["KIEWKI"])
+    assert calls == {"sort": 1, "argsort": 0, "isin": 0}
