@@ -25,7 +25,7 @@ from .katz import (KatzConfig, ScoreTable, SpectralRadius, combine,
                    resolve_beta, spectral_radius, write_score_table)
 from .metrics import (ConfusionMatrix, Curve, EvaluationReport, confusion_at,
                       evaluate, f1, optimal_threshold, precision, recall,
-                      write_curve, write_report)
+                      write_report)
 from .pipeline import PipelineResult, run, run_scores_only
 from .synth import SynthConfig, generate, write_movements, write_truth
 
@@ -45,6 +45,6 @@ __all__ = [
     "katz_scores", "load_run_config", "normalize", "optimal_threshold",
     "pair_distances", "parse_run_config", "precision", "recall",
     "resolve_beta", "run", "run_scores_only", "spectral_radius",
-    "temporal_split", "transform_weights", "weighted_adjacency", "write_curve",
+    "temporal_split", "transform_weights", "weighted_adjacency",
     "write_movements", "write_report", "write_score_table", "write_truth",
 ]

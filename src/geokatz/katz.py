@@ -3,8 +3,8 @@
 The base score for an ordered pair (u, v) is the damped walk count
 sum_{l>=1} beta^l (A^l)[u, v], computed either in closed form as
 ((I - beta*A)^{-1} - I)[u, v] via one sparse factorization and one
-solve per source node, or as an explicitly truncated series. Variants
-swap in a distance-weighted adjacency or multiply each pair's score by
+solve per block of source nodes, or as an explicitly truncated series.
+Variants swap in a distance-weighted adjacency or multiply each pair's score by
 an exponential distance decay. A table holds its scores on its support,
 the pairs with a nonzero walk score, and one floor for every other
 pair; it is min-max normalized over its pair universe, fused pairwise
@@ -17,6 +17,7 @@ import io
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -44,8 +45,8 @@ SCORE_COLUMNS = ("source_id", "dest_id", "model", "score", "score_norm")
 _BETA_MODE_ALIASES = {"fraction": "fraction-of-spectral-bound"}
 _METHOD_ALIASES = {"solve": "closed-form-solve", "series": "truncated-series"}
 
-# Sources whose truncated series advance together in one sparse product.
-_SERIES_BLOCK = 256
+# Sources scored together: one solve or one series walk per block.
+_SOURCE_BLOCK = 256
 
 # Largest accepted residual of a closed-form solve, relative to
 # ||I - beta*A^T||_inf * ||x||_inf + 1. A backward-stable LU solve
@@ -318,16 +319,9 @@ def _common_support(tables):
     return [table._on(support) for table in tables]
 
 
-def _solve_rows(adj, beta, source_sets):
-    """Rows of (I - beta*A)^{-1} - I for each set of source nodes, as
-    the (support, scores on it) of the set's score table.
-
-    One sparse LU factorization of (I - beta*A^T) serves every set; each
-    set is then one solve of (I - beta*A^T) x = e_u per source u, and x
-    is row u of the inverse. A set whose summed residual exceeds
-    ``_SOLVE_RESIDUAL_TOL`` (relative to the system and solution scale)
-    is a NumericError rather than a silently wrong table.
-    """
+def _factorization(adj, beta):
+    """The closed form's shared state: one sparse LU factorization of
+    the system I - beta*A^T, the system and its infinity norm."""
     n = adj.shape[0]
     system = (sp.identity(n, format="csc", dtype=np.float64)
               - beta * adj.T.tocsc()).tocsc()
@@ -337,50 +331,37 @@ def _solve_rows(adj, beta, source_sets):
         raise NumericError(
             f"closed-form factorization failed ({exc}); this indicates "
             "a damping factor at or beyond the spectral bound") from exc
-    system_norm = abs(system).sum(axis=1).max()
-    tables = []
-    for sources in source_sets:
-        rhs = np.zeros((n, len(sources)), dtype=np.float64)
-        rhs[sources, np.arange(len(sources))] = 1.0
-        solved = lu.solve(rhs)
-        # The residual of the solves summed over the sources: one
-        # matrix-vector product instead of one per source, and a NaN or
-        # an error in any one column still shows in it.
-        total = solved.sum(axis=1)
-        residual = system @ total
-        residual[sources] -= 1.0
-        ratio = np.abs(residual).max(initial=0.0) / (
-            system_norm * np.abs(total).max(initial=0.0) + 1.0)
-        # Written as a negated <= so that a NaN ratio fails too.
-        if not ratio <= _SOLVE_RESIDUAL_TOL:
-            raise NumericError(
-                f"closed-form solve residual {ratio:.3g} exceeds "
-                f"{_SOLVE_RESIDUAL_TOL:g} of the system scale; the "
-                "factorization of I - beta*A^T is unreliable")
-        tables.append(_solved_support(solved, sources))
-    return tables
+    return lu, system, abs(system).sum(axis=1).max()
 
 
-def _solved_support(solved, sources):
-    """The support and its scores of the table whose pair (i, j) scores
-    ``solved[sources[j], i]``, with the diagonal at 0.
+def _solve_block(lu, system, system_norm, sources, columns):
+    """Rows of (I - beta*A)^{-1} - I at ``sources`` and the ``columns``
+    nodes, as a (b, k) array: x solving (I - beta*A^T) x = e_u is row u.
 
-    One gather along the rows of ``solved.T`` (C-ordered, as SuperLU's
-    column-major solutions are) builds the (k, k) block in score order.
-    The exact inverse is entrywise non-negative below the spectral
-    bound; round-off may leave tiny negatives on zero entries, which
-    ``np.maximum`` clips to 0 as it would clip the whole block. Only
-    the cells that are not +0.0 are clipped, and those clipped to +0.0
-    leave the support.
+    A block whose summed residual exceeds ``_SOLVE_RESIDUAL_TOL``
+    (relative to the system and solution scale) is a NumericError
+    rather than a silently wrong table. The columns are gathered along
+    the rows of ``solved.T``, C-ordered as SuperLU's column-major
+    solutions are.
     """
-    values = np.take(solved.T, sources, axis=1)
-    support = _support_of(values)
-    scores = values.ravel()[support]
-    np.maximum(scores, 0.0, out=scores)
-    kept = scores.view(np.int64) != 0
-    if kept.all():
-        return support, scores
-    return support[kept], scores[kept]
+    rhs = np.zeros((system.shape[0], len(sources)), dtype=np.float64)
+    rhs[sources, np.arange(len(sources))] = 1.0
+    solved = lu.solve(rhs)
+    # The residual of the block's solves summed over its sources: one
+    # matrix-vector product instead of one per source, and a NaN or an
+    # error in any one column still shows in it.
+    total = solved.sum(axis=1)
+    residual = system @ total
+    residual[sources] -= 1.0
+    ratio = np.abs(residual).max(initial=0.0) / (
+        system_norm * np.abs(total).max(initial=0.0) + 1.0)
+    # Written as a negated <= so that a NaN ratio fails too.
+    if not ratio <= _SOLVE_RESIDUAL_TOL:
+        raise NumericError(
+            f"closed-form solve residual {ratio:.3g} exceeds "
+            f"{_SOLVE_RESIDUAL_TOL:g} of the system scale; the "
+            "factorization of I - beta*A^T is unreliable")
+    return np.take(solved.T, columns, axis=1)
 
 
 def _scaled_transpose(adj, beta):
@@ -391,48 +372,69 @@ def _scaled_transpose(adj, beta):
                          shape=adj.shape)
 
 
-def _series_rows(at_beta, sources, max_len, tol):
-    """Truncated series sum_{l=1..L} beta^l (A^l)[u, v] over the sources.
+def _series_block(at_beta, max_len, tol, sources, columns):
+    """Truncated series sum_{l=1..L} beta^l (A^l)[u, v] for u in
+    ``sources`` and v in ``columns``, as a (b, k) array.
 
-    Sources advance in blocks of ``_SERIES_BLOCK``. A block's frontier
-    is a sparse (n, b) matrix whose column c holds source c's current
-    term ((beta*A)^T)^l e_u, starting one-hot; each step is one sparse
-    product with the scaled transposed adjacency (rows of A^T are
-    columns of A), and only the entries at the source nodes are
-    accumulated, into the (k, k) block. After that accumulation a
-    column whose max-norm fell below ``tol`` is dropped, so each
-    source's final term is still included, and an exactly-zero term
-    always stops since no longer walk can exist. The frontier never
-    stores more than n * ``_SERIES_BLOCK`` entries. Each entry of a
-    product is summed in the row order of the scaled adjacency from 0,
-    as a dense matrix-vector product sums it, so the result equals the
-    per-source dense walk bit for bit.
+    The frontier is a sparse (n, b) matrix whose column c holds source
+    c's current term ((beta*A)^T)^l e_u, starting one-hot; each step is
+    one sparse product with the scaled transposed adjacency (rows of
+    A^T are columns of A), and only the entries at the columns are
+    accumulated. After that accumulation a source whose term's
+    max-norm fell below ``tol`` is dropped, so its final term is still
+    included, and an exactly-zero term always stops since no longer
+    walk can exist. Each entry of a product is summed in the row order
+    of the scaled adjacency from 0, as a dense matrix-vector product
+    sums it, so the result equals the per-source dense walk bit for
+    bit.
 
     ``at_beta`` is the scaled transposed adjacency beta * A^T from
     :func:`_scaled_transpose`.
     """
-    n = at_beta.shape[0]
-    values = np.zeros((len(sources), len(sources)), dtype=np.float64)
-    for start in range(0, len(sources), _SERIES_BLOCK):
-        rows = np.arange(start, min(start + _SERIES_BLOCK, len(sources)))
-        b = len(rows)
-        term = sp.csr_matrix((np.ones(b), (sources[rows], np.arange(b))),
-                             shape=(n, b))
-        for _ in range(max_len):
-            term = at_beta @ term
-            values[rows] += term[sources].toarray().T
-            peak = np.zeros(len(rows))
-            np.maximum.at(peak, term.indices[:term.nnz],
-                          np.abs(term.data[:term.nnz]))
-            # Written as a negated < so that a NaN peak keeps walking.
-            keep = ~(peak < tol)
-            if not keep.all():
-                rows = rows[keep]
-                if not rows.size:
-                    break
-                term = term[:, keep]
-    np.fill_diagonal(values, 0.0)
+    b = len(sources)
+    values = np.zeros((b, len(columns)), dtype=np.float64)
+    live = np.arange(b)
+    term = sp.csr_matrix((np.ones(b), (sources, live)),
+                         shape=(at_beta.shape[0], b))
+    for _ in range(max_len):
+        term = at_beta @ term
+        values[live] += term[columns].toarray().T
+        peak = np.zeros(len(live))
+        np.maximum.at(peak, term.indices[:term.nnz],
+                      np.abs(term.data[:term.nnz]))
+        # Written as a negated < so that a NaN peak keeps walking.
+        keep = ~(peak < tol)
+        if not keep.all():
+            live = live[keep]
+            if not live.size:
+                break
+            term = term[:, keep]
     return values
+
+
+def _blocked_support(rows, nodes):
+    """The support and its score column of the table over ``nodes``,
+    from ``rows(sources, nodes)``, the (b, k) rows of each block of
+    ``_SOURCE_BLOCK`` sources in turn.
+
+    A block keeps its off-diagonal cells that are not +0.0, bit for
+    bit. The exact scores of a non-negative adjacency are non-negative,
+    so ``np.maximum`` clips round-off negatives to 0, and cells clipped
+    to +0.0 leave the support.
+    """
+    k = len(nodes)
+    supports, scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for start in range(0, k, _SOURCE_BLOCK):
+        values = rows(nodes[start:start + _SOURCE_BLOCK], nodes)
+        row = np.arange(len(values))
+        values[row, start + row] = 0.0
+        at = np.flatnonzero(values.view(np.int64) != 0)
+        on = values.ravel()[at]
+        np.maximum(on, 0.0, out=on)
+        kept = on.view(np.int64) != 0
+        supports.append(at[kept] + start * k)
+        scores.append(on[kept])
+    return np.concatenate(supports), _Column(np.concatenate(scores), 0.0)
 
 
 def katz_scores(adj, cfg, universe, model="KI"):
@@ -441,11 +443,13 @@ def katz_scores(adj, cfg, universe, model="KI"):
     ``adj`` is indexed by the universe's global node indices (absent
     nodes have zero rows/columns and score 0 everywhere). The method is
     the closed form by default, falling back to the truncated series
-    above ``cfg.solve_max_nodes``. ``universe`` may also be a list of
-    universes: all of them are then scored from one spectral estimate
-    and one factorization (or one scaled adjacency), and the result is
-    the list of their tables, each equal bit for bit to the table of
-    that universe scored alone.
+    above ``cfg.solve_max_nodes``. Either method scores
+    ``_SOURCE_BLOCK`` sources at a time and keeps only each block's
+    nonzero pairs, so no n x k or k x k array is built. ``universe``
+    may also be a list of universes: all of them are then scored from
+    one spectral estimate and one factorization (or one scaled
+    adjacency), and the result is the list of their tables, each equal
+    bit for bit to the table of that universe scored alone.
     """
     single = not isinstance(universe, list)
     universes = [universe] if single else universe
@@ -453,30 +457,22 @@ def katz_scores(adj, cfg, universe, model="KI"):
     if adj.dtype != np.float64:
         adj = adj.astype(np.float64)
     beta, sr = resolve_beta(cfg, adj)
-    source_sets = [np.ascontiguousarray(u.node_indices, dtype=np.int64)
-                   for u in universes]
     method = cfg.method
     if method == "closed-form-solve" and adj.shape[0] > cfg.solve_max_nodes:
         log.info("%d nodes exceed solve_max_nodes=%d; using the "
                  "truncated series", adj.shape[0], cfg.solve_max_nodes)
         method = "truncated-series"
     if method == "closed-form-solve":
-        columns = _solve_rows(adj, beta, source_sets)
+        rows = partial(_solve_block, *_factorization(adj, beta))
     else:
-        at_beta = _scaled_transpose(adj, beta)
-        columns = []
-        for sources in source_sets:
-            values = _series_rows(at_beta, sources, cfg.max_walk_length,
-                                  cfg.series_tolerance)
-            support = _support_of(values)
-            columns.append((support, values.ravel()[support]))
+        rows = partial(_series_block, _scaled_transpose(adj, beta),
+                       cfg.max_walk_length, cfg.series_tolerance)
     info = {"beta": beta, "spectral_radius": sr.value,
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    tables = [ScoreTable(model, u, support, _Column(scores, 0.0),
-                         info=dict(info))
-              for u, (support, scores) in zip(universes, columns)]
+    tables = [ScoreTable(model, u, *_blocked_support(rows, u.node_indices),
+                         info=dict(info)) for u in universes]
     return tables[0] if single else tables
 
 

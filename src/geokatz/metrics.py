@@ -414,12 +414,6 @@ def _curve_text(thresholds, x, y, anchor=""):
         [f"{t},{x},{y}\n" for t, x, y in zip(thresholds, x, y)])
 
 
-def write_curve(curve, dest):
-    """Write curve points as CSV with columns threshold, x, y."""
-    columns = map(_texts, (curve.thresholds, curve.x, curve.y))
-    return _write_text(_curve_text(*columns), dest)
-
-
 def _sweep_counts(report):
     """A report's ``counts``; a ValueError when it holds none."""
     if report.counts is None:
@@ -459,8 +453,9 @@ def _ratio_text(reports):
 def _write_evaluation(report, out_dir, name, ratios=None):
     """Write an ``evaluate`` report's files into the ``pathlib.Path``
     ``out_dir``: ``report_{name}.json`` as ``write_report`` writes it,
-    and ``curve_roc_{name}.csv`` and ``curve_pr_{name}.csv`` with the
-    bytes ``write_curve`` gives each curve.
+    and ``curve_roc_{name}.csv`` and ``curve_pr_{name}.csv``, each a
+    ``threshold,x,y`` header and one row per curve point, each value
+    as its ``f"{v:.6g}"`` text.
 
     ``ratios`` is the ``_ratio_text`` of reports of the same universe,
     this one among them (by default of this one alone): the recall and

@@ -28,8 +28,6 @@ AWKWARD_FLOATS = (-0.0, 0.0, 5e-324, 9.99999e-05, 9.999995e-05, 1e-04,
                   0.000100001, 999999.4, 999999.5, 1e16, -1e16, 1.0 / 3.0,
                   2.0 / 3.0, 1.0, float("inf"), float("-inf"), float("nan"))
 
-FINITE_AWKWARD_FLOATS = tuple(v for v in AWKWARD_FLOATS if np.isfinite(v))
-
 FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(width=64))
 
 
@@ -179,27 +177,6 @@ def test_only_off_floor_cells_are_formatted(monkeypatch):
     assert off == 5
     assert table.support.size == off - 1
     assert sizes == [off - 1, off - 1, 2]
-
-
-@settings(max_examples=80, deadline=None)
-@given(scores=st.lists(st.sampled_from(FINITE_AWKWARD_FLOATS)
-                      | st.floats(-1e6, 1e6), min_size=2, max_size=40),
-       labels=st.lists(st.booleans(), min_size=40, max_size=40),
-       points=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=30))
-@example(scores=[0.5, 0.5, 1e-05, -0.0], labels=[True, False] * 20,
-         points=[(float("inf"), -0.0, 0.0), (0.0, 0.0, -0.0)])
-def test_write_curve_matches_point_loop(scores, labels, points):
-    labels = [True, False] + labels[:len(scores) - 2]
-    report = metrics.evaluate(np.array(scores), np.array(labels))
-    assert report.roc.thresholds[0] == float("inf")
-    drawn = metrics.Curve(
-        "roc", *np.array(points, dtype=np.float64).reshape(-1, 3).T)
-    for curve in (report.roc, report.pr, drawn):
-        expected = io.StringIO()
-        oracles.loop_write_curve(curve, expected)
-        got = io.StringIO()
-        metrics.write_curve(curve, got)
-        assert got.getvalue() == expected.getvalue()
 
 
 def _fstrings(values):

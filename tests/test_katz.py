@@ -2,6 +2,8 @@
 
 import io
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -307,11 +309,35 @@ def _random_series_case(seed, n=40, density=0.1):
     return adj, sources
 
 
+def _blocked(rows, sources):
+    """The (support, scores) of the table over ``sources`` from the
+    block method ``rows``, scored block by block as ``katz_scores``
+    scores it."""
+    support, column = katz._blocked_support(
+        rows, np.asarray(sources, dtype=np.int64))
+    assert column.floor == 0.0
+    return support, column.on_support
+
+
+def _series_columns(adj, beta, sources, max_len, tol):
+    """The (support, scores) of the series table over ``sources``."""
+    return _blocked(partial(katz._series_block,
+                            katz._scaled_transpose(adj, beta), max_len, tol),
+                    sources)
+
+
+def _dense_of(columns, k):
+    """A table's (support, scores) as its dense (k, k) block."""
+    values = np.zeros(k * k)
+    values[columns[0]] = columns[1]
+    return values.reshape(k, k)
+
+
 def test_series_rows_match_scipy_power_sum():
     adj, sources = _random_series_case(seed=11)
     beta = 0.05
-    got = katz._series_rows(katz._scaled_transpose(adj, beta), sources, 8,
-                            1e-300)
+    got = _dense_of(_series_columns(adj, beta, sources, 8, 1e-300),
+                    len(sources))
     # Reference: accumulate beta^l * (A^l)[u, :] == ((beta*A)^T)^l e_u.
     n = adj.shape[0]
     scaled = (adj.T * beta).toarray()
@@ -331,11 +357,10 @@ def test_series_rows_early_stop_includes_final_term():
     adj, sources = _random_series_case(seed=12)
     # A tolerance above every term magnitude stops after the first
     # multiplication, with that term already accumulated.
-    at_beta = katz._scaled_transpose(adj, 0.05)
-    got = katz._series_rows(at_beta, sources, 50, 1e9)
-    one_term = katz._series_rows(at_beta, sources, 1, 1e-300)
-    assert np.array_equal(got, one_term)
-    assert np.count_nonzero(one_term) > 0
+    got = _series_columns(adj, 0.05, sources, 50, 1e9)
+    one_term = _series_columns(adj, 0.05, sources, 1, 1e-300)
+    _assert_same_columns(got, one_term)
+    assert one_term[0].size > 0
 
 
 def _mixed_stop_case():
@@ -350,11 +375,11 @@ def _mixed_stop_case():
     return adj, np.array([6, 0, 3, 2, 5, 4, 1]), 0.5, 20, 1e-3
 
 
-def _two_block_case():
-    # k = 300 sources run as two blocks; the weights spread the term
-    # magnitudes so that sources stop at different lengths.
+def _ring_case(n):
+    # All n nodes as sources, in blocks of _SOURCE_BLOCK; the weights
+    # spread the term magnitudes so that sources stop at different
+    # lengths.
     rng = np.random.default_rng(3)
-    n = 300
     ring = np.arange(n)
     rows = np.concatenate([ring, rng.integers(0, n, 200)])
     cols = np.concatenate([(ring + 1) % n, rng.integers(0, n, 200)])
@@ -364,12 +389,17 @@ def _two_block_case():
     return adj, rng.permutation(n), 0.4, 8, 1e-2
 
 
+# Up to three blocks, the last of them holding a single source.
+_MAX_K = 2 * katz._SOURCE_BLOCK + 1
+
+
 @st.composite
 def _series_cases(draw):
     """Random graphs with stored zero weights, sinks, DAGs, and sources
-    in random order, sometimes more of them than one block holds."""
+    in random order, sometimes more of them than one or two blocks
+    hold."""
     n = draw(st.one_of(st.integers(1, 30),
-                       st.integers(katz._SERIES_BLOCK + 1, 300)))
+                       st.integers(katz._SOURCE_BLOCK + 1, _MAX_K)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n, n)) < draw(st.floats(0.0, min(0.4, 4.0 / n)))
     if draw(st.booleans()):
@@ -379,7 +409,7 @@ def _series_cases(draw):
     weights[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     rows, cols = np.nonzero(mask)
     adj = sp.csr_matrix((weights[rows, cols], (rows, cols)), shape=(n, n))
-    k = draw(st.integers(1, n))
+    k = draw(st.one_of(st.integers(1, n), st.just(n)))
     sources = rng.permutation(n)[:k]
     beta = draw(st.floats(0.01, 1.0))
     max_len = draw(st.integers(1, 8))
@@ -390,15 +420,14 @@ def _series_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=_series_cases())
 @example(case=_mixed_stop_case())
-@example(case=_two_block_case())
-@example(case=_two_block_case()[:3] + (1, 1e-300))
+@example(case=_ring_case(300))
+@example(case=_ring_case(300)[:3] + (1, 1e-300))
+@example(case=_ring_case(_MAX_K))
 def test_series_rows_bitwise_equal_to_per_source_loop(case):
     adj, sources, beta, max_len, tol = case
     expected = oracles.loop_series_rows(adj, beta, sources, max_len, tol)
-    got = katz._series_rows(katz._scaled_transpose(adj, beta), sources,
-                            max_len, tol)
-    assert np.array_equal(got, expected)
-    assert got.tobytes() == expected.tobytes()
+    _assert_same_columns(_series_columns(adj, beta, sources, max_len, tol),
+                         _block_columns(expected))
 
 
 def _block_columns(block):
@@ -413,27 +442,52 @@ def _assert_same_columns(got, want):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+def _solve_columns(factorization, sources):
+    """The (support, scores) of the closed-form table over ``sources``
+    from ``factorization``, a (lu, system, system norm) triple."""
+    return _blocked(partial(katz._solve_block, *factorization), sources)
+
+
+class _CellSolve:
+    """A factorization whose solve for a source u gives the column of
+    ``solved`` at u's position in ``sources``, in the given memory
+    order."""
+
+    def __init__(self, solved, sources, order):
+        self.solved = solved
+        self.position = {u: j for j, u in enumerate(sources)}
+        self.order = order
+
+    def solve(self, rhs):
+        at = [self.position[u] for u in rhs.argmax(axis=0)]
+        return np.array(self.solved[:, at], order=self.order)
+
+
 # Cells a solve may leave: exact and signed zeros, round-off negatives,
 # scores of every size.
-_SOLVED_CELLS = st.sampled_from([0.0, -0.0, -1e-17, -2.5e-300, 1e-300,
-                                 3e-17, 0.25, 1.0, 7.5])
+_SOLVED_CELLS = (0.0, -0.0, -1e-17, -2.5e-300, 1e-300, 3e-17, 0.25, 1.0,
+                 7.5)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 4), st.data(), st.booleans())
-def test_solved_support_matches_the_dense_block(k, extra, data, fortran):
+@given(st.one_of(st.integers(1, 7),
+                 st.integers(katz._SOURCE_BLOCK + 1, _MAX_K)),
+       st.integers(0, 4), st.data(), st.sampled_from("CF"))
+def test_solved_support_matches_the_dense_block(k, extra, data, order):
     n = k + extra
-    cells = data.draw(st.lists(_SOLVED_CELLS, min_size=n * k,
-                               max_size=n * k))
-    solved = np.array(cells).reshape(n, k)
-    if fortran:
-        # SuperLU hands its solutions back column-major.
-        solved = np.asfortranarray(solved)
-    sources = np.array(data.draw(st.permutations(range(n)))[:k],
-                       dtype=np.int64)
-    _assert_same_columns(katz._solved_support(solved, sources),
-                         _block_columns(oracles.solved_block(solved,
-                                                             sources)))
+    cells = data.draw(st.lists(st.sampled_from(_SOLVED_CELLS), min_size=1,
+                               unique_by=lambda x: x.hex()))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    solved = rng.choice(cells, size=(n, k))
+    sources = rng.permutation(n)[:k]
+    # Any solution passes the residual check; a solve of the identity
+    # takes its residual.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(katz, "_SOLVE_RESIDUAL_TOL", np.inf)
+        got = _solve_columns((_CellSolve(solved, sources, order),
+                              sp.identity(n, format="csr"), 1.0), sources)
+    _assert_same_columns(got, _block_columns(oracles.solved_block(solved,
+                                                                  sources)))
 
 
 # Adjacencies whose SuperLU solve leaves round-off negatives or a -0.0
@@ -458,12 +512,12 @@ def test_solve_rows_clip_round_off_negatives_as_the_dense_block():
         beta = alpha / oracles.dense_spectral_radius(dense)
         source_sets = [np.arange(n), np.arange(n)[::-1].copy(),
                        np.arange(1, n, 2)]
-        got = katz._solve_rows(adj, beta, source_sets)
-        for columns, sources, solved in zip(
-                got, source_sets,
-                oracles.solved_columns(adj, beta, source_sets)):
-            _assert_same_columns(columns, _block_columns(
-                oracles.solved_block(solved, sources)))
+        factorization = katz._factorization(adj, beta)
+        for sources, solved in zip(
+                source_sets, oracles.solved_columns(adj, beta, source_sets)):
+            _assert_same_columns(_solve_columns(factorization, sources),
+                                 _block_columns(oracles.solved_block(
+                                     solved, sources)))
             raw = solved[sources].T.copy()
             np.fill_diagonal(raw, 1.0)
             clipped += int(np.count_nonzero(np.signbit(raw)))
@@ -582,25 +636,53 @@ class _PerturbedSolve:
         self.perturb = perturb
 
     def solve(self, rhs):
-        return self.perturb(self.lu.solve(rhs))
+        return self.perturb(self.lu.solve(rhs), rhs)
 
 
 @pytest.mark.parametrize("perturb", [
-    lambda x: x * (1.0 + 1e-4),
-    lambda x: x + 1e-5,
-    lambda x: x + 1e-4 * (np.arange(x.shape[1]) == 3),
-    lambda x: np.where(x == x.max(), np.nan, x),
+    lambda x, rhs: x * (1.0 + 1e-4),
+    lambda x, rhs: x + 1e-5,
+    lambda x, rhs: x + 1e-4 * (np.arange(x.shape[1]) == 3),
+    lambda x, rhs: np.where(x == x.max(), np.nan, x),
+    # Only the last node's solution, in the last block: summed over all
+    # sources, the clique's solutions would hide it.
+    lambda x, rhs: x + 1e-6 * rhs[-1],
 ])
 def test_solve_residual_check_rejects_a_wrong_solve(monkeypatch, perturb):
+    # A clique of _SOURCE_BLOCK nodes at 0.999 of the spectral bound,
+    # whose solutions sum to about 1000 at each of its nodes, then a
+    # sparse random graph of 15 nodes: k > _SOURCE_BLOCK, and the second
+    # block holds the random graph's nodes.
     rng = np.random.default_rng(29)
-    dense = ((rng.random((15, 15)) < 0.3)
-             & ~np.eye(15, dtype=bool)).astype(np.float64)
-    adj = sp.csr_matrix(dense)
+    clique = np.ones((katz._SOURCE_BLOCK, katz._SOURCE_BLOCK))
+    sparse = ((rng.random((15, 15)) < 0.3)
+              & ~np.eye(15, dtype=bool)).astype(np.float64)
+    adj = sp.block_diag([clique - np.eye(len(clique)), sparse], format="csr")
     splu = katz.splu
     monkeypatch.setattr(katz, "splu",
                         lambda m: _PerturbedSolve(splu(m), perturb))
     with pytest.raises(NumericError, match="residual"):
-        katz_scores(adj, KatzConfig(), _universe(15))
+        katz_scores(adj, KatzConfig(alpha=0.999), _universe(adj.shape[0]))
+
+
+def test_scoring_memory_follows_the_blocks():
+    # Pairs of nodes in 2-cycles: each source's only walks reach its
+    # partner, so a table holds k pairs, and the universe is ten blocks.
+    k = 10 * katz._SOURCE_BLOCK
+    pairs = np.arange(k) ^ 1
+    adj = sp.csr_matrix((np.ones(k), (np.arange(k), pairs)), shape=(k, k))
+    universe = _universe(k)
+    dense_bytes = k * k * 8
+    for method in katz.METHODS:
+        tracemalloc.start()
+        try:
+            table = katz_scores(adj, KatzConfig(method=method), universe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.support.tolist() == (np.arange(k) * k + pairs).tolist()
+        # Under half of one n x k float64 array.
+        assert peak < dense_bytes / 2, (method, peak)
 
 
 def test_solve_residual_check_passes_near_the_spectral_bound():

@@ -190,18 +190,6 @@ def test_write_report_deterministic_json():
     assert list(parsed) == sorted(parsed)
 
 
-def test_write_curve_format():
-    scores = np.array([0.9, 0.4, 0.2])
-    labels = np.array([1, 1, 0])
-    curve = metrics.evaluate(scores, labels).roc
-    buf = io.StringIO()
-    metrics.write_curve(curve, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "threshold,x,y"
-    assert lines[1].startswith("inf,0,0")
-    assert len(lines) == len(curve.thresholds) + 1
-
-
 def test_evaluate_accepts_score_table():
     # A ScoreTable carries its universe labels; omitted labels resolve
     # from it. Build a tiny stand-in with the same duck-typed surface.
