@@ -4,6 +4,9 @@ The base score for an ordered pair (u, v) is the damped walk count
 sum_{l>=1} beta^l (A^l)[u, v], computed either in closed form as
 ((I - beta*A)^{-1} - I)[u, v] via one sparse factorization and one
 solve per block of source nodes, or as an explicitly truncated series.
+The universes that share an adjacency are scored in one pass over the
+union of their nodes, and a source without an out-link, whose row is
+zero, is not scored at all.
 Variants swap in a distance-weighted adjacency or multiply each pair's score by
 an exponential distance decay. A table holds its scores on its support,
 the pairs with a nonzero walk score, and one floor for every other
@@ -393,48 +396,88 @@ def _series_block(at_beta, max_len, tol, sources, columns):
     """
     b = len(sources)
     values = np.zeros((b, len(columns)), dtype=np.float64)
+    # The walking sources' sums, one column each, in the layout of a
+    # term's rows at the columns; a source's sum moves to its row of
+    # values when it stops.
+    sums = np.zeros((len(columns), b), dtype=np.float64)
     live = np.arange(b)
     term = sp.csr_matrix((np.ones(b), (sources, live)),
                          shape=(at_beta.shape[0], b))
     for _ in range(max_len):
         term = at_beta @ term
-        values[live] += term[columns].toarray().T
+        sums += term[columns].toarray()
         peak = np.zeros(len(live))
         np.maximum.at(peak, term.indices[:term.nnz],
                       np.abs(term.data[:term.nnz]))
         # Written as a negated < so that a NaN peak keeps walking.
         keep = ~(peak < tol)
         if not keep.all():
-            live = live[keep]
+            values[live[~keep]] = sums[:, ~keep].T
+            live, sums = live[keep], sums[:, keep]
             if not live.size:
                 break
             term = term[:, keep]
+    values[live] = sums.T
     return values
 
 
-def _blocked_support(rows, nodes):
-    """The support and its score column of the table over ``nodes``,
-    from ``rows(sources, nodes)``, the (b, k) rows of each block of
-    ``_SOURCE_BLOCK`` sources in turn.
+def _blocked_supports(rows, live, node_sets):
+    """The support and its score column of the table over each of
+    ``node_sets`` (each strictly ascending, as a universe's nodes are),
+    all scored in one pass over the union of their nodes.
+
+    ``rows(sources, nodes)`` gives the (b, m) rows of a block of
+    ``_SOURCE_BLOCK`` sources at the union's m ``nodes``. Only the
+    ``live`` sources (a boolean mask over the graph's nodes) are scored:
+    a source with no out-link starts no walk, so its row holds no pair
+    of any table. Each node set takes its own sources' rows and its own
+    columns from every block; a node set that is the whole union takes
+    the block as it is, without a copy.
 
     A block keeps its off-diagonal cells that are not +0.0, bit for
     bit. The exact scores of a non-negative adjacency are non-negative,
     so ``np.maximum`` clips round-off negatives to 0, and cells clipped
     to +0.0 leave the support.
     """
-    k = len(nodes)
-    supports, scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for start in range(0, k, _SOURCE_BLOCK):
-        values = rows(nodes[start:start + _SOURCE_BLOCK], nodes)
-        row = np.arange(len(values))
-        values[row, start + row] = 0.0
-        at = np.flatnonzero(values.view(np.int64) != 0)
-        on = values.ravel()[at]
-        np.maximum(on, 0.0, out=on)
-        kept = on.view(np.int64) != 0
-        supports.append(at[kept] + start * k)
-        scores.append(on[kept])
-    return np.concatenate(supports), _Column(np.concatenate(scores), 0.0)
+    nodes = np.unique(np.concatenate(
+        [np.zeros(0, dtype=np.int64), *node_sets]))
+    m = len(nodes)
+    # The union positions of the live sources and of each node set's
+    # nodes; row_of maps a union position to the set's row, or to -1.
+    scored = np.flatnonzero(live[nodes])
+    sets = []
+    for node_set in node_sets:
+        cols = np.searchsorted(nodes, node_set)
+        row_of = np.full(m, -1, dtype=np.int64)
+        row_of[cols] = np.arange(len(cols))
+        sets.append((len(cols), cols, row_of, [np.zeros(0, dtype=np.int64)],
+                     [np.zeros(0)]))
+    log.debug("Katz scores over %d union sources: %d scored in %d "
+              "blocks, %d without an out-link skipped", m, len(scored),
+              -(-len(scored) // _SOURCE_BLOCK), m - len(scored))
+    for start in range(0, len(scored), _SOURCE_BLOCK):
+        at_block = scored[start:start + _SOURCE_BLOCK]
+        values = rows(nodes[at_block], nodes)
+        values[np.arange(len(at_block)), at_block] = 0.0
+        for k, cols, row_of, supports, scores in sets:
+            mine = row_of[at_block]
+            if k == m:
+                block = values
+            else:
+                keep = mine >= 0
+                if not keep.any():
+                    continue
+                mine = mine[keep]
+                block = values[np.ix_(keep, cols)]
+            at = np.flatnonzero(block.view(np.int64) != 0)
+            on = block.ravel()[at]
+            np.maximum(on, 0.0, out=on)
+            kept = on.view(np.int64) != 0
+            row, col = np.divmod(at[kept], k)
+            supports.append(mine[row] * k + col)
+            scores.append(on[kept])
+    return [(np.concatenate(supports), _Column(np.concatenate(scores), 0.0))
+            for *_, supports, scores in sets]
 
 
 def katz_scores(adj, cfg, universe, model="KI"):
@@ -443,13 +486,22 @@ def katz_scores(adj, cfg, universe, model="KI"):
     ``adj`` is indexed by the universe's global node indices (absent
     nodes have zero rows/columns and score 0 everywhere). The method is
     the closed form by default, falling back to the truncated series
-    above ``cfg.solve_max_nodes``. Either method scores
-    ``_SOURCE_BLOCK`` sources at a time and keeps only each block's
-    nonzero pairs, so no n x k or k x k array is built. ``universe``
-    may also be a list of universes: all of them are then scored from
-    one spectral estimate and one factorization (or one scaled
-    adjacency), and the result is the list of their tables, each equal
-    bit for bit to the table of that universe scored alone.
+    above ``cfg.solve_max_nodes``. ``universe`` may also be a list of
+    universes, and the result is then the list of their tables: all of
+    them come from one spectral estimate and one factorization (or one
+    scaled adjacency), in one pass over the union of their nodes. Only
+    the sources with a stored out-link are scored, ``_SOURCE_BLOCK`` at
+    a time at the union's nodes, and each block keeps only its nonzero
+    pairs, so no n x k or k x k array is built.
+
+    Each table of a list is meant to equal, bit for bit, the table of
+    its universe scored alone. For the series that holds by
+    construction: a source's row is summed alone, whatever sources share
+    its block. For the closed form it rests on SuperLU and the BLAS
+    giving a source's solution the same bits whatever sources share its
+    solve, which multi-column BLAS kernels do not promise: on some
+    random graphs of more than about 120 nodes a score moves in its last
+    bit with the grouping.
     """
     single = not isinstance(universe, list)
     universes = [universe] if single else universe
@@ -471,8 +523,10 @@ def katz_scores(adj, cfg, universe, model="KI"):
             "spectral_converged": sr.converged, "method": method}
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
-    tables = [ScoreTable(model, u, *_blocked_support(rows, u.node_indices),
-                         info=dict(info)) for u in universes]
+    live = np.diff(adj.indptr) > 0
+    tables = [ScoreTable(model, u, support, column, info=dict(info))
+              for u, (support, column) in zip(universes, _blocked_supports(
+                  rows, live, [u.node_indices for u in universes]))]
     return tables[0] if single else tables
 
 

@@ -40,7 +40,10 @@ that formats all four float columns of each model's curves on their
 own; the count-table writer must match them exactly. The closed-form
 Katz rows are the transposed dense block of the solved columns, clipped
 and with its diagonal cleared, whose off-diagonal cells that are not
-+0.0 the package's support extraction must match bit for bit. Score
++0.0 the package's support extraction must match bit for bit. Each
+universe's table scored alone, every source of it in blocks of 256, is
+what the package's one pass over the union of several universes, which
+skips the sources without an out-link, must match bit for bit. Score
 tables that tests write as (k, k) matrices are built by ``table_of``,
 and ``dense``, ``dense_raw`` and ``dense_vector`` give a table's
 columns back as matrices over every pair. Universes that tests write
@@ -154,6 +157,28 @@ def block_solve_rows(adj, beta, source_sets):
     blocks of its ``solved_columns``."""
     return [solved_block(solved, sources) for solved, sources in
             zip(solved_columns(adj, beta, source_sets), source_sets)]
+
+
+def universe_blocked_support(rows, nodes):
+    """The (support, scores) of the table over ``nodes`` scored as one
+    universe alone: ``rows(sources, nodes)`` gives the (b, k) rows of
+    each block of 256 of its sources in turn, sinks included. Each
+    block's diagonal is set to 0, its off-diagonal cells that are not
+    +0.0 are kept, clipped with ``np.maximum`` at 0, and those clipped
+    to +0.0 dropped."""
+    k = len(nodes)
+    supports, scores = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for start in range(0, k, 256):
+        values = rows(nodes[start:start + 256], nodes)
+        row = np.arange(len(values))
+        values[row, start + row] = 0.0
+        at = np.flatnonzero(values.view(np.int64) != 0)
+        on = values.ravel()[at]
+        np.maximum(on, 0.0, out=on)
+        kept = on.view(np.int64) != 0
+        supports.append(at[kept] + start * k)
+        scores.append(on[kept])
+    return np.concatenate(supports), np.concatenate(scores)
 
 
 def dense_spectral_radius(adj_dense):

@@ -309,21 +309,30 @@ def _random_series_case(seed, n=40, density=0.1):
     return adj, sources
 
 
-def _blocked(rows, sources):
-    """The (support, scores) of the table over ``sources`` from the
-    block method ``rows``, scored block by block as ``katz_scores``
-    scores it."""
-    support, column = katz._blocked_support(
-        rows, np.asarray(sources, dtype=np.int64))
+def _blocked(rows, sources, live=None):
+    """The (support, scores) of the table over ``sources``, in the order
+    given, from the block method ``rows``, scored as ``katz_scores``
+    scores the ascending nodes of a universe. Only the ``live`` sources
+    are scored, every source when it is None."""
+    sources = np.asarray(sources, dtype=np.int64)
+    if live is None:
+        live = np.ones(sources.max(initial=-1) + 1, dtype=bool)
+    order = np.argsort(sources)
+    [(support, column)] = katz._blocked_supports(rows, live,
+                                                 [sources[order]])
     assert column.floor == 0.0
-    return support, column.on_support
+    # From the ascending nodes' pair positions to the given order's.
+    rows_at, cols_at = np.divmod(support, len(sources))
+    at = order[rows_at] * len(sources) + order[cols_at]
+    by = np.argsort(at)
+    return at[by], column.on_support[by]
 
 
 def _series_columns(adj, beta, sources, max_len, tol):
     """The (support, scores) of the series table over ``sources``."""
     return _blocked(partial(katz._series_block,
                             katz._scaled_transpose(adj, beta), max_len, tol),
-                    sources)
+                    sources, np.diff(adj.indptr) > 0)
 
 
 def _dense_of(columns, k):
@@ -628,6 +637,137 @@ def test_shared_scoring_bitwise_equal_to_separate(case):
         assert table.raw is alone.raw is None
 
 
+class _ColumnSolve:
+    """SuperLU solving one right-hand side at a time, so that a source's
+    solution has the same bits whatever sources share its block, which
+    the multi-column BLAS kernels of a real solve do not promise (see
+    ``katz_scores``)."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        solved = np.empty_like(rhs, order="F")
+        for c in range(rhs.shape[1]):
+            solved[:, c] = self.lu.solve(rhs[:, c])
+        return solved
+
+
+def _union_universes(n, rng, draw, sinks):
+    """Two universes on n nodes that are disjoint, nested, equal, empty
+    or made only of ``sinks``, in either order."""
+    order = rng.permutation(n)
+    a = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(
+        ["disjoint", "nested", "equal", "sinks", "overlap"]))
+    if kind == "disjoint":
+        first, second = order[:a], order[a:]
+    elif kind == "nested":
+        first = order[:a]
+        second = first[:draw(st.integers(0, a))]
+    elif kind == "equal":
+        first = second = order[:a]
+    elif kind == "sinks":
+        first = rng.permutation(sinks)[:draw(st.integers(0, len(sinks)))]
+        second = order[:a]
+    else:
+        first = order[:a]
+        second = rng.permutation(n)[:draw(st.integers(0, n))]
+    if draw(st.booleans()):
+        first, second = second, first
+    return [_universe(n, np.sort(first)), _universe(n, np.sort(second))]
+
+
+def _union_config(draw):
+    if draw(st.sampled_from(katz.METHODS)) == "closed-form-solve":
+        return KatzConfig(alpha=draw(st.sampled_from([0.5, 0.9])))
+    return KatzConfig(method="truncated-series",
+                      max_walk_length=draw(st.integers(1, 8)),
+                      series_tolerance=draw(st.sampled_from(
+                          [1e-300, 1e-6, 1e-3, 0.5])))
+
+
+@st.composite
+def _union_cases(draw):
+    """An adjacency of up to 2 * _SOURCE_BLOCK + 1 nodes (sometimes
+    empty or nilpotent, with sinks and stored zero weights), two
+    universes on its nodes and a config of either method."""
+    n = draw(st.one_of(st.integers(1, 30),
+                       st.integers(katz._SOURCE_BLOCK + 1, _MAX_K)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.floats(0.0, min(0.4, 4.0 / n)))
+    np.fill_diagonal(mask, False)
+    shape = draw(st.sampled_from(["random", "nilpotent", "empty"]))
+    if shape == "nilpotent":
+        mask = np.triu(mask, 1)
+    elif shape == "empty":
+        mask[:] = False
+    mask[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = False
+    weights = rng.uniform(0.1, 3.0, (n, n))
+    weights[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    rows, cols = np.nonzero(mask)
+    adj = sp.csr_matrix((weights[rows, cols], (rows, cols)), shape=(n, n))
+    sinks = np.flatnonzero(np.diff(adj.indptr) == 0)
+    return (adj, _union_universes(n, rng, draw, sinks), _union_config(draw))
+
+
+def _union_ring_case(method, second):
+    # Every node of the ring has an out-link, so the live union is all
+    # _MAX_K nodes: three blocks, the last of them a single source, and
+    # the first universe is the whole union.
+    adj = _ring_case(_MAX_K)[0]
+    universes = [_universe(_MAX_K), _universe(_MAX_K, second)]
+    if method == "closed-form-solve":
+        return adj, universes, KatzConfig()
+    return adj, universes, KatzConfig(method=method, max_walk_length=8,
+                                      series_tolerance=1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_union_cases())
+@example(case=_union_ring_case("truncated-series", np.arange(1, _MAX_K, 2)))
+@example(case=_union_ring_case("closed-form-solve", np.arange(0, _MAX_K, 3)))
+@example(case=_union_ring_case("closed-form-solve", np.zeros(0, np.int64)))
+def test_union_scoring_bitwise_equal_to_per_universe_loop(case):
+    adj, universes, cfg = case
+    real_splu = katz.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(katz, "splu",
+                   lambda system: _ColumnSolve(real_splu(system)))
+        tables = katz_scores(adj, cfg, universes)
+        beta = tables[0].info["beta"]
+        if cfg.method == "closed-form-solve":
+            rows = partial(katz._solve_block,
+                           *katz._factorization(adj, beta))
+        else:
+            rows = partial(katz._series_block,
+                           katz._scaled_transpose(adj, beta),
+                           cfg.max_walk_length, cfg.series_tolerance)
+    live = np.diff(adj.indptr) > 0
+    wants = [oracles.universe_blocked_support(rows, u.node_indices)
+             for u in universes]
+    for table, universe, (support, scores) in zip(tables, universes, wants):
+        assert table.universe is universe
+        assert table.scores.floor == 0.0
+        # A source without an out-link has an exactly zero row, and the
+        # union never scores it. The loop scores it: the series gives
+        # zeros, but SuperLU can leave round-off in its solution.
+        scored = live[universe.node_indices[support // max(universe.k, 1)]]
+        _assert_same_columns((table.support, table.scores.on_support),
+                             (support[scored], scores[scored]))
+        if cfg.method == "truncated-series":
+            assert scored.all()
+        assert np.all(np.abs(scores[~scored])
+                      <= 1e-15 * np.abs(scores).max(initial=1.0))
+    if cfg.method == "closed-form-solve":
+        # The real solve, many columns at a time, agrees to round-off.
+        for table, want in zip(katz_scores(adj, cfg, universes), wants):
+            k = table.universe.k
+            assert np.allclose(
+                _dense_of((table.support, table.scores.on_support), k),
+                _dense_of(want, k), rtol=1e-12, atol=1e-12)
+
+
 class _PerturbedSolve:
     """A factorization whose solves come back slightly wrong."""
 
@@ -658,11 +798,55 @@ def test_solve_residual_check_rejects_a_wrong_solve(monkeypatch, perturb):
     sparse = ((rng.random((15, 15)) < 0.3)
               & ~np.eye(15, dtype=bool)).astype(np.float64)
     adj = sp.block_diag([clique - np.eye(len(clique)), sparse], format="csr")
+    # Sources without an out-link are not solved, so the node that the
+    # last case perturbs must have one.
+    assert np.diff(adj.indptr)[-1] > 0
     splu = katz.splu
     monkeypatch.setattr(katz, "splu",
                         lambda m: _PerturbedSolve(splu(m), perturb))
     with pytest.raises(NumericError, match="residual"):
         katz_scores(adj, KatzConfig(alpha=0.999), _universe(adj.shape[0]))
+
+
+class _CountedSolve:
+    """A factorization that records the columns of each solve."""
+
+    def __init__(self, lu, widths):
+        self.lu = lu
+        self.widths = widths
+
+    def solve(self, rhs):
+        self.widths.append(rhs.shape[1])
+        return self.lu.solve(rhs)
+
+
+def test_only_sources_with_out_links_are_solved(monkeypatch, caplog):
+    # 600 nodes, of which the even ones have an out-link to the next
+    # node: 300 live sources, solved in blocks of 256 and 44.
+    n = 600
+    live = np.arange(0, n, 2)
+    adj = sp.csr_matrix((np.ones(len(live)), (live, live + 1)), shape=(n, n))
+    widths = []
+    splu = katz.splu
+    monkeypatch.setattr(katz, "splu",
+                        lambda m: _CountedSolve(splu(m), widths))
+    sinks = _universe(n, live + 1)
+    caplog.set_level("DEBUG", logger="geokatz.katz")
+    tables = katz_scores(adj, KatzConfig(), [sinks, _universe(n)])
+    assert widths == [katz._SOURCE_BLOCK, len(live) - katz._SOURCE_BLOCK]
+    assert tables[0].support.size == 0
+    assert tables[1].support.tolist() == (live * n + live + 1).tolist()
+    # A universe made only of sinks causes no solve.
+    widths.clear()
+    assert katz_scores(adj, KatzConfig(), sinks).support.size == 0
+    assert widths == []
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "DEBUG" and "union sources" in r.getMessage()
+            ] == [
+        "Katz scores over 600 union sources: 300 scored in 2 blocks, "
+        "300 without an out-link skipped",
+        "Katz scores over 300 union sources: 0 scored in 0 blocks, "
+        "300 without an out-link skipped"]
 
 
 def test_scoring_memory_follows_the_blocks():

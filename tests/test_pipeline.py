@@ -69,6 +69,18 @@ models: KI
 """
 
 
+class _CountedSolve:
+    """A factorization that records the columns of each solve."""
+
+    def __init__(self, lu, widths):
+        self.lu = lu
+        self.widths = widths
+
+    def solve(self, rhs):
+        self.widths.append(rhs.shape[1])
+        return self.lu.solve(rhs)
+
+
 def _cfg(text, tmp_path=None, out=None):
     cfg = parse_run_config(text)
     if out is not None:
@@ -419,12 +431,39 @@ class TestTuning:
         counting(katz, "spectral_radius")
         counting(katz, "splu")
         counting(pipeline.geo, "weighted_adjacency")
+        # Per Katz operator: its universes' nodes, those with an
+        # out-link, and the columns of each of its solves.
+        union, live, widths = [], [], []
+        splu, katz_scores = katz.splu, pipeline.katz_scores
+
+        def solving(system):
+            widths.append([])
+            return _CountedSolve(splu(system), widths[-1])
+
+        def scoring(adj, cfg, universes, model):
+            nodes = np.unique(np.concatenate(
+                [u.node_indices for u in universes]))
+            union.append(len(nodes))
+            live.append(int(np.count_nonzero(
+                np.diff(adj.tocsr().indptr)[nodes])))
+            return katz_scores(adj, cfg, universes, model=model)
+
+        monkeypatch.setattr(katz, "splu", solving)
+        monkeypatch.setattr(pipeline, "katz_scores", scoring)
         text = SMALL_SYNTH.replace(*edit) if edit else SMALL_SYNTH
         result = run(_cfg(text))
         assert result.reports
         assert calls == {"spectral_radius": spectral,
                          "splu": factorizations,
                          "weighted_adjacency": weighted}
+        assert len(live) == spectral
+        if factorizations:
+            block = katz._SOURCE_BLOCK
+            assert widths == [[block] * (count // block)
+                              + [count % block] * (count % block > 0)
+                              for count in live]
+        # Every operator's universes hold nodes without an out-link.
+        assert all(n_live < n for n_live, n in zip(live, union))
 
     def test_tune_on_test_reuses_final_universe(self, tmp_path):
         text = SMALL_SYNTH.replace("split:", "tune_on: test\nsplit:")
