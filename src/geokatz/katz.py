@@ -19,8 +19,11 @@ import csv
 import io
 import logging
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from math import copysign, isfinite
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -245,19 +248,6 @@ class _Column:
     positions and the floor that every other pair holds."""
     on_support: np.ndarray
     floor: float
-
-
-def _support_of(*matrices):
-    """The flat row-major positions i * k + j of the off-diagonal cells
-    at which any of the (k, k) ``matrices`` is not +0.0, bit for bit (a
-    -0.0 is on the support)."""
-    keep, *others = [
-        np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64) != 0
-        for matrix in matrices]
-    for other in others:
-        keep |= other
-    np.fill_diagonal(keep, False)
-    return np.flatnonzero(keep)
 
 
 @dataclass(eq=False)
@@ -712,7 +702,8 @@ def read_score_table(path, universe, registry):
     is read as a movement file's is. Returns a normalized ScoreTable
     whose ``scores`` are the file's ``score_norm`` column and ``raw`` its
     ``score`` column, on the pairs at which either is not +0.0; both
-    floors are 0.0.
+    floors are 0.0. Besides the support, reading holds a k * k-byte map
+    of the pairs taken and no (k, k) float array.
     """
     try:
         with _open_input(path, "score table") as fh:
@@ -723,17 +714,20 @@ def read_score_table(path, universe, registry):
 
 def _read_scores(fh, path, universe, registry):
     k = universe.k
-    position = {int(node): i for i, node in enumerate(universe.node_indices)}
-    norm = np.zeros((k, k), dtype=np.float64)
-    raw = np.zeros((k, k), dtype=np.float64)
-    seen = np.zeros((k, k), dtype=bool)
+    position = {registry.ids[node]: i
+                for i, node in enumerate(universe.node_indices.tolist())}
+    # The pairs read so far, by flat position; the diagonal is taken
+    # first, so a diagonal pair fails as a duplicate does.
+    taken = bytearray(k * k)
+    taken[::k + 1] = b"\x01" * k
+    keys, raws, norms = array("q"), array("d"), array("d")
     model = None
     header, reader = _read_header(fh, ",")
     if header is None or not set(SCORE_COLUMNS).issubset(header):
         raise DataError(f"score table {path} lacks required columns "
                         f"{sorted(SCORE_COLUMNS)}")
     at = {name: i for i, name in enumerate(header)}
-    columns = [at[name] for name in SCORE_COLUMNS]
+    fields = itemgetter(*(at[name] for name in SCORE_COLUMNS))
     for row in reader:
         if not row:
             continue
@@ -741,8 +735,7 @@ def _read_scores(fh, path, universe, registry):
         line_no = reader.line_num
         if len(row) < len(header):
             raise DataError(f"line {line_no}: fewer fields than the header")
-        source, dest, row_model, score, score_norm = map(row.__getitem__,
-                                                         columns)
+        source, dest, row_model, score, score_norm = fields(row)
         if model is None:
             model = row_model
         elif row_model != model:
@@ -750,30 +743,34 @@ def _read_scores(fh, path, universe, registry):
                 f"score table mixes models {model!r} and "
                 f"{row_model!r} (line {line_no})")
         try:
-            u = registry.index(source)
-            v = registry.index(dest)
-            i, j = position[u], position[v]
+            pair = position[source] * k + position[dest]
         except KeyError:
             raise UniverseMismatchError(
                 f"line {line_no}: pair ({source}, {dest}) is not in the "
                 "evaluation universe")
-        if i == j or seen[i, j]:
+        if taken[pair]:
             raise UniverseMismatchError(
                 f"line {line_no}: duplicate or diagonal pair")
-        seen[i, j] = True
+        taken[pair] = 1
         try:
-            raw[i, j] = float(score)
-            norm[i, j] = float(score_norm)
+            raw = float(score)
+            norm = float(score_norm)
         except ValueError:
             raise DataError(f"line {line_no}: non-numeric score")
-        if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
+        if not (isfinite(raw) and isfinite(norm)):
             raise DataError(f"line {line_no}: non-finite score")
+        # Off the support only when both are +0.0: a -0.0 stays on it.
+        if raw or norm or copysign(1.0, raw) + copysign(1.0, norm) < 2.0:
+            keys.append(pair)
+            raws.append(raw)
+            norms.append(norm)
     expected = k * (k - 1)
-    got = int(seen.sum())
+    got = taken.count(1) - k
     if got != expected:
         raise UniverseMismatchError(
             f"score table covers {got} pairs; the universe has {expected}")
-    support = _support_of(norm, raw)
-    return ScoreTable(model or "", universe, support,
-                      _Column(norm.ravel()[support], 0.0), normalized=True,
-                      raw=_Column(raw.ravel()[support], 0.0))
+    support, norms, raws = map(np.asarray, (keys, norms, raws))
+    order = np.argsort(support)
+    return ScoreTable(model or "", universe, support[order],
+                      _Column(norms[order], 0.0), normalized=True,
+                      raw=_Column(raws[order], 0.0))

@@ -50,7 +50,10 @@ columns back as matrices over every pair. Universes that tests write
 as (k, k) label matrices are built by ``universe_of``, and
 ``label_vector`` gives a universe's labels back over every pair; the
 candidate pairs are the (k, k) label matrix whose nonzero cells the
-package's flat positives must match.
+package's flat positives must match. The score-table reader is the row
+loop into three (k, k) matrices, whose support ``support_of`` takes at
+the end; the package's reader, which keeps each row on the support as
+it reads, must give its table bit for bit, or its error.
 """
 
 import csv
@@ -966,6 +969,19 @@ def label_vector(universe):
     return _offdiagonal(labels.reshape(k, k))
 
 
+def support_of(*matrices):
+    """The flat row-major positions i * k + j of the off-diagonal cells
+    at which any of the (k, k) ``matrices`` is not +0.0, bit for bit (a
+    -0.0 is on the support)."""
+    keep, *others = [
+        np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64) != 0
+        for matrix in matrices]
+    for other in others:
+        keep |= other
+    np.fill_diagonal(keep, False)
+    return np.flatnonzero(keep)
+
+
 def table_of(model, universe, values, normalized=False, raw_values=None,
              info=None):
     """A ScoreTable from (k, k) matrices, ignoring their diagonals: its
@@ -982,11 +998,7 @@ def table_of(model, universe, values, normalized=False, raw_values=None,
         raise UniverseMismatchError(
             f"score matrices of shapes {[m.shape for m in matrices]} "
             f"do not match universe size {k}")
-    keep = np.zeros((k, k), dtype=bool)
-    for m in matrices:
-        keep |= np.ascontiguousarray(m).view(np.int64) != 0
-    np.fill_diagonal(keep, False)
-    support = np.flatnonzero(keep)
+    support = support_of(*matrices)
     scores, *raw = [_Column(m.ravel()[support], 0.0) for m in matrices]
     return ScoreTable(model, universe, support, scores, normalized,
                       raw[0] if raw else None, {} if info is None else info)
@@ -1137,3 +1149,69 @@ def dense_write_score_table(table, registry, dest, known=None):
                              f"{norm_floor}\n") for b in range(k) if b != a]
             lines.append(quoted[a] + quoted[a].join(rows))
     return _write_text(lines, dest)
+
+
+def dense_read_scores(fh, path, universe, registry):
+    """The score-table reader over three (k, k) matrices: each row's
+    scores are written into dense ``raw`` and ``norm`` matrices and the
+    pair marked in a dense ``seen`` one, and the support is taken from
+    the matrices at the end. ``fh`` is the table opened as
+    ``katz.read_score_table`` opens it."""
+    from geokatz.errors import UniverseMismatchError
+    from geokatz.graphs import _read_header
+    from geokatz.katz import SCORE_COLUMNS, ScoreTable, _Column
+
+    k = universe.k
+    position = {int(node): i for i, node in enumerate(universe.node_indices)}
+    norm = np.zeros((k, k), dtype=np.float64)
+    raw = np.zeros((k, k), dtype=np.float64)
+    seen = np.zeros((k, k), dtype=bool)
+    model = None
+    header, reader = _read_header(fh, ",")
+    if header is None or not set(SCORE_COLUMNS).issubset(header):
+        raise DataError(f"score table {path} lacks required columns "
+                        f"{sorted(SCORE_COLUMNS)}")
+    at = {name: i for i, name in enumerate(header)}
+    columns = [at[name] for name in SCORE_COLUMNS]
+    for row in reader:
+        if not row:
+            continue
+        line_no = reader.line_num
+        if len(row) < len(header):
+            raise DataError(f"line {line_no}: fewer fields than the header")
+        source, dest, row_model, score, score_norm = map(row.__getitem__,
+                                                         columns)
+        if model is None:
+            model = row_model
+        elif row_model != model:
+            raise DataError(
+                f"score table mixes models {model!r} and "
+                f"{row_model!r} (line {line_no})")
+        try:
+            u = registry.index(source)
+            v = registry.index(dest)
+            i, j = position[u], position[v]
+        except KeyError:
+            raise UniverseMismatchError(
+                f"line {line_no}: pair ({source}, {dest}) is not in the "
+                "evaluation universe")
+        if i == j or seen[i, j]:
+            raise UniverseMismatchError(
+                f"line {line_no}: duplicate or diagonal pair")
+        seen[i, j] = True
+        try:
+            raw[i, j] = float(score)
+            norm[i, j] = float(score_norm)
+        except ValueError:
+            raise DataError(f"line {line_no}: non-numeric score")
+        if not (np.isfinite(raw[i, j]) and np.isfinite(norm[i, j])):
+            raise DataError(f"line {line_no}: non-finite score")
+    expected = k * (k - 1)
+    got = int(seen.sum())
+    if got != expected:
+        raise UniverseMismatchError(
+            f"score table covers {got} pairs; the universe has {expected}")
+    support = support_of(norm, raw)
+    return ScoreTable(model or "", universe, support,
+                      _Column(norm.ravel()[support], 0.0), normalized=True,
+                      raw=_Column(raw.ravel()[support], 0.0))

@@ -869,6 +869,33 @@ def test_scoring_memory_follows_the_blocks():
         assert peak < dense_bytes / 2, (method, peak)
 
 
+def test_score_table_read_memory_follows_the_support(tmp_path):
+    # 5% of the pairs off the floor: the reader holds a k * k-byte map
+    # of the pairs taken and the support's columns, and no (k, k)
+    # float64 array.
+    k = 600
+    rng = np.random.default_rng(7)
+    pairs = np.flatnonzero(~np.eye(k, dtype=bool))
+    support = np.sort(rng.choice(pairs, size=pairs.size // 20,
+                                 replace=False))
+    values = rng.random(support.size)
+    universe = _universe(k)
+    registry = NodeRegistry([f"s{i}" for i in range(k)], np.zeros(k),
+                            np.zeros(k))
+    path = tmp_path / "scores_KI.csv"
+    write_score_table(katz.ScoreTable(
+        "KI", universe, support, katz._Column(values, 0.0), True,
+        katz._Column(values, 0.0)), registry, path)
+    tracemalloc.start()
+    try:
+        table = katz.read_score_table(path, universe, registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.support.tolist() == support.tolist()
+    assert peak < k * k * 8, peak
+
+
 def test_solve_residual_check_passes_near_the_spectral_bound():
     rng = np.random.default_rng(31)
     dense = ((rng.random((30, 30)) < 0.2)

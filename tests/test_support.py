@@ -2,10 +2,12 @@
 
 Every table of a universe lives on the union of its base tables'
 nonzero pairs, with a floor for the rest; decay, normalize, combine,
-the sweeps and reports and the score-table export must give, bit for
-bit and byte for byte, what the (k, k) versions in ``oracles`` give.
+the sweeps and reports, the score-table export and its reader must
+give, bit for bit and byte for byte, what the (k, k) versions in
+``oracles`` give.
 """
 
+import csv
 import io
 import warnings
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -188,8 +190,8 @@ def test_model_tables_match_dense_oracle(case):
     assert warned == want_warned
     union = np.flatnonzero(((_bits_matrix(case.ki) != 0)
                             | (_bits_matrix(case.wki) != 0)).ravel())
-    assert katz._support_of(case.ki).tolist() == ki.support.tolist()
-    assert katz._support_of(case.ki, case.wki).tolist() == union.tolist()
+    assert oracles.support_of(case.ki).tolist() == ki.support.tolist()
+    assert oracles.support_of(case.ki, case.wki).tolist() == union.tolist()
     for table in tables.values():
         assert table.support.tolist() == union.tolist()
     _check_tables(tables, dense, registry)
@@ -263,11 +265,11 @@ def test_support_holds_signed_zeros_and_leaves_the_diagonal():
     values = np.array([[5.0, -0.0, 0.0], [0.0, 0.0, 2.0], [1e-300, 0.0,
                                                              -0.0]])
     universe = oracles.universe_of(np.arange(3))
-    assert katz._support_of(values).tolist() == [1, 5, 6]
+    assert oracles.support_of(values).tolist() == [1, 5, 6]
     # A second matrix adds the cells at which it is not +0.0.
     other = np.zeros((3, 3))
     other[0, 0], other[1, 0], other[2, 1] = 1.0, -0.0, 0.0
-    assert katz._support_of(values, other).tolist() == [1, 3, 5, 6]
+    assert oracles.support_of(values, other).tolist() == [1, 3, 5, 6]
     table = oracles.table_of("KI", universe, values)
     assert table.support.tolist() == [1, 5, 6]
     assert table.n_floor == 3
@@ -321,3 +323,132 @@ def test_table_with_labels_is_refused():
                  metrics.confusion_at):
         with pytest.raises(ValueError, match="labeled by its universe"):
             call(table, labels)
+
+
+# Ids that csv.writer must quote, one of them over two physical lines,
+# and short free ones over the same characters.
+SCORE_IDS = st.one_of(
+    st.sampled_from(["a", "b,c", 'd"e', "f\ng", "h\r\ni", " j ", "é", ""]),
+    st.text(alphabet='ab,"\n ', max_size=3))
+# Score texts: zeros of both signs in several spellings, a positive zero
+# written with a minus in its exponent, and free finite floats.
+SCORE_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "+0", "0e-5", "-0e5",
+                     " 1.5", "1e-300", "5e-324", "0.25", "1_0"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+FAULTS = ("duplicate", "diagonal", "unknown id", "mixed models", "short row",
+          "non-numeric", "nan", "inf", "missing row")
+
+
+@st.composite
+def _score_files(draw):
+    """A score table's text, its universe and registry: every pair of
+    the universe once in a drawn order, the header's columns permuted
+    and maybe an extra one, drawn line ends, a byte-order mark, blank
+    lines, and up to two different faults."""
+    ids = draw(st.lists(SCORE_IDS, min_size=2, max_size=6, unique=True))
+    nodes = sorted(draw(st.sets(st.integers(0, len(ids) - 1), min_size=2)))
+    # Now and then a universe of no pairs.
+    if draw(st.integers(0, 9)) == 9:
+        nodes = nodes[:draw(st.integers(0, 1))]
+    registry = NodeRegistry(ids, np.zeros(len(ids)), np.zeros(len(ids)))
+    universe = oracles.universe_of(nodes)
+    names = list(katz.SCORE_COLUMNS) + draw(
+        st.sampled_from([[], ["note"]]))
+    names = draw(st.permutations(names))
+    model = draw(st.sampled_from(["KI", "EWKI", "a,b", 'q"m']))
+    rows = [{"source_id": ids[u], "dest_id": ids[v], "model": model,
+             "score": draw(SCORE_TEXTS), "score_norm": draw(SCORE_TEXTS),
+             "note": "x"}
+            for u in nodes for v in nodes if u != v]
+    rows = draw(st.permutations(rows))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2, unique=True))
+    outside = [node_id for i, node_id in enumerate(ids) if i not in nodes]
+    at = None
+    for fault in faults:
+        if not rows:
+            break
+        # A second fault may hit the row of the first, so that the
+        # order of the checks decides which error is raised.
+        if at is None or draw(st.booleans()):
+            at = draw(st.integers(0, len(rows) - 1))
+        row = dict(rows[at])
+        if fault == "duplicate":
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, row)
+            continue
+        if fault == "missing row":
+            del rows[at]
+            at = None
+            continue
+        if fault == "diagonal":
+            row["dest_id"] = row["source_id"]
+        elif fault == "unknown id":
+            row[draw(st.sampled_from(["source_id", "dest_id"]))] = draw(
+                st.sampled_from(outside + ["not-a-site"]))
+        elif fault == "mixed models":
+            row["model"] = model + "x"
+        elif fault == "short row":
+            row["short"] = draw(st.integers(1, len(names) - 1))
+        else:
+            column = draw(st.sampled_from(["score", "score_norm"]))
+            row[column] = draw(st.sampled_from({
+                "non-numeric": ["high", "", "1.2.3", "0x1p3"],
+                "nan": ["nan", "NaN", "-nan"],
+                "inf": ["inf", "-inf", "1e999", "Infinity"]}[fault]))
+        rows[at] = row
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=line_end)
+    header = names if draw(st.booleans()) else [" " + n for n in names]
+    records = [header] + [[row[n] for n in names][:row.get("short")]
+                          for row in rows]
+    lines = []
+    for record in records:
+        writer.writerow(record)
+        lines.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(line_end)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(lines), universe, registry
+
+
+def _read_outcome(read):
+    """A table read as the bits of its model, support, columns and
+    floors, or the class and text of the error it raised."""
+    try:
+        table = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (table.model, table.normalized, table.support.dtype,
+            table.support.tobytes(), table.scores.on_support.tobytes(),
+            table.raw.on_support.tobytes(),
+            _bits([table.scores.floor, table.raw.floor]))
+
+
+def _two_site_file(*lines):
+    registry = NodeRegistry(["a", "b"], np.zeros(2), np.zeros(2))
+    text = "source_id,dest_id,model,score,score_norm\n" + "".join(
+        line + "\n" for line in lines)
+    return text, oracles.universe_of([0, 1]), registry
+
+
+@settings(max_examples=400, deadline=None)
+@given(_score_files())
+# A row that is both a diagonal pair and non-numeric, and a duplicate
+# that is also not finite: the order of the checks decides the error.
+@example(_two_site_file("a,b,KI,0,0", "a,a,KI,high,0"))
+@example(_two_site_file("a,b,KI,0,0", "a,b,KI,nan,0", "b,a,KI,0,0"))
+def test_read_score_table_matches_dense_oracle(tmp_path_factory, case):
+    text, universe, registry = case
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def oracle():
+        with open(path, newline="", encoding="utf-8") as fh:
+            return oracles.dense_read_scores(fh, path, universe, registry)
+
+    assert _read_outcome(lambda: katz.read_score_table(
+        path, universe, registry)) == _read_outcome(oracle)
