@@ -3,10 +3,13 @@
 Nodes are placed uniformly in a bounding box; movements are drawn year
 by year from a single explicit PRNG stream: each movement either reuses
 an existing directed link or draws a fresh one with a hub-biased source
-and a distance-decayed destination. The generator emits the same
-delimited format the ingestion layer reads, plus a ground-truth sidecar
-with the generating parameters and exact count structure, so pipeline
-tests can check ingestion and splitting against known numbers.
+and a distance-decayed destination. The movement draws are computed
+from the stream's raw 64-bit PCG64 words, bit for bit as NumPy's
+``Generator.random()`` and ``Generator.integers(m)`` would draw them.
+The generator emits the same delimited format the ingestion layer
+reads, plus a ground-truth sidecar with the generating parameters and
+exact count structure, so pipeline tests can check ingestion and
+splitting against known numbers.
 """
 
 import json
@@ -56,6 +59,8 @@ class SynthConfig:
             object.__setattr__(self, name, value)
 
         put("seed", as_int(self.seed, "synth.seed"))
+        if self.seed < 0:
+            raise ConfigError(f"'synth.seed' must be >= 0, got {self.seed}")
         put("n_nodes", as_int(self.n_nodes, "synth.n_nodes"))
         lo, hi = as_interval(self.years, "synth.years")
         if lo > hi:
@@ -129,7 +134,7 @@ class _DestinationSampler:
         self._decay = decay_rate
         self._cum = {}
 
-    def draw(self, u, random):
+    def draw(self, u, uniform):
         cum = self._cum.get(u)
         if cum is None:
             dist = haversine_from(self._lat, self._lon, self._cos_lat, u)
@@ -140,7 +145,7 @@ class _DestinationSampler:
                 raise ConfigError(
                     f"'synth.decay_rate' {self._decay!r} is too large: "
                     f"every destination weight of node {u} underflows")
-        return int(cum.searchsorted(random() * cum[-1], "right"))
+        return int(cum.searchsorted(uniform * cum[-1], "right"))
 
 
 def generate(cfg):
@@ -159,6 +164,12 @@ def generate(cfg):
     movement, when a link exists, the repeat draw, followed by either
     the index of the reused link or a source and a destination draw.
     Source weights change only when a fresh draw makes a new link.
+    Each uniform of the movement loop takes one 64-bit word ``w`` of
+    the PCG64 stream as ``(w >> 11) * 2**-53``, and each link index a
+    32-bit half word by NumPy's Lemire rule (see ``_RawDraws``); an
+    index takes the high half of a word the previous index split, and
+    the first index takes the half the species draw may have left.
+    Nothing draws from the stream after the movement loop.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_nodes
@@ -198,10 +209,15 @@ def _draw_links(cfg, rng, lat, lon, total):
     only when a new link changes them; ``cumsum`` adds in sequence, so
     it is bitwise the sum a rebuild on every draw would give. A sum
     that overflows is a ConfigError naming ``hub_bias``.
+
+    Every uniform and every link index comes from ``_RawDraws``, which
+    reads ``rng``'s 64-bit words in blocks. Words read past the last
+    movement are discarded; nothing draws from ``rng`` after this loop.
     """
     n = cfg.n_nodes
-    random = rng.random
-    integers = rng.integers
+    draws = _RawDraws(rng.bit_generator)
+    uniform = draws.uniform
+    index = draws.index
     repeat_prob = cfg.repeat_edge_prob
     hub_bias = cfg.hub_bias
     destinations = _DestinationSampler(lat, lon, cfg.decay_rate)
@@ -213,11 +229,11 @@ def _draw_links(cfg, rng, lat, lon, total):
     src = []
     dst = []
     for _ in range(total):
-        if links and random() < repeat_prob:
-            u, v = links[integers(len(links))]
+        if links and uniform() < repeat_prob:
+            u, v = links[index(len(links))]
         else:
-            u = int(cum.searchsorted(random() * cum[-1], "right"))
-            v = destinations.draw(u, random)
+            u = int(cum.searchsorted(uniform() * cum[-1], "right"))
+            v = destinations.draw(u, uniform())
             if u * n + v not in seen:
                 seen.add(u * n + v)
                 links.append((u, v))
@@ -231,6 +247,62 @@ def _draw_links(cfg, rng, lat, lon, total):
         src.append(u)
         dst.append(v)
     return src, dst, len(links)
+
+
+class _RawDraws:
+    """``Generator.random()`` and ``Generator.integers(m)`` of a PCG64
+    stream, bit for bit, computed from its raw 64-bit words.
+
+    The words are read ``_WORD_BLOCK`` at a time with ``random_raw``,
+    so a draw makes no NumPy call. A word ``w`` gives the uniform
+    ``(w >> 11) * 2**-53``. An index in ``[0, m)``, for
+    ``1 <= m <= 2**32``, is NumPy's 32-bit Lemire draw on a 32-bit half
+    word ``h``: with ``x = h * m``, the index is ``x >> 32`` unless the
+    low 32 bits of ``x`` are below ``(2**32 - m) % m``, and then it
+    draws again; ``m == 1`` takes no bits, and ``m == 2**32``
+    (threshold 0) gives ``h`` itself. Half words follow PCG64's 32-bit
+    buffer (``has_uint32``/``uinteger``): an index takes the low half of
+    a fresh word and keeps the high half for the next index, and a half
+    the generator holds when this object is made is taken first.
+    Uniforms always take a fresh word.
+
+    Words are read ahead of the draws, so nothing may draw from the
+    generator while this object is in use.
+    """
+
+    def __init__(self, bit_generator):
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words = _raw_words(bit_generator)
+
+    def uniform(self):
+        return (next(self._words) >> 11) * _UNIT
+
+    def index(self, m):
+        if m == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                word = next(self._words)
+                half, self._half = word & _LOW32, word >> 32
+            else:
+                self._half = None
+            x = half * m
+            # The threshold is below m, so most draws skip the modulo.
+            if x & _LOW32 >= m or x & _LOW32 >= (_TWO32 - m) % m:
+                return x >> 32
+
+
+def _raw_words(bit_generator):
+    while True:
+        yield from bit_generator.random_raw(_WORD_BLOCK).tolist()
+
+
+_WORD_BLOCK = 1024
+_UNIT = 2.0 ** -53
+_TWO32 = 1 << 32
+_LOW32 = _TWO32 - 1
 
 
 def _edge_stats(n, first_year, src, dst, year):

@@ -356,6 +356,16 @@ class TestOverridesAndLogging:
         assert any("--seed-override ignored" in r.message
                    for r in caplog.records)
 
+    @pytest.mark.parametrize("command", ["run", "score", "synth"])
+    def test_negative_seed_override_is_config_error(
+            self, run_config, tmp_path, caplog, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(run_config), "--out", str(out),
+                     "--seed-override", "-1"]) == 1
+        assert "'synth.seed' must be >= 0" in caplog.text
+        assert "unexpected failure" not in caplog.text
+        assert not out.exists()
+
     def test_log_level_flag_accepted(self, tmp_path, caplog):
         path = tmp_path / "synth.yaml"
         path.write_text(SYNTH_ONLY_YAML)

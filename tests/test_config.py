@@ -623,7 +623,8 @@ def test_synth_config_builds_well_typed_or_is_refused(edits):
         cfg = replace(_SYNTH, **edits)
     except ConfigError:
         return
-    assert _is_int(cfg.seed) and _is_int(cfg.n_nodes) and cfg.n_nodes >= 1
+    assert _is_int(cfg.seed) and cfg.seed >= 0
+    assert _is_int(cfg.n_nodes) and cfg.n_nodes >= 1
     assert type(cfg.years) is tuple and all(map(_is_int, cfg.years))
     assert cfg.years[0] <= cfg.years[1]
     assert type(cfg.bbox) is tuple and all(map(_is_real, cfg.bbox))

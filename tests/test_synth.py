@@ -1,18 +1,27 @@
 """Unit tests for the seeded synthetic movement-network generator."""
 
+import hashlib
 import io
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
 from conftest import report_of, rows_of
+from geokatz.config import load_run_config
 from geokatz.errors import ConfigError
 from geokatz.geo import haversine_km
 from geokatz.graphs import build_network, ingest_movements
-from geokatz.synth import SynthConfig, generate, write_movements, write_truth
+from geokatz.synth import (SynthConfig, _RawDraws, generate, write_movements,
+                           write_truth)
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def _cfg(**overrides):
@@ -44,6 +53,11 @@ class TestConfigValidation:
     def test_bad_bbox_rejected(self, bbox):
         with pytest.raises(ConfigError, match="bounding box"):
             _cfg(bbox=bbox)
+
+    def test_negative_seed_rejected(self):
+        # NumPy's seed sequence refuses it with a ValueError at generate.
+        with pytest.raises(ConfigError, match="'synth.seed' must be >= 0"):
+            _cfg(seed=-1)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
@@ -114,6 +128,25 @@ class TestDeterminism:
         write_truth(t2, b2)
         assert b1.getvalue() == b2.getvalue()
         assert b1.getvalue().endswith("\n")
+
+    # sha256 of movements.csv and truth.json as `geokatz synth` writes
+    # them for each shipped config: a change of the draws, or of how a
+    # NumPy version draws them, changes these bytes.
+    @pytest.mark.parametrize("name,movements,truth", [
+        ("quickstart.yaml",
+         "cbebd45c395be5cf133522af03990b2b3f268f243c28216ca8604719866c72f8",
+         "fc857c3a88c6667fe53665b699d075777e71fe7ed661aa279e81c4c96a84a7f0"),
+        ("national_scale_synthetic.yaml",
+         "0272a18fb455d6293d02c4dfdab746784a5bac504e88544da59e0de168e1368e",
+         "dc2cde9ae57bc30c6d281103f37934f923fc42f3cc2803a9036d73ec8554a70b"),
+    ], ids=["quickstart", "national"])
+    def test_shipped_configs_write_pinned_bytes(self, tmp_path, name,
+                                                movements, truth):
+        report, truth_doc = generate(load_run_config(CONFIGS / name).synth)
+        written = (write_movements(report, tmp_path / "movements.csv"),
+                   write_truth(truth_doc, tmp_path / "truth.json"))
+        assert [hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in written] == [movements, truth]
 
 
 @pytest.fixture(scope="module")
@@ -336,12 +369,64 @@ class TestMatchesRecordLoop:
         expected = _loop_csv_lines(records)
         assert _first_difference(_csv_lines(report), expected) is None
 
+    # Odd and even node counts, with one or several species: the species
+    # draw may leave half a PCG64 word for the first link index. Totals
+    # reach a few thousand movements, several blocks of raw words.
+    @settings(max_examples=40, deadline=None)
+    @given(n_nodes=st.integers(1, 700), seed=st.integers(0, 2**64),
+           counts=st.lists(st.integers(0, 1200), min_size=1, max_size=4),
+           repeat=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+           hub_bias=st.one_of(st.just(0.0), st.floats(0, 30)),
+           decay_rate=st.one_of(st.just(0.0), st.floats(0, 0.05)),
+           n_species=st.integers(1, 5))
+    @example(n_nodes=301, seed=7, counts=[1100, 1100], repeat=0.7,
+             hub_bias=2.5, decay_rate=0.0, n_species=5)
+    @example(n_nodes=300, seed=7, counts=[1100, 1100], repeat=0.7,
+             hub_bias=2.5, decay_rate=0.02, n_species=5)
+    def test_drawn_configs_match_the_loop(self, n_nodes, seed, counts, repeat,
+                                          hub_bias, decay_rate, n_species):
+        cfg = SynthConfig(
+            seed=seed, n_nodes=n_nodes,
+            years=(2010, 2009 + len(counts)), bbox=(50.0, 53.0, -4.0, 0.0),
+            movements_per_year=counts if n_nodes > 1 else 0,
+            decay_rate=decay_rate, hub_bias=hub_bias,
+            repeat_edge_prob=repeat,
+            species=tuple(f"fish {i}" for i in range(n_species)))
+        report, truth = generate(cfg)
+        records, want_truth = oracles.loop_generate(cfg)
+        assert _first_difference(map(repr, rows_of(report)),
+                                 map(repr, records)) is None
+        assert truth == want_truth
+
     def test_records_needing_quotes_write_as_csv_writer_does(self):
         records = [oracles.MovementRecord("a,1", 'b"2', 2020, -0.0, 0.0,
                                           1.0000005, -179.9999995, None),
                    oracles.MovementRecord("c\n3", "d", 2021, 0.0, -0.0,
                                           90.0, 180.0, "")]
         assert _csv_lines(report_of(records)) == _loop_csv_lines(records)
+
+
+class TestRawDraws:
+    """Uniforms and link indices computed from PCG64's raw words against
+    ``Generator.random()`` and ``Generator.integers(m)``."""
+
+    # 2**31 + 1 rejects about half its draws; 2**32 takes the half word
+    # as it is. 0-6 prior draws of a 5-way index leave PCG64's 32-bit
+    # buffer full or empty.
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2**31 + 1,
+                                   3 * 2**30 + 7, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("prior", range(7))
+    def test_draws_match_the_generator(self, m, prior):
+        want = np.random.default_rng(prior + 100)
+        got = np.random.default_rng(prior + 100)
+        want.integers(5, size=prior)
+        got.integers(5, size=prior)
+        draws = _RawDraws(got.bit_generator)
+        for op in random.Random(m + prior).choices("iiu", k=600):
+            if op == "i":
+                assert draws.index(m) == want.integers(m)
+            else:
+                assert draws.uniform() == want.random()
 
 
 def _csv_lines(movements):
