@@ -3,9 +3,9 @@
 Scores become predictions via an inclusive threshold (predict positive
 iff score >= threshold). Threshold sweeps visit every distinct score
 once (ties form a single step), which makes the swept optimum exact
-rather than grid-approximate. ``evaluate`` builds the ROC and PR
-curves, their trapezoidal areas, average precision and the confusion at
-its threshold from one sweep, whose counts its report keeps; tuning on
+rather than grid-approximate. ``evaluate`` reads the confusion at its
+threshold, the ROC and PR curves' areas and average precision off one
+sweep, which its report keeps and derives both curves from; tuning on
 the evaluated table itself shares it; ``optimal_threshold`` sweeps on
 its own. A ScoreTable is swept from its support, with the pairs off it
 counted in its floor's step.
@@ -50,9 +50,14 @@ class Curve:
 
 @dataclass
 class EvaluationReport:
-    """Everything measured about one model on one labeled universe;
-    ``counts`` is its sweep's (tp, fp, n_pos, n_neg), tp and fp int64
-    at each PR point, from which the curve files are written."""
+    """Everything measured about one model on one labeled universe, and
+    its sweep: ``thresholds`` descending, the int64 ``tp`` and ``fp`` at
+    each, and the label counts, from which ``roc`` and ``pr`` are built."""
+    thresholds: np.ndarray = field(repr=False)
+    tp: np.ndarray = field(repr=False)
+    fp: np.ndarray = field(repr=False)
+    n_pos: int = field(repr=False)
+    n_neg: int = field(repr=False)
     model: str
     threshold: float
     confusion: ConfusionMatrix
@@ -62,10 +67,19 @@ class EvaluationReport:
     auroc: float
     aupr: float
     average_precision: float
-    roc: Curve
-    pr: Curve
     info: dict = field(default_factory=dict)
-    counts: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def roc(self):
+        """(FPR, TPR) points behind an (inf, 0, 0) anchor."""
+        return _curves(self.thresholds, self.tp, self.fp, self.n_pos,
+                       self.n_neg)[0]
+
+    @property
+    def pr(self):
+        """(recall, precision) points, one per threshold."""
+        return _curves(self.thresholds, self.tp, self.fp, self.n_pos,
+                       self.n_neg)[1]
 
 
 def _vectors(scores, labels):
@@ -152,27 +166,31 @@ def _sweep_above(s, hits, floor, n_pos, n_neg):
     floor's step.
     """
     ranked = np.sort(s[s > floor])[::-1]
-    ends = np.flatnonzero(ranked[1:] != ranked[:-1])
-    if ranked.size:
-        ends = np.append(ends, ranked.size - 1)
-    above = ranked[ends]
-    group = np.searchsorted(above[::-1], hits[hits > floor])
-    hit = np.cumsum(np.bincount(group, minlength=above.size)[::-1],
-                    dtype=np.int64)
+    # A group ends where the next value differs, and at the last value.
+    last = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    g = ends.size
     low, low_hits = s[s < floor], hits[hits < floor]
+    tail = (_sweep_above(low, low_hits, low.min(), low_hits.size,
+                         low.size - low_hits.size) if low.size else None)
+    thresholds = np.empty(g + 1 + (tail[0].size if tail else 0))
+    tp = np.empty(thresholds.size, dtype=np.int64)
+    fp = np.empty_like(tp)
+    thresholds[:g] = ranked[ends]
+    thresholds[g] = floor
+    group = np.searchsorted(thresholds[:g][::-1], hits[hits > floor])
+    np.cumsum(np.bincount(group, minlength=g)[::-1], dtype=np.int64,
+              out=tp[:g])
+    np.subtract(ends + 1, tp[:g], out=fp[:g])
     # Everything at or above the floor is positive at its step.
-    floor_tp = n_pos - low_hits.size
-    floor_fp = n_neg - (low.size - low_hits.size)
-    thresholds = np.append(above, floor) + 0.0
-    tp = np.append(hit, floor_tp)
-    fp = np.append(ends + 1 - hit, floor_fp)
-    if low.size:
-        low_thresholds, low_tp, low_fp, _, _ = _sweep_above(
-            low, low_hits, low.min(), low_hits.size,
-            low.size - low_hits.size)
-        thresholds = np.append(thresholds, low_thresholds)
-        tp = np.append(tp, floor_tp + low_tp)
-        fp = np.append(fp, floor_fp + low_fp)
+    tp[g:] = n_pos - low_hits.size
+    fp[g:] = n_neg - (low.size - low_hits.size)
+    if tail:
+        thresholds[g + 1:] = tail[0]
+        tp[g + 1:] += tail[1]
+        fp[g + 1:] += tail[2]
+    thresholds += 0.0
     return thresholds, tp, fp, n_pos, n_neg
 
 
@@ -270,20 +288,25 @@ def optimal_threshold(scores, labels=None):
     return _best_cut(*_sweep_of(scores, labels))
 
 
+def _curves(thresholds, tp, fp, n_pos, n_neg):
+    """The (ROC, PR) curves of a sweep."""
+    recall = tp / n_pos
+    roc = Curve("roc", np.concatenate([[math.inf], thresholds]),
+                np.concatenate([[0.0], fp / n_neg]),
+                np.concatenate([[0.0], recall]))
+    return roc, Curve("pr", thresholds, recall, tp / (tp + fp))
+
+
 def _report(sweep, threshold, model, info):
     """The ``evaluate`` report of one sweep at ``threshold``."""
-    thresholds, tp, fp, n_pos, n_neg = sweep
+    _, _, _, n_pos, n_neg = sweep
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             "evaluation needs at least one positive and one negative label")
     cm = _confusion_from_sweep(*sweep, threshold)
-    roc = Curve(kind="roc",
-                thresholds=np.concatenate([[math.inf], thresholds]),
-                x=np.concatenate([[0.0], fp / n_neg]),
-                y=np.concatenate([[0.0], tp / n_pos]))
-    pr = Curve(kind="pr", thresholds=thresholds, x=tp / n_pos,
-               y=tp / (tp + fp))
+    roc, pr = _curves(*sweep)
     return EvaluationReport(
+        *sweep,
         model=model,
         threshold=float(threshold),
         confusion=cm,
@@ -293,10 +316,7 @@ def _report(sweep, threshold, model, info):
         auroc=float(_trapezoid(roc.y, roc.x)),
         aupr=float(_trapezoid(pr.y, pr.x)),
         average_precision=float(np.sum(pr.y * np.diff(pr.x, prepend=0.0))),
-        roc=roc,
-        pr=pr,
-        info=dict(info or {}),
-        counts=(tp, fp, n_pos, n_neg))
+        info=dict(info or {}))
 
 
 def evaluate(scores, labels=None, threshold=0.0, model="", info=None):
@@ -414,13 +434,6 @@ def _curve_text(thresholds, x, y, anchor=""):
         [f"{t},{x},{y}\n" for t, x, y in zip(thresholds, x, y)])
 
 
-def _sweep_counts(report):
-    """A report's ``counts``; a ValueError when it holds none."""
-    if report.counts is None:
-        raise ValueError(f"report {report.model!r} holds no sweep counts")
-    return report.counts
-
-
 def _ratio_text(reports):
     """The recall and FPR text of the curves of one universe's
     ``evaluate`` reports, each distinct ratio formatted once.
@@ -431,18 +444,17 @@ def _ratio_text(reports):
     same FPRs. Returns (n_pos, n_neg, recall text by tp, FPR text by
     fp, the fp counts reached), the texts as object arrays; FPR text is
     formatted only at the fp counts some report reaches. A ValueError
-    when the reports' label counts differ or one holds no counts.
+    when the reports' label counts differ.
     """
-    counts = [_sweep_counts(report) for report in reports]
-    sizes = {(n_pos, n_neg) for _, _, n_pos, n_neg in counts}
+    sizes = {(report.n_pos, report.n_neg) for report in reports}
     if len(sizes) != 1:
         raise ValueError(
             f"reports of one universe must share their label counts, "
             f"not {sorted(sizes)}")
     (n_pos, n_neg), = sizes
     reached = np.zeros(n_neg + 1, dtype=bool)
-    for _, fp, _, _ in counts:
-        reached[fp] = True
+    for report in reports:
+        reached[report.fp] = True
     recall = np.array(_texts(np.arange(n_pos + 1) / n_pos), dtype=object)
     fp = np.flatnonzero(reached)
     fpr = np.empty(n_neg + 1, dtype=object)
@@ -457,35 +469,34 @@ def _write_evaluation(report, out_dir, name, ratios=None):
     ``threshold,x,y`` header and one row per curve point, each value
     as its ``f"{v:.6g}"`` text.
 
-    ``ratios`` is the ``_ratio_text`` of reports of the same universe,
-    this one among them (by default of this one alone): the recall and
-    FPR columns are looked up there by the report's tp and fp counts,
-    so only the thresholds and precision are formatted here.
-    ``evaluate`` builds the ROC curve as the PR thresholds and recall
-    behind an (inf, 0, 0) anchor, so the two curves share the text of
-    those columns. A ValueError, before any file is written, when the
-    report holds no counts, counts other labels than ``ratios`` was
+    The curves are written from the report's sweep: its thresholds
+    are both curves' threshold column (the ROC curve's behind an
+    (inf, 0, 0) anchor row), and the recall, TPR and FPR text is looked
+    up in ``ratios`` by its tp and fp counts. ``ratios`` is the
+    ``_ratio_text`` of reports of the same universe, this one among
+    them (by default of this one alone), so only the thresholds and
+    precision are formatted here. A ValueError, before any file is
+    written, when the report counts other labels than ``ratios`` was
     built for, or reaches an fp count ``ratios`` has no text for.
 
     Returns (the thresholds ascending, their text), the ``known`` text
     of the evaluated table's normalized scores (see ``_format6``).
     """
-    tp, fp, *labels = _sweep_counts(report)
+    tp, fp, labels = report.tp, report.fp, (report.n_pos, report.n_neg)
     n_pos, n_neg, recall, fpr, reached = (
         _ratio_text([report]) if ratios is None else ratios)
-    if labels != [n_pos, n_neg]:
+    if labels != (n_pos, n_neg):
         raise ValueError(
-            f"report {name!r} counts {tuple(labels)} labels, not the "
+            f"report {name!r} counts {labels} labels, not the "
             f"{(n_pos, n_neg)} its recall and FPR text was built for")
     if not reached[fp].all():
         raise ValueError(f"report {name!r} reaches an FPR its text lacks")
-    pr = report.pr
     r = recall[tp].tolist()
     write_report(report, out_dir / f"report_{name}.json")
-    t = _texts(pr.thresholds)
+    t = _texts(report.thresholds)
     _write_text(_curve_text(t, fpr[fp].tolist(), r, anchor="inf,0,0\n"),
                 out_dir / f"curve_roc_{name}.csv")
-    _write_text(_curve_text(t, r, _texts(pr.y)),
+    _write_text(_curve_text(t, r, _texts(report.pr.y)),
                 out_dir / f"curve_pr_{name}.csv")
-    return (np.ascontiguousarray(pr.thresholds[::-1], dtype=np.float64),
+    return (np.ascontiguousarray(report.thresholds[::-1], dtype=np.float64),
             np.array(t[::-1], dtype=object))

@@ -255,6 +255,26 @@ def stable_sweep(s, y):
             int(tp_cum[-1]), int(fp_cum[-1]))
 
 
+def loop_curves(s, y):
+    """The (ROC, PR) curves of ``s`` and ``y``, one point per threshold
+    of ``stable_sweep``, each ratio a division of Python int counts: the
+    ROC curve behind an (inf, 0, 0) anchor, and each threshold +0.0
+    when its group holds zeros."""
+    from geokatz.metrics import Curve
+
+    thresholds, tp, fp, n_pos, n_neg = stable_sweep(s, y)
+    t, roc_x, recall, precision = [], [0.0], [], []
+    for threshold, hit, miss in zip(thresholds.tolist(), tp.tolist(),
+                                    fp.tolist()):
+        t.append(threshold + 0.0)
+        roc_x.append(miss / n_neg)
+        recall.append(hit / n_pos)
+        precision.append(hit / (hit + miss))
+    return (Curve("roc", np.array([math.inf] + t), np.array(roc_x),
+                  np.array([0.0] + recall)),
+            Curve("pr", np.array(t), np.array(recall), np.array(precision)))
+
+
 def mask_confusion(s, y, threshold):
     """(tp, fp, fn, tn) of the rule score >= threshold, by masks."""
     pred = s >= threshold

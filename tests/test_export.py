@@ -3,7 +3,6 @@
 import io
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -288,8 +287,10 @@ def test_roc_curve_is_the_pr_curve_behind_its_anchor(scores, labels,
                                                      single):
     # _write_evaluation writes the ROC thresholds and TPR from the PR
     # thresholds and recall text, and the recall and FPR text from the
-    # report's counts, so evaluate must lay them out so, bit for bit:
-    # ties, signed zeros and a single positive included.
+    # report's tp and fp, so the curves evaluate derives from its sweep
+    # must lie so, bit for bit: ties, signed zeros and a single positive
+    # included. Both curves are also the ones a point-by-point loop
+    # builds from a stable sort of the scores.
     n = len(scores)
     if single is None:
         labels = [True, False] + labels[:n - 2]
@@ -302,12 +303,18 @@ def test_roc_curve_is_the_pr_curve_behind_its_anchor(scores, labels,
                                                     pr.thresholds))
     assert _bits(roc.y) == _bits(np.append(0.0, pr.x))
     assert _bits(roc.x[:1]) == _bits([0.0])
-    tp, fp, n_pos, n_neg = report.counts
+    tp, fp, n_pos, n_neg = report.tp, report.fp, report.n_pos, report.n_neg
     assert tp.dtype == fp.dtype == np.int64
     assert (n_pos, n_neg) == (sum(labels), n - sum(labels))
+    assert _bits(report.thresholds) == _bits(pr.thresholds)
     assert _bits(fp / n_neg) == _bits(roc.x[1:])
     assert _bits(tp / n_pos) == _bits(pr.x)
     assert _bits(tp / (tp + fp)) == _bits(pr.y)
+    for got, want in zip((roc, pr), oracles.loop_curves(np.array(scores),
+                                                        np.array(labels))):
+        assert got.kind == want.kind
+        assert [_bits(got.thresholds), _bits(got.x), _bits(got.y)] == [
+            _bits(want.thresholds), _bits(want.x), _bits(want.y)]
 
 
 def test_normalize_emits_no_negative_zero_so_threshold_text_is_reused(
@@ -415,7 +422,7 @@ def test_recall_and_fpr_are_formatted_once_per_count(tmp_path, monkeypatch):
         len(r.pr.thresholds) for r in reports for _ in range(2)]
 
 
-def test_mixed_label_counts_and_reports_without_counts_raise(tmp_path):
+def test_mixed_label_counts_and_unreached_fprs_raise(tmp_path):
     labels = np.array([True, False, False, True, False])
     # Ties among the negatives: this report reaches fp counts 0 and 3.
     scores = np.array([0.9, 0.1, 0.1, 0.4, 0.1])
@@ -431,17 +438,5 @@ def test_mixed_label_counts_and_reports_without_counts_raise(tmp_path):
     with pytest.raises(ValueError, match="FPR"):
         metrics._write_evaluation(shifted, tmp_path, "KI",
                                   metrics._ratio_text([report]))
-    # A report built by hand has curves but not the counts its curve
-    # files are written from.
-    bare = metrics.EvaluationReport(**{
-        f.name: getattr(report, f.name) for f in fields(report)
-        if f.name != "counts"})
-    assert bare == report and bare.counts is None
-    for reports in ([bare], [report, bare]):
-        with pytest.raises(ValueError, match="no sweep counts"):
-            metrics._ratio_text(reports)
-    for ratios in (None, metrics._ratio_text([report])):
-        with pytest.raises(ValueError, match="no sweep counts"):
-            metrics._write_evaluation(bare, tmp_path, "KI", ratios)
     assert list(tmp_path.iterdir()) == []
     metrics._write_evaluation(report, tmp_path, "KI")

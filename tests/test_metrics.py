@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_evaluate_sweeps_once(monkeypatch):
     metrics.evaluate(np.array([0.9, 0.8, 0.6, 0.4, 0.2]),
                      np.array([1, 0, 1, 0, 0]), threshold=0.5)
     assert calls == [5]
+
+
+def test_a_report_retains_only_its_sweep():
+    # 20k distinct scores give 20k curve points. A report keeps its
+    # sweep's thresholds, tp and fp, three 8-byte entries per point, and
+    # builds its curves on access, so it holds less than four; a report
+    # that also stored its curves would hold at least eight.
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rng = np.random.default_rng(5)
+        scores = rng.permutation(20_000) / 20_000
+        labels = rng.random(20_000) < 0.1
+        report = metrics.evaluate(scores, labels)
+        del scores, labels
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    points = len(report.pr.thresholds)
+    assert points == 20_000
+    assert held < 4 * 8 * points
+    assert len(report.roc.x) == len(report.pr.x) + 1 == points + 1
 
 
 def test_report_dict_rounds_to_six_significant_digits():

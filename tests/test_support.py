@@ -92,9 +92,9 @@ def _outcome(call):
 
 
 def _report_bits(report):
-    tp, fp, n_pos, n_neg = report.counts
     return (metrics.report_dict(report), report.threshold.hex(),
-            tp.tolist(), fp.tolist(), n_pos, n_neg,
+            report.tp.tolist(), report.fp.tolist(), report.n_pos,
+            report.n_neg,
             [_bits(c) for c in (report.roc.thresholds, report.roc.x,
                                 report.roc.y, report.pr.thresholds,
                                 report.pr.x, report.pr.y)])
