@@ -41,11 +41,13 @@ COORD_CONFLICT_TOL = 1e-9
 _COORD_COLUMNS = ("source_lat", "source_lon", "dest_lat", "dest_lon")
 _COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
 
-# Records ingested together: enough to amortize the per-column NumPy
-# calls, few enough that a block's fields stay a small share of the
-# run's memory (the whole file as fields costs more than the parsed
-# columns do). On the 80k-row benchmark register, blocks of 256 to 4096
-# lines ingest within 6% of each other, and 4096 holds 5 MB more.
+# Records ingested together, whether the csv module reads them or lines
+# are split directly: enough to amortize the per-column NumPy calls,
+# few enough that a block's fields stay a small share of the run's
+# memory (the whole file as fields costs more than the parsed columns
+# do). A file split directly is cut into parts of whole blocks. On the
+# 80k-row benchmark register, blocks of 256 to 4096 lines ingest within
+# 6% of each other, and 4096 holds 5 MB more.
 _INGEST_BLOCK = 512
 # The fewest blocks worth a forked ingest process of their own (see
 # _ingest_split). Forking costs a fixed 15-25 ms (the line-end scan, the
@@ -126,14 +128,15 @@ class NodeRegistry:
         return self._lon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalNetwork:
     """Directed year-stamped edges over a shared node registry.
 
     Edge arrays are parallel, deduplicated on (year, source, dest) and
     sorted in that order. The registry may cover more nodes than occur
     here (it is shared across temporal splits); ``node_indices`` lists
-    the nodes actually incident to these edges.
+    the nodes actually incident to these edges. Networks compare and
+    hash by identity.
     """
     registry: NodeRegistry
     edge_src: np.ndarray
@@ -333,9 +336,12 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     counted (``"skip"``), with row-numbered diagnostics in the report.
     ``delimiter`` is one character other than a quote or a line break.
 
-    ``workers`` caps the processes that read a path: a large UTF-8 file
-    without quotes, CRs and NULs may be split into parts read by forked
-    children (see ``_ingest_split``). The report does not depend on it.
+    A path is opened once. A regular file that decodes as UTF-8 and
+    holds no quote, CR, NUL or over-long line is split on the delimiter
+    directly, in parts read by up to ``workers`` processes; the csv
+    module reads anything else, streams included, from its first
+    record (see ``_ingest_split``). The report depends on neither the
+    rule nor ``workers``.
     """
     if on_bad_rows not in BAD_ROW_POLICIES:
         raise DataError(
@@ -344,45 +350,45 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
     problem = delimiter_problem(delimiter, "delimiter")
     if problem is not None:
         raise DataError(problem)
+    if not hasattr(source, "read"):
+        return _ingest_split(source, schema, on_bad_rows, delimiter,
+                             year_range, workers)
     try:
-        if hasattr(source, "read"):
-            return _ingest_stream(source, schema, on_bad_rows, delimiter,
-                                  year_range)
-        if _fork.processes(workers) > 1:
-            report = _ingest_split(source, schema, on_bad_rows, delimiter,
-                                   year_range, workers)
-            if report is not None:
-                return report
-        with _open_input(source, "movement file") as fh:
-            return _ingest_stream(fh, schema, on_bad_rows, delimiter,
-                                  year_range)
+        return _ingest_stream(source, schema, on_bad_rows, delimiter,
+                              year_range)
     except UnicodeDecodeError as exc:
         raise _decode_error(source, exc, "movement file") from exc
 
 
-def _open_input(path, what):
-    """``path`` opened as UTF-8 text for reading; a path that cannot be
-    opened (missing, a directory, no permission) is a DataError naming
-    it as ``what``."""
+def _open_input(path, what, binary=False):
+    """``path`` opened for reading, as UTF-8 text or, with ``binary``,
+    as bytes; a path that cannot be opened (missing, a directory, no
+    permission) is a DataError naming it as ``what``."""
     try:
+        if binary:
+            return open(path, "rb")
         return open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {what} {path}: "
                         f"{exc.strerror or exc}") from exc
 
 
-def _decode_error(source, exc, what):
+def _decode_error(source, exc, what, offset=None):
     """The DataError for the byte of ``source``, a ``what`` such as a
     movement file, that ``exc`` could not decode: a path names the file
-    and the byte's offset, a stream its ``name`` if it has one."""
+    and the byte's ``offset``, found by reading the file again when not
+    given, a stream its ``name`` if it has one."""
     byte = f"0x{exc.object[exc.start]:02x}"
     if hasattr(source, "read"):
         name = getattr(source, "name", None)
-        where = name if isinstance(name, str) else "input stream"
+        where = (name if isinstance(name, (str, os.PathLike))
+                 else "input stream")
         return DataError(f"{where}: byte {byte} is not valid {exc.encoding}; "
                          f"{what}s must be encoded as UTF-8")
-    return DataError(f"{source}: byte {_utf8_error_offset(source)} ({byte}) "
-                     f"is not valid UTF-8; {what}s must be encoded as UTF-8")
+    if offset is None:
+        offset = _utf8_error_offset(source)
+    return DataError(f"{source}: byte {offset} ({byte}) is not valid UTF-8; "
+                     f"{what}s must be encoded as UTF-8")
 
 
 def _utf8_error_offset(path):
@@ -449,16 +455,15 @@ class _Part:
     diagnostics: list = field(default_factory=list)
 
 
-def _ingest_lines(lines, first_line, column_pos, delimiter, year_range,
-                  on_bad_rows):
-    """The ``_Part`` of the records in ``lines``, an iterator over text
-    lines whose first is line ``first_line`` of its file."""
+def _ingest_blocks(blocks, first_line, column_pos, width, year_range,
+                   on_bad_rows):
+    """The ``_Part`` of ``blocks``, an iterator over blocks of records
+    (see ``_split_block``) whose first record is row ``first_line``."""
     part = _Part()
-    width = max(column_pos.values()) + 1
     # One string object per distinct id or species: the report holds
     # fewer objects, and their hashes are cached for build_network.
     seen = {}
-    for block in _blocks(lines, delimiter, width):
+    for block in blocks:
         part.blocks.append(_ingest_block(block, first_line, column_pos,
                                          width, year_range, on_bad_rows,
                                          part, seen))
@@ -467,11 +472,14 @@ def _ingest_lines(lines, first_line, column_pos, delimiter, year_range,
 
 
 def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
-    lines = iter(stream)
-    header, _ = _read_header(lines, delimiter)
+    """The report of a text stream, read by the csv module from its
+    first record."""
+    header, reader = _read_header(iter(stream), delimiter)
     column_pos = _column_positions(header, schema)
-    return _report([_ingest_lines(lines, 2, column_pos, delimiter,
-                                  year_range, on_bad_rows)])
+    width = max(column_pos.values()) + 1
+    return _report([_ingest_blocks(_csv_blocks(reader, width), 2,
+                                   column_pos, width, year_range,
+                                   on_bad_rows)])
 
 
 def _report(parts):
@@ -498,51 +506,68 @@ def _report(parts):
 
 
 def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
-    """The report of the movement file at ``path`` read in parts by up
-    to ``workers`` processes, or None when it is not to be read so.
+    """The report of the movement file at ``path``, opened once and split
+    by one rule chosen from its bytes.
 
-    The file is read whole and cut into ``_fork.processes(workers,
-    blocks // _MIN_PART_BLOCKS)`` parts of whole ``_INGEST_BLOCK``
-    blocks, each starting on a block's first line, when there are two
-    parts or more, and when it is UTF-8 without a quote, a CR or a NUL
-    and has no line of more bytes than the csv field size limit. Then
-    ``_blocks`` splits every block directly, so each part's blocks and
-    line numbers are those of one reader of the whole file. The caller
-    reads the first part and one forked child each other part
-    (``_fork.run_parts``), and the parts are joined in file order:
-    the report equals one reader's, field for field, and under
-    ``abort`` the first bad row in file order raises.
+    A file that is not regular (a pipe, a device) is read as a text
+    stream (``_ingest_stream``). A regular file is read whole. If it is
+    not UTF-8, or holds a quote, CR or NUL or a line of more bytes than
+    the csv field size limit, the csv module reads its bytes from the
+    first record; the rows before an undecodable byte are judged before
+    the DataError naming the byte's offset is raised. Otherwise each
+    line is one record, and the file is cut into ``max(1,
+    _fork.processes(workers, blocks // _MIN_PART_BLOCKS))`` parts of
+    whole ``_INGEST_BLOCK`` blocks, each starting on a block's first
+    line. ``_split_block`` splits every block, so each part's blocks
+    and line numbers are those of one reader of the whole file. The
+    caller reads the first part and one forked child each other part
+    (``_fork.run_parts``; one part is read without a fork), and the
+    parts are joined in file order: the report equals one reader's,
+    field for field, and under ``abort`` the first bad row in file
+    order raises.
     """
-    try:
-        with open(path, "rb") as fh:
-            # A pipe or a device could not be read again by the single
-            # reader that a small file goes to.
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return None
+    ingest_stream = partial(_ingest_stream, schema=schema,
+                            on_bad_rows=on_bad_rows, delimiter=delimiter,
+                            year_range=year_range)
+    with _open_input(path, "movement file", binary=True) as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             data = fh.read()
-    except OSError:
-        return None  # the single reader names the path in its error
-    ends = _line_ends(data)
-    n_lines = len(ends) + (data[-1:] not in (b"", b"\n"))
-    n_blocks = -(-max(n_lines - 1, 0) // _INGEST_BLOCK)
-    n_parts = _fork.processes(workers, n_blocks // _MIN_PART_BLOCKS)
-    if n_parts < 2 or b'"' in data or b"\r" in data or b"\0" in data:
-        return None
-    if np.diff(ends, prepend=-1, append=len(data) - 1).max() \
-            > csv.field_size_limit():
-        return None
+        else:
+            # A pipe cannot be read again to find a bad byte's offset.
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                try:
+                    return ingest_stream(text)
+                except UnicodeDecodeError as exc:
+                    raise _decode_error(text, exc, "movement file") from exc
+    # Line i (from 0, the header) ends before byte next_line[i]; a last
+    # line without an LF ends with the data.
+    next_line = np.append(_line_ends(data) + 1, len(data))
+    undecodable = None
     if not data.isascii():
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None  # the single reader judges the rows before it
-    header, _ = _read_header(iter([data[:ends[0] + 1].decode("utf-8")]),
-                             delimiter)
+        except UnicodeDecodeError as exc:
+            undecodable = exc
+    if (undecodable is not None or b'"' in data or b"\r" in data
+            or b"\0" in data
+            or np.diff(next_line, prepend=0).max() > csv.field_size_limit()):
+        try:
+            return ingest_stream(io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", newline=""))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, undecodable, "movement file",
+                                undecodable.start) from exc
+    header, _ = _read_header(io.StringIO(
+        data[:next_line[0]].decode("utf-8"), newline=""), delimiter)
     column_pos = _column_positions(header, schema)
-    # Line i (from 0, the header) starts after the i-th line end.
+    width = max(column_pos.values()) + 1
+    n_lines = len(next_line) - (data[-1:] in (b"", b"\n"))
+    n_blocks = -(-max(n_lines - 1, 0) // _INGEST_BLOCK)
+    n_parts = max(1, _fork.processes(workers, n_blocks // _MIN_PART_BLOCKS))
+    # Line i starts at byte next_line[i - 1].
     starts = [1 + p * n_blocks // n_parts * _INGEST_BLOCK
               for p in range(n_parts)]
-    offsets = (ends[np.array(starts) - 1] + 1).tolist() + [len(data)]
+    offsets = next_line[np.array(starts) - 1].tolist() + [len(data)]
 
     def read(p):
         # The caller reads its part after every child is forked, so the
@@ -551,8 +576,10 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
         part, data = data[offsets[p]:offsets[p + 1]], None
         lines = io.TextIOWrapper(io.BytesIO(part), encoding="utf-8",
                                  newline="")
-        return _ingest_lines(lines, starts[p] + 1, column_pos, delimiter,
-                             year_range, on_bad_rows)
+        blocks = iter(lambda: list(islice(lines, _INGEST_BLOCK)), [])
+        return _ingest_blocks(
+            (_split_block(block, delimiter, width) for block in blocks),
+            starts[p] + 1, column_pos, width, year_range, on_bad_rows)
 
     last = starts[1:] + [n_lines]
     return _report(_fork.run_parts([
@@ -570,69 +597,22 @@ def _line_ends(data):
         for start in range(0, len(view), _SCAN_CHUNK)])
 
 
-def _blocks(lines, delimiter, width):
-    """The records after the header, in blocks of up to ``_INGEST_BLOCK``.
-
-    Each block is (odd, columns, row): ``columns[j]`` holds field j of
-    every row (j < ``width``) except the rows ``odd`` flags, and
-    ``row(i)`` is row i's list of fields, empty for a blank record.
-    Blocks are split directly while ``_split_block`` can show that the
-    csv module reads them alike; from the first block it cannot, the
-    csv module reads the rest of the stream, as a quoted field may run
-    past a block's end. An undecodable byte ends the last block, which
-    is handed out before the error is raised: the rows read before it
-    are judged first, so an ``abort`` on one of them wins as it would
-    reading row by row.
-    """
-    while True:
-        block, error = [], None
-        try:
-            # extend keeps the lines read before a decoding error.
-            block.extend(islice(lines, _INGEST_BLOCK))
-        except UnicodeDecodeError as exc:
-            error = exc
-        if block:
-            split = _split_block(block, delimiter, width)
-            if split is None:
-                rest = lines if error is None else _raising(error)
-                yield from _csv_blocks(
-                    csv.reader(chain(block, rest), delimiter=delimiter),
-                    width)
-                return
-            yield split
-        if error is not None:
-            raise error
-        if len(block) < _INGEST_BLOCK:
-            return
-
-
-def _raising(error):
-    """An iterator that raises ``error`` when asked for its first item."""
-    raise error
-    yield
-
-
 def _split_block(lines, delimiter, width):
-    """``lines`` as a block of records split on ``delimiter``, or None
-    when the csv module might read them differently.
+    """``lines``, a block of lines of a file that ``_ingest_split``
+    splits directly, as records split on ``delimiter``.
 
-    Lines from a text stream with no quote, CR or NUL, none longer than
-    the csv module's field size limit, are one record each, whose fields
-    are the line split on the delimiter. The columns take the rows with
-    the block's most common field count (at least ``width``), not the
-    header's, so rows that all end in an extra delimiter stay in them;
-    every other row, blank ones included, is odd and holds a placeholder
-    that converts cleanly in every column.
+    Each line is one record, whose fields are the line split on the
+    delimiter. Returns (odd, columns, row): ``columns[j]`` holds field
+    j of every row (j < ``width``) except the rows ``odd`` flags, and
+    ``row(i)`` is row i's list of fields, empty for a blank record. The
+    columns take the rows with the block's most common field count (at
+    least ``width``), not the header's, so rows that all end in an
+    extra delimiter stay in them; every other row, blank ones included,
+    is odd and holds a placeholder that converts cleanly in every
+    column.
     """
     text = "".join(lines)
     n = len(lines)
-    # Each line of a text stream ends in its only LF; the last may lack it.
-    if ('"' in text or "\r" in text or "\0" in text
-            or text.count("\n") != n - (not text.endswith("\n"))):
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
     counts = np.fromiter(map(str.count, lines, repeat(delimiter)),
                          np.intp, n)
     k = max(int(np.bincount(counts).argmax()) + 1, width)
@@ -659,10 +639,12 @@ def _split_block(lines, delimiter, width):
 
 def _csv_blocks(reader, width):
     """The reader's records in blocks of up to ``_INGEST_BLOCK``, each as
-    ``_blocks`` hands them out; rows shorter than ``width`` are odd.
+    ``_split_block`` returns one; rows shorter than ``width`` are odd.
 
-    A reader error ends the last block, which is handed out before the
-    error is raised.
+    A reader error, a decoding one included, ends the last block, which
+    is handed out before the error is raised: the rows read before it
+    are judged first, so an ``abort`` on one of them wins as it would
+    reading row by row.
     """
     def block(rows):
         n = len(rows)
@@ -727,8 +709,8 @@ def _stripped(texts, seen):
 
 def _ingest_block(block, first_line, column_pos, width, year_range,
                   on_bad_rows, part, seen):
-    """Accepted columns of one block of records (see ``_blocks``), in
-    row order.
+    """Accepted columns of one block of records (see ``_split_block``),
+    in row order.
 
     Each column is converted and range-checked at once. Only the odd
     rows and the rows the checks flag go through ``_parse_row``, one at

@@ -421,8 +421,8 @@ def _blocked_supports(rows, live, node_sets):
     ``live`` sources (a boolean mask over the graph's nodes) are scored:
     a source with no out-link starts no walk, so its row holds no pair
     of any table. Each node set takes its own sources' rows and its own
-    columns from every block; a node set that is the whole union takes
-    the block as it is, without a copy.
+    columns from every block; a node set that is the whole union, as a
+    universe scored alone is, takes the block as it is, without a copy.
 
     A block keeps its off-diagonal cells that are not +0.0, bit for
     bit. The exact scores of a non-negative adjacency are non-negative,

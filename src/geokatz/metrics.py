@@ -39,20 +39,22 @@ class ConfusionMatrix:
         return self.tp + self.fn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """Threshold-parameterized curve points, threshold descending."""
+    """Threshold-parameterized curve points, threshold descending;
+    curves compare and hash by identity."""
     kind: str
     thresholds: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationReport:
     """Everything measured about one model on one labeled universe, and
     its sweep: ``thresholds`` descending, the int64 ``tp`` and ``fp`` at
-    each, and the label counts, from which ``roc`` and ``pr`` are built."""
+    each, and the label counts, from which ``roc`` and ``pr`` are built.
+    Reports compare by identity."""
     thresholds: np.ndarray = field(repr=False)
     tp: np.ndarray = field(repr=False)
     fp: np.ndarray = field(repr=False)

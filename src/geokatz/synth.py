@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, as_int, as_interval, as_real
 from .geo import decay_weights, haversine_from
-from .graphs import IngestReport, _distinct
+from .graphs import (OPTIONAL_COLUMNS, REQUIRED_COLUMNS, IngestReport,
+                     _distinct)
 from .katz import _csv_fields
 from .metrics import _write_text
 
@@ -366,8 +367,8 @@ def write_movements(movements, dest):
                   map(quoted.__getitem__, movements.species))
     lines = [f"{a},{b},{y},{c},{d},{e},{f},{s}\n"
              for a, b, y, c, d, e, f, s in columns]
-    return _write_text("source_id,dest_id,year,source_lat,source_lon,"
-                       "dest_lat,dest_lon,species\n" + "".join(lines), dest)
+    header = ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"
+    return _write_text(header + "".join(lines), dest)
 
 
 def write_truth(truth, dest):

@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import signal
+import threading
 from unittest import mock
 
 import numpy as np
@@ -64,7 +65,9 @@ def test_ingest_rejects_a_delimiter_that_is_not_one_plain_character(
                          delimiter=delimiter)
 
 
-def test_quote_free_file_reads_only_its_header_through_csv():
+def _csv_records(source, **kwargs):
+    """The records the csv module read while ``source`` was ingested,
+    and the report."""
     records = []
     reader = csv.reader
 
@@ -73,12 +76,92 @@ def test_quote_free_file_reads_only_its_header_through_csv():
             records.append(record)
             yield record
 
+    with mock.patch.object(graphs.csv, "reader", counting_reader):
+        report = ingest_movements(source, **kwargs)
+    return records, report
+
+
+def test_quote_free_file_reads_only_its_header_through_csv(tmp_path):
     rows = ["a,b,2015,50.0,0.0,51.0,1.0\n", "\n", "a,b,2015\n",
             "b,c,2016,51.0,1.0,52.0,0.5,extra\n"] * 300
-    with mock.patch.object(graphs.csv, "reader", counting_reader):
-        report = ingest_movements(_csv(rows), on_bad_rows="skip")
+    path = tmp_path / "quote_free.csv"
+    path.write_text(CSV_HEADER + "".join(rows))
+    records, report = _csv_records(path, on_bad_rows="skip")
     assert records == [CSV_HEADER.rstrip("\n").split(",")]
     assert (report.accepted, report.rejected) == (600, 300)
+    # A stream, quote-free or not, is read by the csv module throughout.
+    records, stream_report = _csv_records(_csv(rows), on_bad_rows="skip")
+    assert len(records) == 1 + len(rows)
+    assert _report_fields(stream_report) == _report_fields(report)
+
+
+def test_a_quote_in_the_last_row_sends_the_file_through_csv(tmp_path):
+    rows = [f"s{i},d{i},2015,50.0,0.0,51.0,1.0\n" for i in range(40)]
+    rows[-1] = rows[-1].replace("s39,", '"s39",')
+    path = tmp_path / "late_quote.csv"
+    path.write_text(CSV_HEADER + "".join(rows))
+    records, report = _csv_records(path)
+    assert len(records) == 1 + len(rows)
+    records, stream_report = _csv_records(_csv(rows))
+    assert _report_fields(report) == _report_fields(stream_report)
+    assert report.accepted == 40
+    assert rows_of(report)[-1].source_id == "s39"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_read_through_csv(tmp_path):
+    text = _boundary_file({5}, 40)
+    path = tmp_path / "movements.csv"
+    path.write_text(text)
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,),
+                              daemon=True)
+    writer.start()
+    records, report = _csv_records(pipe, on_bad_rows="skip", workers=2)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(records) == 41
+    assert _report_fields(report) == _report_fields(
+        ingest_movements(path, on_bad_rows="skip"))
+    # A bad byte is named without its offset: finding it would mean
+    # opening the pipe again, which waits for a writer that never comes.
+    writer = threading.Thread(target=pipe.write_bytes, args=(
+        text.encode() + "Fl\u00e5m,b,2016,61.0,7.1,51.0,1.0\n".encode(
+            "latin-1"),), daemon=True)
+    writer.start()
+    with pytest.raises(DataError, match=re.escape(
+            f"{pipe}: byte 0xe5 is not valid utf-8")):
+        ingest_movements(pipe, on_bad_rows="skip")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("text,on_bad_rows", [
+    (CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0\n", "abort"),
+    (CSV_HEADER + '"a",b,2015,50.0,0.0,51.0,1.0\n', "abort"),
+    ((CSV_HEADER + "Fl\u00e5m,b,2015,50.0,0.0,51.0,1.0\n").encode("latin-1"),
+     "skip"),
+], ids=["clean", "quoted", "undecodable"])
+def test_a_movement_file_is_opened_once(tmp_path, monkeypatch, workers,
+                                        text, on_bad_rows):
+    path = tmp_path / "movements.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    _outcome(ingest_movements, path, workers=workers,
+             on_bad_rows=on_bad_rows)
+    assert opened == [path]
 
 
 def test_ingest_missing_column_raises_schema_error():
@@ -166,6 +249,17 @@ def test_build_network_drops_self_loops_and_duplicates():
     assert net.n_edges == 2
     assert net.n_links == 2
     assert net.n_nodes == 2
+
+
+def test_networks_compare_and_hash_by_identity():
+    # Their array fields have no single truth value, so the dataclass
+    # == would raise on two distinct networks, and hash() on any.
+    edges = [("a", "b", 2015), ("b", "c", 2016)]
+    net, other = simple_network(edges), simple_network(edges)
+    assert net == net
+    assert net != other
+    assert net != net.restrict(2000, 2100)
+    assert len({net, net, other}) == 2
 
 
 def test_build_network_all_self_loops_is_empty():
@@ -460,11 +554,12 @@ def _plain(field, delimiter):
 def _movement_files(draw, direct=False):
     """CSV text with awkward rows, and the keyword arguments to read it.
 
-    About half the files are quote-free with LF line ends, read by
-    splitting lines; a NUL, a line over the csv field size limit, or a
-    quoted field (which may span lines) in a later row sends the rest of
-    such a file through the csv module. With ``direct``, every file is
-    quote-free with LF line ends and has none of those rows.
+    About half the files are quote-free with LF line ends, which a
+    file's reader splits by lines; a NUL, a line over the csv field
+    size limit, or a quoted field (which may span lines) in a later row
+    sends such a file through the csv module from its first record.
+    With ``direct``, every file is quote-free with LF line ends and has
+    none of those rows.
     """
     columns = list(REQUIRED_COLUMNS)
     if draw(st.booleans()):
@@ -581,20 +676,24 @@ def _assert_build_matches_loop(records, movements):
     assert lines == _expected_build_lines(ref)
 
 
-def _assert_ingest_matches_loop(text, kwargs):
+def _assert_ingest_matches_loop(text, kwargs, path):
+    """Ingesting ``text`` as a stream, which the csv module reads, and
+    as a file at ``path``, which may be split directly, gives the row
+    loop's outcome."""
+    path.write_text(text, encoding="utf-8", newline="")
     ref, ref_error = _outcome(oracles.loop_ingest_stream,
                               io.StringIO(text, newline=""), **kwargs)
-    report, error = _outcome(ingest_movements,
-                             io.StringIO(text, newline=""), **kwargs)
-    assert error == ref_error
-    if ref_error is not None:
-        return
-    records, accepted, rejected, diagnostics = ref
-    assert (report.accepted, report.rejected) == (accepted, rejected)
-    assert report.diagnostics == diagnostics
-    # repr tells -0.0 from 0.0, which == does not.
-    assert repr(rows_of(report)) == repr(records)
-    _assert_build_matches_loop(records, report)
+    for source in (io.StringIO(text, newline=""), path):
+        report, error = _outcome(ingest_movements, source, **kwargs)
+        assert error == ref_error
+        if ref_error is not None:
+            continue
+        records, accepted, rejected, diagnostics = ref
+        assert (report.accepted, report.rejected) == (accepted, rejected)
+        assert report.diagnostics == diagnostics
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(rows_of(report)) == repr(records)
+        _assert_build_matches_loop(records, report)
 
 
 # Texts that int or float refuses or reads in an unusual way: empty,
@@ -638,10 +737,23 @@ def test_convert_resumes_after_a_failing_text():
 
 @settings(max_examples=300, deadline=None)
 @given(_movement_files(), st.sampled_from([1, 2, 3, 5, 64]))
-def test_columnar_ingest_and_build_match_row_loop(movement_file, block):
+def test_columnar_ingest_and_build_match_row_loop(tmp_path_factory,
+                                                  movement_file, block):
     text, kwargs = movement_file
+    path = tmp_path_factory.getbasetemp() / "loop.csv"
     with mock.patch.object(graphs, "_INGEST_BLOCK", block):
-        _assert_ingest_matches_loop(text, kwargs)
+        _assert_ingest_matches_loop(text, kwargs, path)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    CSV_HEADER.rstrip("\n"),
+    CSV_HEADER,
+    "\ufeff" + CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0\n",
+    "\ufeff" + CSV_HEADER + "a,b,2015,50.0,0.0,51.0,1.0",
+], ids=["empty", "header-no-lf", "header-only", "bom", "bom-no-lf"])
+def test_edge_files_match_row_loop(tmp_path, text):
+    _assert_ingest_matches_loop(text, {}, tmp_path / "edge.csv")
 
 
 def _boundary_file(bad_rows, n_rows):
@@ -654,18 +766,21 @@ def _boundary_file(bad_rows, n_rows):
 
 
 @pytest.mark.parametrize("on_bad_rows", ["skip", "abort"])
-def test_columnar_ingest_matches_row_loop_across_block_boundary(on_bad_rows):
+def test_columnar_ingest_matches_row_loop_across_block_boundary(
+        tmp_path, on_bad_rows):
     edge = graphs._INGEST_BLOCK
-    # Bad rows just before and just after each block boundary, and a
-    # multi-line quoted field in the first block.
+    # Bad rows just before and just after each block boundary, in a
+    # file split directly and in one with a multi-line quoted field in
+    # the first block.
     bad = {edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge}
-    text = _boundary_file(bad, 2 * edge + 50)
-    text = text.replace("s3,", '"s3\nsite",', 1)
+    plain = _boundary_file(bad, 2 * edge + 50)
     kwargs = {"on_bad_rows": on_bad_rows}
-    _assert_ingest_matches_loop(text, kwargs)
-    if on_bad_rows == "skip":
-        report = ingest_movements(io.StringIO(text, newline=""), **kwargs)
-        assert report.rejected == len(bad)
+    for text in (plain, plain.replace("s3,", '"s3\nsite",', 1)):
+        _assert_ingest_matches_loop(text, kwargs, tmp_path / "boundary.csv")
+        if on_bad_rows == "skip":
+            report = ingest_movements(io.StringIO(text, newline=""),
+                                      **kwargs)
+            assert report.rejected == len(bad)
 
 
 def test_reader_error_after_a_bad_row_still_aborts_on_that_row():

@@ -92,6 +92,21 @@ def test_roc_curve_anchors_and_ends():
     assert np.all(np.diff(curve.y) >= 0)
 
 
+def test_reports_and_curves_compare_and_hash_by_identity():
+    # Their array fields have no single truth value, so the dataclass
+    # == would raise on two distinct instances, and hash() on a curve.
+    scores = np.array([0.9, 0.7, 0.4, 0.2])
+    labels = np.array([1, 0, 1, 0])
+    first, second = (metrics.evaluate(scores, labels) for _ in range(2))
+    assert first == first
+    assert first != second
+    for curve in (first.roc, first.pr):
+        assert curve == curve
+        assert curve != metrics.Curve(curve.kind, curve.thresholds,
+                                      curve.x, curve.y)
+        assert len({curve, curve}) == 1
+
+
 def test_roc_requires_both_classes():
     with pytest.raises(DegenerateLabelsError):
         metrics.evaluate(np.array([0.5, 0.2]), np.array([1, 1])).roc
