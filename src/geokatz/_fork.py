@@ -1,4 +1,9 @@
-"""Work split over forked children, each sending back its result.
+"""Work split over forked children, each handing back its result
+through a file.
+
+A child writes its pickled result to an unlinked temporary file made
+before the fork and exits; the caller reaps it and only then reads the
+file, so a child never waits on the caller, however large its result.
 
 Raw ``os.fork`` rather than ``multiprocessing``: a pool starts a thread
 before it forks, and a spawned worker would re-import geokatz and NumPy
@@ -9,6 +14,7 @@ its thread pool before a fork.
 
 import os
 import pickle
+import tempfile
 
 
 def usable_cpus():
@@ -29,12 +35,12 @@ def run_parts(parts):
     """The results of ``parts``, a list of (call, what) pairs, in order.
 
     The first call runs here; each other one runs in a forked child,
-    which sends back its result, or its exception, pickled. ``what``
-    names a child's work in the error raised when it ends without
-    reporting either (a signal, running out of memory). Every child is
-    waited for, also when the caller's own call raised: that error
-    then wins. Otherwise the first child's error, in ``parts`` order, is
-    raised with its type and message.
+    which hands back its result, or its exception, pickled in a file.
+    ``what`` names a child's work in the error raised when it ends
+    without reporting either (a signal, running out of memory). Every
+    child is waited for, also when the caller's own call raised: that
+    error then wins. Otherwise the first child's error, in ``parts``
+    order, is raised with its type and message.
     """
     children = []
     try:
@@ -51,38 +57,36 @@ def run_parts(parts):
 
 
 def _fork(call, what):
-    """Fork a child that calls ``call`` and sends (result, None) or
-    (None, its exception) pickled through a pipe.
+    """Fork a child that calls ``call`` and writes (result, None) or
+    (None, its exception), pickled, to an unlinked temporary file made
+    before the fork.
 
-    Returns (the child's pid, the read end of the pipe, ``what``). The
-    child never returns into the caller's stack: it leaves through
-    ``os._exit``, which also skips the exit handlers and buffers it
-    shares with the caller; it exits 0 only once its message is sent.
+    Returns (the child's pid, the file, ``what``). The child never
+    returns into the caller's stack: it leaves through ``os._exit``,
+    which also skips the exit handlers and buffers it shares with the
+    caller; it exits 0 only once its message is flushed to the file.
     """
-    read_fd, write_fd = os.pipe()
+    handoff = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        handoff.close()
         raise
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
             try:
                 payload = pickle.dumps((call(), None),
                                        protocol=pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
                 # Sent, not raised: the child leaves only by os._exit.
                 payload = _pickled(exc)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
+            handoff.write(payload)
+            handoff.flush()
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd, what
+    return pid, handoff, what
 
 
 def _pickled(exc):
@@ -97,19 +101,16 @@ def _pickled(exc):
             (None, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
-def _wait(pid, read_fd, what):
-    """Reap a ``_fork`` child; returns the (result, error) it sent, or
-    (None, an error) when it ended otherwise."""
-    chunks = []
-    try:
-        while chunk := os.read(read_fd, 1 << 20):
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
+def _wait(pid, handoff, what):
+    """Reap a ``_fork`` child, then read its file; returns the (result,
+    error) it wrote, or (None, an error) when it ended otherwise."""
+    with handoff:
         _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return pickle.loads(b"".join(chunks))
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            # The child shared the file's offset and left it at the end.
+            handoff.seek(0)
+            return pickle.load(handoff)
     return None, RuntimeError(
         f"{what} ended with exit status {code}"
         + (f" (killed by signal {-code})" if code < 0 else "")

@@ -360,14 +360,12 @@ def ingest_movements(source, schema=None, on_bad_rows="abort",
         raise _decode_error(source, exc, "movement file") from exc
 
 
-def _open_input(path, what, binary=False):
-    """``path`` opened for reading, as UTF-8 text or, with ``binary``,
-    as bytes; a path that cannot be opened (missing, a directory, no
-    permission) is a DataError naming it as ``what``."""
+def _open_input(path, what):
+    """``path`` opened for reading bytes; a path that cannot be opened
+    (missing, a directory, no permission) is a DataError naming it as
+    ``what``."""
     try:
-        if binary:
-            return open(path, "rb")
-        return open(path, "r", newline="", encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open {what} {path}: "
                         f"{exc.strerror or exc}") from exc
@@ -375,38 +373,51 @@ def _open_input(path, what, binary=False):
 
 def _decode_error(source, exc, what, offset=None):
     """The DataError for the byte of ``source``, a ``what`` such as a
-    movement file, that ``exc`` could not decode: a path names the file
-    and the byte's ``offset``, found by reading the file again when not
-    given, a stream its ``name`` if it has one."""
+    movement file, that ``exc`` could not decode: a path names the file,
+    a stream its ``name`` if it has one, and the byte's ``offset`` is
+    named when it is known."""
     byte = f"0x{exc.object[exc.start]:02x}"
     if hasattr(source, "read"):
         name = getattr(source, "name", None)
-        where = (name if isinstance(name, (str, os.PathLike))
-                 else "input stream")
-        return DataError(f"{where}: byte {byte} is not valid {exc.encoding}; "
-                         f"{what}s must be encoded as UTF-8")
-    if offset is None:
-        offset = _utf8_error_offset(source)
-    return DataError(f"{source}: byte {offset} ({byte}) is not valid UTF-8; "
-                     f"{what}s must be encoded as UTF-8")
+        source = (name if isinstance(name, (str, os.PathLike))
+                  else "input stream")
+    where = (f"byte {byte} is not valid {exc.encoding}" if offset is None
+             else f"byte {offset} ({byte}) is not valid UTF-8")
+    return DataError(f"{source}: {where}; {what}s must be encoded as UTF-8")
 
 
-def _utf8_error_offset(path):
-    """Offset of the first byte of the file at ``path`` that does not
-    decode as UTF-8, or None."""
+def _read_decoded(fh, path, what, read):
+    """``read`` of ``fh``, the bytes of the file at ``path``, decoded as
+    UTF-8 text as it is read. A byte that is not UTF-8 is a DataError
+    naming the file as a ``what`` and, when ``fh`` can seek back (a
+    regular file, not a pipe), the byte's offset. Closes ``fh``."""
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        try:
+            return read(text)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc, what,
+                                _utf8_error_offset(fh)) from exc
+
+
+def _utf8_error_offset(fh):
+    """Offset of the first byte of ``fh``, a binary file, that does not
+    decode as UTF-8, found by reading it again from its start; None
+    when every byte decodes or ``fh`` cannot seek (a pipe)."""
+    if not fh.seekable():
+        return None
+    fh.seek(0)
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            pending = len(decoder.getstate()[0])
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                return offset - pending + exc.start
-            if not chunk:
-                return None
-            offset += len(chunk)
+    while True:
+        chunk = fh.read(1 << 20)
+        pending = len(decoder.getstate()[0])
+        try:
+            decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            return offset - pending + exc.start
+        if not chunk:
+            return None
+        offset += len(chunk)
 
 
 def _read_header(lines, delimiter):
@@ -529,34 +540,20 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
     ingest_stream = partial(_ingest_stream, schema=schema,
                             on_bad_rows=on_bad_rows, delimiter=delimiter,
                             year_range=year_range)
-    with _open_input(path, "movement file", binary=True) as fh:
+    with _open_input(path, "movement file") as fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             data = fh.read()
         else:
-            # A pipe cannot be read again to find a bad byte's offset.
-            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                try:
-                    return ingest_stream(text)
-                except UnicodeDecodeError as exc:
-                    raise _decode_error(text, exc, "movement file") from exc
+            return _read_decoded(fh, path, "movement file", ingest_stream)
     # Line i (from 0, the header) ends before byte next_line[i]; a last
     # line without an LF ends with the data.
     next_line = np.append(_line_ends(data) + 1, len(data))
-    undecodable = None
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            undecodable = exc
-    if (undecodable is not None or b'"' in data or b"\r" in data
-            or b"\0" in data
-            or np.diff(next_line, prepend=0).max() > csv.field_size_limit()):
-        try:
-            return ingest_stream(io.TextIOWrapper(
-                io.BytesIO(data), encoding="utf-8", newline=""))
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, undecodable, "movement file",
-                                undecodable.start) from exc
+    if (b'"' in data or b"\r" in data or b"\0" in data
+            or np.diff(next_line, prepend=0).max() > csv.field_size_limit()
+            or (not data.isascii()
+                and _utf8_error_offset(io.BytesIO(data)) is not None)):
+        return _read_decoded(io.BytesIO(data), path, "movement file",
+                             ingest_stream)
     header, _ = _read_header(io.StringIO(
         data[:next_line[0]].decode("utf-8"), newline=""), delimiter)
     column_pos = _column_positions(header, schema)

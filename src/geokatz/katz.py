@@ -35,7 +35,7 @@ from .errors import (BetaDomainError, ConfigError, DataError,
                      DegenerateScoreTableWarning, NumericError,
                      UniverseMismatchError, as_int, as_real, one_of)
 from .geo import WEIGHT_TRANSFORMS, decay_weights
-from .graphs import _decode_error, _open_input, _read_header
+from .graphs import _open_input, _read_decoded, _read_header
 from .metrics import _format6, _write_text
 
 log = logging.getLogger(__name__)
@@ -703,13 +703,13 @@ def read_score_table(path, universe, registry):
     whose ``scores`` are the file's ``score_norm`` column and ``raw`` its
     ``score`` column, on the pairs at which either is not +0.0; both
     floors are 0.0. Besides the support, reading holds a k * k-byte map
-    of the pairs taken and no (k, k) float array.
+    of the pairs taken and no (k, k) float array. The path is opened
+    once; a byte that is not UTF-8 is a DataError naming it and, when
+    the file is regular and can be read again, its offset.
     """
-    try:
-        with _open_input(path, "score table") as fh:
-            return _read_scores(fh, path, universe, registry)
-    except UnicodeDecodeError as exc:
-        raise _decode_error(path, exc, "score table") from exc
+    with _open_input(path, "score table") as fh:
+        return _read_decoded(fh, path, "score table", partial(
+            _read_scores, path=path, universe=universe, registry=registry))
 
 
 def _read_scores(fh, path, universe, registry):

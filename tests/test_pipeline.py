@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import signal
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -966,6 +967,94 @@ class TestScoreTableRoundTrip:
             with pytest.raises(DataError,
                                match=re.escape(f"score table {path}")):
                 read_score_table(path, universe, registry)
+
+    @staticmethod
+    def _count_opens(monkeypatch):
+        """The files ``open`` is called on from now on."""
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        return opened
+
+    @staticmethod
+    def _read_through_pipe(pipe, data, universe, registry):
+        """What reading the score table ``data``, written by a thread to
+        the named pipe ``pipe``, returns or raises, and whether the read
+        ended within 10 s. A reader still waiting then is let go by
+        opening the pipe for writing, so no thread is left behind."""
+        outcome = []
+
+        def read():
+            try:
+                outcome.append(read_score_table(pipe, universe, registry))
+            except Exception as exc:
+                outcome.append(exc)
+
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,),
+                                  daemon=True)
+        reader = threading.Thread(target=read, daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        in_time = not reader.is_alive()
+        if not in_time:
+            open(pipe, "wb").close()
+            reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not writer.is_alive() and not reader.is_alive()
+        return outcome[0], in_time
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_with_a_bad_byte_is_data_error_naming_it(
+            self, exported, tmp_path):
+        # The byte sits in the last row, so the writer has written every
+        # byte before the reader stops. Finding its offset would mean
+        # opening the pipe again, which waits for a writer.
+        path, _, universe, registry = exported
+        raw = path.read_bytes()
+        last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        error, in_time = self._read_through_pipe(
+            pipe, raw[:last] + b"\xe5" + raw[last:], universe, registry)
+        assert in_time
+        assert isinstance(error, DataError)
+        assert str(error) == (f"{pipe}: byte 0xe5 is not valid utf-8; "
+                              "score tables must be encoded as UTF-8")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("source", ["file", "bad byte", "pipe"])
+    def test_a_score_table_is_opened_once(self, exported, tmp_path,
+                                          monkeypatch, source):
+        path, _, universe, registry = exported
+        plain = read_score_table(path, universe, registry)
+        raw = path.read_bytes()
+        offset = raw.index(b"\n", len(raw) // 2) + 1
+        target = {"file": path, "bad byte": tmp_path / "bad.csv",
+                  "pipe": tmp_path / "pipe.csv"}[source]
+        if source == "bad byte":
+            target.write_bytes(raw[:offset] + b"\xe5" + raw[offset:])
+        elif source == "pipe":
+            os.mkfifo(target)
+        opened = self._count_opens(monkeypatch)
+        if source == "pipe":
+            loaded, in_time = self._read_through_pipe(target, raw, universe,
+                                                      registry)
+            assert in_time
+            _assert_same_table(loaded, plain)
+        elif source == "bad byte":
+            with pytest.raises(DataError, match=re.escape(
+                    f"{target}: byte {offset} (0xe5) is not valid UTF-8")):
+                read_score_table(target, universe, registry)
+        else:
+            _assert_same_table(read_score_table(target, universe, registry),
+                               plain)
+        assert opened == [target]
 
     def _mutate(self, path, mutate):
         lines = path.read_text().splitlines()
