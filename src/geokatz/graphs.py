@@ -16,7 +16,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, count, islice, repeat, zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,10 +50,15 @@ _COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
 # 6% of each other, and 4096 holds 5 MB more.
 _INGEST_BLOCK = 512
 # The fewest blocks worth a forked ingest process of their own (see
-# _ingest_split). Forking costs a fixed 15-25 ms (the line-end scan, the
-# fork, copy-on-write faults, the part's columns sent back pickled): in
-# a warm 104 MB process on a 2-core host, two parts of 8k rows each
-# ingested no faster than one reader, two of 10k rows 23% faster.
+# _ingest_split). Forking costs 15-25 ms: the line-end scan (about 5 ms
+# per 80k rows), the fork, exit and reaping of the child (3-5 ms from a
+# 100 MB process), copy-on-write faults, the child's result sent back
+# pickled and the merge of the parts' ids. Per 20k-row part the result,
+# ids and code arrays, takes 1.9 ms to pickle and load (per-row ids
+# took 4.6 ms) and the merge 3.3 ms (nearly 0 for per-row ids), so the
+# break-even measured with per-row ids stands: in a warm 104 MB process
+# on a 2-core host, two parts of 8k rows each ingested no faster than
+# one reader, two of 10k rows 23% faster.
 _MIN_PART_BLOCKS = 20
 # Bytes of a file searched for line ends at once: a bool mask as large
 # as the chunk is the scan's only transient beyond the offsets found.
@@ -62,8 +67,9 @@ _SCAN_CHUNK = 1 << 20
 # counted only.
 _MAX_DIAGNOSTICS = 50
 _INT64 = np.iinfo(np.int64)
-# Maps a blank species cell to None, any other to itself (``get(s, s)``).
-_NO_SPECIES = {"": None}
+# The code of the empty text in a part's id and species codes: an empty
+# id rejects its row, and an empty species cell is no species.
+_BLANK = 0
 
 
 def _distinct(values):
@@ -259,18 +265,28 @@ class IngestReport:
     """Movements as columns: the accepted rows of one ingestion pass,
     and the one form in which movements reach ``build_network``.
 
-    Accepted row i is ``source_ids[i]``, ``dest_ids[i]``, ``year[i]``,
-    the four coordinate arrays at i and ``species[i]`` (None when the
-    column is absent or the cell blank), in file order.
+    Node ids are held once each: accepted row i moves from node
+    ``ids[source[i]]`` to node ``ids[dest[i]]`` in ``year[i]``, placed
+    by the four coordinate arrays at i, with species
+    ``species_names[species[i]]`` (code -1 when the column is absent or
+    the cell blank), in file order. ``source``, ``dest`` and
+    ``species`` are int64 code arrays. An ingested report lists
+    ``ids`` and ``species_names`` in the order the accepted rows first
+    name them (source, then dest, row by row), which is the order of
+    the registry ``build_network`` makes; a report built by hand may
+    list them in any order, unused ones included.
     """
-    source_ids: list = field(default_factory=list)
-    dest_ids: list = field(default_factory=list)
+    ids: list = field(default_factory=list)
+    source: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
+    dest: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
     year: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
     source_lat: np.ndarray = field(default_factory=partial(np.empty, 0))
     source_lon: np.ndarray = field(default_factory=partial(np.empty, 0))
     dest_lat: np.ndarray = field(default_factory=partial(np.empty, 0))
     dest_lon: np.ndarray = field(default_factory=partial(np.empty, 0))
-    species: list = field(default_factory=list)
+    species: np.ndarray = field(
+        default_factory=partial(np.empty, 0, np.int64))
+    species_names: list = field(default_factory=list)
     accepted: int = 0
     rejected: int = 0
     diagnostics: list = field(default_factory=list)
@@ -278,7 +294,8 @@ class IngestReport:
 
 def _parse_row(fields, line_no, year_range):
     """The (source id, dest id, year, [source lat, source lon, dest lat,
-    dest lon], species) of one row's fields; a bad field raises its
+    dest lon], species) of one row's fields, the species "" when the
+    column is absent or the cell blank; a bad field raises its
     RowError."""
     sid = fields["source_id"].strip()
     did = fields["dest_id"].strip()
@@ -306,10 +323,7 @@ def _parse_row(fields, line_no, year_range):
             raise RowError(
                 f"row {line_no}: {key} {value} outside [-{bound}, {bound}]")
         coords.append(value)
-    species = fields.get("species")
-    if species is not None:
-        species = species.strip() or None
-    return sid, did, year, coords, species
+    return sid, did, year, coords, fields.get("species", "").strip()
 
 
 def delimiter_problem(delimiter, name):
@@ -457,11 +471,28 @@ def _column_positions(header, schema):
     return column_pos
 
 
+class _Codes(dict):
+    """Texts to int codes, each new text taking the next code."""
+
+    def __missing__(self, text):
+        self[text] = code = len(self)
+        return code
+
+
 @dataclass
 class _Part:
-    """The accepted columns of a run of records, as ``_ingest_block``
-    returns them block by block, and the part's rejected rows."""
-    blocks: list = field(default_factory=list)
+    """The accepted rows of a run of records and the part's rejected
+    rows.
+
+    ``columns`` holds the (source, dest, species, year, (4, k)
+    coordinates) of the accepted rows, or None when the part had no
+    records. Source and dest are codes into ``ids``, species codes into
+    ``species`` (-1 for none); each list holds the texts the part's
+    accepted rows name, in the order they first name them.
+    """
+    ids: list = field(default_factory=list)
+    species: list = field(default_factory=list)
+    columns: list = None
     rejected: int = 0
     diagnostics: list = field(default_factory=list)
 
@@ -469,16 +500,32 @@ class _Part:
 def _ingest_blocks(blocks, first_line, column_pos, width, year_range,
                    on_bad_rows):
     """The ``_Part`` of ``blocks``, an iterator over blocks of records
-    (see ``_split_block``) whose first record is row ``first_line``."""
+    (see ``_split_block``) whose first record is row ``first_line``.
+
+    The blocks code the texts of every row they read, so the codes are
+    then put in the order the accepted rows first name the texts: which
+    rows are read as they are, and which as a placeholder, depends on
+    the rule that split the file.
+    """
     part = _Part()
-    # One string object per distinct id or species: the report holds
-    # fewer objects, and their hashes are cached for build_network.
-    seen = {}
+    ids, species_codes = _Codes({"": _BLANK}), _Codes({"": _BLANK})
+    blocks_read = []
     for block in blocks:
-        part.blocks.append(_ingest_block(block, first_line, column_pos,
-                                         width, year_range, on_bad_rows,
-                                         part, seen))
+        blocks_read.append(_ingest_block(
+            block, first_line, column_pos, width, year_range, on_bad_rows,
+            part, ids, species_codes))
         first_line += len(block[0])
+    if blocks_read:
+        src, dst, species, year, coords = (
+            np.concatenate(column, axis=-1) for column in zip(*blocks_read))
+        part.ids, renumber, _ = _first_seen(list(ids),
+                                            _interleaved(src, dst))
+        named = species != _BLANK
+        part.species, renumber_species, _ = _first_seen(
+            list(species_codes), species[named])
+        part.columns = [renumber[src], renumber[dst],
+                        np.where(named, renumber_species[species], -1),
+                        year, coords]
     return part
 
 
@@ -494,18 +541,23 @@ def _ingest_stream(stream, schema, on_bad_rows, delimiter, year_range):
 
 
 def _report(parts):
-    """The IngestReport of consecutive ``_Part``s of one file."""
+    """The IngestReport of consecutive ``_Part``s of one file: their
+    rows joined in file order, and their ids and species names merged
+    (``_merged``) in the order the file's accepted rows first name
+    them."""
     report = IngestReport()
-    blocks = [block for part in parts for block in part.blocks]
-    if blocks:
-        sid, did, species, year, coords = zip(*blocks)
-        report.source_ids = list(chain.from_iterable(sid))
-        report.dest_ids = list(chain.from_iterable(did))
-        report.species = list(chain.from_iterable(species))
+    parts_with_rows = [part for part in parts if part.columns is not None]
+    if parts_with_rows:
+        report.ids, report.source, report.dest = _merged(
+            parts_with_rows, "ids", 0, 1)
+        report.species_names, report.species = _merged(
+            parts_with_rows, "species", 2)
+        _, _, _, year, coords = zip(*(part.columns
+                                      for part in parts_with_rows))
         report.year = np.concatenate(year)
         (report.source_lat, report.source_lon, report.dest_lat,
          report.dest_lon) = np.concatenate(coords, axis=1)
-    report.accepted = len(report.source_ids)
+    report.accepted = len(report.source)
     report.rejected = sum(part.rejected for part in parts)
     report.diagnostics = list(islice(chain.from_iterable(
         part.diagnostics for part in parts), _MAX_DIAGNOSTICS))
@@ -514,6 +566,74 @@ def _report(parts):
     if report.rejected and report.diagnostics:
         log.warning("first rejected row: %s", report.diagnostics[0])
     return report
+
+
+def _merged(parts, texts, *columns):
+    """The ``texts`` lists of consecutive ``parts`` merged, and each of
+    ``columns`` (positions in ``_Part.columns``) joined over the parts
+    as codes into the merged list, -1 kept.
+
+    Each part lists its texts in the order its rows first name them, so
+    the merged list, the first part's texts and then each later part's
+    new ones in its order, is in the order the whole file first names
+    them. Merging takes one dict lookup per text per part.
+    """
+    if len(parts) == 1:
+        return (getattr(parts[0], texts),
+                *(parts[0].columns[column] for column in columns))
+    # The first part's list is extended in place.
+    merged = getattr(parts[0], texts)
+    index = dict(zip(merged, count()))
+    tables = [np.arange(len(merged))]
+    for part in parts[1:]:
+        names = getattr(part, texts)
+        codes = np.fromiter(map(index.get, names, repeat(-1)), np.int64,
+                            len(names))
+        # A text new here takes the next code, in the part's order.
+        new = np.flatnonzero(codes < 0)
+        codes[new] = np.arange(len(merged), len(merged) + len(new))
+        added = list(map(names.__getitem__, new.tolist()))
+        index.update(zip(added, codes[new].tolist()))
+        merged += added
+        tables.append(codes)
+    # Code -1 picks the -1 appended to each table, so it stays -1.
+    return (merged, *(
+        np.concatenate([np.append(table, -1)[part.columns[column]]
+                        for table, part in zip(tables, parts)])
+        for column in columns))
+
+
+def _interleaved(first, second, dtype=np.int64):
+    """``first[0], second[0], first[1], second[1], ...`` as one array:
+    the endpoints of movements in the order a record-at-a-time reader
+    meets them, source then dest, row after row."""
+    both = np.empty(2 * len(first), dtype=dtype)
+    both[0::2] = first
+    both[1::2] = second
+    return both
+
+
+def _first_seen(texts, codes):
+    """``texts`` in the order ``codes``, int64 indices into them, first
+    name them, the texts never named left out; the array that maps each
+    named text's code to its index in that order; and the position in
+    ``codes`` where each text in that order is first named.
+
+    One vectorized pass with no sort and no per-code Python call: each
+    text's first position in ``codes``, then the named texts gathered
+    in the order of those positions.
+    """
+    n = len(codes)
+    first = np.full(len(texts), n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n))
+    # Every text never named lands on the spare last slot.
+    at = np.full(n + 1, -1, dtype=np.int64)
+    at[first] = np.arange(len(texts))
+    first = np.flatnonzero(at[:n] >= 0)
+    order = at[first]
+    renumber = np.zeros(len(texts), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return list(map(texts.__getitem__, order.tolist())), renumber, first
 
 
 def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
@@ -697,15 +817,15 @@ def _convert(texts, kind, dtype):
     return array, failed
 
 
-def _stripped(texts, seen):
-    """``texts`` stripped, each as the first equal string ``seen``
-    holds (and added to it when new)."""
-    texts = list(map(str.strip, texts))
-    return list(map(seen.setdefault, texts, texts))
+def _coded(texts, codes):
+    """The int64 codes of ``texts`` stripped, from ``codes``, a
+    ``_Codes``."""
+    return np.fromiter(map(codes.__getitem__, map(str.strip, texts)),
+                       np.int64, len(texts))
 
 
 def _ingest_block(block, first_line, column_pos, width, year_range,
-                  on_bad_rows, part, seen):
+                  on_bad_rows, part, ids, species_codes):
     """Accepted columns of one block of records (see ``_split_block``),
     in row order.
 
@@ -714,15 +834,17 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
     a time, so that a rejected row gets its row-numbered diagnostic (or
     aborts) exactly as it would alone; blank records are skipped but
     keep their number. A rejected row is counted in ``part``, a
-    ``_Part``. Returns (source ids, dest ids, species, years,
-    (4, k) coordinates).
+    ``_Part``. Ids and species are coded by the part's ``_Codes``
+    ``ids`` and ``species_codes``, every row's before any is judged, so
+    the codes also name texts of rejected rows; an empty id or species
+    has the code ``_BLANK``. Returns (source codes, dest codes, species
+    codes, years, (4, k) coordinates).
     """
     odd, columns, row = block
     n = len(odd)
-    sid = _stripped(columns[column_pos["source_id"]], seen)
-    did = _stripped(columns[column_pos["dest_id"]], seen)
-    bad = odd | ~np.fromiter(map(bool, sid), bool, n)
-    bad |= ~np.fromiter(map(bool, did), bool, n)
+    sid = _coded(columns[column_pos["source_id"]], ids)
+    did = _coded(columns[column_pos["dest_id"]], ids)
+    bad = odd | (sid == _BLANK) | (did == _BLANK)
     year, failed = _convert(columns[column_pos["year"]], int, np.int64)
     bad |= failed | (year < year_range[0]) | (year > year_range[1])
     coords = np.empty((len(_COORD_COLUMNS), n), dtype=np.float64)
@@ -732,10 +854,9 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
         bad |= failed
     bad |= ~np.all(np.abs(coords) <= _COORD_BOUNDS, axis=0)
     if "species" in column_pos:
-        species = _stripped(columns[column_pos["species"]], seen)
-        species = list(map(_NO_SPECIES.get, species, species))
+        species = _coded(columns[column_pos["species"]], species_codes)
     else:
-        species = [None] * n
+        species = np.full(n, _BLANK, dtype=np.int64)
 
     for i in np.flatnonzero(bad).tolist():
         fields = row(i)
@@ -747,7 +868,7 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
                 raise RowError(
                     f"row {line_no}: expected at least {width} fields, "
                     f"got {len(fields)}")
-            sid[i], did[i], row_year, coords[:, i], species[i] = _parse_row(
+            source, dest, row_year, coords[:, i], name = _parse_row(
                 {name: fields[pos] for name, pos in column_pos.items()},
                 line_no, year_range)
         except RowError as exc:
@@ -763,53 +884,52 @@ def _ingest_block(block, first_line, column_pos, width, year_range,
         if not _INT64.min <= row_year <= _INT64.max:
             raise DataError(f"row {line_no}: year {row_year} does not "
                             "fit in a 64-bit integer")
+        sid[i], did[i] = ids[source], ids[dest]
+        species[i] = species_codes[name]
         year[i] = row_year
         bad[i] = False
     if bad.any():
         keep = ~bad
-        mask = keep.tolist()
-        sid = list(compress(sid, mask))
-        did = list(compress(did, mask))
-        species = list(compress(species, mask))
-        year = year[keep]
-        coords = coords[:, keep]
+        sid, did, species = sid[keep], did[keep], species[keep]
+        year, coords = year[keep], coords[:, keep]
     return sid, did, species, year, coords
 
 
 def build_network(movements):
     """Assemble a temporal network from an IngestReport's columns.
 
-    Registers every id with its first-seen coordinates (conflicting
-    re-registrations are counted and reported in one warning), drops
-    self-loops, and collapses duplicate (source, dest, year) triples. A
-    column that is not one entry per source id is a DataError.
+    Registers every node the movements name with its first-seen
+    coordinates (conflicting re-registrations are counted and reported
+    in one warning), in the order the movements first name the nodes
+    (source, then dest, row by row), whatever the order of the report's
+    ``ids``; ids no movement names are left out. Drops self-loops and
+    collapses duplicate (source, dest, year) triples. A column that is
+    not one entry per source code, or a source or dest code that is not
+    an index into ``ids``, is a DataError naming its column.
     """
-    m = len(movements.source_ids)
-    for name in ("dest_ids", "year", "source_lat", "source_lon", "dest_lat",
+    m = len(movements.source)
+    for name in ("dest", "year", "source_lat", "source_lon", "dest_lat",
                  "dest_lon"):
         n = len(getattr(movements, name))
         if n != m:
             raise DataError(f"movement column {name!r} has {n} entries "
-                            f"for {m} source ids")
+                            f"for {m} source codes")
     if m == 0:
         raise EmptyNetworkError("no movement records to build a network from")
-    # Endpoints in the order a record-at-a-time build meets them:
-    # source then dest, record after record.
-    ends = [None] * (2 * m)
-    ends[0::2] = movements.source_ids
-    ends[1::2] = movements.dest_ids
-    ids = list(dict.fromkeys(ends))
-    index = dict(zip(ids, range(len(ids))))
-    codes = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
-    lat = np.empty(2 * m, dtype=np.float64)
-    lat[0::2] = movements.source_lat
-    lat[1::2] = movements.dest_lat
-    lon = np.empty(2 * m, dtype=np.float64)
-    lon[0::2] = movements.source_lon
-    lon[1::2] = movements.dest_lon
-    # Indices are handed out in first-seen order, so an endpoint is a
-    # node's first sighting exactly where the running maximum rises.
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+    n_ids = len(movements.ids)
+    for name in ("source", "dest"):
+        column = np.asarray(getattr(movements, name))
+        outside = (column < 0) | (column >= n_ids)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DataError(f"movement column {name!r} holds code "
+                            f"{column[i]} at row {i}, outside the {n_ids} "
+                            "ids")
+    ends = _interleaved(movements.source, movements.dest)
+    ids, renumber, first = _first_seen(movements.ids, ends)
+    codes = renumber[ends]
+    lat = _interleaved(movements.source_lat, movements.dest_lat, np.float64)
+    lon = _interleaved(movements.source_lon, movements.dest_lon, np.float64)
     registry = NodeRegistry(ids, lat[first], lon[first])
     conflicts = int(np.count_nonzero(
         (np.abs(registry.lat_array()[codes] - lat) > COORD_CONFLICT_TOL)

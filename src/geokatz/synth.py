@@ -154,7 +154,10 @@ def generate(cfg):
 
     Returns (report, truth): ``report`` is the columnar
     :class:`~geokatz.graphs.IngestReport` that ``ingest_movements``
-    returns, one accepted row per movement in generation order, and
+    returns, one accepted row per movement in generation order, whose
+    ``ids`` are every node's name in node order (the source and dest
+    codes are the node indices) and whose ``species_names`` are the
+    config's species; and
     truth is a JSON-ready dictionary holding the config, totals,
     per-year counts, and (when the year span allows) the canonical
     chronological split: last year = test, second-to-last = val,
@@ -180,20 +183,17 @@ def generate(cfg):
     width = max(4, len(str(n - 1)))
     ids = [f"farm-{i:0{width}d}" for i in range(n)]
     # One bounded draw per node, as n scalar rng.integers calls make.
-    species = [cfg.species[i]
-               for i in rng.integers(len(cfg.species), size=n).tolist()]
+    species = rng.integers(len(cfg.species), size=n)
     counts = cfg.yearly_counts()
     src, dst, n_links = _draw_links(cfg, rng, lat, lon, sum(counts))
     years = range(cfg.years[0], cfg.years[1] + 1)
     year = np.repeat(np.array(years, dtype=np.int64), counts)
-    src_at = np.array(src, dtype=np.int64)
-    dst_at = np.array(dst, dtype=np.int64)
+    src = np.array(src, dtype=np.int64)
+    dst = np.array(dst, dtype=np.int64)
     report = IngestReport(
-        list(map(ids.__getitem__, src)), list(map(ids.__getitem__, dst)),
-        year, lat[src_at], lon[src_at], lat[dst_at], lon[dst_at],
-        list(map(species.__getitem__, src)), accepted=len(src))
-    truth = _truth_summary(cfg, src_at, dst_at, year,
-                           dict(zip(years, counts)))
+        ids, src, dst, year, lat[src], lon[src], lat[dst], lon[dst],
+        species[src], list(cfg.species), accepted=len(src))
+    truth = _truth_summary(cfg, src, dst, year, dict(zip(years, counts)))
     log.info("generated %d movements over %d nodes (%d distinct links)",
              len(src), n, n_links)
     return report, truth
@@ -346,25 +346,26 @@ def write_movements(movements, dest):
     ``movements`` is an :class:`~geokatz.graphs.IngestReport`, such as
     :func:`generate` returns. Coordinates carry 6 decimal places (about
     0.1 m), so output is byte-stable across reruns of the same config.
-    Fields are quoted as ``csv.writer`` quotes them; each distinct id,
-    species and coordinate is quoted or formatted once.
+    Fields are quoted as ``csv.writer`` quotes them; each node id and
+    species name is quoted once, and each distinct coordinate
+    formatted once.
     """
-    m = len(movements.source_ids)
-    # csv.writer writes a missing species (None) as an empty field.
-    names = list(set(movements.source_ids).union(movements.dest_ids,
-                                                 movements.species))
-    quoted = dict(zip(names, _csv_fields(names)))
+    m = len(movements.source)
+    ids = _csv_fields(movements.ids)
+    # Species code -1 (none) takes the last entry: an empty field, as
+    # csv.writer writes None.
+    species = _csv_fields(movements.species_names) + [""]
     # Equal bit patterns format alike; -0.0 and 0.0 do not.
     coords = np.concatenate([movements.source_lat, movements.source_lon,
                              movements.dest_lat, movements.dest_lon])
     bits, where = np.unique(coords.view(np.int64), return_inverse=True)
     text = [f"{x:.6f}" for x in bits.view(np.float64).tolist()]
     cells = list(map(text.__getitem__, where.tolist()))
-    columns = zip(map(quoted.__getitem__, movements.source_ids),
-                  map(quoted.__getitem__, movements.dest_ids),
+    columns = zip(map(ids.__getitem__, movements.source.tolist()),
+                  map(ids.__getitem__, movements.dest.tolist()),
                   movements.year.tolist(), cells[:m], cells[m:2 * m],
                   cells[2 * m:3 * m], cells[3 * m:],
-                  map(quoted.__getitem__, movements.species))
+                  map(species.__getitem__, movements.species.tolist()))
     lines = [f"{a},{b},{y},{c},{d},{e},{f},{s}\n"
              for a, b, y, c, d, e, f, s in columns]
     header = ",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\n"

@@ -61,23 +61,39 @@ def national_scale_run(tmp_path_factory):
 
 def rows_of(report):
     """An IngestReport's accepted rows as the oracles' records."""
-    return list(map(MovementRecord, report.source_ids, report.dest_ids,
+    ids = report.ids
+    # Species code -1 (none) takes the last entry.
+    species = list(report.species_names) + [None]
+    return list(map(MovementRecord,
+                    map(ids.__getitem__, report.source.tolist()),
+                    map(ids.__getitem__, report.dest.tolist()),
                     report.year.tolist(), report.source_lat.tolist(),
                     report.source_lon.tolist(), report.dest_lat.tolist(),
-                    report.dest_lon.tolist(), report.species))
+                    report.dest_lon.tolist(),
+                    map(species.__getitem__, report.species.tolist())))
 
 
 def report_of(rows):
-    """An IngestReport whose columns hold the records ``rows``."""
+    """An IngestReport whose columns hold the records ``rows``. Its ids
+    and species names are sorted, not in the order the rows first name
+    them, as a report built by hand may list them."""
     def column(name):
         return [getattr(row, name) for row in rows]
 
+    def coded(values, names):
+        index = {name: code for code, name in enumerate(names)}
+        return np.array([index.get(value, -1) for value in values],
+                        dtype=np.int64)
+
+    ids = sorted(set(column("source_id")) | set(column("dest_id")))
+    species = column("species")
+    species_names = sorted(set(species) - {None})
     return IngestReport(
-        column("source_id"), column("dest_id"),
+        ids, coded(column("source_id"), ids), coded(column("dest_id"), ids),
         np.array(column("year"), dtype=np.int64),
         *(np.array(column(name), dtype=np.float64) for name in
           ("source_lat", "source_lon", "dest_lat", "dest_lon")),
-        column("species"), accepted=len(rows))
+        coded(species, species_names), species_names, accepted=len(rows))
 
 
 def make_record(src, dst, year, s_lat=0.0, s_lon=0.0, d_lat=0.0, d_lon=0.0,

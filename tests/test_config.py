@@ -370,7 +370,7 @@ class TestSchemaBlock:
                                   delimiter=cfg.delimiter,
                                   year_range=cfg.year_range)
         assert report.accepted == 2
-        assert report.dest_ids[1] == "c"
+        assert report.ids[report.dest[1]] == "c"
 
     def test_schema_must_be_mapping(self):
         with pytest.raises(ConfigError, match="'schema' must be a mapping"):

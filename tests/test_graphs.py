@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import threading
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -285,7 +286,7 @@ def test_build_network_first_seen_coordinates_win():
 
 @pytest.mark.parametrize("column, value, named", [
     ("year", np.array([2015, 2016, 2017]), "year"),
-    ("source_ids", ["a", "a", "b"], "dest_ids"),
+    ("source", np.array([0, 0, 1]), "dest"),
     ("dest_lat", np.array([51.0]), "dest_lat"),
 ])
 def test_build_network_rejects_a_column_not_one_per_row(column, value,
@@ -295,6 +296,34 @@ def test_build_network_rejects_a_column_not_one_per_row(column, value,
                         make_record("a", "c", 2016, s_lat=50.0, d_lat=52.0)])
     with pytest.raises(DataError, match=f"column '{named}' has"):
         build_network(dataclasses.replace(report, **{column: value}))
+
+
+@pytest.mark.parametrize("column", ["source", "dest"])
+@pytest.mark.parametrize("code", [-1, 3])
+def test_build_network_rejects_a_code_outside_the_ids(column, code):
+    # NumPy would take code -1 as the last id without any error.
+    report = report_of([make_record("a", "b", 2015),
+                        make_record("b", "c", 2016)])
+    codes = getattr(report, column).copy()
+    codes[1] = code
+    with pytest.raises(DataError, match=re.escape(
+            f"movement column '{column}' holds code {code} at row 1, "
+            "outside the 3 ids")):
+        build_network(dataclasses.replace(report, **{column: codes}))
+
+
+def test_build_network_registers_ids_in_the_order_rows_name_them():
+    # A report built by hand may list its ids in any order, and ids no
+    # row names; the registry takes the rows' first-seen order.
+    report = graphs.IngestReport(
+        ids=["z", "c", "b", "a"], source=np.array([3, 1]),
+        dest=np.array([2, 3]), year=np.array([2015, 2016]),
+        source_lat=np.array([1.0, 3.0]), source_lon=np.array([0.0, 0.0]),
+        dest_lat=np.array([2.0, 1.0]), dest_lon=np.array([0.0, 0.0]))
+    net = build_network(report)
+    assert net.registry.ids == ["a", "b", "c"]
+    assert net.registry.lat_array().tolist() == [1.0, 2.0, 3.0]
+    assert net.links.tolist() == [[0, 1], [2, 0]]
 
 
 def test_registry_rejects_out_of_range_coordinates():
@@ -554,6 +583,9 @@ def _plain(field, delimiter):
 def _movement_files(draw, direct=False):
     """CSV text with awkward rows, and the keyword arguments to read it.
 
+    Rejected rows (a bad year, a short row, a blank id) often name ids
+    before the first accepted row that names them.
+
     About half the files are quote-free with LF line ends, which a
     file's reader splits by lines; a NUL, a line over the csv field
     size limit, or a quoted field (which may span lines) in a later row
@@ -575,7 +607,7 @@ def _movement_files(draw, direct=False):
                             st.sampled_from(["\n", "\r\n"])))
     writer.writerow([f" {c} " if draw(st.booleans()) else c
                      for c in columns])
-    kinds = ["row"] * 6 + ["blank", "short", "long"]
+    kinds = ["row"] * 6 + ["blank", "short", "long", "skipped"]
     if plain and not direct:
         kinds += ["nul", "wide", "quoted"]
     for i in range(draw(st.integers(0, 30))):
@@ -588,6 +620,10 @@ def _movement_files(draw, direct=False):
             row = row[:draw(st.integers(1, len(row) - 1))]
         elif kind == "long":
             row.append("extra")
+        elif kind == "skipped":
+            # Rejected whatever its other fields: its ids may be named
+            # first here, and first accepted in a later row.
+            row[columns.index("year")] = "n/a"
         elif kind == "nul":
             row.append("\0")
         elif kind == "wide":
@@ -693,7 +729,17 @@ def _assert_ingest_matches_loop(text, kwargs, path):
         assert report.diagnostics == diagnostics
         # repr tells -0.0 from 0.0, which == does not.
         assert repr(rows_of(report)) == repr(records)
+        _assert_named_first_seen(report, records)
         _assert_build_matches_loop(records, report)
+
+
+def _assert_named_first_seen(report, records):
+    """The report lists the ids and species the accepted ``records``
+    name, in the order they first name them."""
+    assert report.ids == list(dict.fromkeys(chain.from_iterable(
+        (r.source_id, r.dest_id) for r in records)))
+    assert report.species_names == list(dict.fromkeys(
+        r.species for r in records if r.species is not None))
 
 
 # Texts that int or float refuses or reads in an unusual way: empty,
@@ -858,7 +904,8 @@ def _report_fields(report):
     """Every field of an IngestReport, the float columns as bytes (which
     tell -0.0 from 0.0)."""
     fields = dataclasses.asdict(report)
-    for name in ("year", "source_lat", "source_lon", "dest_lat", "dest_lon"):
+    for name in ("source", "dest", "year", "source_lat", "source_lon",
+                 "dest_lat", "dest_lon", "species"):
         column = fields[name]
         fields[name] = (column.dtype, column.tobytes())
     return fields
@@ -952,6 +999,42 @@ class TestSplitIngest:
             assert (report.accepted, report.rejected) == (accepted, rejected)
             assert report.diagnostics == diagnostics
             assert repr(rows_of(report)) == repr(records)
+            _assert_named_first_seen(report, records)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rule", ["stream", "csv", "split"])
+    def test_rejected_rows_naming_ids_first_leave_no_trace(
+            self, tmp_path, rule, workers):
+        # Each group's rejected rows (a bad year, a short row, a blank
+        # id) name its ids before its accepted rows do, and in another
+        # order, at other coordinates; "hub" and "late" are named first
+        # by a rejected row in the first part and accepted only in the
+        # last group. A reader codes every row it reads, and the split
+        # rule reads a short row as a placeholder "0".
+        lines = [CSV_HEADER, "hub,late,n/a,10.0,0.0,11.0,0.0\n"]
+        for g in range(12):
+            lines += [f"s{g},d{g},n/a,1.0,1.0,2.0,2.0\n", f"x{g}\n",
+                      f",x{g},2015,3.0,3.0,4.0,4.0\n",
+                      f"d{g},x{g},2015,{g}.5,0.0,{g}.25,1.0\n",
+                      f"s{g},d{g},2016,{g}.75,2.0,{g}.5,0.0\n"]
+        lines.append("late,hub,2017,20.0,0.0,21.0,0.0\n")
+        if rule == "csv":
+            lines[1] = lines[1].replace("hub,", '"hub",', 1)
+        text = "".join(lines)
+        path = tmp_path / "first_named_by_rejected_rows.csv"
+        path.write_text(text)
+        source = io.StringIO(text) if rule == "stream" else path
+        report = ingest_movements(source, on_bad_rows="skip",
+                                  workers=workers)
+        assert self.forks == (workers - 1 if rule == "split" else 0)
+        records, _, rejected, _ = oracles.loop_ingest_stream(
+            io.StringIO(text), on_bad_rows="skip")
+        assert rejected == 37
+        assert repr(rows_of(report)) == repr(records)
+        _assert_named_first_seen(report, records)
+        assert report.ids[:3] == ["d0", "x0", "s0"]
+        assert report.ids[-2:] == ["late", "hub"]
+        _assert_build_matches_loop(records, report)
 
     @pytest.mark.parametrize("on_bad_rows", ["skip", "abort"])
     @pytest.mark.parametrize("workers", [2, 3])
