@@ -20,12 +20,12 @@ import yaml
 
 from .errors import ConfigError, as_bool, as_int, as_interval, one_of
 from .graphs import BAD_ROW_POLICIES, SplitSpec, delimiter_problem
-from .katz import COMBINE_INPUTS, COMBINE_RULES, KatzConfig
+from .katz import COMBINE_INPUTS, COMBINE_RULES, MODEL_PARTS, KatzConfig
 from .synth import SynthConfig
 
 log = logging.getLogger(__name__)
 
-ALL_MODELS = ("KI", "WKI", "EWKI", "KIWKI", "KIEWKI", "WKIEWKI")
+ALL_MODELS = tuple(MODEL_PARTS)
 SCORE_BASES = ("train", "train+val")
 TUNE_SPLITS = ("val", "test")
 

@@ -1000,10 +1000,11 @@ def build_adjacency(net, mode="binary-directed"):
 class PairUniverse:
     """All ordered pairs (u, v), u != v, over a fixed node set.
 
-    ``node_indices`` holds the k participating global node indices in
-    strictly ascending order; pair (i, j) is the cell of a (k, k) matrix
-    whose diagonal is excluded everywhere, at flat row-major position
-    i * k + j, which is how a score table's support lists its pairs.
+    ``node_indices`` holds the k participating global node indices,
+    non-negative and strictly ascending; pair (i, j) is the cell of a
+    (k, k) matrix whose diagonal is excluded everywhere, at flat
+    row-major position i * k + j, which is how a score table's support
+    lists its pairs.
     ``positives`` holds the flat positions of the pairs that are known
     links, strictly ascending. Anything else is a ValueError.
     """
@@ -1013,9 +1014,10 @@ class PairUniverse:
     def __post_init__(self):
         for name in ("node_indices", "positives"):
             values = getattr(self, name)
-            if np.ndim(values) != 1 or np.any(np.diff(values) <= 0):
-                raise ValueError(
-                    f"{name} must be a strictly ascending 1-d array")
+            if (np.ndim(values) != 1 or np.any(np.diff(values) <= 0)
+                    or np.any(np.less(values[:1], 0))):
+                raise ValueError(f"{name} must be a strictly ascending "
+                                 "1-d array of non-negative values")
         k, positives = self.k, self.positives
         if np.any((positives < 0) | (positives >= k * k)
                   | (positives % (k + 1) == 0)):

@@ -9,9 +9,9 @@ union of their nodes, and a source without an out-link, whose row is
 zero, is not scored at all.
 Variants swap in a distance-weighted adjacency or multiply each pair's score by
 an exponential distance decay. A table holds its scores on its support,
-the pairs with a nonzero walk score, and one floor for every other
-pair; it is min-max normalized over its pair universe, fused pairwise
-into combined models, and written to and read back from delimited text
+the pairs with a nonzero walk score; every other pair scores 0. It is
+min-max normalized over its pair universe, fused pairwise into combined
+models, and written to and read back from delimited text
 (``SCORE_COLUMNS``) on that support.
 """
 
@@ -45,6 +45,16 @@ METHODS = ("closed-form-solve", "truncated-series")
 COMBINE_RULES = ("mean", "product", "max")
 COMBINE_INPUTS = ("normalized", "raw")
 
+# Each model's base tables: one is normalized as it is, two are fused.
+MODEL_PARTS = {
+    "KI": ("KI",),
+    "WKI": ("WKI",),
+    "EWKI": ("EWKI",),
+    "KIWKI": ("KI", "WKI"),
+    "KIEWKI": ("KI", "EWKI"),
+    "WKIEWKI": ("WKI", "EWKI"),
+}
+
 # The columns of an exported score table, in the order they are written.
 SCORE_COLUMNS = ("source_id", "dest_id", "model", "score", "score_norm")
 
@@ -69,9 +79,10 @@ class KatzConfig:
     ``fraction-of-spectral-bound`` sets beta = alpha / spectral_radius,
     which keeps the series convergent on any input graph (a graph with
     spectral radius 0 has a finite series for every beta, and alpha
-    itself is used). ``gamma`` is the decay rate per km for the
-    pairwise-decay variant and may be the string ``"tune"`` to request
-    validation-split tuning upstream.
+    itself is used); a ``beta`` given with it is a ConfigError.
+    ``gamma`` is the decay rate per km for the pairwise-decay variant
+    and may be the string ``"tune"`` to request validation-split tuning
+    upstream.
     """
     beta_mode: str = "fraction-of-spectral-bound"
     alpha: float = 0.5
@@ -111,6 +122,9 @@ class KatzConfig:
                 raise ConfigError(
                     "explicit beta_mode requires beta > 0, "
                     f"got {self.beta!r}")
+        elif self.beta is not None:
+            raise ConfigError(f"katz.beta is refused: beta_mode "
+                              f"{self.beta_mode} sets beta = alpha / radius")
         elif not 0 < self.alpha < 1:
             raise ConfigError(
                 f"alpha must be in (0, 1), got {self.alpha!r}")
@@ -243,66 +257,51 @@ def resolve_beta(cfg, adj):
 
 
 @dataclass(eq=False)
-class _Column:
-    """One score column of a table: its scores at the table's support
-    positions and the floor that every other pair holds."""
-    on_support: np.ndarray
-    floor: float
-
-
-@dataclass(eq=False)
 class ScoreTable:
     """Per-ordered-pair scores for one model over a pair universe.
 
-    The scores live on ``support``, a sorted int64 vector of the flat
-    row-major positions i * k + j of off-diagonal pairs (i, j); every
-    other off-diagonal pair, ``n_floor`` of them, holds the floor.
-    ``scores`` holds the table's scores and, for a normalized table,
-    ``raw`` the pre-normalization ones, each as an ``on_support`` vector
-    and a ``floor``. The pipeline scores all tables of a universe on one
-    support, the union of its base tables' nonzero pairs; an
-    unnormalized table's floor is a zero.
+    ``support`` is a sorted int64 vector of the flat row-major positions
+    i * k + j of off-diagonal pairs (i, j). ``scores`` holds the table's
+    scores and, for a normalized table, ``raw`` the pre-normalization
+    ones, each a float64 array aligned with ``support``; every other
+    off-diagonal pair scores +0.0 in both. The pipeline scores all
+    tables of a universe on one support, the union of its base tables'
+    nonzero pairs; only a table normalized from a negative score lies
+    on every off-diagonal pair instead (see :func:`normalize`).
     """
     model: str
     universe: object
     support: np.ndarray
-    scores: _Column
-    normalized: bool = False
-    raw: Optional[_Column] = None
+    scores: np.ndarray
+    raw: Optional[np.ndarray] = None
     info: dict = field(default_factory=dict)
 
     def __repr__(self):
         return (f"ScoreTable(model={self.model!r}, k={self.universe.k}, "
-                f"support={self.support.size}, n_floor={self.n_floor}, "
-                f"normalized={self.normalized})")
+                f"support={self.support.size}, normalized={self.normalized})")
 
     @property
-    def n_floor(self):
-        """The number of off-diagonal pairs off the support."""
-        return self.universe.n_pairs - self.support.size
+    def normalized(self):
+        """A normalized table keeps its pre-normalization ``raw``."""
+        return self.raw is not None
 
     def _on(self, support):
         """This table on ``support``, a superset of its own: a pair
-        added holds its column's floor."""
+        added scores 0."""
         if support is self.support:
             return self
-        if np.array_equal(support, self.support):
-            def moved(column):
-                return column
-        else:
-            at = np.searchsorted(support, self.support)
+        at = np.searchsorted(support, self.support)
 
-            def moved(column):
-                values = np.full(support.size, column.floor)
-                values[at] = column.on_support
-                return _Column(values, column.floor)
+        def moved(values):
+            out = np.zeros(support.size)
+            out[at] = values
+            return out
         return ScoreTable(
             self.model, self.universe, support, moved(self.scores),
-            self.normalized, None if self.raw is None else moved(self.raw),
-            dict(self.info))
+            None if self.raw is None else moved(self.raw), dict(self.info))
 
 
-def _common_support(tables):
+def _on_union(tables):
     """The tables on the union of their supports, which is the first
     table's support object when every support equals it."""
     support = tables[0].support
@@ -412,7 +411,7 @@ def _series_block(at_beta, max_len, tol, sources, columns):
 
 
 def _blocked_supports(rows, live, node_sets):
-    """The support and its score column of the table over each of
+    """The support and its scores of the table over each of
     ``node_sets`` (each strictly ascending, as a universe's nodes are),
     all scored in one pass over the union of their nodes.
 
@@ -466,7 +465,7 @@ def _blocked_supports(rows, live, node_sets):
             row, col = np.divmod(at[kept], k)
             supports.append(mine[row] * k + col)
             scores.append(on[kept])
-    return [(np.concatenate(supports), _Column(np.concatenate(scores), 0.0))
+    return [(np.concatenate(supports), np.concatenate(scores))
             for *_, supports, scores in sets]
 
 
@@ -514,8 +513,8 @@ def katz_scores(adj, cfg, universe, model="KI"):
     if sr.bound is not None:
         info["spectral_bound"] = sr.bound
     live = np.diff(adj.indptr) > 0
-    tables = [ScoreTable(model, u, support, column, info=dict(info))
-              for u, (support, column) in zip(universes, _blocked_supports(
+    tables = [ScoreTable(model, u, support, scores, info=dict(info))
+              for u, (support, scores) in zip(universes, _blocked_supports(
                   rows, live, [u.node_indices for u in universes]))]
     return tables[0] if single else tables
 
@@ -527,9 +526,9 @@ def edge_weighted_katz_scores(ki_table, distances, gamma, model="EWKI"):
     is an unnormalized KI table and ``distances`` holds the great-circle
     km of its support pairs, in support order (``geo.pair_distances`` of
     the pairs ``divmod(support, k)`` in universe node order). Only the
-    support decays: every other pair holds KI's floor, a zero, which any
-    weight keeps. At gamma = 0 every weight is exactly 1.0 and the table
-    equals the KI table bitwise.
+    support decays: every other pair scores 0, which any weight keeps.
+    At gamma = 0 every weight is exactly 1.0 and the table equals the KI
+    table bitwise.
     """
     if ki_table.normalized:
         raise UniverseMismatchError("ki_table must be an unnormalized table")
@@ -539,27 +538,30 @@ def edge_weighted_katz_scores(ki_table, distances, gamma, model="EWKI"):
         raise UniverseMismatchError(
             f"{distances.size} distances do not match the table's "
             f"{support.size} support pairs")
-    ki = ki_table.scores
-    decayed = _Column(ki.on_support * decay_weights(distances, gamma),
-                      ki.floor)
-    return ScoreTable(model, ki_table.universe, support, decayed,
+    return ScoreTable(model, ki_table.universe, support,
+                      ki_table.scores * decay_weights(distances, gamma),
                       info=dict(ki_table.info, gamma=gamma))
 
 
 def normalize(table):
     """Min-max rescale a table's universe scores to [0, 1].
 
-    The minimum and range are taken over the support's scores and,
-    when some pair is off the support, the floor. A constant table maps
-    to all zeros and raises :class:`DegenerateScoreTableWarning`, since
-    a single value carries no ranking information. The input's scores
-    are kept as the normalized table's ``raw`` column.
+    The minimum and range are taken over the support's scores and, when
+    some pair is off the support, its 0; a table holding a negative
+    score would normalize those pairs above 0, so it is first put on
+    every off-diagonal pair. A constant table maps to all zeros and
+    raises :class:`DegenerateScoreTableWarning`, since a single value
+    carries no ranking information. The input's scores are kept as the
+    normalized table's ``raw``.
     """
     if table.normalized:
         raise ValueError(f"table {table.model!r} is already normalized")
-    column = table.scores
-    scores = np.append(column.on_support, column.floor)
-    pairs = scores if table.n_floor else scores[:-1]
+    universe = table.universe
+    off = table.support.size < universe.n_pairs
+    if off and table.scores.min(initial=0.0) < 0.0:
+        table = table._on(np.flatnonzero(~np.eye(universe.k, dtype=bool)))
+        off = False
+    pairs = np.append(table.scores, 0.0) if off else table.scores
     lo = pairs.min()
     span = pairs.max() - lo
     if span == 0.0:
@@ -567,14 +569,13 @@ def normalize(table):
             f"score table {table.model!r} is constant ({lo:.6g} "
             "everywhere); normalizing to all zeros",
             DegenerateScoreTableWarning, stacklevel=2)
-        scores = np.zeros_like(scores)
+        scores = np.zeros_like(table.scores)
     else:
         # + 0.0 turns a -0.0 (a -0.0 score over a +0.0 minimum) into
         # +0.0 and leaves every other value as it is.
-        scores = (scores - lo) / span + 0.0
-    return ScoreTable(table.model, table.universe, table.support,
-                      _Column(scores[:-1], float(scores[-1])),
-                      normalized=True, raw=column, info=dict(table.info))
+        scores = (table.scores - lo) / span + 0.0
+    return ScoreTable(table.model, universe, table.support, scores,
+                      table.scores, dict(table.info))
 
 
 def combine(a, b, rule="mean", on="normalized"):
@@ -585,8 +586,9 @@ def combine(a, b, rule="mean", on="normalized"):
     recorded as ``combined_on`` in the output's info), and the result
     is re-normalized; the model name is the concatenation of the
     inputs' names. The rule fuses the two tables' scores on the union
-    of their supports, and their floors into the output's floor. The
-    pre-renormalization combination is kept as the output's ``raw``.
+    of their supports; off it both inputs score 0, and so does the
+    fusion under every rule. The pre-renormalization combination is
+    kept as the output's ``raw``.
     """
     if not (a.normalized and b.normalized):
         raise ValueError("combine requires two normalized tables")
@@ -602,19 +604,17 @@ def combine(a, b, rule="mean", on="normalized"):
     if rule not in COMBINE_RULES:
         raise ConfigError(f"combine rule must be one of {COMBINE_RULES}, "
                           f"got {rule!r}")
-    a, b = _common_support([a, b])
-    a_values, b_values = (
-        np.append(column.on_support, column.floor) for column in
-        ((a.raw, b.raw) if on == "raw" else (a.scores, b.scores)))
+    a, b = _on_union([a, b])
+    a_values, b_values = (a.raw, b.raw) if on == "raw" else (a.scores,
+                                                              b.scores)
     if rule == "mean":
         fused = (a_values + b_values) / 2.0
     elif rule == "product":
         fused = a_values * b_values
     else:
         fused = np.maximum(a_values, b_values)
-    return normalize(ScoreTable(
-        a.model + b.model, a.universe, a.support,
-        _Column(fused[:-1], float(fused[-1])), info=info))
+    return normalize(ScoreTable(a.model + b.model, a.universe, a.support,
+                                fused, info=info))
 
 
 def _csv_fields(values):
@@ -635,6 +635,16 @@ def _csv_fields(values):
     return fields
 
 
+def _universe_ids(universe, registry):
+    """The registry ids of a universe's nodes, in node order; a node
+    past the registry is a UniverseMismatchError."""
+    nodes = universe.node_indices.tolist()
+    if nodes and nodes[-1] >= len(registry):
+        raise UniverseMismatchError(f"universe node {nodes[-1]} is past "
+                                    f"the registry of {len(registry)}")
+    return [registry.ids[i] for i in nodes]
+
+
 def write_score_table(table, registry, dest, known=None):
     """Export a normalized table as delimited text.
 
@@ -647,12 +657,13 @@ def write_score_table(table, registry, dest, known=None):
     every support score_norm value is bitwise one of the floats, the
     column takes its text from there (see ``_format6``).
 
-    A pair off the table's support takes its row from one floor row
-    per destination; only the support's pairs are formatted.
+    A pair off the table's support takes its row from one ``0,0`` row
+    per destination; only the support's pairs are formatted. A universe
+    node past the registry is a UniverseMismatchError.
     """
-    if not table.normalized or table.raw is None:
+    if not table.normalized:
         raise ValueError("score export requires a normalized table")
-    ids = [registry.ids[i] for i in table.universe.node_indices]
+    ids = _universe_ids(table.universe, registry)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     k = len(order)
     quoted = _csv_fields([ids[i] for i in order] + [table.model])
@@ -665,11 +676,9 @@ def write_score_table(table, registry, dest, known=None):
         rows, cols = np.divmod(table.support, k)
         at = rank[rows] * k + rank[cols]
         by = np.argsort(at)
-        raw, norm = table.raw, table.scores
-        raw_text = _format6(raw.on_support[by]).tolist()
-        norm_text = _format6(norm.on_support[by], known).tolist()
-        raw_floor, norm_floor = _format6([raw.floor, norm.floor]).tolist()
-        floor_rows = [f"{m}{raw_floor},{norm_floor}\n" for m in middle]
+        raw_text = _format6(table.raw[by]).tolist()
+        norm_text = _format6(table.scores[by], known).tolist()
+        zero_rows = [f"{m}0,0\n" for m in middle]
         sources, dests = np.divmod(at[by], k)
         dests = dests.tolist()
         off_rows = [f"{middle[b]}{r},{n}\n"
@@ -682,7 +691,7 @@ def write_score_table(table, registry, dest, known=None):
             return
         start = 0
         for a, (source, end) in enumerate(zip(quoted, ends)):
-            rows = floor_rows.copy()
+            rows = zero_rows.copy()
             for b, row in zip(dests[start:end], off_rows[start:end]):
                 rows[b] = row
             del rows[a]
@@ -701,11 +710,12 @@ def read_score_table(path, universe, registry):
     pairs, each once, with ids resolvable in the registry. Its header
     is read as a movement file's is. Returns a normalized ScoreTable
     whose ``scores`` are the file's ``score_norm`` column and ``raw`` its
-    ``score`` column, on the pairs at which either is not +0.0; both
-    floors are 0.0. Besides the support, reading holds a k * k-byte map
-    of the pairs taken and no (k, k) float array. The path is opened
-    once; a byte that is not UTF-8 is a DataError naming it and, when
-    the file is regular and can be read again, its offset.
+    ``score`` column, on the pairs at which either is not +0.0. A
+    universe node past the registry is a UniverseMismatchError.
+    Besides the support, reading holds a k * k-byte map of the pairs
+    taken and no (k, k) float array. The path is opened once; a byte
+    that is not UTF-8 is a DataError naming it and, when the file is
+    regular and can be read again, its offset.
     """
     with _open_input(path, "score table") as fh:
         return _read_decoded(fh, path, "score table", partial(
@@ -714,8 +724,8 @@ def read_score_table(path, universe, registry):
 
 def _read_scores(fh, path, universe, registry):
     k = universe.k
-    position = {registry.ids[node]: i
-                for i, node in enumerate(universe.node_indices.tolist())}
+    position = {node_id: i for i, node_id in enumerate(
+        _universe_ids(universe, registry))}
     # The pairs read so far, by flat position; the diagonal is taken
     # first, so a diagonal pair fails as a duplicate does.
     taken = bytearray(k * k)
@@ -772,5 +782,4 @@ def _read_scores(fh, path, universe, registry):
     support, norms, raws = map(np.asarray, (keys, norms, raws))
     order = np.argsort(support)
     return ScoreTable(model or "", universe, support[order],
-                      _Column(norms[order], 0.0), normalized=True,
-                      raw=_Column(raws[order], 0.0))
+                      norms[order], raws[order])

@@ -7,8 +7,8 @@ rather than grid-approximate. ``evaluate`` reads the confusion at its
 threshold, the ROC and PR curves' areas and average precision off one
 sweep, which its report keeps and derives both curves from; tuning on
 the evaluated table itself shares it; ``optimal_threshold`` sweeps on
-its own. A ScoreTable is swept from its support, with the pairs off it
-counted in its floor's step.
+its own. A ScoreTable is swept from its support, with the pairs off it,
+which score 0, counted in the step of 0.
 """
 
 import json
@@ -143,8 +143,8 @@ def _sweep(s, y):
     one step, so the order inside a tie cannot change any entry.
 
     Only the scores above the minimum are sorted, and only as values:
-    most candidate pairs have no training walk and share the table's
-    floor, whose group is always the last step (everything positive).
+    most candidate pairs have no training walk and share the minimum,
+    whose group is always the last step (everything positive).
     The positives enter by their scores, ``s[y]``. A group of zeros is
     reported as +0.0 whatever mix of signed zeros it holds.
     """
@@ -198,24 +198,20 @@ def _sweep_above(s, hits, floor, n_pos, n_neg):
 
 def _table_sweep(table):
     """The sweep of a ScoreTable over its universe, from its support:
-    every pair off the support scores the table's floor, and the
-    positives on the support are found by one binary search of the
+    every pair off the support scores 0, counted in the step of 0, and
+    the positives on the support are found by one binary search of the
     universe's positives in it (both are ascending flat positions)."""
     universe = table.universe
     if universe.n_pairs == 0:
         raise ValueError("empty score vector")
-    s = table.scores.on_support
+    s = table.scores
     _check_finite(s)
     support, positives = table.support, universe.positives
     at = np.searchsorted(support, positives)
     at = at[at < support.size]
     hits = s[at[support[at] == positives[:at.size]]]
     n_pos = universe.n_positives
-    if table.n_floor:
-        floor = table.scores.floor
-        _check_finite(np.array([floor]))
-    else:
-        floor = s.min()
+    floor = 0.0 if support.size < universe.n_pairs else s.min()
     return _sweep_above(s, hits, floor, n_pos, universe.n_pairs - n_pos)
 
 

@@ -22,21 +22,12 @@ from ._fork import processes, run_parts
 from .graphs import build_adjacency, build_network, candidate_pairs, \
     ingest_movements, temporal_split
 from .errors import NumericError
-from .katz import _common_support, combine, edge_weighted_katz_scores, \
-    katz_scores, normalize, write_score_table
+from .katz import MODEL_PARTS, _on_union, combine, \
+    edge_weighted_katz_scores, katz_scores, normalize, write_score_table
 
 log = logging.getLogger(__name__)
 
 GAMMA_GRID = tuple(np.logspace(-4, -1, 13))
-
-MODEL_PARTS = {
-    "KI": ("KI",),
-    "WKI": ("WKI",),
-    "EWKI": ("EWKI",),
-    "KIWKI": ("KI", "WKI"),
-    "KIEWKI": ("KI", "EWKI"),
-    "WKIEWKI": ("WKI", "EWKI"),
-}
 
 # (row label, EvaluationReport attribute) for summary.csv, in row order.
 SUMMARY_ROWS = (("Threshold", "threshold"), ("Precision", "precision"),
@@ -143,13 +134,13 @@ def _tune_gamma(ki_table, distances):
     Each candidate is the EWKI table of the unnormalized KI table,
     normalized and swept for its optimal F1; ties keep the smaller
     gamma. ``distances`` are those ``edge_weighted_katz_scores`` takes.
-    Every step works on KI's support: a pair off it holds a zero, which
-    decays to a zero, the candidate's minimum. That rests on KI tables
+    Every step works on KI's support: a pair off it scores 0, which
+    decays to 0, the candidate's minimum. That rests on KI tables
     being non-negative; a negative KI score is a NumericError. Returns
     the chosen gamma and each candidate's (threshold, F1), in grid
     order.
     """
-    ki = ki_table.scores.on_support
+    ki = ki_table.scores
     if (ki < 0).any():
         raise NumericError(
             f"KI table holds {np.count_nonzero(ki < 0)} negative scores; "
@@ -168,7 +159,7 @@ def _model_tables(scoring, katz_cfg, cfg):
     EWKI decays the KI table there, each base is normalized and the
     combined models fuse two of them."""
     scored = [base for base in ("KI", "WKI") if base in scoring.raw]
-    scoring.raw.update(zip(scored, _common_support(
+    scoring.raw.update(zip(scored, _on_union(
         [scoring.raw[base] for base in scored])))
     if "EWKI" in scoring.bases:
         ki = scoring.raw["KI"]

@@ -322,8 +322,8 @@ def isin_table_sweep(table):
     then swept by ``argsort_sweep_above``."""
     universe = table.universe
     y = np.isin(table.support, universe.positives, assume_unique=True)
-    s = table.scores.on_support
-    floor = table.scores.floor if table.n_floor else s.min()
+    s = table.scores
+    floor = 0.0 if table.support.size < universe.n_pairs else s.min()
     n_pos = universe.n_positives
     return argsort_sweep_above(s, y, floor, n_pos, universe.n_pairs - n_pos)
 
@@ -1002,14 +1002,13 @@ def support_of(*matrices):
     return np.flatnonzero(keep)
 
 
-def table_of(model, universe, values, normalized=False, raw_values=None,
-             info=None):
+def table_of(model, universe, values, raw_values=None, info=None):
     """A ScoreTable from (k, k) matrices, ignoring their diagonals: its
     support is the pairs at which either matrix is not +0.0, bit for
-    bit, and both floors are 0.0. Matrices of another shape than the
-    universe's are a UniverseMismatchError."""
+    bit, and it is normalized when ``raw_values`` is given. Matrices of
+    another shape than the universe's are a UniverseMismatchError."""
     from geokatz.errors import UniverseMismatchError
-    from geokatz.katz import ScoreTable, _Column
+    from geokatz.katz import ScoreTable
 
     matrices = [values] if raw_values is None else [values, raw_values]
     matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
@@ -1019,23 +1018,23 @@ def table_of(model, universe, values, normalized=False, raw_values=None,
             f"score matrices of shapes {[m.shape for m in matrices]} "
             f"do not match universe size {k}")
     support = support_of(*matrices)
-    scores, *raw = [_Column(m.ravel()[support], 0.0) for m in matrices]
-    return ScoreTable(model, universe, support, scores, normalized,
+    scores, *raw = [m.ravel()[support] for m in matrices]
+    return ScoreTable(model, universe, support, scores,
                       raw[0] if raw else None, {} if info is None else info)
 
 
 def _dense_column(table, column):
     k = table.universe.k
-    values = np.full(k * k, column.floor)
-    values[table.support] = column.on_support
+    values = np.zeros(k * k)
+    values[table.support] = column
     values[::k + 1] = 0.0
     return values.reshape(k, k)
 
 
 def dense(table):
     """A ScoreTable's scores as a (k, k) matrix: its support pairs hold
-    their scores, every other off-diagonal pair the floor, and the
-    diagonal 0. A DenseTable's own matrix."""
+    their scores and every other pair, the diagonal too, 0. A
+    DenseTable's own matrix."""
     if isinstance(table, DenseTable):
         return table.values
     return _dense_column(table, table.scores)
@@ -1179,7 +1178,7 @@ def dense_read_scores(fh, path, universe, registry):
     ``katz.read_score_table`` opens it."""
     from geokatz.errors import UniverseMismatchError
     from geokatz.graphs import _read_header
-    from geokatz.katz import SCORE_COLUMNS, ScoreTable, _Column
+    from geokatz.katz import SCORE_COLUMNS, ScoreTable
 
     k = universe.k
     position = {int(node): i for i, node in enumerate(universe.node_indices)}
@@ -1232,6 +1231,5 @@ def dense_read_scores(fh, path, universe, registry):
         raise UniverseMismatchError(
             f"score table covers {got} pairs; the universe has {expected}")
     support = support_of(norm, raw)
-    return ScoreTable(model or "", universe, support,
-                      _Column(norm.ravel()[support], 0.0), normalized=True,
-                      raw=_Column(raw.ravel()[support], 0.0))
+    return ScoreTable(model or "", universe, support, norm.ravel()[support],
+                      raw.ravel()[support])

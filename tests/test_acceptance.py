@@ -163,8 +163,7 @@ def reduction_setup():
 
 def _assert_same_scores(got, want):
     assert got.support.tobytes() == want.support.tobytes()
-    assert got.scores.on_support.tobytes() == want.scores.on_support.tobytes()
-    assert got.scores.floor == want.scores.floor == 0.0
+    assert got.scores.tobytes() == want.scores.tobytes()
 
 
 def test_criterion_4_zero_gamma_edge_weighting(reduction_setup):

@@ -264,6 +264,13 @@ class TestEnumFields:
         with pytest.raises(ConfigError, match=message):
             parse_run_config(MINIMAL_SYNTH + line + "\n")
 
+    @pytest.mark.parametrize("block", ["{beta: 0.01}",
+                                       "{beta_mode: fraction, beta: 0.01}"])
+    def test_beta_under_fraction_mode_refused(self, block):
+        with pytest.raises(ConfigError,
+                           match="katz.beta .* fraction-of-spectral-bound"):
+            parse_run_config(MINIMAL_SYNTH + f"katz: {block}\n")
+
     def test_valid_enum_values_accepted(self):
         cfg = parse_run_config(MINIMAL_SYNTH
                                + "score_basis: train+val\ntune_on: test\n"
@@ -511,6 +518,9 @@ def test_quoted_number_parses_like_the_keyed_parser(block, key, text, value):
         place[name] = text
     else:
         place[name][index] = text
+    if name == "beta":
+        # The fraction mode refuses a beta.
+        place["beta_mode"] = "explicit"
     source = yaml.safe_dump(doc)
     got = _outcome(parse_run_config, source)
     assert got == _outcome(oracles.keyed_parse_run_config, source)

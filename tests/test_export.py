@@ -50,8 +50,7 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
     raw = np.array(data.draw(cells)).reshape(k, k)
     norm = np.array(data.draw(cells)).reshape(k, k)
     universe = oracles.universe_of(np.arange(k))
-    table = oracles.table_of(model, universe, norm, normalized=True,
-                             raw_values=raw)
+    table = oracles.table_of(model, universe, norm, raw_values=raw)
     registry = _registry(ids)
     expected = io.StringIO()
     oracles.loop_write_score_table(table, registry, expected)
@@ -63,8 +62,7 @@ def test_write_score_table_matches_row_loop(extra_ids, model, repeated,
 def _table(raw, norm, model="KI"):
     k = len(raw)
     universe = oracles.universe_of(np.arange(k))
-    return oracles.table_of(model, universe, norm, normalized=True,
-                            raw_values=raw)
+    return oracles.table_of(model, universe, norm, raw_values=raw)
 
 
 def _check_against_row_loop(table, ids, known=None):
@@ -154,10 +152,10 @@ def test_one_and_two_node_tables():
 
 
 def test_only_off_floor_cells_are_formatted(monkeypatch):
-    # A 6-node table on floor 0 with three raw and two normalized cells
-    # off it (one shared) and a diagonal off both: the four support
-    # cells per column plus the two floors are formatted, not the 36
-    # cells of the table, nor the diagonal one, which is not written.
+    # A 6-node table of zeros with three raw and two normalized cells
+    # off 0 (one shared) and a diagonal off both: the four support cells
+    # per column are formatted, not the 36 cells of the table, nor the
+    # diagonal one, which is not written.
     raw = np.zeros((6, 6))
     norm = np.zeros((6, 6))
     raw[0, 1], raw[2, 3], raw[5, 4] = 7.0, 8.0, 9.0
@@ -175,7 +173,7 @@ def test_only_off_floor_cells_are_formatted(monkeypatch):
     _check_against_row_loop(table, list("abcdef"))
     assert off == 5
     assert table.support.size == off - 1
-    assert sizes == [off - 1, off - 1, 2]
+    assert sizes == [off - 1, off - 1]
 
 
 def _fstrings(values):

@@ -507,10 +507,13 @@ def test_candidate_pairs_positives_match_dense_labels(edges, year):
     ([0, 1, 2], [0]),
     ([0, 1, 2], [1, 4]),
     ([], [0]),
+    ([-1, 0], []),
+    ([-3, -2, 5], [1]),
 ])
 def test_pair_universe_refuses_malformed_sets(nodes, positives):
-    # Nodes and positives must be strictly ascending 1-d arrays, and a
-    # positive a flat position i * k + j of the (k, k) matrix, i != j.
+    # Nodes must be non-negative, nodes and positives strictly ascending
+    # 1-d arrays, and a positive a flat position i * k + j of the (k, k)
+    # matrix, i != j.
     with pytest.raises(ValueError):
         PairUniverse(np.array(nodes, np.int64), np.array(positives, np.int64))
 

@@ -50,6 +50,17 @@ def test_config_accepts_aliases():
             == "fraction-of-spectral-bound")
 
 
+@pytest.mark.parametrize("mode", ["fraction-of-spectral-bound", "fraction"])
+def test_config_fraction_mode_refuses_beta(mode):
+    # The fraction mode takes beta = alpha / spectral_radius, so a beta
+    # given with it would be ignored.
+    with pytest.raises(ConfigError,
+                       match="katz.beta .* fraction-of-spectral-bound"):
+        KatzConfig(beta_mode=mode, beta=0.01)
+    with pytest.raises(ConfigError, match="katz.beta"):
+        KatzConfig(beta=0.01)
+
+
 def test_config_explicit_mode_requires_positive_beta():
     with pytest.raises(ConfigError):
         KatzConfig(beta_mode="explicit")
@@ -318,14 +329,13 @@ def _blocked(rows, sources, live=None):
     if live is None:
         live = np.ones(sources.max(initial=-1) + 1, dtype=bool)
     order = np.argsort(sources)
-    [(support, column)] = katz._blocked_supports(rows, live,
+    [(support, scores)] = katz._blocked_supports(rows, live,
                                                  [sources[order]])
-    assert column.floor == 0.0
     # From the ascending nodes' pair positions to the given order's.
     rows_at, cols_at = np.divmod(support, len(sources))
     at = order[rows_at] * len(sources) + order[cols_at]
     by = np.argsort(at)
-    return at[by], column.on_support[by]
+    return at[by], scores[by]
 
 
 def _series_columns(adj, beta, sources, max_len, tol):
@@ -548,7 +558,7 @@ def test_quickstart_solve_matches_the_dense_block():
     blocks = oracles.block_solve_rows(
         adj, tables[0].info["beta"], [u.node_indices for u in universes])
     for table, block in zip(tables, blocks):
-        _assert_same_columns((table.support, table.scores.on_support),
+        _assert_same_columns((table.support, table.scores),
                              _block_columns(block))
 
 
@@ -631,9 +641,7 @@ def test_shared_scoring_bitwise_equal_to_separate(case):
         assert table.model == "WKI"
         assert table.info == alone.info
         assert table.support.tobytes() == alone.support.tobytes()
-        assert table.scores.on_support.tobytes() == \
-            alone.scores.on_support.tobytes()
-        assert table.scores.floor == alone.scores.floor == 0.0
+        assert table.scores.tobytes() == alone.scores.tobytes()
         assert table.raw is alone.raw is None
 
 
@@ -748,12 +756,11 @@ def test_union_scoring_bitwise_equal_to_per_universe_loop(case):
              for u in universes]
     for table, universe, (support, scores) in zip(tables, universes, wants):
         assert table.universe is universe
-        assert table.scores.floor == 0.0
         # A source without an out-link has an exactly zero row, and the
         # union never scores it. The loop scores it: the series gives
         # zeros, but SuperLU can leave round-off in its solution.
         scored = live[universe.node_indices[support // max(universe.k, 1)]]
-        _assert_same_columns((table.support, table.scores.on_support),
+        _assert_same_columns((table.support, table.scores),
                              (support[scored], scores[scored]))
         if cfg.method == "truncated-series":
             assert scored.all()
@@ -764,7 +771,7 @@ def test_union_scoring_bitwise_equal_to_per_universe_loop(case):
         for table, want in zip(katz_scores(adj, cfg, universes), wants):
             k = table.universe.k
             assert np.allclose(
-                _dense_of((table.support, table.scores.on_support), k),
+                _dense_of((table.support, table.scores), k),
                 _dense_of(want, k), rtol=1e-12, atol=1e-12)
 
 
@@ -883,9 +890,8 @@ def test_score_table_read_memory_follows_the_support(tmp_path):
     registry = NodeRegistry([f"s{i}" for i in range(k)], np.zeros(k),
                             np.zeros(k))
     path = tmp_path / "scores_KI.csv"
-    write_score_table(katz.ScoreTable(
-        "KI", universe, support, katz._Column(values, 0.0), True,
-        katz._Column(values, 0.0)), registry, path)
+    write_score_table(katz.ScoreTable("KI", universe, support, values,
+                                      values), registry, path)
     tracemalloc.start()
     try:
         table = katz.read_score_table(path, universe, registry)

@@ -356,11 +356,11 @@ def _assert_same_sweep(got, want):
 @st.composite
 def _table_cases(draw):
     """A ScoreTable over a universe of 2 to 7 nodes: any support, empty
-    and full included, scores and a floor with heavy ties, signed zeros
-    and values below the floor, and positives drawn apart from the
-    support (none, one, any, or every pair)."""
+    and full included, scores with heavy ties, signed zeros and values
+    below the 0 of the pairs off the support, and positives drawn apart
+    from the support (none, one, any, or every pair)."""
     from geokatz.graphs import PairUniverse
-    from geokatz.katz import ScoreTable, _Column
+    from geokatz.katz import ScoreTable
 
     k = draw(st.integers(2, 7))
     pairs = [p for p in range(k * k) if p % (k + 1)]
@@ -373,8 +373,8 @@ def _table_cases(draw):
     scores = draw(st.lists(_SCORES, min_size=len(support),
                            max_size=len(support)))
     universe = PairUniverse(np.arange(k), np.array(positives, np.int64))
-    column = _Column(np.array(scores, dtype=np.float64), draw(_SCORES))
-    return ScoreTable("KI", universe, np.array(support, np.int64), column)
+    return ScoreTable("KI", universe, np.array(support, np.int64),
+                      np.array(scores, dtype=np.float64))
 
 
 @settings(max_examples=400, deadline=None)

@@ -94,8 +94,7 @@ def _assert_same_table(got, want):
     """The two tables hold the same support and columns, bit for bit."""
     assert got.support.tobytes() == want.support.tobytes()
     for a, b in ((got.scores, want.scores), (got.raw, want.raw)):
-        assert a.on_support.tobytes() == b.on_support.tobytes()
-        assert float(a.floor).hex() == float(b.floor).hex()
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -273,8 +272,8 @@ class TestSupportTables:
     @pytest.mark.parametrize("gamma", ["0.01", "tune"])
     @pytest.mark.parametrize("write", [False, True])
     def test_run_builds_no_dense_table(self, tmp_path, gamma, write):
-        # Every table of a run holds one score per support pair and a
-        # floor for the rest, and all six share the universe's support.
+        # Every table of a run holds one score per support pair, and all
+        # six share the universe's support.
         text = QUICKSTART.read_text().replace("  gamma: 0.01",
                                               f"  gamma: {gamma}")
         result = run(_cfg(text, out=tmp_path if write else None))
@@ -284,11 +283,10 @@ class TestSupportTables:
         for table in result.tables.values():
             assert table.support is support
             assert vars(table).keys() == {"model", "universe", "support",
-                                          "scores", "normalized", "raw",
-                                          "info"}
+                                          "scores", "raw", "info"}
             for column in (table.scores, table.raw):
-                assert column.on_support.shape == support.shape
-                assert isinstance(column.floor, float)
+                assert column.dtype == np.float64
+                assert column.shape == support.shape
         written = sorted(p.name for p in tmp_path.glob("scores_*.csv"))
         assert written == (sorted(f"scores_{m}.csv" for m in MODEL_PARTS)
                            if write else [])
@@ -667,7 +665,8 @@ class TestGammaSearch:
         support = []
 
         def tracked(ki_table, distances):
-            support.append((ki_table.support.size, ki_table.n_floor))
+            support.append((ki_table.support.size,
+                            ki_table.universe.n_pairs - ki_table.support.size))
             active.append(True)
             try:
                 return tune_gamma(ki_table, distances)
@@ -678,8 +677,8 @@ class TestGammaSearch:
         text = QUICKSTART.read_text().replace("  gamma: 0.01",
                                               "  gamma: tune")
         assert len(run(_cfg(text)).reports) == 6
-        [(nonzero, n_floor)] = support
-        assert nonzero > 0 and n_floor > 0
+        [(nonzero, off)] = support
+        assert nonzero > 0 and off > 0
         grid = len(GAMMA_GRID)
         assert calls == dict.fromkeys(calls, grid)
         assert sizes == dict.fromkeys(sizes, [nonzero] * grid)

@@ -1,7 +1,7 @@
 """Score tables on their nonzero-pair support against the dense oracles.
 
 Every table of a universe lives on the union of its base tables'
-nonzero pairs, with a floor for the rest; decay, normalize, combine,
+nonzero pairs, and every other pair scores 0; decay, normalize, combine,
 the sweeps and reports, the score-table export and its reader must
 give, bit for bit and byte for byte, what the (k, k) versions in
 ``oracles`` give.
@@ -26,8 +26,8 @@ from geokatz.graphs import NodeRegistry, PairUniverse
 from geokatz.katz import KatzConfig, ScoreTable
 
 # Zeros of both signs, values tied with each other, one whose decay
-# underflows to a zero at the floor, and free draws; negative values
-# put a table's floor above its minimum.
+# underflows to a zero, and free draws; negative values put the 0 of
+# the pairs off a table's support above its minimum.
 CELLS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
                   st.floats(0.0, 10.0))
 SIGNED_CELLS = st.one_of(CELLS, st.sampled_from([-1.0, -0.5]))
@@ -192,8 +192,15 @@ def test_model_tables_match_dense_oracle(case):
                             | (_bits_matrix(case.wki) != 0)).ravel())
     assert oracles.support_of(case.ki).tolist() == ki.support.tolist()
     assert oracles.support_of(case.ki, case.wki).tolist() == union.tolist()
-    for table in tables.values():
-        assert table.support.tolist() == union.tolist()
+    # A table normalized from a negative score while a pair is off the
+    # union, and every table fused from it, lies on every pair.
+    every = np.flatnonzero(~np.eye(k, dtype=bool))
+    negative = {base: bool((dense[base].raw_values < 0.0).any())
+                for base in ("KI", "WKI", "EWKI")}
+    for model, table in tables.items():
+        moved = union.size < every.size and any(
+            negative[base] for base in pipeline.MODEL_PARTS[model])
+        assert table.support.tolist() == (every if moved else union).tolist()
     _check_tables(tables, dense, registry)
 
 
@@ -272,10 +279,9 @@ def test_support_holds_signed_zeros_and_leaves_the_diagonal():
     assert oracles.support_of(values, other).tolist() == [1, 3, 5, 6]
     table = oracles.table_of("KI", universe, values)
     assert table.support.tolist() == [1, 5, 6]
-    assert table.n_floor == 3
-    assert _bits(table.scores.on_support) == _bits([-0.0, 2.0, 1e-300])
-    rebuilt = ScoreTable("KI", universe, table.support, katz._Column(
-        table.scores.on_support, table.scores.floor))
+    assert universe.n_pairs - table.support.size == 3
+    assert _bits(table.scores) == _bits([-0.0, 2.0, 1e-300])
+    rebuilt = ScoreTable("KI", universe, table.support, table.scores)
     want = values.copy()
     np.fill_diagonal(want, 0.0)
     assert _bits(oracles.dense(table)) == _bits(want)
@@ -317,12 +323,100 @@ def test_table_with_labels_is_refused():
     # A table is labeled by its universe: labels given beside it are
     # refused, not read in another order.
     universe = oracles.universe_of(np.arange(3), np.eye(3)[::-1])
-    table = oracles.table_of("KI", universe, np.eye(3)[::-1], True)
+    table = oracles.table_of("KI", universe, np.eye(3)[::-1])
     labels = oracles.label_vector(universe)
     for call in (metrics.evaluate, metrics.optimal_threshold,
                  metrics.confusion_at):
         with pytest.raises(ValueError, match="labeled by its universe"):
             call(table, labels)
+
+
+def test_table_of_public_types_matches_table_of():
+    # A support may hold a +0.0 score; every other pair scores 0.
+    import geokatz
+
+    values = np.array([[0.0, 2.0, 0.0, 0.5],
+                       [0.0, 0.0, 0.0, 0.0],
+                       [1.0, 0.0, 0.0, 2.0],
+                       [0.0, 0.0, 0.25, 0.0]])
+    universe = geokatz.PairUniverse(np.arange(4), np.array([1, 8, 11, 13]))
+    table = geokatz.ScoreTable("KI", universe, np.array([1, 3, 6, 8, 11, 14]),
+                               np.array([2.0, 0.5, 0.0, 1.0, 2.0, 0.25]))
+    assert not table.normalized
+    want = oracles.table_of("KI", universe, values)
+    assert _bits(oracles.dense(table)) == _bits(oracles.dense(want))
+    got, want = geokatz.normalize(table), geokatz.normalize(want)
+    assert got.normalized
+    for column in (oracles.dense, oracles.dense_raw):
+        assert _bits(column(got)) == _bits(column(want))
+    assert _report_bits(geokatz.evaluate(got, threshold=0.5)) == \
+        _report_bits(geokatz.evaluate(want, threshold=0.5))
+    registry = NodeRegistry(list("abcd"), np.zeros(4), np.zeros(4))
+    texts = []
+    for table in (got, want):
+        buf = io.StringIO()
+        geokatz.write_score_table(table, registry, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+    assert "a,c,KI,0,0\n" in texts[0] and "b,c,KI,0,0\n" in texts[0]
+
+
+def test_unnormalized_table_is_refused_by_combine_and_export():
+    universe = oracles.universe_of(np.arange(3))
+    table = ScoreTable("KI", universe, np.array([1, 5]), np.array([1.0, 2.0]))
+    assert not table.normalized and table.raw is None
+    normed = katz.normalize(table)
+    for on in ("normalized", "raw"):
+        for pair in ((table, table), (normed, table), (table, normed)):
+            with pytest.raises(ValueError, match="two normalized tables"):
+                katz.combine(*pair, on=on)
+    registry = NodeRegistry(list("abc"), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="normalized table"):
+        katz.write_score_table(table, registry, io.StringIO())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.booleans(), min_size=k * k, max_size=k * k),
+    st.lists(SIGNED_CELLS, min_size=k * k, max_size=k * k))))
+def test_normalize_of_negative_table_with_pairs_off_support(case):
+    # The pairs off the support would normalize above 0, so the table
+    # is normalized on every pair, as the dense oracle normalizes it.
+    k, on, cells = case
+    values = np.where(np.reshape(on, (k, k)), np.reshape(cells, (k, k)), 0.0)
+    values[0, 1] = -0.5
+    np.fill_diagonal(values, 0.0)
+    if oracles.support_of(values).size == k * (k - 1):
+        values[1, 0] = 0.0
+    universe = oracles.universe_of(np.arange(k))
+    table = oracles.table_of("KI", universe, values)
+    assert table.support.size < universe.n_pairs
+    (got, warned), (want, want_warned) = (
+        _outcome(lambda: katz.normalize(table)),
+        _outcome(lambda: oracles.dense_normalize(
+            oracles.DenseTable("KI", universe, values))))
+    assert warned == want_warned == 0
+    assert got.support.tolist() == np.flatnonzero(
+        ~np.eye(k, dtype=bool)).tolist()
+    assert _bits(oracles.dense(got)) == _bits(want.values)
+    assert _bits(oracles.dense_raw(got)) == _bits(want.raw_values)
+
+
+@pytest.mark.parametrize("nodes", [[0, 3], [2, 5], [1, 2, 3]])
+def test_universe_node_past_the_registry_is_refused(tmp_path, nodes):
+    registry = NodeRegistry(list("abc"), np.zeros(3), np.zeros(3))
+    universe = oracles.universe_of(np.array(nodes))
+    k = len(nodes)
+    table = oracles.table_of("KI", universe, np.ones((k, k)),
+                             raw_values=np.ones((k, k)))
+    with pytest.raises(katz.UniverseMismatchError, match="registry"):
+        katz.write_score_table(table, registry, io.StringIO())
+    path = tmp_path / "scores.csv"
+    path.write_text("source_id,dest_id,model,score,score_norm\n"
+                    "a,b,KI,1,1\nb,a,KI,1,1\n")
+    with pytest.raises(katz.UniverseMismatchError, match="registry"):
+        katz.read_score_table(path, universe, registry)
 
 
 # Ids that csv.writer must quote, one of them over two physical lines,
@@ -416,16 +510,15 @@ def _score_files(draw):
 
 
 def _read_outcome(read):
-    """A table read as the bits of its model, support, columns and
-    floors, or the class and text of the error it raised."""
+    """A table read as the bits of its model, support and columns, or
+    the class and text of the error it raised."""
     try:
         table = read()
     except Exception as exc:
         return type(exc), str(exc)
     return (table.model, table.normalized, table.support.dtype,
-            table.support.tobytes(), table.scores.on_support.tobytes(),
-            table.raw.on_support.tobytes(),
-            _bits([table.scores.floor, table.raw.floor]))
+            table.support.tobytes(), table.scores.tobytes(),
+            table.raw.tobytes())
 
 
 def _two_site_file(*lines):
