@@ -16,7 +16,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, count, islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,26 +42,29 @@ _COORD_COLUMNS = ("source_lat", "source_lon", "dest_lat", "dest_lon")
 _COORD_BOUNDS = np.array([[90.0], [180.0], [90.0], [180.0]])
 
 # Records ingested together, whether the csv module reads them or lines
-# are split directly: enough to amortize the per-column NumPy calls,
-# few enough that a block's fields stay a small share of the run's
-# memory (the whole file as fields costs more than the parsed columns
-# do). A file split directly is cut into parts of whole blocks. On the
-# 80k-row benchmark register, blocks of 256 to 4096 lines ingest within
-# 6% of each other, and 4096 holds 5 MB more.
-_INGEST_BLOCK = 512
+# are split directly: enough to amortize the per-block NumPy calls, few
+# enough that a block's fields stay a small share of the run's memory
+# (the whole file as fields costs more than the parsed columns do). A
+# file split directly is cut into parts of whole blocks. On the 80k-row
+# benchmark register split directly by one reader (2-core shared host,
+# CPU time), blocks of 4096 lines ingest about 5% faster than blocks of
+# 512 and 8192 no faster; one block's fields live at a time, so the
+# process peaks at 86-89 MB with either (89-91 MB with 8192). The csv
+# module reads 512- and 4096-line blocks alike.
+_INGEST_BLOCK = 4096
 # The fewest blocks worth a forked ingest process of their own (see
-# _ingest_split). Forking costs 15-25 ms: the line-end scan (about 5 ms
-# per 80k rows), the fork, exit and reaping of the child (3-5 ms from a
-# 100 MB process), copy-on-write faults, the child's result sent back
-# pickled and the merge of the parts' ids. Per 20k-row part the result,
-# ids and code arrays, takes 1.9 ms to pickle and load (per-row ids
-# took 4.6 ms) and the merge 3.3 ms (nearly 0 for per-row ids), so the
-# break-even measured with per-row ids stands: in a warm 104 MB process
-# on a 2-core host, two parts of 8k rows each ingested no faster than
-# one reader, two of 10k rows 23% faster.
-_MIN_PART_BLOCKS = 20
-# Bytes of a file searched for line ends at once: a bool mask as large
-# as the chunk is the scan's only transient beyond the offsets found.
+# _ingest_split). Two parts of a 20k-24k-row file take 20-30 ms more
+# than half of one reader's time: the fork, exit and reaping of the
+# child, copy-on-write faults, the child's ids and code arrays pickled
+# and loaded, and the merge of the parts (4-8 ms per 80k rows). In a
+# warm 125 MB process on a 2-core host, two halves of a 16k-row file
+# ingested within 4% of one reader, of a 20k-row file 6% faster and of
+# a 24k-row file 9-14% faster; so two parts take 6 blocks, over 20,480
+# rows.
+_MIN_PART_BLOCKS = 3
+# Bytes of a file scanned for line ends and delimiters at once: a few
+# bool masks as large as the chunk and the chunk's delimiter offsets
+# are the scan's only transients beyond the offsets and counts found.
 _SCAN_CHUNK = 1 << 20
 # Diagnostics kept in an IngestReport; rows rejected past them are
 # counted only.
@@ -489,12 +492,16 @@ class _Part:
     records. Source and dest are codes into ``ids``, species codes into
     ``species`` (-1 for none); each list holds the texts the part's
     accepted rows name, in the order they first name them.
+    ``lookups["ids"]`` and ``lookups["species"]`` pair the ``_Codes``
+    of every text the part read with the array taking each code to the
+    text's index in that list, or -1 (see ``_merged``).
     """
     ids: list = field(default_factory=list)
     species: list = field(default_factory=list)
     columns: list = None
     rejected: int = 0
     diagnostics: list = field(default_factory=list)
+    lookups: dict = None
 
 
 def _ingest_blocks(blocks, first_line, column_pos, width, year_range,
@@ -515,17 +522,23 @@ def _ingest_blocks(blocks, first_line, column_pos, width, year_range,
             block, first_line, column_pos, width, year_range, on_bad_rows,
             part, ids, species_codes))
         first_line += len(block[0])
+        # A block's fields go before the next block is split.
+        block = None
     if blocks_read:
+        # Each column's blocks go once it is joined.
+        columns = list(zip(*blocks_read))
+        blocks_read.clear()
         src, dst, species, year, coords = (
-            np.concatenate(column, axis=-1) for column in zip(*blocks_read))
+            np.concatenate(columns.pop(0), axis=-1) for _ in range(5))
         part.ids, renumber, _ = _first_seen(list(ids),
                                             _interleaved(src, dst))
-        named = species != _BLANK
         part.species, renumber_species, _ = _first_seen(
-            list(species_codes), species[named])
+            list(species_codes), species[species != _BLANK])
+        # No accepted row names the blank text: its code takes -1.
         part.columns = [renumber[src], renumber[dst],
-                        np.where(named, renumber_species[species], -1),
-                        year, coords]
+                        renumber_species[species], year, coords]
+        part.lookups = {"ids": (ids, renumber),
+                        "species": (species_codes, renumber_species)}
     return part
 
 
@@ -576,24 +589,31 @@ def _merged(parts, texts, *columns):
     Each part lists its texts in the order its rows first name them, so
     the merged list, the first part's texts and then each later part's
     new ones in its order, is in the order the whole file first names
-    them. Merging takes one dict lookup per text per part.
+    them. Merging takes one dict lookup per text per later part, in the
+    first part's ``lookups``.
     """
     if len(parts) == 1:
         return (getattr(parts[0], texts),
                 *(parts[0].columns[column] for column in columns))
-    # The first part's list is extended in place.
+    # The first part's list and lookup are extended in place, the
+    # renumbering with room for every later text the index lacks.
     merged = getattr(parts[0], texts)
-    index = dict(zip(merged, count()))
+    index, renumber = parts[0].lookups[texts]
+    renumber = np.append(renumber, np.full(
+        sum(len(getattr(part, texts)) for part in parts[1:]), -1))
     tables = [np.arange(len(merged))]
     for part in parts[1:]:
         names = getattr(part, texts)
-        codes = np.fromiter(map(index.get, names, repeat(-1)), np.int64,
-                            len(names))
-        # A text new here takes the next code, in the part's order.
+        # A text missing from the index takes the blank text's code, -1.
+        codes = renumber[np.fromiter(map(index.get, names, repeat(_BLANK)),
+                                     np.int64, len(names))]
+        # A text new here takes the next code, in the part's order; the
+        # index gives a text it lacks a code of its own.
         new = np.flatnonzero(codes < 0)
         codes[new] = np.arange(len(merged), len(merged) + len(new))
         added = list(map(names.__getitem__, new.tolist()))
-        index.update(zip(added, codes[new].tolist()))
+        renumber[np.fromiter(map(index.__getitem__, added), np.int64,
+                             len(added))] = codes[new]
         merged += added
         tables.append(codes)
     # Code -1 picks the -1 appended to each table, so it stays -1.
@@ -619,19 +639,24 @@ def _first_seen(texts, codes):
     named text's code to its index in that order; and the position in
     ``codes`` where each text in that order is first named.
 
-    One vectorized pass with no sort and no per-code Python call: each
-    text's first position in ``codes``, then the named texts gathered
-    in the order of those positions.
+    A text never named maps to -1. One vectorized pass with no sort and
+    no per-code Python call: each text's first position in ``codes``;
+    when those rise with the codes and every text is named (as in an
+    ingested report), the codes are in that order already, and
+    otherwise the named texts are gathered in the order of those
+    positions.
     """
     n = len(codes)
     first = np.full(len(texts), n, dtype=np.int64)
     np.minimum.at(first, codes, np.arange(n))
+    if np.all(np.diff(first, append=n) > 0):
+        return list(texts), np.arange(len(texts)), first
     # Every text never named lands on the spare last slot.
     at = np.full(n + 1, -1, dtype=np.int64)
     at[first] = np.arange(len(texts))
     first = np.flatnonzero(at[:n] >= 0)
     order = at[first]
-    renumber = np.zeros(len(texts), dtype=np.int64)
+    renumber = np.full(len(texts), -1, dtype=np.int64)
     renumber[order] = np.arange(len(order))
     return list(map(texts.__getitem__, order.tolist())), renumber, first
 
@@ -649,13 +674,14 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
     line is one record, and the file is cut into ``max(1,
     _fork.processes(workers, blocks // _MIN_PART_BLOCKS))`` parts of
     whole ``_INGEST_BLOCK`` blocks, each starting on a block's first
-    line. ``_split_block`` splits every block, so each part's blocks
-    and line numbers are those of one reader of the whole file. The
-    caller reads the first part and one forked child each other part
-    (``_fork.run_parts``; one part is read without a fork), and the
-    parts are joined in file order: the report equals one reader's,
-    field for field, and under ``abort`` the first bad row in file
-    order raises.
+    line. One scan of the bytes (``_scan_lines``) finds every line's
+    end and delimiter count, and ``_split_block`` cuts every block from
+    the bytes by them, so each part's blocks and line numbers are those
+    of one reader of the whole file. The caller reads the first part
+    and one forked child each other part (``_fork.run_parts``; one part
+    is read without a fork), and the parts are joined in file order:
+    the report equals one reader's, field for field, and under
+    ``abort`` the first bad row in file order raises.
     """
     ingest_stream = partial(_ingest_stream, schema=schema,
                             on_bad_rows=on_bad_rows, delimiter=delimiter,
@@ -665,9 +691,7 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
             data = fh.read()
         else:
             return _read_decoded(fh, path, "movement file", ingest_stream)
-    # Line i (from 0, the header) ends before byte next_line[i]; a last
-    # line without an LF ends with the data.
-    next_line = np.append(_line_ends(data) + 1, len(data))
+    next_line, counts = _scan_lines(data, delimiter)
     if (b'"' in data or b"\r" in data or b"\0" in data
             or np.diff(next_line, prepend=0).max() > csv.field_size_limit()
             or (not data.isascii()
@@ -681,72 +705,99 @@ def _ingest_split(path, schema, on_bad_rows, delimiter, year_range, workers):
     n_lines = len(next_line) - (data[-1:] in (b"", b"\n"))
     n_blocks = -(-max(n_lines - 1, 0) // _INGEST_BLOCK)
     n_parts = max(1, _fork.processes(workers, n_blocks // _MIN_PART_BLOCKS))
-    # Line i starts at byte next_line[i - 1].
     starts = [1 + p * n_blocks // n_parts * _INGEST_BLOCK
               for p in range(n_parts)]
-    offsets = next_line[np.array(starts) - 1].tolist() + [len(data)]
+    stops = starts[1:] + [n_lines]
 
     def read(p):
-        # The caller reads its part after every child is forked, so the
-        # whole file's bytes can go once that part is sliced.
+        # Line i starts at byte next_line[i - 1]. The caller reads its
+        # part after every child is forked, so the whole file's bytes
+        # can go once that part is sliced. The first part keeps the
+        # header's bytes, so one part is the file's bytes, not a copy.
         nonlocal data
-        part, data = data[offsets[p]:offsets[p + 1]], None
-        lines = io.TextIOWrapper(io.BytesIO(part), encoding="utf-8",
-                                 newline="")
-        blocks = iter(lambda: list(islice(lines, _INGEST_BLOCK)), [])
-        return _ingest_blocks(
-            (_split_block(block, delimiter, width) for block in blocks),
+        bounds = next_line[starts[p] - 1:stops[p]]
+        begin = bounds[0] if p else 0
+        part, data = data[begin:bounds[-1]], None
+        bounds = bounds - begin
+        part_counts = counts[starts[p]:stops[p]]
+        part = _ingest_blocks(
+            (_split_block(part, bounds[b:b + _INGEST_BLOCK + 1],
+                          part_counts[b:b + _INGEST_BLOCK], delimiter, width)
+             for b in range(0, len(part_counts), _INGEST_BLOCK)),
             starts[p] + 1, column_pos, width, year_range, on_bad_rows)
+        if p:
+            # Only the first part's lookups serve the merge; a forked
+            # child's would only be pickled.
+            part.lookups = None
+        return part
 
-    last = starts[1:] + [n_lines]
     return _report(_fork.run_parts([
         (partial(read, p), f"the ingest worker reading lines "
-                           f"{starts[p] + 1}-{last[p]} of {path}")
+                           f"{starts[p] + 1}-{stops[p]} of {path}")
         for p in range(n_parts)]))
 
 
-def _line_ends(data):
-    """The int64 offsets of the LF bytes of ``data``, found
-    ``_SCAN_CHUNK`` bytes at a time."""
-    view = np.frombuffer(data, np.uint8)
-    return np.concatenate([np.empty(0, np.int64)] + [
-        start + np.flatnonzero(view[start:start + _SCAN_CHUNK] == ord("\n"))
-        for start in range(0, len(view), _SCAN_CHUNK)])
+def _scan_lines(data, delimiter):
+    """Where the lines of ``data``, a file's bytes, end, and how many
+    delimiters each holds, found ``_SCAN_CHUNK`` bytes at a time.
 
-
-def _split_block(lines, delimiter, width):
-    """``lines``, a block of lines of a file that ``_ingest_split``
-    splits directly, as records split on ``delimiter``.
-
-    Each line is one record, whose fields are the line split on the
-    delimiter. Returns (odd, columns, row): ``columns[j]`` holds field
-    j of every row (j < ``width``) except the rows ``odd`` flags, and
-    ``row(i)`` is row i's list of fields, empty for a blank record. The
-    columns take the rows with the block's most common field count (at
-    least ``width``), not the header's, so rows that all end in an
-    extra delimiter stay in them; every other row, blank ones included,
-    is odd and holds a placeholder that converts cleanly in every
-    column.
+    Returns (next_line, counts), int64 arrays: line i (from 0, the
+    header) ends before byte ``next_line[i]``, a last line without an
+    LF with the data, and holds ``counts[i]`` copies of the delimiter's
+    UTF-8 bytes, which in UTF-8 text occur only where it does.
     """
-    text = "".join(lines)
-    n = len(lines)
-    counts = np.fromiter(map(str.count, lines, repeat(delimiter)),
-                         np.intp, n)
+    view = np.frombuffer(data, np.uint8)
+    code = np.frombuffer(delimiter.encode("utf-8"), np.uint8)
+    ends, before, seen = [np.empty(0, np.int64)], [], 0
+    for start in range(0, len(view), _SCAN_CHUNK):
+        chunk = view[start:start + _SCAN_CHUNK]
+        ends.append(np.flatnonzero(chunk == ord("\n")))
+        found = chunk == code[0]
+        for j in range(1, len(code)):
+            rest = view[start + j:start + j + len(chunk)]
+            found[len(rest):] = False
+            found[:len(rest)] &= rest == code[j]
+        found = np.flatnonzero(found)
+        # Delimiters before each line end, counted from the file's start.
+        before.append(seen + np.searchsorted(found, ends[-1]))
+        ends[-1] += start
+        seen += len(found)
+    next_line = np.append(np.concatenate(ends) + 1, len(data))
+    return next_line, np.diff(np.concatenate(before + [[seen]]), prepend=0)
+
+
+def _split_block(data, bounds, counts, delimiter, width):
+    """A block of lines of ``data``, the bytes of a file that
+    ``_ingest_split`` splits directly, as records split on
+    ``delimiter``.
+
+    Line i of the block is ``data[bounds[i]:bounds[i + 1]]``, holding
+    ``counts[i]`` delimiters; each line is one record, whose fields are
+    the line split on the delimiter. Returns (odd, columns, row):
+    ``columns[j]`` holds field j of every row (j < ``width``) except the
+    rows ``odd`` flags, and ``row(i)`` is row i's list of fields, empty
+    for a blank record. The columns take the rows with the block's most
+    common field count (at least ``width``), not the header's, so rows
+    that all end in an extra delimiter stay in them; every other row,
+    blank ones included, is odd and holds a placeholder that converts
+    cleanly in every column. The block is decoded and split once; only
+    ``row`` decodes a line on its own.
+    """
+    n = len(counts)
     k = max(int(np.bincount(counts).argmax()) + 1, width)
-    odd = counts != k - 1
-    # A blank line holds no delimiter, so it is odd already unless k is 1.
-    if k == 1 and (text.startswith("\n") or "\n\n" in text):
-        odd |= np.fromiter(map("\n".__eq__, lines), bool, n)
-    if odd.any():
-        patched = lines.copy()
-        placeholder = delimiter.join("0" * k) + "\n"
-        for i in np.flatnonzero(odd).tolist():
-            patched[i] = placeholder
-        text = "".join(patched)
-    fields = text.replace("\n", delimiter).split(delimiter)
+    # A blank line holds no delimiter, so it is odd unless k is 1: a
+    # line of one byte is odd whatever k is.
+    odd = (counts != k - 1) | (np.diff(bounds) == 1)
+    # The bytes between the odd lines, joined by the placeholder.
+    cuts = [bounds[0], *bounds[np.flatnonzero(odd)[:, None] + [0, 1]].flat,
+            bounds[-1]]
+    placeholder = (delimiter.join("0" * k) + "\n").encode("utf-8")
+    text = placeholder.join([data[a:b] for a, b in zip(cuts[0::2],
+                                                         cuts[1::2])])
+    fields = text.decode("utf-8").replace("\n", delimiter).split(delimiter)
 
     def row(i):
-        line = lines[i]
+        line = data[bounds[i]:bounds[i + 1]].decode("utf-8")
         if line == "\n":
             return []
         return line.removesuffix("\n").split(delimiter)

@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
 from itertools import chain
 from unittest import mock
 
@@ -548,7 +549,9 @@ def test_candidate_pairs_size_property(pairs):
 
 # --- columnar ingest and build against the record-at-a-time loops ----------
 
-_IDS = ("a", "b", "c", " a ", "b ", "a,b", "x\ny", '"q"', "", "  ", "\x1cb")
+# "s\u00a3" shares its first UTF-8 byte with the delimiter "\u00a7".
+_IDS = ("a", "b", "c", " a ", "b ", "a,b", "x\ny", '"q"', "", "  ", "\x1cb",
+        "s\u00a3")
 _YEARS = ("2015", " 2016 ", "+2017", "2_018", "\u0662\u0660\u0661\u0669",
           "1850", "2200", "2000", "2020", "nan", "", "20.5", "x",
           "99999999999999999999", "-5")
@@ -594,7 +597,8 @@ def _movement_files(draw, direct=False):
     size limit, or a quoted field (which may span lines) in a later row
     sends such a file through the csv module from its first record.
     With ``direct``, every file is quote-free with LF line ends and has
-    none of those rows.
+    none of those rows. The delimiter may be a tab or the two-byte
+    UTF-8 character "\u00a7".
     """
     columns = list(REQUIRED_COLUMNS)
     if draw(st.booleans()):
@@ -602,7 +606,7 @@ def _movement_files(draw, direct=False):
     if draw(st.booleans()):
         columns.append("note")
     columns = draw(st.permutations(columns))
-    delimiter = draw(st.sampled_from([",", ";"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", "\u00a7"]))
     plain = direct or draw(st.booleans())
     text = io.StringIO()
     writer = csv.writer(text, delimiter=delimiter,
@@ -1143,6 +1147,29 @@ class TestSplitIngest:
             path.write_text(text, encoding="utf-8", newline="")
         self._assert_split_as_one_reader(path, 3, 0, on_bad_rows=on_bad_rows)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_two_byte_delimiter_is_counted_whole(self, tmp_path, workers):
+        # "\u00a7" is C2 A7 in UTF-8 and "\u00a3" is C2 A3. Every row's
+        # ids hold a "\u00a3", so counting the delimiter's first byte
+        # alone would give each line two fields more than it has.
+        lines = [CSV_HEADER.replace(",", "\u00a7")] + [
+            f"\u00a3{i % 7}\u00a7d\u00a3{i % 5}\u00a7{2000 + i % 20}"
+            "\u00a750.0\u00a70.0\u00a751.0\u00a71.0\n" for i in range(40)]
+        lines[9] = "\u00a3x\u00a7n/a\n"
+        text = "".join(lines)
+        path = tmp_path / "section.csv"
+        path.write_text(text, encoding="utf-8")
+        report = ingest_movements(path, delimiter="\u00a7",
+                                  on_bad_rows="skip", workers=workers)
+        assert self.forks == workers - 1
+        records, accepted, rejected, diagnostics = (
+            oracles.loop_ingest_stream(io.StringIO(text), delimiter="\u00a7",
+                                       on_bad_rows="skip"))
+        assert (accepted, rejected) == (39, 1)
+        assert (report.accepted, report.rejected) == (accepted, rejected)
+        assert report.diagnostics == diagnostics
+        assert repr(rows_of(report)) == repr(records)
+
     class LocalError(Exception):
         """An exception pickle cannot rebuild: it takes two arguments."""
 
@@ -1212,6 +1239,29 @@ class TestSplitIngest:
         monkeypatch.delattr(os, "fork")
         one, _ = self._read(path, 1)
         assert self._read(path, 3) == (one, 0)
+
+
+def test_direct_split_holds_little_beyond_the_file(tmp_path, monkeypatch):
+    # A 3.5 MB register of wide rows, read by one process. Reading one
+    # part needs no copy of the file's bytes, the scan holds a chunk's
+    # masks at a time and a block's fields are few, so the peak stays
+    # well under twice the file: a copy of the bytes for the part, or a
+    # line-end mask of the whole file, each add about its size.
+    monkeypatch.setattr(graphs, "_SCAN_CHUNK", 1 << 16)
+    monkeypatch.setattr(graphs, "_INGEST_BLOCK", 64)
+    path = tmp_path / "wide.csv"
+    path.write_text(CSV_HEADER.replace("\n", ",note\n") + "".join(
+        f"s{i % 50},d{i % 40},2015,50.0,0.0,51.0,1.0,{'n' * 900}\n"
+        for i in range(4000)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        report = ingest_movements(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.accepted == 4000
+    assert peak < 1.5 * size
 
 
 _COORDS = st.one_of(st.floats(-200, 200), st.sampled_from(
